@@ -501,7 +501,9 @@ fn stack_backend_surfaces_violations_the_register_backend_cannot_express() {
 
 /// The register backend is the default, and its campaign/report bytes are
 /// pinned by committed golden files: the codegen-pipeline refactor (and any
-/// future one) must reproduce them exactly, not merely equivalently.
+/// future one) must reproduce them exactly, not merely equivalently. The
+/// other personality and the two non-default backends are pinned the same
+/// way, so compiler changes cannot move their bytes unnoticed.
 #[test]
 fn default_campaign_and_report_bytes_match_the_committed_goldens() {
     let scratch = Scratch::new("golden-bytes");
@@ -522,6 +524,27 @@ fn default_campaign_and_report_bytes_match_the_committed_goldens() {
         "cli-report-2500-2506.txt",
         &ok_stdout(&["report", &campaign_file]),
     );
+    for (suffix, flag, value) in [
+        ("lcc", "--personality", "lcc"),
+        ("stack", "--backend", "stack"),
+        ("frame", "--backend", "frame"),
+    ] {
+        let variant_file = scratch.path(&format!("campaign-{suffix}.json"));
+        ok_stdout(&[
+            "campaign",
+            "--seeds",
+            "2500..2506",
+            flag,
+            value,
+            "--out",
+            &variant_file,
+            "--quiet",
+        ]);
+        golden(
+            &format!("cli-campaign-2500-2506-{suffix}.json"),
+            &std::fs::read(Path::new(&variant_file)).unwrap(),
+        );
+    }
 }
 
 #[test]

@@ -435,11 +435,11 @@ fn lower_function(func: &IrFunction, index: usize) -> VCode<RInst> {
         if let Some(d) = inst.op.def() {
             pos.def = Some(vreg(d));
         }
-        for u in inst.op.uses() {
+        inst.op.visit_uses(|u| {
             if let Value::Temp(t) = u {
                 pos.uses.push(vreg(t));
             }
-        }
+        });
         if let Op::DbgValue {
             loc: DbgLoc::Value(Value::Temp(t)),
             ..

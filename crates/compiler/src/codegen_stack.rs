@@ -173,29 +173,23 @@ impl<'f> StackEmitter<'f> {
             };
             self.alloc.insert(*param, home);
         }
-        let insts: Vec<Temp> = {
-            let mut seen = Vec::new();
-            for inst in &self.func.insts {
-                for use_ in inst.op.uses() {
-                    if let Value::Temp(t) = use_ {
-                        seen.push(t);
-                    }
+        let func = self.func;
+        for inst in &func.insts {
+            inst.op.visit_uses(|use_| {
+                if let Value::Temp(t) = use_ {
+                    self.ensure_home(t);
                 }
-                if let Some(d) = inst.op.def() {
-                    seen.push(d);
-                }
-                if let Op::DbgValue {
-                    loc: DbgLoc::Value(Value::Temp(t)),
-                    ..
-                } = inst.op
-                {
-                    seen.push(t);
-                }
+            });
+            if let Some(d) = inst.op.def() {
+                self.ensure_home(d);
             }
-            seen
-        };
-        for temp in insts {
-            self.ensure_home(temp);
+            if let Op::DbgValue {
+                loc: DbgLoc::Value(Value::Temp(t)),
+                ..
+            } = inst.op
+            {
+                self.ensure_home(t);
+            }
         }
     }
 

@@ -895,11 +895,12 @@ pub fn spill_loss_victims(config: &CompilerConfig, func: &IrFunction) -> Vec<Deb
     victims
 }
 
-/// Defects of `config` that live in `pass` and are active.
-pub fn active_defects(config: &CompilerConfig, pass: &str) -> Vec<Defect> {
+/// Defects of `config` that are active, in catalogue order (the pass each
+/// lives in is its [`Defect::pass`]).
+pub fn active_defects(config: &CompilerConfig) -> Vec<Defect> {
     catalogue(config.personality)
         .into_iter()
-        .filter(|d| d.pass == pass && d.active_in(config))
+        .filter(|d| d.active_in(config))
         .collect()
 }
 
@@ -1044,6 +1045,13 @@ mod tests {
     use crate::ir::{DebugVar, ScopeId};
     use holes_minic::ast::FunctionId;
 
+    fn active_in_pass(config: &CompilerConfig, pass: &str) -> Vec<Defect> {
+        active_defects(config)
+            .into_iter()
+            .filter(|d| d.pass == pass)
+            .collect()
+    }
+
     fn test_function() -> IrFunction {
         let mut f = IrFunction {
             name: "main".into(),
@@ -1113,8 +1121,8 @@ mod tests {
     fn patched_version_removes_105158() {
         let trunk = CompilerConfig::new(Personality::Ccg, OptLevel::O2);
         let patched = trunk.clone().with_version(5);
-        let in_trunk = active_defects(&trunk, "cfg-cleanup");
-        let in_patched = active_defects(&patched, "cfg-cleanup");
+        let in_trunk = active_in_pass(&trunk, "cfg-cleanup");
+        let in_patched = active_in_pass(&patched, "cfg-cleanup");
         assert!(in_trunk.iter().any(|d| d.id == "ccg-105158"));
         assert!(!in_patched.iter().any(|d| d.id == "ccg-105158"));
     }
@@ -1124,18 +1132,18 @@ mod tests {
         let trunk = CompilerConfig::new(Personality::Lcc, OptLevel::Os);
         let star = trunk.clone().with_version(5);
         assert!(
-            active_defects(&trunk, "lsr")
+            active_in_pass(&trunk, "lsr")
                 .iter()
                 .any(|d| d.id == "lcc-53855a")
-                || active_defects(&CompilerConfig::new(Personality::Lcc, OptLevel::O2), "lsr")
+                || active_in_pass(&CompilerConfig::new(Personality::Lcc, OptLevel::O2), "lsr")
                     .iter()
                     .any(|d| d.id == "lcc-53855a")
         );
-        assert!(active_defects(&star, "lsr")
+        assert!(active_in_pass(&star, "lsr")
             .iter()
             .any(|d| d.id == "lcc-53855b"));
         let star_o2 = CompilerConfig::new(Personality::Lcc, OptLevel::O2).with_version(5);
-        assert!(!active_defects(&star_o2, "lsr")
+        assert!(!active_in_pass(&star_o2, "lsr")
             .iter()
             .any(|d| d.id == "lcc-53855a"));
     }
@@ -1144,7 +1152,7 @@ mod tests {
     fn disable_defects_deactivates_everything() {
         let cfg = CompilerConfig::new(Personality::Ccg, OptLevel::O2).without_defects();
         for pass in ["tree-ccp", "cfg-cleanup", "ipa-sra", "schedule-insns2"] {
-            assert!(active_defects(&cfg, pass).is_empty());
+            assert!(active_in_pass(&cfg, pass).is_empty());
         }
     }
 

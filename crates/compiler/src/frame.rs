@@ -66,7 +66,8 @@ impl FrameLayout {
             } => {
                 let mut used: Vec<u8> = allocation
                     .homes
-                    .values()
+                    .iter()
+                    .flatten()
                     .filter_map(|home| match home {
                         Storage::Reg(r) if (callee_saved_first..allocatable).contains(r) => {
                             Some(*r)
@@ -116,14 +117,14 @@ impl FrameLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vcode::VReg;
 
     #[test]
     fn banked_frames_have_no_save_area() {
-        let mut allocation = Allocation::default();
-        allocation.homes.insert(VReg(0), Storage::Reg(7));
-        allocation.homes.insert(VReg(1), Storage::Spill(0));
-        allocation.spill_count = 1;
+        let allocation = Allocation {
+            homes: vec![Some(Storage::Reg(7)), Some(Storage::Spill(0))],
+            spill_count: 1,
+            edits: Vec::new(),
+        };
         let layout = FrameLayout::new(FrameAbi::Banked, 3, &allocation);
         assert!(layout.saved.is_empty());
         assert_eq!(layout.spill_slot(0), 3);
@@ -132,14 +133,18 @@ mod tests {
 
     #[test]
     fn saved_abi_collects_used_callee_saved_registers_in_order() {
-        let mut allocation = Allocation::default();
-        allocation.homes.insert(VReg(0), Storage::Reg(8));
-        allocation.homes.insert(VReg(1), Storage::Reg(5));
-        allocation.homes.insert(VReg(2), Storage::Reg(5));
-        allocation.homes.insert(VReg(3), Storage::Reg(2));
-        allocation.homes.insert(VReg(4), Storage::Spill(0));
-        allocation.homes.insert(VReg(5), Storage::Spill(1));
-        allocation.spill_count = 2;
+        let allocation = Allocation {
+            homes: vec![
+                Some(Storage::Reg(8)),
+                Some(Storage::Reg(5)),
+                Some(Storage::Reg(5)),
+                Some(Storage::Reg(2)),
+                Some(Storage::Spill(0)),
+                Some(Storage::Spill(1)),
+            ],
+            spill_count: 2,
+            edits: Vec::new(),
+        };
         let abi = FrameAbi::Saved {
             callee_saved_first: 5,
             allocatable: 9,

@@ -223,6 +223,58 @@ pub enum Op {
     Nop,
 }
 
+/// The single operand walk behind [`Op::visit_uses`] and
+/// [`Op::visit_uses_mut`]: match ergonomics bind the operands by reference
+/// or by mutable reference according to `$op`, so both visit the same
+/// operands in the same order.
+macro_rules! walk_operands {
+    ($op:expr, $visit:expr) => {{
+        let mut visit = $visit;
+        match $op {
+            Op::Copy { src, .. } | Op::Un { src, .. } | Op::Trunc { src, .. } => visit(src),
+            Op::Bin { lhs, rhs, .. } => {
+                visit(lhs);
+                visit(rhs);
+            }
+            Op::LoadGlobal { index, .. } => {
+                if let Some(i) = index {
+                    visit(i);
+                }
+            }
+            Op::StoreGlobal { index, value, .. } => {
+                if let Some(i) = index {
+                    visit(i);
+                }
+                visit(value);
+            }
+            Op::StoreSlot { value, .. } => visit(value),
+            Op::LoadPtr { addr, .. } => visit(addr),
+            Op::StorePtr { addr, value } => {
+                visit(addr);
+                visit(value);
+            }
+            Op::BranchZero { cond, .. } | Op::BranchNonZero { cond, .. } => visit(cond),
+            Op::Call { args, .. } | Op::CallSink { args } => {
+                for arg in args {
+                    visit(arg);
+                }
+            }
+            Op::Ret { value } => {
+                if let Some(v) = value {
+                    visit(v);
+                }
+            }
+            Op::LoadSlot { .. }
+            | Op::AddrGlobal { .. }
+            | Op::AddrSlot { .. }
+            | Op::Label(_)
+            | Op::Jump(_)
+            | Op::Nop
+            | Op::DbgValue { .. } => {}
+        }
+    }};
+}
+
 impl Op {
     /// The temp defined by this instruction, if any.
     pub fn def(&self) -> Option<Temp> {
@@ -241,61 +293,34 @@ impl Op {
         }
     }
 
+    /// Call `visit` on every value this instruction reads (excluding debug
+    /// bindings), in evaluation order, without allocating.
+    pub fn visit_uses(&self, mut visit: impl FnMut(Value)) {
+        walk_operands!(self, |v: &Value| visit(*v));
+    }
+
+    /// [`Op::visit_uses`] with mutable access: `visit` may rewrite each
+    /// operand in place. Debug bindings are *not* visited; passes decide
+    /// how to maintain them.
+    pub fn visit_uses_mut(&mut self, visit: impl FnMut(&mut Value)) {
+        walk_operands!(self, visit);
+    }
+
     /// The values read by this instruction (excluding debug bindings).
     pub fn uses(&self) -> Vec<Value> {
-        match self {
-            Op::Copy { src, .. } | Op::Un { src, .. } => vec![*src],
-            Op::Trunc { src, .. } => vec![*src],
-            Op::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Op::LoadGlobal { index, .. } => index.iter().copied().collect(),
-            Op::StoreGlobal { index, value, .. } => {
-                let mut v: Vec<Value> = index.iter().copied().collect();
-                v.push(*value);
-                v
-            }
-            Op::LoadSlot { .. } | Op::AddrGlobal { .. } | Op::AddrSlot { .. } => Vec::new(),
-            Op::StoreSlot { value, .. } => vec![*value],
-            Op::LoadPtr { addr, .. } => vec![*addr],
-            Op::StorePtr { addr, value } => vec![*addr, *value],
-            Op::BranchZero { cond, .. } | Op::BranchNonZero { cond, .. } => vec![*cond],
-            Op::Call { args, .. } | Op::CallSink { args } => args.clone(),
-            Op::Ret { value } => value.iter().copied().collect(),
-            Op::Label(_) | Op::Jump(_) | Op::Nop | Op::DbgValue { .. } => Vec::new(),
-        }
+        let mut uses = Vec::new();
+        self.visit_uses(|v| uses.push(v));
+        uses
     }
 
     /// Rewrite every use of a temp with a replacement value. Debug bindings
     /// are *not* rewritten here; passes decide how to maintain them.
     pub fn replace_uses(&mut self, temp: Temp, replacement: Value) {
-        let subst = |v: &mut Value| {
+        self.visit_uses_mut(|v| {
             if *v == Value::Temp(temp) {
                 *v = replacement;
             }
-        };
-        match self {
-            Op::Copy { src, .. } | Op::Un { src, .. } | Op::Trunc { src, .. } => subst(src),
-            Op::Bin { lhs, rhs, .. } => {
-                subst(lhs);
-                subst(rhs);
-            }
-            Op::LoadGlobal { index: Some(i), .. } => subst(i),
-            Op::StoreGlobal { index, value, .. } => {
-                if let Some(i) = index {
-                    subst(i);
-                }
-                subst(value);
-            }
-            Op::StoreSlot { value, .. } => subst(value),
-            Op::LoadPtr { addr, .. } => subst(addr),
-            Op::StorePtr { addr, value } => {
-                subst(addr);
-                subst(value);
-            }
-            Op::BranchZero { cond, .. } | Op::BranchNonZero { cond, .. } => subst(cond),
-            Op::Call { args, .. } | Op::CallSink { args } => args.iter_mut().for_each(subst),
-            Op::Ret { value: Some(v) } => subst(v),
-            _ => {}
-        }
+        });
     }
 
     /// Whether the instruction has side effects (and so must not be removed
@@ -584,6 +609,239 @@ mod tests {
         };
         op.replace_uses(Temp(1), Value::Const(7));
         assert_eq!(op.uses(), vec![Value::Const(7), Value::Const(7)]);
+    }
+
+    /// One instance of every `Op` variant, each reading distinct temps (and a
+    /// constant) so operand order is observable, with its operands spelled
+    /// out in evaluation order.
+    fn every_op() -> Vec<(Op, Vec<Value>)> {
+        let t = |n: u32| Value::Temp(Temp(n));
+        let ops = vec![
+            (
+                Op::Copy {
+                    dst: Temp(0),
+                    src: t(1),
+                },
+                vec![t(1)],
+            ),
+            (
+                Op::Un {
+                    dst: Temp(0),
+                    op: UnOp::Neg,
+                    src: t(2),
+                },
+                vec![t(2)],
+            ),
+            (
+                Op::Bin {
+                    dst: Temp(0),
+                    op: BinOp::Sub,
+                    lhs: t(3),
+                    rhs: t(1),
+                },
+                vec![t(3), t(1)],
+            ),
+            (
+                Op::Trunc {
+                    dst: Temp(0),
+                    src: t(1),
+                    bits: 8,
+                    signed: true,
+                },
+                vec![t(1)],
+            ),
+            (
+                Op::LoadGlobal {
+                    dst: Temp(0),
+                    global: GlobalId(0),
+                    index: Some(t(2)),
+                    volatile: false,
+                },
+                vec![t(2)],
+            ),
+            (
+                Op::LoadGlobal {
+                    dst: Temp(0),
+                    global: GlobalId(0),
+                    index: None,
+                    volatile: false,
+                },
+                vec![],
+            ),
+            (
+                Op::StoreGlobal {
+                    global: GlobalId(1),
+                    index: Some(t(3)),
+                    value: t(1),
+                    volatile: false,
+                },
+                vec![t(3), t(1)],
+            ),
+            (
+                Op::StoreGlobal {
+                    global: GlobalId(1),
+                    index: None,
+                    value: Value::Const(4),
+                    volatile: true,
+                },
+                vec![Value::Const(4)],
+            ),
+            (
+                Op::LoadSlot {
+                    dst: Temp(0),
+                    slot: SlotId(0),
+                },
+                vec![],
+            ),
+            (
+                Op::StoreSlot {
+                    slot: SlotId(0),
+                    value: t(2),
+                },
+                vec![t(2)],
+            ),
+            (
+                Op::LoadPtr {
+                    dst: Temp(0),
+                    addr: t(3),
+                },
+                vec![t(3)],
+            ),
+            (
+                Op::StorePtr {
+                    addr: t(2),
+                    value: t(2),
+                },
+                vec![t(2), t(2)],
+            ),
+            (
+                Op::AddrGlobal {
+                    dst: Temp(0),
+                    global: GlobalId(0),
+                },
+                vec![],
+            ),
+            (
+                Op::AddrSlot {
+                    dst: Temp(0),
+                    slot: SlotId(0),
+                },
+                vec![],
+            ),
+            (Op::Label(BlockLabel(9)), vec![]),
+            (Op::Jump(BlockLabel(9)), vec![]),
+            (
+                Op::BranchZero {
+                    cond: t(1),
+                    target: BlockLabel(9),
+                },
+                vec![t(1)],
+            ),
+            (
+                Op::BranchNonZero {
+                    cond: t(3),
+                    target: BlockLabel(9),
+                },
+                vec![t(3)],
+            ),
+            (
+                Op::Call {
+                    dst: Some(Temp(0)),
+                    callee: FunctionId(1),
+                    args: vec![t(3), Value::Const(5), t(1)],
+                },
+                vec![t(3), Value::Const(5), t(1)],
+            ),
+            (
+                Op::CallSink {
+                    args: vec![t(2), t(3)],
+                },
+                vec![t(2), t(3)],
+            ),
+            (Op::Ret { value: Some(t(1)) }, vec![t(1)]),
+            (Op::Ret { value: None }, vec![]),
+            (
+                Op::DbgValue {
+                    var: DebugVarId(0),
+                    loc: DbgLoc::Value(t(1)),
+                },
+                vec![],
+            ),
+            (Op::Nop, vec![]),
+        ];
+        // Adding a variant must extend the list above: this match has no
+        // wildcard, and the assertion checks each variant appears.
+        let variant = |op: &Op| match op {
+            Op::Copy { .. } => 0,
+            Op::Un { .. } => 1,
+            Op::Bin { .. } => 2,
+            Op::Trunc { .. } => 3,
+            Op::LoadGlobal { .. } => 4,
+            Op::StoreGlobal { .. } => 5,
+            Op::LoadSlot { .. } => 6,
+            Op::StoreSlot { .. } => 7,
+            Op::LoadPtr { .. } => 8,
+            Op::StorePtr { .. } => 9,
+            Op::AddrGlobal { .. } => 10,
+            Op::AddrSlot { .. } => 11,
+            Op::Label(_) => 12,
+            Op::Jump(_) => 13,
+            Op::BranchZero { .. } => 14,
+            Op::BranchNonZero { .. } => 15,
+            Op::Call { .. } => 16,
+            Op::CallSink { .. } => 17,
+            Op::Ret { .. } => 18,
+            Op::DbgValue { .. } => 19,
+            Op::Nop => 20,
+        };
+        let mut seen: Vec<usize> = ops.iter().map(|(op, _)| variant(op)).collect();
+        seen.dedup();
+        assert_eq!(seen, (0..=20).collect::<Vec<_>>());
+        ops
+    }
+
+    #[test]
+    fn operand_walker_visits_uses_in_order_and_substitutes_like_replace_uses() {
+        // A substitution with no chains (no replacement is itself replaced),
+        // the shape constant folding and copy propagation maintain.
+        let subst = [
+            (Temp(1), Value::Const(10)),
+            (Temp(2), Value::Temp(Temp(7))),
+            (Temp(3), Value::Temp(Temp(8))),
+        ];
+        for (op, expected) in every_op() {
+            let mut visited = Vec::new();
+            op.visit_uses(|v| visited.push(v));
+            assert_eq!(visited, expected, "{op:?}");
+            assert_eq!(op.uses(), expected, "{op:?}");
+            let mut visited_mut = Vec::new();
+            op.clone().visit_uses_mut(|v| visited_mut.push(*v));
+            assert_eq!(visited_mut, expected, "{op:?}");
+
+            let mut per_operand = op.clone();
+            per_operand.visit_uses_mut(|v| {
+                if let Some((_, r)) = subst.iter().find(|(t, _)| *v == Value::Temp(*t)) {
+                    *v = *r;
+                }
+            });
+            let mut per_temp = op.clone();
+            for (t, r) in subst {
+                per_temp.replace_uses(t, r);
+            }
+            assert_eq!(per_operand, per_temp, "{op:?}");
+            // The operand list itself moves exactly as substituted.
+            let substituted: Vec<Value> = expected
+                .iter()
+                .map(|v| {
+                    subst
+                        .iter()
+                        .find(|(t, _)| *v == Value::Temp(*t))
+                        .map_or(*v, |(_, r)| *r)
+                })
+                .collect();
+            assert_eq!(per_operand.uses(), substituted, "{op:?}");
+            assert_eq!(per_operand.def(), op.def(), "{op:?}");
+        }
     }
 
     #[test]

@@ -189,12 +189,8 @@ impl PassSnapshots {
         };
         // The code-generation stage and its defects run for every budget,
         // exactly as `passes::run_pipeline` applies them after truncation.
-        for defect in defects::active_defects(config, "isel") {
-            for func in &mut ir.functions {
-                defects::apply_defect(func, &defect);
-            }
-            report.defects_applied.push(defect.id.to_owned());
-        }
+        let active = defects::active_defects(config);
+        passes::apply_stage_defects(&mut ir, &active, "isel", &mut report);
         codegen_ir(program, &ir, config, report)
     }
 }

@@ -17,7 +17,7 @@ use std::collections::HashSet;
 use holes_minic::ast::{GlobalId, Program};
 
 use crate::config::CompilerConfig;
-use crate::defects::{active_defects, apply_defect};
+use crate::defects::{active_defects, apply_defect, Defect};
 use crate::ir::{IrFunction, IrProgram, Op};
 
 /// Shared context available to every pass.
@@ -174,27 +174,36 @@ fn run_pipeline_observed(
     if let Some(budget) = config.pass_budget {
         schedule.truncate(budget);
     }
+    // Resolve the configuration's defects once; each pass then takes its
+    // own in catalogue order.
+    let active = active_defects(config);
     for pass in schedule {
         for func in &mut ir.functions {
             run_pass(pass, func, &cx);
         }
         report.passes_run.push(pass.to_owned());
-        for defect in active_defects(config, pass) {
-            for func in &mut ir.functions {
-                apply_defect(func, &defect);
-            }
-            report.defects_applied.push(defect.id.to_owned());
-        }
+        apply_stage_defects(ir, &active, pass, &mut report);
         observe(ir, report.defects_applied.len());
     }
     // The always-on code-generation stage hosts its own defects.
-    for defect in active_defects(config, "isel") {
+    apply_stage_defects(ir, &active, "isel", &mut report);
+    report
+}
+
+/// Apply the defects of `active` that live in `stage` (a pass name, or
+/// `"isel"`) to every function, recording them in `report`.
+pub(crate) fn apply_stage_defects(
+    ir: &mut IrProgram,
+    active: &[Defect],
+    stage: &str,
+    report: &mut PipelineReport,
+) {
+    for defect in active.iter().filter(|d| d.pass == stage) {
         for func in &mut ir.functions {
-            apply_defect(func, &defect);
+            apply_defect(func, defect);
         }
         report.defects_applied.push(defect.id.to_owned());
     }
-    report
 }
 
 #[cfg(test)]

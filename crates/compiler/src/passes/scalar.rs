@@ -8,11 +8,11 @@
 //! binding's temp is deleted the binding is salvaged (rewritten to a constant
 //! if one is known) or explicitly marked undefined.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use holes_minic::ast::BinOp;
 
-use crate::ir::{DbgLoc, IrFunction, Op, SlotId, Temp, Value};
+use crate::ir::{DbgLoc, IrFunction, Op, Temp, Value};
 
 /// Per-block constant folding and propagation.
 pub fn constant_fold(func: &mut IrFunction) {
@@ -24,10 +24,13 @@ pub fn constant_fold(func: &mut IrFunction) {
             continue;
         }
         // Substitute known constants into operands.
-        let substitutions: Vec<(Temp, i64)> = known.iter().map(|(t, c)| (*t, *c)).collect();
-        for (t, c) in &substitutions {
-            func.insts[index].op.replace_uses(*t, Value::Const(*c));
-        }
+        func.insts[index].op.visit_uses_mut(|v| {
+            if let Value::Temp(t) = v {
+                if let Some(c) = known.get(t) {
+                    *v = Value::Const(*c);
+                }
+            }
+        });
         // Fold the instruction itself.
         let folded = fold_op(&func.insts[index].op);
         if let Some(new_op) = folded {
@@ -168,10 +171,15 @@ pub fn copy_propagate(func: &mut IrFunction) {
             copies.clear();
             continue;
         }
-        let substitutions: Vec<(Temp, Value)> = copies.iter().map(|(t, v)| (*t, *v)).collect();
-        for (t, v) in &substitutions {
-            func.insts[index].op.replace_uses(*t, *v);
-        }
+        // No copy's source is itself a copied temp (sources are substituted
+        // before they are recorded), so one lookup per operand suffices.
+        func.insts[index].op.visit_uses_mut(|v| {
+            if let Value::Temp(t) = v {
+                if let Some(source) = copies.get(t) {
+                    *v = *source;
+                }
+            }
+        });
         // Rewrite debug bindings through the copy map as well (the correct,
         // availability-preserving behaviour).
         if let Op::DbgValue { loc, .. } = &mut func.insts[index].op {
@@ -197,37 +205,43 @@ pub fn copy_propagate(func: &mut IrFunction) {
 
 /// Dead code elimination with debug-binding salvaging.
 pub fn dead_code_eliminate(func: &mut IrFunction) {
+    // Dense per-temp tables (every temp is below `next_temp`). A removed
+    // temp has no definition left and every binding to it is salvaged in
+    // the round that removed it, so `removed` never needs resetting.
+    let temps = func.next_temp as usize;
+    let mut used = vec![false; temps];
+    let mut removed: Vec<Option<Option<i64>>> = vec![None; temps];
     loop {
-        let mut used: HashSet<Temp> = HashSet::new();
+        used.fill(false);
         for inst in &func.insts {
-            for value in inst.op.uses() {
+            inst.op.visit_uses(|value| {
                 if let Value::Temp(t) = value {
-                    used.insert(t);
+                    used[t.0 as usize] = true;
                 }
-            }
+            });
         }
         // Temps whose defining instruction is a removable pure computation
         // and that no real instruction uses.
-        let mut removed_consts: HashMap<Temp, Option<i64>> = HashMap::new();
+        let mut any_removed = false;
         for inst in &mut func.insts {
-            let removable = inst.op.is_removable_def();
             if let Some(dst) = inst.op.def() {
-                if removable && !used.contains(&dst) {
-                    removed_consts.insert(dst, constant_result(&inst.op));
+                if inst.op.is_removable_def() && !used[dst.0 as usize] {
+                    removed[dst.0 as usize] = Some(constant_result(&inst.op));
                     inst.op = Op::Nop;
+                    any_removed = true;
                 }
             }
         }
-        if removed_consts.is_empty() {
+        if !any_removed {
             break;
         }
         // Salvage debug bindings that referenced removed temps.
         for inst in &mut func.insts {
             if let Op::DbgValue { loc, .. } = &mut inst.op {
                 if let DbgLoc::Value(Value::Temp(t)) = loc {
-                    if let Some(salvage) = removed_consts.get(t) {
+                    if let Some(salvage) = removed[t.0 as usize] {
                         *loc = match salvage {
-                            Some(c) => DbgLoc::Value(Value::Const(*c)),
+                            Some(c) => DbgLoc::Value(Value::Const(c)),
                             None => DbgLoc::Undef,
                         };
                     }
@@ -239,40 +253,76 @@ pub fn dead_code_eliminate(func: &mut IrFunction) {
 }
 
 /// Dead store elimination for frame slots: a store to a slot whose value can
-/// never be observed afterwards (no later load, and the slot's address never
-/// escapes) is removed.
+/// never be observed afterwards (no load the store can reach, and the slot's
+/// address never escapes) is removed.
+///
+/// A load can follow a store in program order, or precede it inside a loop
+/// that encloses the store and so run again after it through the back edge:
+/// every position from [`earliest_reachable`] on counts as "afterwards".
 pub fn dead_store_eliminate(func: &mut IrFunction) {
-    let escaped: HashSet<SlotId> = func
-        .insts
-        .iter()
-        .filter_map(|i| match i.op {
-            Op::AddrSlot { slot, .. } => Some(slot),
-            _ => None,
-        })
-        .collect();
-    let loads_after = |slot: SlotId, index: usize| {
-        func.insts[index + 1..]
-            .iter()
-            .any(|i| matches!(i.op, Op::LoadSlot { slot: s, .. } if s == slot))
-    };
-    let mut to_remove = Vec::new();
+    let slots = func.slots as usize;
+    let mut escaped = vec![false; slots];
+    let mut last_load: Vec<Option<usize>> = vec![None; slots];
     for (index, inst) in func.insts.iter().enumerate() {
+        match inst.op {
+            Op::AddrSlot { slot, .. } => escaped[slot.0 as usize] = true,
+            Op::LoadSlot { slot, .. } => last_load[slot.0 as usize] = Some(index),
+            _ => {}
+        }
+    }
+    let reach = earliest_reachable(func);
+    for (index, inst) in func.insts.iter_mut().enumerate() {
         if let Op::StoreSlot { slot, .. } = inst.op {
-            if !escaped.contains(&slot) && !loads_after(slot, index) {
-                to_remove.push(index);
+            let slot = slot.0 as usize;
+            let read_afterwards = last_load[slot].is_some_and(|load| load >= reach[index]);
+            if !escaped[slot] && !read_afterwards {
+                inst.op = Op::Nop;
             }
         }
     }
-    for index in to_remove {
-        func.insts[index].op = Op::Nop;
-    }
     func.remove_nops();
+}
+
+/// For each instruction `i`, the lowest position control may reach after
+/// `i` runs: `i + 1`, unless a back edge at or after that position jumps to
+/// an earlier loop header, and so on from that header.
+fn earliest_reachable(func: &IrFunction) -> Vec<usize> {
+    let n = func.insts.len();
+    let mut label_at = vec![usize::MAX; func.next_temp as usize];
+    for (index, inst) in func.insts.iter().enumerate() {
+        if let Op::Label(l) = inst.op {
+            label_at[l.0 as usize] = label_at[l.0 as usize].min(index);
+        }
+    }
+    // `lowest[p]`: the lowest target of a back edge branching from `p` or
+    // later (`usize::MAX` when there is none).
+    let mut lowest = vec![usize::MAX; n + 1];
+    for (index, inst) in func.insts.iter().enumerate().rev() {
+        let back_edge = match inst.op {
+            Op::Jump(l)
+            | Op::BranchZero { target: l, .. }
+            | Op::BranchNonZero { target: l, .. } => {
+                Some(label_at[l.0 as usize]).filter(|&target| target < index)
+            }
+            _ => None,
+        };
+        lowest[index] = lowest[index + 1].min(back_edge.unwrap_or(usize::MAX));
+    }
+    (0..n)
+        .map(|index| {
+            let mut from = index + 1;
+            while lowest[from] < from {
+                from = lowest[from];
+            }
+            from
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{DebugVar, Inst, ScopeId, ScopeKind};
+    use crate::ir::{DebugVar, Inst, ScopeId, ScopeKind, SlotId};
     use holes_minic::ast::{FunctionId, GlobalId, UnOp};
 
     fn empty_function() -> IrFunction {
@@ -593,6 +643,62 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    #[test]
+    fn dse_keeps_stores_a_later_loop_iteration_reads() {
+        // int x = 0; int *p = &x;
+        // for (i = 0; i < 3; i = i + 1) { sink(x); x = x + 1; }
+        // return 0;
+        // Once the unused `&x` is gone the slot no longer escapes, but the
+        // store at the end of the body is read by the next iteration's load.
+        use crate::{compile, CompilerConfig, OptLevel, Personality};
+        use holes_minic::ast::{Expr, LValue, Stmt, Ty, VarRef};
+        use holes_minic::build::ProgramBuilder;
+        use holes_minic::interp::Interpreter;
+
+        let mut b = ProgramBuilder::new();
+        let main = b.function("main", Ty::I32);
+        let x = b.local(main, "x", Ty::I32);
+        let p = b.local(main, "p", Ty::Ptr(&Ty::I32));
+        let i = b.local(main, "i", Ty::I32);
+        b.push(main, Stmt::decl(x, Some(Expr::lit(0))));
+        b.push(main, Stmt::decl(p, Some(Expr::addr_of(VarRef::Local(x)))));
+        b.push(main, Stmt::decl(i, None));
+        b.push(
+            main,
+            Stmt::for_loop(
+                Some(Stmt::assign(LValue::local(i), Expr::lit(0))),
+                Some(Expr::binary(BinOp::Lt, Expr::local(i), Expr::lit(3))),
+                Some(Stmt::assign(
+                    LValue::local(i),
+                    Expr::binary(BinOp::Add, Expr::local(i), Expr::lit(1)),
+                )),
+                vec![
+                    Stmt::call_opaque(vec![Expr::local(x)]),
+                    Stmt::assign(
+                        LValue::local(x),
+                        Expr::binary(BinOp::Add, Expr::local(x), Expr::lit(1)),
+                    ),
+                ],
+            ),
+        );
+        b.push(main, Stmt::ret(Some(Expr::lit(0))));
+        let mut program = b.finish();
+        program.assign_lines();
+
+        let reference = Interpreter::new(&program).run().expect("reference runs");
+        assert_eq!(reference.sink_calls, vec![vec![0], vec![1], vec![2]]);
+        for personality in [Personality::Ccg, Personality::Lcc] {
+            for &level in [OptLevel::O0].iter().chain(personality.levels()) {
+                let exe = compile(&program, &CompilerConfig::new(personality, level));
+                let outcome = exe.run().expect("compiled program runs");
+                assert_eq!(
+                    outcome.sink_calls, reference.sink_calls,
+                    "{personality} {level}: a store read by a later iteration was removed"
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //!
 //! [`PosInfo`]: crate::vcode::PosInfo
 
-use std::collections::HashMap;
-
 use crate::vcode::{Storage, VCode, VInstruction, VReg};
 
 /// A spill/reload edit the emission stage must insert around a virtual
@@ -47,9 +45,10 @@ pub enum Edit {
 /// The allocator's output: vreg homes plus the edit list.
 #[derive(Debug, Clone, Default)]
 pub struct Allocation {
-    /// Where every vreg lives. Spills are numbered by ordinal in the order
-    /// the scan created them.
-    pub homes: HashMap<VReg, Storage>,
+    /// Where every vreg lives, indexed by vreg number (`None` for numbers
+    /// the function never mentions). Spills are numbered by ordinal in the
+    /// order the scan created them.
+    pub homes: Vec<Option<Storage>>,
     /// Number of spill ordinals allocated.
     pub spill_count: u32,
     /// Spill/reload edits, sorted by virtual-instruction index; within one
@@ -61,7 +60,7 @@ impl Allocation {
     /// The storage assigned to a vreg (`None` for vregs that never appear
     /// in the function's liveness — defensive, lowering records every use).
     pub fn home(&self, vreg: VReg) -> Option<Storage> {
-        self.homes.get(&vreg).copied()
+        self.homes.get(vreg.0 as usize).copied().flatten()
     }
 }
 
@@ -75,114 +74,122 @@ pub fn allocate<I: VInstruction>(vcode: &VCode<I>, allocatable: u8) -> Allocatio
     allocation
 }
 
-/// Live-range construction and the linear scan itself.
-fn assign_homes<I>(vcode: &VCode<I>, allocatable: u8, allocation: &mut Allocation) {
+/// Every vreg's live range `(first position, last live position)`, indexed
+/// by vreg number; `None` for numbers the function never mentions.
+fn live_ranges<I>(vcode: &VCode<I>) -> Vec<Option<(usize, usize)>> {
     let end = vcode.end_position();
-    let mut first_def: HashMap<VReg, usize> = HashMap::new();
-    let mut last_use: HashMap<VReg, usize> = HashMap::new();
-    for param in &vcode.params {
-        first_def.insert(*param, 0);
-        last_use.insert(*param, end);
-    }
-    let extend = |map: &mut HashMap<VReg, usize>, v: VReg, i: usize| {
-        let entry = map.entry(v).or_insert(i);
-        *entry = (*entry).max(i);
+    let vregs = vcode
+        .positions
+        .iter()
+        .flat_map(|pos| pos.def.iter().chain(&pos.uses).chain(&pos.dbg_use))
+        .chain(&vcode.params)
+        .map(|v| v.0 as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut ranges: Vec<Option<(usize, usize)>> = vec![None; vregs];
+    // A vreg's range starts where it first appears and reaches at least
+    // `stop`.
+    let mut touch = |v: VReg, i: usize, stop: usize| {
+        let range = ranges[v.0 as usize].get_or_insert((i, stop));
+        range.1 = range.1.max(stop);
     };
+    for param in &vcode.params {
+        touch(*param, 0, end);
+    }
     for (i, pos) in vcode.positions.iter().enumerate() {
         if let Some(d) = pos.def {
-            first_def.entry(d).or_insert(i);
-            extend(&mut last_use, d, i);
+            touch(d, i, i);
         }
         for &u in &pos.uses {
-            first_def.entry(u).or_insert(i);
-            extend(&mut last_use, u, i);
+            touch(u, i, i);
         }
         if let Some(t) = pos.dbg_use {
             // Debug-referenced vregs stay live to the end of the function so
             // their location descriptions remain valid.
-            first_def.entry(t).or_insert(i);
-            extend(&mut last_use, t, end);
+            touch(t, i, end);
         }
     }
     // Loop back edges: a vreg live anywhere inside a loop must stay live
     // until the backward branch, otherwise a vreg defined later in the body
     // could take its register and clobber it on the next iteration.
-    let mut back_edges: Vec<(usize, usize)> = Vec::new();
-    for (i, pos) in vcode.positions.iter().enumerate() {
-        if let Some(t) = pos.branch_target {
-            if t < i {
-                back_edges.push((t, i));
-            }
-        }
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &(header, branch) in &back_edges {
-            for (vreg, start) in first_def.iter() {
-                let stop = last_use.get(vreg).copied().unwrap_or(*start);
-                if *start <= branch && stop >= header && stop < branch {
-                    last_use.insert(*vreg, branch);
+    let back_edges: Vec<(usize, usize)> = vcode
+        .positions
+        .iter()
+        .enumerate()
+        .filter_map(|(i, pos)| pos.branch_target.filter(|t| *t < i).map(|t| (t, i)))
+        .collect();
+    // A range's extension depends on no other range, so each vreg runs its
+    // own fixpoint over the back edges.
+    for (start, stop) in ranges.iter_mut().flatten() {
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &(header, branch) in &back_edges {
+                if *start <= branch && *stop >= header && *stop < branch {
+                    *stop = branch;
                     changed = true;
                 }
             }
         }
     }
-    let mut ranges: Vec<(VReg, usize, usize)> = first_def
+    ranges
+}
+
+/// Live-range construction and the linear scan itself.
+fn assign_homes<I>(vcode: &VCode<I>, allocatable: u8, allocation: &mut Allocation) {
+    let end = vcode.end_position();
+    let live = live_ranges(vcode);
+    let mut ranges: Vec<(VReg, usize, usize)> = live
         .iter()
-        .map(|(v, start)| (*v, *start, *last_use.get(v).unwrap_or(start)))
+        .enumerate()
+        .filter_map(|(v, range)| range.map(|(start, stop)| (VReg(v as u32), start, stop)))
         .collect();
     ranges.sort_by_key(|(v, start, _)| (*start, v.0));
+    allocation.homes = vec![None; live.len()];
+    let homes = &mut allocation.homes;
 
     let mut free: Vec<u8> = (0..allocatable).rev().collect();
     // Pre-colour parameters into the argument registers; they are pinned
     // (never spilled) because the calling convention delivers arguments
     // there.
-    let pinned: Vec<VReg> = vcode.params.clone();
+    let pinned: &[VReg] = &vcode.params;
     let mut active: Vec<(usize, VReg, u8)> = Vec::new();
-    for (i, param) in vcode.params.iter().enumerate() {
+    for (i, param) in pinned.iter().enumerate() {
         let reg = i as u8;
         free.retain(|r| *r != reg);
-        allocation.homes.insert(*param, Storage::Reg(reg));
+        homes[param.0 as usize] = Some(Storage::Reg(reg));
         active.push((end, *param, reg));
     }
     for (vreg, start, stop) in ranges {
-        if allocation.homes.contains_key(&vreg) {
+        if homes[vreg.0 as usize].is_some() {
             continue;
         }
-        // Expire old intervals.
-        let mut still_active = Vec::new();
-        for (a_end, a_vreg, a_reg) in active.drain(..) {
-            if a_end < start {
+        // Expire old intervals, freeing their registers in scan order.
+        active.retain(|&(a_end, _, a_reg)| {
+            let expired = a_end < start;
+            if expired {
                 free.push(a_reg);
-            } else {
-                still_active.push((a_end, a_vreg, a_reg));
             }
-        }
-        active = still_active;
+            !expired
+        });
         if let Some(reg) = free.pop() {
-            allocation.homes.insert(vreg, Storage::Reg(reg));
+            homes[vreg.0 as usize] = Some(Storage::Reg(reg));
             active.push((stop, vreg, reg));
         } else {
             // Spill: prefer to spill the spillable active interval that
             // ends last (never a pinned parameter).
             active.sort_by_key(|(e, _, _)| *e);
             let victim_index = active.iter().rposition(|(_, v, _)| !pinned.contains(v));
-            let spill_self = match victim_index {
-                Some(vi) => active[vi].0 < stop,
-                None => true,
-            };
-            if spill_self {
-                let ordinal = allocation.spill_count;
-                allocation.spill_count += 1;
-                allocation.homes.insert(vreg, Storage::Spill(ordinal));
-            } else {
-                let (_, victim, reg) = active.remove(victim_index.expect("victim exists"));
-                let ordinal = allocation.spill_count;
-                allocation.spill_count += 1;
-                allocation.homes.insert(victim, Storage::Spill(ordinal));
-                allocation.homes.insert(vreg, Storage::Reg(reg));
-                active.push((stop, vreg, reg));
+            let ordinal = allocation.spill_count;
+            allocation.spill_count += 1;
+            match victim_index {
+                Some(vi) if active[vi].0 >= stop => {
+                    let (_, victim, reg) = active.remove(vi);
+                    homes[victim.0 as usize] = Some(Storage::Spill(ordinal));
+                    homes[vreg.0 as usize] = Some(Storage::Reg(reg));
+                    active.push((stop, vreg, reg));
+                }
+                _ => homes[vreg.0 as usize] = Some(Storage::Spill(ordinal)),
             }
         }
     }
@@ -193,9 +200,7 @@ fn assign_homes<I>(vcode: &VCode<I>, allocatable: u8, allocation: &mut Allocatio
 fn plan_edits<I: VInstruction>(vcode: &VCode<I>, allocation: &mut Allocation) {
     for (i, vinst) in vcode.insts.iter().enumerate() {
         vinst.inst.visit_uses(&mut |vreg, reload_into| {
-            if let (Some(Storage::Spill(spill)), Some(to)) =
-                (allocation.homes.get(&vreg).copied(), reload_into)
-            {
+            if let (Some(Storage::Spill(spill)), Some(to)) = (allocation.home(vreg), reload_into) {
                 allocation
                     .edits
                     .push((i as u32, Edit::Reload { spill, to }));
@@ -203,7 +208,7 @@ fn plan_edits<I: VInstruction>(vcode: &VCode<I>, allocation: &mut Allocation) {
         });
         if let Some(def) = vinst.inst.def() {
             if def.store_after {
-                if let Some(Storage::Spill(spill)) = allocation.homes.get(&def.vreg).copied() {
+                if let Some(Storage::Spill(spill)) = allocation.home(def.vreg) {
                     allocation.edits.push((
                         i as u32,
                         Edit::SpillStore {
@@ -214,5 +219,76 @@ fn plan_edits<I: VInstruction>(vcode: &VCode<I>, allocation: &mut Allocation) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::vcode::{PosInfo, VDef};
+
+    /// An instruction with no operands: these tests exercise liveness, which
+    /// the allocator reads from the positions alone.
+    struct NoOperands;
+
+    impl VInstruction for NoOperands {
+        fn visit_uses(&self, _: &mut dyn FnMut(VReg, Option<u8>)) {}
+
+        fn def(&self) -> Option<VDef> {
+            None
+        }
+    }
+
+    fn at(def: Option<u32>, uses: &[u32], branch_target: Option<usize>) -> PosInfo {
+        PosInfo {
+            def: def.map(VReg),
+            uses: uses.iter().copied().map(VReg).collect(),
+            dbg_use: None,
+            branch_target,
+        }
+    }
+
+    #[test]
+    fn a_vreg_live_across_nested_loops_lives_to_the_outer_back_edge() {
+        // 0: v1 = ...
+        // 1: outer:
+        // 2:   inner:
+        // 3:     use v1; v3 = ...
+        // 4:     branch inner
+        // 5:   v2 = ...; use v2
+        // 6:   branch outer
+        // 7: ret
+        let vcode: VCode<NoOperands> = VCode {
+            name: "f".into(),
+            decl_line: 1,
+            insts: Vec::new(),
+            positions: vec![
+                at(Some(1), &[], None),
+                at(None, &[], None),
+                at(None, &[], None),
+                at(Some(3), &[1], None),
+                at(None, &[], Some(2)),
+                at(Some(2), &[2], None),
+                at(None, &[], Some(1)),
+                at(None, &[], None),
+            ],
+            params: Vec::new(),
+            local_slots: 0,
+            base_address: 0,
+        };
+        let ranges = live_ranges(&vcode);
+        // v1's last use (3) is inside the inner loop: the inner back edge
+        // extends it to 4, and the outer one, which the inner loop sits in,
+        // on to 6.
+        assert_eq!(ranges[1], Some((0, 6)));
+        assert_eq!(ranges[2], Some((5, 6)));
+        assert_eq!(ranges[3], Some((3, 6)));
+        assert_eq!(ranges[0], None);
+        // With one register, v2 (defined after the inner loop, inside the
+        // outer one) must not share v1's register, which the next outer
+        // iteration still reads.
+        let allocation = allocate(&vcode, 1);
+        assert_ne!(allocation.home(VReg(1)), allocation.home(VReg(2)));
+        assert_eq!(allocation.home(VReg(0)), None);
     }
 }
