@@ -1,15 +1,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
-use holes_bench::bench_pool;
+use holes_bench::{bench_pool, pool_campaign};
 
 use holes_compiler::Personality;
-use holes_pipeline::campaign::run_campaign;
 
 /// Figure 3: distribution of unique violations over the sets of
 /// optimization levels they reproduce at.
 fn bench(c: &mut Criterion) {
     let pool = bench_pool(42_000);
     let personality = Personality::Lcc;
-    let result = run_campaign(&pool, personality, personality.trunk());
+    let result = pool_campaign(&pool, personality, personality.trunk());
     println!("== Venn distribution ({personality}) ==");
     for (levels, count) in result.venn() {
         let set: Vec<&str> = levels.iter().map(|l| l.flag()).collect();

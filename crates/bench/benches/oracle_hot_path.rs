@@ -23,12 +23,11 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use holes_bench::pool_size;
+use holes_bench::{pool_campaign, pool_size};
 
 use holes_compiler::{BackendKind, CompilerConfig, Executable, OptLevel, Personality};
 use holes_core::json::Json;
 use holes_debugger::{trace_unplanned, trace_with_plan, DebuggerKind, StopPlan};
-use holes_pipeline::campaign::run_campaign;
 use holes_pipeline::triage::bisect;
 use holes_pipeline::Subject;
 
@@ -110,7 +109,7 @@ fn oracle_hot_path(c: &mut Criterion) {
         .map(Subject::from_seed)
         .collect();
     let personality = Personality::Lcc;
-    let result = run_campaign(&pool, personality, personality.trunk());
+    let result = pool_campaign(&pool, personality, personality.trunk());
     assert!(
         !result.records.is_empty(),
         "campaign found no violations to bisect"

@@ -1,15 +1,14 @@
 use criterion::{criterion_group, criterion_main, Criterion};
-use holes_bench::bench_pool;
+use holes_bench::{bench_pool, pool_campaign};
 
 use holes_compiler::{CompilerConfig, Personality};
-use holes_pipeline::campaign::run_campaign;
 use holes_pipeline::reduce::reduce;
 
 /// §4.4: violation-preserving test-case reduction.
 fn bench(c: &mut Criterion) {
     let pool = bench_pool(48_000);
     let personality = Personality::Ccg;
-    let result = run_campaign(&pool, personality, personality.trunk());
+    let result = pool_campaign(&pool, personality, personality.trunk());
     if let Some(record) = result.records.first() {
         let config = CompilerConfig::new(personality, record.level);
         let reduced = reduce(&pool[record.subject], &config, &record.violation, None);

@@ -21,11 +21,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use holes_bench::pool_size;
+use holes_bench::{pool_campaign, pool_size};
 
 use holes_compiler::{CompilerConfig, OptLevel, Personality};
 use holes_core::json::Json;
-use holes_pipeline::campaign::run_campaign;
 use holes_pipeline::{ArtifactStore, CacheStats, Subject};
 
 /// Fresh-cache subjects for `seeds`, optionally bound to `store`.
@@ -59,7 +58,7 @@ fn store_warm_vs_cold(c: &mut Criterion) {
     println!("== persistent store: cold vs warm campaign ==");
     let cold_pool = pool(base, Some(&store));
     let started = Instant::now();
-    let cold = run_campaign(&cold_pool, personality, personality.trunk());
+    let cold = pool_campaign(&cold_pool, personality, personality.trunk());
     let cold_elapsed = started.elapsed().as_secs_f64();
     let cold_stats = aggregate(&cold_pool);
     assert!(cold_stats.compiles > 0, "cold campaign compiled nothing");
@@ -69,7 +68,7 @@ fn store_warm_vs_cold(c: &mut Criterion) {
     // a second `holes` process over the same range experiences.
     let warm_pool = pool(base, Some(&store));
     let started = Instant::now();
-    let warm = run_campaign(&warm_pool, personality, personality.trunk());
+    let warm = pool_campaign(&warm_pool, personality, personality.trunk());
     let warm_elapsed = started.elapsed().as_secs_f64();
     let warm_stats = aggregate(&warm_pool);
     assert_eq!(warm.table1(), cold.table1(), "warm table1 diverged");
@@ -155,13 +154,13 @@ fn store_warm_vs_cold(c: &mut Criterion) {
     group.bench_function("campaign_warm_store", |b| {
         b.iter(|| {
             let fresh = pool(base, Some(&store));
-            run_campaign(&fresh, personality, personality.trunk())
+            pool_campaign(&fresh, personality, personality.trunk())
         })
     });
     group.bench_function("campaign_no_store", |b| {
         b.iter(|| {
             let fresh = pool(base, None);
-            run_campaign(&fresh, personality, personality.trunk())
+            pool_campaign(&fresh, personality, personality.trunk())
         })
     });
     group.finish();

@@ -1,14 +1,13 @@
 use criterion::{criterion_group, criterion_main, Criterion};
-use holes_bench::bench_pool;
+use holes_bench::{bench_pool, pool_campaign};
 
 use holes_compiler::Personality;
-use holes_pipeline::campaign::run_campaign;
 
 /// Table 1: conjecture violations per optimization level (trunk compilers).
 fn bench(c: &mut Criterion) {
     let pool = bench_pool(41_000);
     for personality in [Personality::Lcc, Personality::Ccg] {
-        let result = run_campaign(&pool, personality, personality.trunk());
+        let result = pool_campaign(&pool, personality, personality.trunk());
         println!(
             "== Table 1 ({personality} trunk, {} programs) ==",
             pool.len()
@@ -25,7 +24,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("tab1");
     group.sample_size(10);
     group.bench_function("campaign_one_program", |b| {
-        b.iter(|| run_campaign(&pool[..1], Personality::Ccg, 4))
+        b.iter(|| pool_campaign(&pool[..1], Personality::Ccg, 4))
     });
     group.finish();
 }

@@ -1,8 +1,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
-use holes_bench::bench_pool;
+use holes_bench::{bench_pool, pool_campaign};
 
 use holes_compiler::Personality;
-use holes_pipeline::campaign::run_campaign;
 use holes_pipeline::report::build_report;
 
 /// Table 3: issue classification by DIE manifestation (Missing / Hollow /
@@ -11,7 +10,7 @@ use holes_pipeline::report::build_report;
 fn bench(c: &mut Criterion) {
     let pool = bench_pool(44_000);
     for personality in [Personality::Ccg, Personality::Lcc] {
-        let result = run_campaign(&pool, personality, personality.trunk());
+        let result = pool_campaign(&pool, personality, personality.trunk());
         let report = build_report(
             &pool,
             &result,
@@ -25,7 +24,7 @@ fn bench(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("tab3");
     group.sample_size(10);
-    let result = run_campaign(&pool[..1], Personality::Ccg, 4);
+    let result = pool_campaign(&pool[..1], Personality::Ccg, 4);
     group.bench_function("classify", |b| {
         b.iter(|| {
             build_report(

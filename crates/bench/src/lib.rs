@@ -5,7 +5,11 @@
 
 #![forbid(unsafe_code)]
 
-use holes_pipeline::{subject_pool, Subject};
+use holes_compiler::Personality;
+use holes_pipeline::campaign::{run_campaign, CampaignResult};
+use holes_pipeline::shard::CampaignSpec;
+use holes_pipeline::{subject_pool, FaultPolicy, Subject};
+use holes_progen::SeedRange;
 
 /// Size of the program pool used by the benches. The paper uses 1000–5000
 /// programs; the benches default to a small pool so that `cargo bench`
@@ -21,4 +25,18 @@ pub fn pool_size() -> usize {
 /// Build the shared benchmark pool.
 pub fn bench_pool(seed: u64) -> Vec<Subject> {
     subject_pool(seed, pool_size())
+}
+
+/// The campaign spec a pool of consecutive seeds (as [`bench_pool`] builds)
+/// stands for, at one `personality` version on the default backend.
+pub fn pool_spec(pool: &[Subject], personality: Personality, version: usize) -> CampaignSpec {
+    let start = pool.first().map_or(0, |subject| subject.seed);
+    let seeds = SeedRange::new(start, start + pool.len() as u64);
+    CampaignSpec::new(personality, version, seeds)
+}
+
+/// Run the campaign of [`pool_spec`] over `pool` under the default policy.
+pub fn pool_campaign(pool: &[Subject], personality: Personality, version: usize) -> CampaignResult {
+    let spec = pool_spec(pool, personality, version);
+    run_campaign(pool, &spec, &FaultPolicy::default()).0
 }

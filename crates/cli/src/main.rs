@@ -42,10 +42,11 @@ use holes::compiler::{BackendKind, CompilerConfig, OptLevel, Personality};
 use holes::core::json::Json;
 use holes::core::Conjecture;
 use holes::pipeline::baseline::{Baseline, ViolationFingerprint, BASELINE_FORMAT};
-use holes::pipeline::campaign::{run_campaign_on_with_policy, unique_key, CampaignTallies};
+use holes::pipeline::campaign::{run_campaign, unique_key, CampaignTallies};
 use holes::pipeline::corpus::{distill, Corpus, CorpusEntry, ReplayOutcome};
-use holes::pipeline::par::par_map;
-use holes::pipeline::reduce::reduce_with_policy;
+use holes::pipeline::fault;
+use holes::pipeline::par::{self, par_map};
+use holes::pipeline::reduce::reduce;
 use holes::pipeline::report::build_report_from_seeds;
 use holes::pipeline::report::junit::{junit_xml, CaseOutcome, TestCase};
 use holes::pipeline::report::sarif::{sarif_log, SarifResult};
@@ -53,17 +54,15 @@ use holes::pipeline::serve::{
     run_worker, Coordinator, LeaseConfig, RemoteStore, ServeConfig, WorkerConfig,
 };
 use holes::pipeline::shard::{
-    merge_shards, run_shard_with_policy, validate_shard_specs, CampaignShard, CampaignSpec,
-    ShardError,
+    merge_shards, run_shard, validate_shard_specs, CampaignShard, CampaignSpec, ShardError,
 };
 use holes::pipeline::store::{install_process_store, CACHE_DIR_ENV};
 use holes::pipeline::stream::{
     fold_jsonl_reader, is_jsonl_shard, parse_jsonl_header, read_jsonl_shard,
-    resume_shard_streaming, run_shard_streaming_with_policy, StreamError,
+    resume_shard_streaming, run_shard_streaming, StreamError,
 };
 use holes::pipeline::triage::{
-    merge_triage_shards, run_triage_shard_with_policy, triage, triage_campaign_on_with_policy,
-    TriageShard,
+    merge_triage_shards, run_triage_shard, triage, triage_campaign, TriageShard,
 };
 use holes::pipeline::{
     subject_pool, ArtifactStore, CacheStats, FaultPolicy, Subject, SubjectKey, SubjectOutcome,
@@ -155,7 +154,9 @@ impl RunStatus {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(&argv) {
+    // A malformed thread count is rejected up front: ignoring it would
+    // silently run on every core.
+    match par::requested_workers().and_then(|_| run(&argv)) {
         Ok(RunStatus::Clean) => ExitCode::SUCCESS,
         Ok(RunStatus::Faulted) => ExitCode::from(2),
         Ok(RunStatus::Regressed) => ExitCode::from(3),
@@ -444,7 +445,7 @@ fn cmd_campaign(argv: &[String]) -> Result<RunStatus, String> {
         );
     }
 
-    let (shard, stats) = run_shard_with_policy(&campaign, &policy).map_err(|e| e.to_string())?;
+    let (shard, stats) = run_shard(&campaign, &policy).map_err(|e| e.to_string())?;
     if parsed.switch("stats") {
         print_stats(&stats, store.as_ref());
     }
@@ -512,9 +513,9 @@ fn campaign_jsonl(
     let outcome = match parsed.opt("out") {
         Some(path) => {
             let file = std::fs::File::create(path).map_err(|e| format!("writing `{path}`: {e}"))?;
-            run_shard_streaming_with_policy(campaign, std::io::BufWriter::new(file), policy)
+            run_shard_streaming(campaign, std::io::BufWriter::new(file), policy)
         }
-        None => run_shard_streaming_with_policy(campaign, std::io::stdout().lock(), policy),
+        None => run_shard_streaming(campaign, std::io::stdout().lock(), policy),
     };
     let run = match outcome {
         Ok(summary) => summary,
@@ -1815,32 +1816,19 @@ fn cmd_triage(argv: &[String]) -> Result<RunStatus, String> {
     let version = version_of(&parsed, personality)?;
     let backend = backend_of(&parsed)?;
     let limit: usize = parsed.opt_parse("limit", 10).map_err(|e| e.to_string())?;
+    let spec = CampaignSpec::new(personality, version, seeds).with_backend(backend);
     if parsed.opt("shards").is_some() || parsed.opt("shard").is_some() {
-        let spec = CampaignSpec::new(personality, version, seeds)
-            .with_shard(
-                parsed.opt_parse("shards", 1).map_err(|e| e.to_string())?,
-                parsed.opt_parse("shard", 0).map_err(|e| e.to_string())?,
-            )
-            .with_backend(backend);
+        let spec = spec.with_shard(
+            parsed.opt_parse("shards", 1).map_err(|e| e.to_string())?,
+            parsed.opt_parse("shard", 0).map_err(|e| e.to_string())?,
+        );
         return triage_shard_mode(&parsed, &spec, limit, &policy, store.as_ref());
     }
     let subjects = subject_pool(seeds.start, seeds.len() as usize);
-    let result = run_campaign_on_with_policy(&subjects, personality, version, backend, &policy);
-    let (table, triage_faults) = triage_campaign_on_with_policy(
-        &subjects,
-        personality,
-        version,
-        backend,
-        &result,
-        limit,
-        &policy,
-    );
+    let (result, _) = run_campaign(&subjects, &spec, &policy);
+    let (table, triage_faults, stats) = triage_campaign(&subjects, &spec, &result, limit, &policy);
     let faulted = result.faults.len() + triage_faults.len();
     if parsed.switch("stats") {
-        let mut stats = CacheStats::default();
-        for subject in &subjects {
-            stats.absorb(subject.cache_stats());
-        }
         print_stats(&stats, store.as_ref());
     }
     let rendered = table.to_json().to_pretty();
@@ -1872,7 +1860,7 @@ fn triage_shard_mode(
     store: Option<&Arc<ArtifactStore>>,
 ) -> Result<RunStatus, String> {
     let (shard, faults, stats) =
-        run_triage_shard_with_policy(spec, limit, policy).map_err(|e| e.to_string())?;
+        run_triage_shard(spec, limit, policy).map_err(|e| e.to_string())?;
     if parsed.switch("stats") {
         print_stats(&stats, store);
     }
@@ -2046,14 +2034,10 @@ fn cmd_reduce(argv: &[String]) -> Result<RunStatus, String> {
             }
         }
     };
-    let reduced = match reduce_with_policy(
-        &subject,
-        &config,
-        &violation,
-        culprit.as_deref(),
-        &policy,
-        0,
-    ) {
+    let subject = subject.with_fuel_limit(policy.fuel_limit);
+    let reduced = match fault::contain(&policy, seed, 0, || {
+        reduce(&subject, &config, &violation, culprit.as_deref())
+    }) {
         SubjectOutcome::Completed(reduced) => reduced,
         SubjectOutcome::Faulted(fault) => {
             eprintln!(

@@ -1364,6 +1364,63 @@ fn a_kill_nined_worker_resumes_its_shard_and_the_merge_stays_byte_identical() {
 }
 
 #[test]
+fn malformed_thread_counts_are_rejected_up_front_with_the_value() {
+    let output = holes_env(
+        &["campaign", "--seeds", "0..1", "--quiet"],
+        &[("HOLES_THREADS", "abc")],
+    );
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "a typo'd thread count must not run on every core"
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("HOLES_THREADS") && stderr.contains("`abc`"),
+        "the message names the bad value: {stderr}"
+    );
+    assert!(output.stdout.is_empty());
+}
+
+#[test]
+fn classic_shards_with_a_duplicated_fault_are_rejected() {
+    let scratch = Scratch::new("dup-fault");
+    let file = scratch.path("c.json");
+    let campaign = holes_env(
+        &["campaign", "--seeds", "0..6", "--out", &file, "--quiet"],
+        &[("HOLES_FAULT_SEEDS", "3")],
+    );
+    assert_eq!(campaign.status.code(), Some(2));
+    let report = holes_env(&["report", &file], &[]);
+    assert_eq!(report.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&report.stdout).contains("faulted subjects: 1"));
+
+    // Duplicate the one entry of the `faults` array.
+    let text = std::fs::read_to_string(Path::new(&file)).unwrap();
+    let faults = text.find("\"faults\": [").expect("a faults array");
+    let entry_start = faults + text[faults..].find('{').unwrap();
+    let entry_end = entry_start + text[entry_start..].find('}').unwrap() + 1;
+    let duplicated = format!(
+        "{}, {}{}",
+        &text[..entry_end],
+        &text[entry_start..entry_end],
+        &text[entry_end..]
+    );
+    std::fs::write(Path::new(&file), duplicated).unwrap();
+    let report = holes_env(&["report", &file], &[]);
+    assert_eq!(
+        report.status.code(),
+        Some(1),
+        "a duplicated fault must not count twice"
+    );
+    let stderr = String::from_utf8_lossy(&report.stderr);
+    assert!(
+        stderr.contains("fault for subject 3 violates canonical campaign order"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn bogus_fault_seed_lists_are_rejected_up_front_with_the_offending_entry() {
     let output = holes_env(
         &["campaign", "--seeds", "0..1", "--quiet"],

@@ -258,7 +258,7 @@ pub fn dead_code_eliminate(func: &mut IrFunction) {
 ///
 /// A load can follow a store in program order, or precede it inside a loop
 /// that encloses the store and so run again after it through the back edge:
-/// every position from [`earliest_reachable`] on counts as "afterwards".
+/// every position from `earliest_reachable` on counts as "afterwards".
 pub fn dead_store_eliminate(func: &mut IrFunction) {
     let slots = func.slots as usize;
     let mut escaped = vec![false; slots];

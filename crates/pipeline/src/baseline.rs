@@ -490,6 +490,7 @@ impl BaselineDiff {
 mod tests {
     use super::*;
     use crate::shard::run_shard;
+    use crate::FaultPolicy;
 
     fn fp(seed: u64, conjecture: Conjecture, line: u32, variable: &str) -> ViolationFingerprint {
         ViolationFingerprint {
@@ -613,7 +614,7 @@ mod tests {
     fn sharded_recording_is_byte_identical_to_unsharded() {
         let range = SeedRange::new(2500, 2512);
         let spec = CampaignSpec::new(Personality::Ccg, Personality::Ccg.trunk(), range);
-        let monolithic = run_shard(&spec).unwrap();
+        let monolithic = run_shard(&spec, &FaultPolicy::default()).unwrap().0;
         let reference = Baseline::from_tallies(&spec, &monolithic.result.tallies());
         assert!(
             !reference.fingerprints.is_empty(),
@@ -627,7 +628,12 @@ mod tests {
                 range.len() as usize,
             );
             for index in (0..shards).rev() {
-                let shard = run_shard(&spec.clone().with_shard(shards, index)).unwrap();
+                let shard = run_shard(
+                    &spec.clone().with_shard(shards, index),
+                    &FaultPolicy::default(),
+                )
+                .unwrap()
+                .0;
                 for record in &shard.result.records {
                     tallies.add(record);
                 }

@@ -1,6 +1,8 @@
 //! Violation campaigns: Table 1 and the Venn distributions of Figures 2–3.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use holes_compiler::{BackendKind, CompilerConfig, OptLevel, Personality};
@@ -8,8 +10,8 @@ use holes_core::json::Json;
 use holes_core::{Conjecture, Violation};
 
 use crate::fault::{self, FaultPolicy, SubjectFault, SubjectOutcome};
-use crate::par;
-use crate::Subject;
+use crate::shard::CampaignSpec;
+use crate::{par, CacheStats, Subject};
 
 /// One violation found during a campaign, with its provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -403,107 +405,170 @@ pub(crate) fn subject_records(
     records
 }
 
-/// Run the campaign: test every subject at every level of a personality's
-/// version against all three conjectures, on the default register backend.
-///
-/// Subjects are evaluated in parallel (they are independent), and records
-/// are reassembled in (subject, level) order, so the result — including
-/// every rendered table — is byte-identical to [`run_campaign_serial`].
-pub fn run_campaign(
-    subjects: &[Subject],
-    personality: Personality,
-    version: usize,
-) -> CampaignResult {
-    run_campaign_on(subjects, personality, version, BackendKind::Reg)
+/// How many subjects each parallel evaluation chunk covers: enough to keep
+/// the worker pool saturated, small enough to bound the outcomes held in
+/// memory before the sink consumes them.
+fn chunk_size() -> usize {
+    (par::max_workers() * 4).max(1)
 }
 
-/// [`run_campaign`] targeting an explicit backend: the same campaign, with
-/// every subject compiled for `backend` (so a stack-VM campaign exercises
-/// the spill-induced violation classes the register backend cannot
-/// express).
-pub fn run_campaign_on(
-    subjects: &[Subject],
-    personality: Personality,
-    version: usize,
-    backend: BackendKind,
-) -> CampaignResult {
-    run_campaign_on_with_policy(
-        subjects,
-        personality,
-        version,
-        backend,
-        &FaultPolicy::default(),
-    )
+/// Where [`evaluate`] takes its subjects from.
+#[derive(Clone, Copy)]
+pub(crate) enum Subjects<'a> {
+    /// A prebuilt pool (whose warm caches a later triage reuses); the
+    /// subject at position `i` has global index `i`.
+    Pool(&'a [Subject]),
+    /// Made by [`Subject::from_seed`] over the spec's shard seeds whose
+    /// global index is at least `from_index`.
+    Seeds {
+        /// The campaign whose shard seeds are evaluated.
+        spec: &'a CampaignSpec,
+        /// The first global subject index to evaluate (0 unless resuming).
+        from_index: usize,
+    },
 }
 
-/// [`run_campaign_on`] with subject-level fault containment: each subject
-/// is evaluated under [`fault::contain`], so a panic or (under a fuel
-/// limit) a runaway program becomes a [`SubjectFault`] in the result's
-/// `faults` list instead of crashing the campaign. On the default policy
-/// the result is byte-identical to [`run_campaign_on`].
-pub fn run_campaign_on_with_policy(
-    subjects: &[Subject],
-    personality: Personality,
-    version: usize,
-    backend: BackendKind,
+/// The one subject evaluator every campaign operation runs on: evaluate
+/// `per_subject` for each subject in bounded parallel chunks, each subject
+/// under [`fault::contain`] with the policy's fuel limit riding on it, and
+/// hand the outcomes to `sink` in subject order. Returns the engine
+/// activity of the completed subjects, or the sink's first error (which
+/// stops the evaluation).
+pub(crate) fn evaluate<T: Send, E>(
+    subjects: Subjects<'_>,
     policy: &FaultPolicy,
-) -> CampaignResult {
-    let levels = personality.levels().to_vec();
-    let per_subject = par::par_map(subjects, |index, subject| {
-        fault::contain(policy, subject.seed, index, || {
-            // A fuel limit is carried on the subject; the clone shares the
-            // cache, so no artifact is recomputed.
-            let limited;
-            let subject = if policy.fuel_limit.is_some() {
-                limited = subject.clone().with_fuel_limit(policy.fuel_limit);
-                &limited
-            } else {
-                subject
-            };
-            subject_records(subject, index, personality, version, backend, &levels)
-        })
-    });
-    let mut records = Vec::new();
-    let mut faults = Vec::new();
-    for outcome in per_subject {
-        match outcome {
-            SubjectOutcome::Completed(subject_records) => records.extend(subject_records),
-            SubjectOutcome::Faulted(fault) => faults.push(fault),
+    per_subject: impl Fn(&Subject, usize) -> T + Sync,
+    mut sink: impl FnMut(SubjectOutcome<T>) -> Result<(), E>,
+) -> Result<CacheStats, E> {
+    let mut jobs: Box<dyn Iterator<Item = (u64, usize)> + '_> = match subjects {
+        Subjects::Pool(pool) => Box::new(pool.iter().map(|s| s.seed).zip(0..)),
+        Subjects::Seeds { spec, from_index } => Box::new(
+            spec.seeds
+                .shard_seeds(spec.shards, spec.shard)
+                .map(move |seed| (seed, (seed - spec.seeds.start) as usize))
+                .filter(move |&(_, index)| index >= from_index),
+        ),
+    };
+    let chunk_size = chunk_size();
+    let mut stats = CacheStats::default();
+    loop {
+        let chunk: Vec<(u64, usize)> = jobs.by_ref().take(chunk_size).collect();
+        if chunk.is_empty() {
+            return Ok(stats);
+        }
+        let outcomes = par::par_map(&chunk, |_, &(seed, index)| {
+            fault::contain(policy, seed, index, || {
+                // A fuel limit rides on the subject; a pool subject's clone
+                // shares its cache, so no artifact is recomputed.
+                let subject = match subjects {
+                    Subjects::Pool(pool) if policy.fuel_limit.is_none() => {
+                        Cow::Borrowed(&pool[index])
+                    }
+                    Subjects::Pool(pool) => {
+                        Cow::Owned(pool[index].clone().with_fuel_limit(policy.fuel_limit))
+                    }
+                    Subjects::Seeds { .. } => {
+                        Cow::Owned(Subject::from_seed(seed).with_fuel_limit(policy.fuel_limit))
+                    }
+                };
+                (per_subject(&subject, index), subject.cache_stats())
+            })
+        });
+        for outcome in outcomes {
+            sink(match outcome {
+                SubjectOutcome::Completed((value, subject_stats)) => {
+                    stats.absorb(subject_stats);
+                    SubjectOutcome::Completed(value)
+                }
+                SubjectOutcome::Faulted(fault) => SubjectOutcome::Faulted(fault),
+            })?;
         }
     }
-    CampaignResult {
-        records,
-        programs: subjects.len(),
-        levels,
-        faults,
-    }
 }
 
-/// The serial reference implementation of [`run_campaign`]; the tests and
-/// benchmarks hold the parallel driver to byte-identical output.
-pub fn run_campaign_serial(
-    subjects: &[Subject],
-    personality: Personality,
-    version: usize,
-) -> CampaignResult {
-    let levels = personality.levels().to_vec();
-    let mut result = CampaignResult {
-        records: Vec::new(),
-        programs: subjects.len(),
-        levels: levels.clone(),
-        faults: Vec::new(),
-    };
-    for (index, subject) in subjects.iter().enumerate() {
-        result.records.extend(subject_records(
+/// [`evaluate`] with the campaign's per-subject work: every subject's
+/// violation records over the spec's levels. The classic document collects
+/// this outcome sequence ([`collect_campaign`]); the JSON Lines writer
+/// streams it ([`crate::stream`]).
+pub(crate) fn campaign_outcomes<E>(
+    subjects: Subjects<'_>,
+    spec: &CampaignSpec,
+    policy: &FaultPolicy,
+    sink: impl FnMut(SubjectOutcome<Vec<ViolationRecord>>) -> Result<(), E>,
+) -> Result<CacheStats, E> {
+    let levels = spec.personality.levels();
+    let per_subject = |subject: &Subject, index: usize| {
+        subject_records(
             subject,
             index,
-            personality,
-            version,
-            BackendKind::Reg,
-            &levels,
-        ));
-    }
-    result
+            spec.personality,
+            spec.version,
+            spec.backend,
+            levels,
+        )
+    };
+    evaluate(subjects, policy, per_subject, sink)
+}
+
+/// The collecting sink over [`campaign_outcomes`]: records and faults in
+/// subject order, as one [`CampaignResult`] covering `programs` subjects.
+pub(crate) fn collect_campaign(
+    subjects: Subjects<'_>,
+    spec: &CampaignSpec,
+    policy: &FaultPolicy,
+    programs: usize,
+) -> (CampaignResult, CacheStats) {
+    let mut result = CampaignResult {
+        records: Vec::new(),
+        programs,
+        levels: spec.personality.levels().to_vec(),
+        faults: Vec::new(),
+    };
+    let Ok(stats) = campaign_outcomes(subjects, spec, policy, |outcome| {
+        match outcome {
+            SubjectOutcome::Completed(records) => result.records.extend(records),
+            SubjectOutcome::Faulted(fault) => result.faults.push(fault),
+        }
+        Ok::<(), Infallible>(())
+    });
+    (result, stats)
+}
+
+/// Run the campaign over a prebuilt pool: test every subject at every level
+/// of the spec's personality, compiled by its version for its backend.
+///
+/// The pool stands in for the spec's seed range — pass its programs in seed
+/// order (`subject_pool(spec.seeds.start, n)`); the subject at position `i`
+/// gets index `i`. Keeping the pool lets a later [`crate::triage`] run
+/// reuse the subjects' warm caches. Each subject is evaluated under
+/// [`fault::contain`], so a panic or (under a fuel limit) a runaway program
+/// becomes a [`SubjectFault`] in the result's `faults` list instead of
+/// crashing the campaign. Subjects are evaluated in parallel and their
+/// records reassembled in (subject, level) order, so the result — and every
+/// rendered table — is byte-identical to a serial run. Also returns the
+/// engine activity over the pool.
+pub fn run_campaign(
+    subjects: &[Subject],
+    spec: &CampaignSpec,
+    policy: &FaultPolicy,
+) -> (CampaignResult, CacheStats) {
+    debug_assert_eq!(
+        subjects.len() as u64,
+        spec.seeds.len(),
+        "the pool must hold the spec's programs"
+    );
+    collect_campaign(Subjects::Pool(subjects), spec, policy, subjects.len())
+}
+
+/// The trunk campaign of `personality` over a pool made by
+/// `subject_pool(base, n)`, on the default backend and policy — the
+/// shorthand the crate's unit tests share.
+#[cfg(test)]
+pub(crate) fn trunk_campaign(subjects: &[Subject], personality: Personality) -> CampaignResult {
+    let start = subjects.first().map_or(0, |s| s.seed);
+    let seeds = holes_progen::SeedRange::new(start, start + subjects.len() as u64);
+    let spec = CampaignSpec::new(personality, personality.trunk(), seeds);
+    run_campaign(subjects, &spec, &FaultPolicy::default()).0
 }
 
 #[cfg(test)]
@@ -514,7 +579,7 @@ mod tests {
     #[test]
     fn campaign_produces_consistent_counts() {
         let subjects = subject_pool(1000, 6);
-        let result = run_campaign(&subjects, Personality::Ccg, Personality::Ccg.trunk());
+        let result = trunk_campaign(&subjects, Personality::Ccg);
         assert_eq!(result.programs, 6);
         // Every per-level count is at least the number reflected in records.
         let mut total = 0usize;
@@ -543,7 +608,7 @@ mod tests {
     fn tallies_agree_with_the_record_rescanning_queries() {
         let subjects = subject_pool(1030, 8);
         for personality in [Personality::Ccg, Personality::Lcc] {
-            let result = run_campaign(&subjects, personality, personality.trunk());
+            let result = trunk_campaign(&subjects, personality);
             let tallies = result.tallies();
             assert_eq!(tallies.records(), result.records.len());
             assert_eq!(tallies.programs(), result.programs);
@@ -578,11 +643,24 @@ mod tests {
             // Fresh caches per driver so neither run can borrow the other's
             // artifacts.
             let fresh: Vec<Subject> = subjects.iter().map(Subject::with_fresh_cache).collect();
-            let parallel = run_campaign(&fresh, personality, personality.trunk());
-            let serial = run_campaign_serial(&subjects, personality, personality.trunk());
-            assert_eq!(parallel.records, serial.records);
-            assert_eq!(parallel.table1(), serial.table1());
-            assert_eq!(parallel.venn(), serial.venn());
+            let parallel = trunk_campaign(&fresh, personality);
+            // The serial reference: a plain loop over the oracle.
+            let mut serial = Vec::new();
+            for (index, subject) in subjects.iter().enumerate() {
+                for &level in personality.levels() {
+                    let config =
+                        CompilerConfig::new(personality, level).with_version(personality.trunk());
+                    for violation in subject.violations(&config) {
+                        serial.push(ViolationRecord {
+                            seed: subject.seed,
+                            subject: index,
+                            level,
+                            violation,
+                        });
+                    }
+                }
+            }
+            assert_eq!(parallel.records, serial);
         }
     }
 

@@ -421,7 +421,7 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::trunk_campaign;
     use crate::subject_pool;
 
     fn sample_entry() -> CorpusEntry {
@@ -494,7 +494,7 @@ mod tests {
     fn distilled_entries_replay_cleanly() {
         let subjects = subject_pool(1300, 6);
         let personality = Personality::Ccg;
-        let result = run_campaign(&subjects, personality, personality.trunk());
+        let result = trunk_campaign(&subjects, personality);
         let record = result
             .records
             .first()

@@ -62,15 +62,28 @@
 //! very large ranges, [`stream`] replaces the in-memory shard document
 //! with a record-streaming JSON Lines format of bounded memory.
 //!
+//! **One evaluator, one entry point per operation.** Every campaign
+//! operation — [`campaign::run_campaign`] over a prebuilt pool,
+//! [`shard::run_shard`], [`stream::run_shard_streaming`],
+//! [`stream::resume_shard_streaming`], and [`triage::run_triage_shard`] —
+//! takes a [`shard::CampaignSpec`] and a [`FaultPolicy`], returns its
+//! faults and engine statistics, and runs on one subject evaluator: bounded
+//! parallel chunks, each subject under [`fault::contain`] with the fuel
+//! limit riding on it, outcomes delivered in subject order. The classic
+//! shard document collects that outcome sequence; the JSON Lines writer
+//! streams it. [`triage::triage_campaign`] and [`reduce::reduce`] complete
+//! the set, and one validator checks the record/fault sequence of both
+//! shard formats.
+//!
 //! **Deterministic parallelism.** The outer loops — subjects × levels in
-//! [`campaign::run_campaign`], violations in [`triage::triage_campaign`],
+//! the campaign evaluator, violations in [`triage::triage_campaign`],
 //! flags in a gcc-style flag search, (version, level) cells in the
 //! regression studies — are embarrassingly parallel and fan out over scoped
 //! threads ([`par::par_map`]). Results are reassembled **in input order**,
 //! so every rendered table and Venn distribution is byte-identical to a
-//! serial run (`campaign::run_campaign_serial` is kept as the reference
-//! implementation, and the test suite asserts the equivalence); setting
-//! `HOLES_THREADS=1` forces serial execution. Determinism also does not
+//! serial run (the test suite holds the campaign to a plain serial loop
+//! over the oracle); setting `HOLES_THREADS=1` forces serial execution.
+//! Determinism also does not
 //! depend on timing: compilation is a pure function of (program,
 //! configuration), so cache races at worst duplicate work, never change a
 //! result.

@@ -29,12 +29,29 @@ thread_local! {
 /// The worker-pool size used by [`par_map`].
 pub fn max_workers() -> usize {
     let available = std::thread::available_parallelism().map_or(1, usize::from);
-    match std::env::var("HOLES_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(requested) => requested.clamp(1, available.max(1)),
-        None => available,
+    match requested_workers() {
+        Ok(Some(requested)) => requested.clamp(1, available.max(1)),
+        _ => available,
+    }
+}
+
+/// The worker count `HOLES_THREADS` asks for, if it is set. [`max_workers`]
+/// ignores a malformed value; the CLI rejects it at start-up, so a typo
+/// cannot silently run a single-thread measurement on every core.
+///
+/// # Errors
+///
+/// Returns a message naming the value when it is not an unsigned integer.
+pub fn requested_workers() -> Result<Option<usize>, String> {
+    let Some(raw) = std::env::var_os("HOLES_THREADS") else {
+        return Ok(None);
+    };
+    match raw.to_str().and_then(|text| text.parse().ok()) {
+        Some(requested) => Ok(Some(requested)),
+        None => Err(format!(
+            "HOLES_THREADS: `{}` is not a thread count (expected an unsigned integer, e.g. `1`)",
+            raw.to_string_lossy()
+        )),
     }
 }
 

@@ -19,7 +19,6 @@ use holes_minic::ast::{Program, Stmt, StmtKind};
 use holes_minic::interp::Interpreter;
 use holes_minic::validate::validate;
 
-use crate::fault::{self, FaultPolicy, SubjectOutcome};
 use crate::Subject;
 
 /// The result of reducing a violating program.
@@ -87,44 +86,19 @@ fn still_violates(
 
 /// Reduce a violating subject. `culprit` is the pass identified by triage
 /// (pass `None` to reduce without culprit preservation).
+///
+/// Every oracle probe's virtual machines run under the subject's fuel limit
+/// (see [`Subject::with_fuel_limit`]), as in the campaign drivers; under a
+/// limit, a candidate that never terminates panics instead of hanging, so
+/// callers wrap the reduction in [`crate::fault::contain`] to turn that
+/// into a [`crate::fault::SubjectFault`].
 pub fn reduce(
     subject: &Subject,
     config: &CompilerConfig,
     violation: &Violation,
     culprit: Option<&str>,
 ) -> ReducedCase {
-    reduce_with_fuel(subject, config, violation, culprit, None)
-}
-
-/// [`reduce`] under an explicit [`FaultPolicy`]: the whole reduction —
-/// including every oracle probe on every candidate program — runs inside
-/// [`fault::contain`] with the policy's fuel limit threaded into each
-/// probe's virtual machines, so a candidate that panics the pipeline or
-/// never terminates becomes a [`crate::fault::SubjectFault`] instead of
-/// hanging or crashing the reducer.
-pub fn reduce_with_policy(
-    subject: &Subject,
-    config: &CompilerConfig,
-    violation: &Violation,
-    culprit: Option<&str>,
-    policy: &FaultPolicy,
-    subject_index: usize,
-) -> SubjectOutcome<ReducedCase> {
-    fault::contain(policy, subject.seed, subject_index, || {
-        reduce_with_fuel(subject, config, violation, culprit, policy.fuel_limit)
-    })
-}
-
-/// The reduction engine, with the step budget each oracle probe's machines
-/// run under (`None` = the backends' default fuel and the historical
-/// silent-truncation behavior).
-fn reduce_with_fuel(
-    subject: &Subject,
-    config: &CompilerConfig,
-    violation: &Violation,
-    culprit: Option<&str>,
-    fuel_limit: Option<u64>,
-) -> ReducedCase {
+    let fuel_limit = subject.fuel_limit;
     let conjecture = violation.conjecture;
     let variable = violation.variable.clone();
     let mut best = subject.program.clone();
@@ -215,7 +189,7 @@ fn simplify_stmt(stmt: &mut Stmt) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::trunk_campaign;
     use crate::subject_pool;
     use holes_compiler::Personality;
 
@@ -223,7 +197,7 @@ mod tests {
     fn reduction_preserves_the_violation_and_shrinks_the_program() {
         let subjects = subject_pool(1300, 6);
         let personality = Personality::Ccg;
-        let result = run_campaign(&subjects, personality, personality.trunk());
+        let result = trunk_campaign(&subjects, personality);
         let Some(record) = result.records.first() else {
             // Extremely unlikely with the trunk defect catalogue; nothing to
             // reduce in that case.

@@ -284,7 +284,7 @@ pub fn build_report_from_seeds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::trunk_campaign;
     use crate::subject_pool;
     use holes_compiler::Personality;
 
@@ -292,7 +292,7 @@ mod tests {
     fn seed_driven_report_matches_the_pool_driven_report() {
         let subjects = subject_pool(1510, 6);
         let personality = Personality::Ccg;
-        let result = run_campaign(&subjects, personality, personality.trunk());
+        let result = trunk_campaign(&subjects, personality);
         let from_pool = build_report(
             &subjects,
             &result,
@@ -315,7 +315,7 @@ mod tests {
     fn report_classifies_violations_into_categories() {
         let subjects = subject_pool(1500, 6);
         let personality = Personality::Ccg;
-        let result = run_campaign(&subjects, personality, personality.trunk());
+        let result = trunk_campaign(&subjects, personality);
         let report = build_report(
             &subjects,
             &result,

@@ -160,6 +160,7 @@ fn foreign(path: &Path) -> ServeError {
 mod tests {
     use super::*;
     use crate::shard::run_shard;
+    use crate::FaultPolicy;
     use holes_compiler::Personality;
     use holes_progen::SeedRange;
     use std::path::PathBuf;
@@ -195,7 +196,9 @@ mod tests {
     fn journal_round_trips_and_survives_torn_tails() {
         let scratch = Scratch::new("roundtrip");
         let spec = spec();
-        let shard1 = run_shard(&spec.clone().with_shard(3, 1)).expect("shard evaluates");
+        let shard1 = run_shard(&spec.clone().with_shard(3, 1), &FaultPolicy::default())
+            .expect("shard evaluates")
+            .0;
 
         let (mut journal, recovered) =
             Journal::open(&scratch.path, &spec, 3).expect("fresh journal opens");
@@ -245,7 +248,9 @@ mod tests {
         // hard error, not a silent truncation.
         let mut bytes = std::fs::read(&scratch.path).expect("journal reads");
         bytes.extend_from_slice(b"not json\n");
-        let shard = run_shard(&spec.clone().with_shard(3, 0)).expect("shard evaluates");
+        let shard = run_shard(&spec.clone().with_shard(3, 0), &FaultPolicy::default())
+            .expect("shard evaluates")
+            .0;
         bytes.extend_from_slice(entry_line(0, &shard).as_bytes());
         std::fs::write(&scratch.path, &bytes).expect("corrupt journal writes");
         let refusal = Journal::open(&scratch.path, &spec, 3).expect_err("interior corruption");

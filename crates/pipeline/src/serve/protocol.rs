@@ -325,6 +325,7 @@ fn u64_field(json: &Json, key: &str) -> Result<u64, ServeError> {
 mod tests {
     use super::*;
     use crate::shard::run_shard;
+    use crate::FaultPolicy;
     use holes_compiler::Personality;
     use holes_progen::SeedRange;
 
@@ -339,7 +340,9 @@ mod tests {
 
     #[test]
     fn requests_survive_a_wire_round_trip() {
-        let shard = run_shard(&spec()).expect("shard evaluates");
+        let shard = run_shard(&spec(), &FaultPolicy::default())
+            .expect("shard evaluates")
+            .0;
         let requests = vec![
             Request::Lease {
                 worker: "w1".into(),
@@ -444,7 +447,9 @@ mod tests {
         // A result whose embedded shard was tampered with (claiming a wider
         // seed range than was evaluated) must fail the full campaign
         // validator, not sneak into the merge.
-        let shard = run_shard(&spec()).expect("shard evaluates");
+        let shard = run_shard(&spec(), &FaultPolicy::default())
+            .expect("shard evaluates")
+            .0;
         let wire = Request::Result {
             lease: 1,
             shard: Box::new(shard),

@@ -22,10 +22,9 @@ use holes_core::{Observed, Violation};
 use holes_minic::ast::FunctionId;
 use holes_progen::SeedRange;
 
-use crate::campaign::{subject_records, CampaignResult, ViolationRecord};
-use crate::fault::{self, FaultPolicy, FaultStage, SubjectFault, SubjectOutcome};
-use crate::par;
-use crate::Subject;
+use crate::campaign::{collect_campaign, CampaignResult, Subjects, ViolationRecord};
+use crate::fault::{FaultPolicy, FaultStage, SubjectFault};
+use crate::CacheStats;
 
 /// What to run: one personality's campaign over a seed range, as one shard
 /// of a (possibly single-shard) partition.
@@ -129,74 +128,35 @@ pub struct CampaignShard {
 /// Run one shard of a campaign: regenerate the shard's programs from their
 /// seeds and test every one at every level of the personality.
 ///
-/// Subjects are generated *and* evaluated in parallel (the per-seed work is
-/// independent) and reassembled in seed order, so the result is
-/// deterministic for a given spec.
-pub fn run_shard(spec: &CampaignSpec) -> Result<CampaignShard, ShardError> {
-    run_shard_with_stats(spec).map(|(shard, _)| shard)
-}
-
-/// [`run_shard`], additionally returning the evaluation-engine activity
-/// aggregated over every subject of the shard (compiles, traces, checks,
-/// hits, disk loads) — what the CLI's `--stats` switch reports.
-pub fn run_shard_with_stats(
-    spec: &CampaignSpec,
-) -> Result<(CampaignShard, crate::CacheStats), ShardError> {
-    run_shard_with_policy(spec, &FaultPolicy::default())
-}
-
-/// [`run_shard_with_stats`] with subject-level fault containment (see
-/// [`crate::fault`]): each seed's generation and evaluation runs under
-/// [`fault::contain`], so a panicking or (under a fuel limit) runaway
-/// subject becomes a [`SubjectFault`] in the shard's result instead of
-/// killing the run. On the default policy the shard is byte-identical to
-/// [`run_shard_with_stats`].
-pub fn run_shard_with_policy(
+/// Each seed's generation and evaluation runs under [`crate::fault::contain`],
+/// so a panicking or (under a fuel limit) runaway subject becomes a
+/// [`SubjectFault`] in the shard's result instead of killing the run; on
+/// the default policy nothing faults. Subjects are generated *and*
+/// evaluated in parallel chunks and reassembled in seed order, so the
+/// result is deterministic for a given spec. Also returns the
+/// evaluation-engine activity aggregated over the shard's subjects
+/// (compiles, traces, checks, hits, disk loads) — what the CLI's `--stats`
+/// switch reports.
+///
+/// # Errors
+///
+/// Returns the spec validation failure.
+pub fn run_shard(
     spec: &CampaignSpec,
     policy: &FaultPolicy,
-) -> Result<(CampaignShard, crate::CacheStats), ShardError> {
+) -> Result<(CampaignShard, CacheStats), ShardError> {
     spec.validate()?;
-    let levels = spec.personality.levels().to_vec();
-    let seeds = spec.shard_seeds();
-    let per_seed = par::par_map(&seeds, |_, &seed| {
-        let global_index = (seed - spec.seeds.start) as usize;
-        fault::contain(policy, seed, global_index, || {
-            let subject = Subject::from_seed(seed).with_fuel_limit(policy.fuel_limit);
-            let records = subject_records(
-                &subject,
-                global_index,
-                spec.personality,
-                spec.version,
-                spec.backend,
-                &levels,
-            );
-            (records, subject.cache_stats())
-        })
-    });
-    let mut stats = crate::CacheStats::default();
-    let mut records = Vec::new();
-    let mut faults = Vec::new();
-    for outcome in per_seed {
-        match outcome {
-            SubjectOutcome::Completed((subject_records, subject_stats)) => {
-                stats.absorb(subject_stats);
-                records.extend(subject_records);
-            }
-            SubjectOutcome::Faulted(fault) => faults.push(fault),
-        }
-    }
-    Ok((
-        CampaignShard {
-            spec: spec.clone(),
-            result: CampaignResult {
-                records,
-                programs: seeds.len(),
-                levels,
-                faults,
-            },
-        },
-        stats,
-    ))
+    let subjects = Subjects::Seeds {
+        spec,
+        from_index: 0,
+    };
+    let programs = spec.seeds.shard_len(spec.shards, spec.shard) as usize;
+    let (result, stats) = collect_campaign(subjects, spec, policy, programs);
+    let shard = CampaignShard {
+        spec: spec.clone(),
+        result,
+    };
+    Ok((shard, stats))
 }
 
 /// Merge a complete set of shard runs back into the monolithic
@@ -316,30 +276,25 @@ impl CampaignShard {
                 spec.shard, spec.shards, spec.seeds
             )));
         }
+        let mut check = SequenceCheck::new(&spec);
         let records = json
             .get("records")
             .and_then(Json::as_arr)
             .ok_or_else(|| ShardError::Malformed("missing `records` array".into()))?
             .iter()
-            .enumerate()
-            .map(|(index, record)| {
-                record_from_json(record, &spec).map_err(|error| error.for_record(index))
-            })
+            .map(|record| check.record(record))
             .collect::<Result<Vec<_>, _>>()?;
-        validate_record_order(&records, &spec)?;
-        let faults = match json.get("faults") {
-            None => Vec::new(),
-            Some(value) => value
+        if let Some(value) = json.get("faults") {
+            let faults = value
                 .as_arr()
-                .ok_or_else(|| ShardError::Malformed("`faults` is not an array".into()))?
-                .iter()
-                .enumerate()
-                .map(|(index, fault)| {
-                    fault_from_json(fault, &spec)
-                        .map_err(|error| error.contextualize(&format!("fault {index}")))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-        };
+                .ok_or_else(|| ShardError::Malformed("`faults` is not an array".into()))?;
+            for (index, fault) in faults.iter().enumerate() {
+                check
+                    .fault(fault)
+                    .map_err(|error| error.contextualize(&format!("fault {index}")))?;
+            }
+        }
+        let faults = check.finish();
         Ok(CampaignShard {
             spec,
             result: CampaignResult {
@@ -352,27 +307,109 @@ impl CampaignShard {
     }
 }
 
-/// Enforce the canonical record order the drivers emit: ascending subject,
-/// then level in schedule order, then the sorted, deduplicated violation
-/// list of `check_all`. Strict ascent rejects duplicated, reordered, or
-/// injected records that would otherwise pass the per-record checks and
-/// silently inflate merged tables. Shared by the `holes.campaign/v1` parser
-/// and the JSON Lines reader ([`crate::stream`]).
-pub(crate) fn validate_record_order(
-    records: &[ViolationRecord],
-    spec: &CampaignSpec,
-) -> Result<(), ShardError> {
-    for (index, pair) in records.windows(2).enumerate() {
-        check_record_order(index, &pair[0], &pair[1], spec)?;
-    }
-    Ok(())
+/// The one validator of a shard's record/fault sequence, shared by the
+/// `holes.campaign/v1` parser and the JSON Lines reader ([`crate::stream`]).
+/// It is fed one record or fault at a time and checks:
+///
+/// * **membership** — every seed belongs to the shard, with the matching
+///   global subject index, at a level the personality evaluates;
+/// * **record order** — records ascend strictly in canonical campaign order
+///   (subject, then level in schedule order, then the sorted, deduplicated
+///   violation list of `check_all`), so duplicated, reordered, or injected
+///   records cannot inflate merged tables;
+/// * **fault order** — faults ascend strictly by subject, so a duplicated
+///   fault cannot double-count a faulted subject;
+/// * **exclusivity** — a subject either faults or yields records, never
+///   both.
+///
+/// The verdict depends only on the record sequence and the fault sequence,
+/// not on how the two interleave, so a classic document (two arrays) and a
+/// stream (one interleaved sequence) carrying the same content are accepted
+/// or rejected alike. Memory is the previous record, the faults, and the
+/// distinct subjects that have records.
+pub(crate) struct SequenceCheck<'a> {
+    spec: &'a CampaignSpec,
+    records: usize,
+    previous: Option<ViolationRecord>,
+    /// Ascending, distinct subjects with at least one record.
+    record_subjects: Vec<usize>,
+    faults: Vec<SubjectFault>,
 }
 
-/// The pairwise step of [`validate_record_order`]: record `index + 1` must
-/// sort strictly after record `index`. Streaming readers call this with
-/// only the previous record in hand, so a million-record stream is order-
-/// checked with O(1) memory.
-pub(crate) fn check_record_order(
+impl<'a> SequenceCheck<'a> {
+    /// A checker for a sequence belonging to `spec`.
+    pub(crate) fn new(spec: &'a CampaignSpec) -> SequenceCheck<'a> {
+        SequenceCheck {
+            spec,
+            records: 0,
+            previous: None,
+            record_subjects: Vec::new(),
+            faults: Vec::new(),
+        }
+    }
+
+    /// Parse and check the next record; errors name its record index.
+    pub(crate) fn record(&mut self, json: &Json) -> Result<ViolationRecord, ShardError> {
+        let index = self.records;
+        let record = record_from_json(json, self.spec).map_err(|e| e.for_record(index))?;
+        if let Some(previous) = &self.previous {
+            check_record_order(index - 1, previous, &record, self.spec)?;
+        }
+        if self
+            .faults
+            .binary_search_by_key(&record.subject, |f| f.subject)
+            .is_ok()
+        {
+            return Err(both_records_and_fault(record.subject).for_record(index));
+        }
+        if self.record_subjects.last() != Some(&record.subject) {
+            self.record_subjects.push(record.subject);
+        }
+        self.previous = Some(record.clone());
+        self.records += 1;
+        Ok(record)
+    }
+
+    /// Parse and check the next fault.
+    pub(crate) fn fault(&mut self, json: &Json) -> Result<SubjectFault, ShardError> {
+        let fault = fault_from_json(json, self.spec)?;
+        if let Some(last) = self.faults.last() {
+            if fault.subject <= last.subject {
+                return Err(ShardError::Malformed(format!(
+                    "fault for subject {} violates canonical campaign order \
+                     (a fault for subject {} precedes it)",
+                    fault.subject, last.subject
+                )));
+            }
+        }
+        if self.record_subjects.binary_search(&fault.subject).is_ok() {
+            return Err(both_records_and_fault(fault.subject));
+        }
+        self.faults.push(fault.clone());
+        Ok(fault)
+    }
+
+    /// The number of records accepted so far.
+    pub(crate) fn records(&self) -> usize {
+        self.records
+    }
+
+    /// The accepted faults, in subject order.
+    pub(crate) fn finish(self) -> Vec<SubjectFault> {
+        self.faults
+    }
+}
+
+fn both_records_and_fault(subject: usize) -> ShardError {
+    ShardError::Malformed(format!(
+        "subject {subject} violates canonical campaign order (it has both violation \
+         records and a fault)"
+    ))
+}
+
+/// The record-order step of [`SequenceCheck`]: record `index + 1` must sort
+/// strictly after record `index`.
+fn check_record_order(
     index: usize,
     a: &ViolationRecord,
     b: &ViolationRecord,
@@ -676,19 +713,23 @@ impl std::error::Error for ShardError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::trunk_campaign;
     use crate::subject_pool;
 
     fn spec(range: SeedRange) -> CampaignSpec {
         CampaignSpec::new(Personality::Ccg, Personality::Ccg.trunk(), range)
     }
 
+    fn shard(spec: &CampaignSpec) -> CampaignShard {
+        run_shard(spec, &FaultPolicy::default()).unwrap().0
+    }
+
     #[test]
     fn single_shard_run_equals_the_pool_campaign() {
         let range = SeedRange::new(2000, 2008);
-        let sharded = run_shard(&spec(range)).unwrap();
+        let sharded = shard(&spec(range));
         let subjects = subject_pool(range.start, range.len() as usize);
-        let monolithic = run_campaign(&subjects, Personality::Ccg, Personality::Ccg.trunk());
+        let monolithic = trunk_campaign(&subjects, Personality::Ccg);
         assert_eq!(sharded.result.records, monolithic.records);
         assert_eq!(sharded.result.table1(), monolithic.table1());
     }
@@ -696,10 +737,10 @@ mod tests {
     #[test]
     fn merged_shards_are_byte_identical_to_the_monolithic_run() {
         let range = SeedRange::new(2100, 2116);
-        let monolithic = run_shard(&spec(range)).unwrap();
+        let monolithic = shard(&spec(range));
         for shards in [2u64, 3, 5] {
             let runs: Vec<CampaignShard> = (0..shards)
-                .map(|i| run_shard(&spec(range).with_shard(shards, i)).unwrap())
+                .map(|i| shard(&spec(range).with_shard(shards, i)))
                 .collect();
             // Merge in scrambled input order to show order does not matter.
             let mut scrambled = runs.clone();
@@ -715,7 +756,7 @@ mod tests {
     #[test]
     fn shard_files_round_trip_through_json() {
         let range = SeedRange::new(2200, 2206);
-        let run = run_shard(&spec(range).with_shard(2, 1)).unwrap();
+        let run = shard(&spec(range).with_shard(2, 1));
         let rendered = run.to_json().to_pretty();
         let reparsed = CampaignShard::from_json(&Json::parse(&rendered).unwrap()).unwrap();
         assert_eq!(reparsed, run);
@@ -726,7 +767,7 @@ mod tests {
     #[test]
     fn from_json_rejects_tampered_files() {
         let range = SeedRange::new(2300, 2304);
-        let run = run_shard(&spec(range)).unwrap();
+        let run = shard(&spec(range));
         let good = run.to_json().to_pretty();
         for (needle, replacement) in [
             ("holes.campaign/v1", "holes.campaign/v0"),
@@ -751,7 +792,7 @@ mod tests {
     #[test]
     fn from_json_rejects_duplicated_and_reordered_records() {
         let range = SeedRange::new(2300, 2310);
-        let run = run_shard(&spec(range)).unwrap();
+        let run = shard(&spec(range));
         assert!(
             run.result.records.len() >= 2,
             "campaign found too few records to exercise ordering"
@@ -785,22 +826,62 @@ mod tests {
     }
 
     #[test]
+    fn from_json_rejects_duplicated_faults_and_faults_of_subjects_with_records() {
+        let range = SeedRange::new(2300, 2310);
+        let policy = FaultPolicy {
+            inject_seeds: [2303u64].into_iter().collect(),
+            ..FaultPolicy::default()
+        };
+        let (run, _) = run_shard(&spec(range), &policy).unwrap();
+        let fault = run.result.faults[0].clone();
+        let record = run.result.records[0].clone();
+        assert_ne!(record.subject, fault.subject);
+        let with_faults = |faults: Vec<SubjectFault>| {
+            let mut tampered = run.clone();
+            tampered.result.faults = faults;
+            CampaignShard::from_json(&tampered.to_json())
+        };
+        assert_eq!(with_faults(vec![fault.clone()]), Ok(run.clone()));
+        let err = with_faults(vec![fault.clone(), fault.clone()]).unwrap_err();
+        assert!(
+            err.to_string().contains(
+                "fault for subject 3 violates canonical campaign order \
+                 (a fault for subject 3 precedes it)"
+            ),
+            "{err}"
+        );
+        let shared = SubjectFault {
+            seed: record.seed,
+            subject: record.subject,
+            ..fault.clone()
+        };
+        let err = with_faults(vec![shared, fault]).unwrap_err();
+        assert!(
+            err.to_string().contains(&format!(
+                "subject {} violates canonical campaign order (it has both violation \
+                 records and a fault)",
+                record.subject
+            )),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn merge_rejects_incomplete_and_mixed_shard_sets() {
         let range = SeedRange::new(2400, 2408);
-        let s0 = run_shard(&spec(range).with_shard(2, 0)).unwrap();
-        let s1 = run_shard(&spec(range).with_shard(2, 1)).unwrap();
+        let s0 = shard(&spec(range).with_shard(2, 0));
+        let s1 = shard(&spec(range).with_shard(2, 1));
         assert!(merge_shards(Vec::new()).is_err(), "empty set");
         assert!(merge_shards(vec![s0.clone()]).is_err(), "missing shard 1");
         assert!(
             merge_shards(vec![s0.clone(), s0.clone()]).is_err(),
             "duplicate shard"
         );
-        let mut other = run_shard(&CampaignSpec::new(
+        let mut other = shard(&CampaignSpec::new(
             Personality::Lcc,
             Personality::Lcc.trunk(),
             range,
-        ))
-        .unwrap();
+        ));
         other.spec.shards = 2;
         other.spec.shard = 1;
         assert!(
@@ -813,11 +894,11 @@ mod tests {
     #[test]
     fn invalid_specs_are_rejected_up_front() {
         let range = SeedRange::new(0, 4);
-        assert!(run_shard(&spec(range).with_shard(0, 0)).is_err());
-        assert!(run_shard(&spec(range).with_shard(2, 2)).is_err());
+        assert!(run_shard(&spec(range).with_shard(0, 0), &FaultPolicy::default()).is_err());
+        assert!(run_shard(&spec(range).with_shard(2, 2), &FaultPolicy::default()).is_err());
         let mut bad_version = spec(range);
         bad_version.version = 99;
-        assert!(run_shard(&bad_version).is_err());
+        assert!(run_shard(&bad_version, &FaultPolicy::default()).is_err());
         assert!(!spec(range).same_campaign(&spec(SeedRange::new(0, 5))));
     }
 }

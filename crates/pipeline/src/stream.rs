@@ -14,18 +14,19 @@
 //! 3. a **footer** `{"end": true, "programs": …, "records": …}` whose
 //!    counts let the reader reject truncated files.
 //!
-//! [`run_shard_streaming`] evaluates seeds in bounded parallel chunks and
-//! emits each chunk's records as soon as they are ready, so peak memory is
-//! proportional to the chunk size — never to the seed range. On the
-//! consuming side, [`fold_jsonl_reader`] is the symmetric **streaming
-//! reader**: it revalidates everything the classic parser does (per-record
-//! membership, canonical order — checked pairwise against only the
-//! previous record — and the footer counts), reports errors with the
-//! **record index and line number**, and hands each record to a fold
+//! [`run_shard_streaming`] runs the campaign evaluator (bounded parallel
+//! chunks) and emits each chunk's records as soon as they are ready, so
+//! peak memory is proportional to the chunk size — never to the seed
+//! range. On the consuming side, [`fold_jsonl_reader`] is the symmetric
+//! **streaming reader**: it revalidates everything the classic parser does,
+//! through the same record/fault sequence checker (membership, canonical
+//! record order, fault order, and the footer counts), reports errors with
+//! the **record index and line number**, and hands each record to a fold
 //! callback instead of materializing a vector, so `holes report` aggregates
-//! arbitrarily large shards in bounded memory. [`read_jsonl_shard`] wraps
-//! the fold into an ordinary [`CampaignShard`] for consumers that do need
-//! the records: merging JSONL shards through
+//! arbitrarily large shards without holding their records.
+//! [`read_jsonl_shard`] collects the fold into an ordinary
+//! [`CampaignShard`] for consumers that do need the records: merging JSONL
+//! shards through
 //! [`crate::shard::merge_shards`] is byte-identical to merging classic
 //! shards, which the CLI and test suite hold it to.
 
@@ -34,13 +35,13 @@ use std::io::Write;
 use holes_compiler::OptLevel;
 use holes_core::json::Json;
 
-use crate::campaign::{subject_records, CampaignResult, ViolationRecord};
-use crate::fault::{self, FaultPolicy, SubjectFault, SubjectOutcome};
+use crate::campaign::{campaign_outcomes, CampaignResult, Subjects, ViolationRecord};
+use crate::fault::{FaultPolicy, SubjectFault, SubjectOutcome};
 use crate::shard::{
-    check_record_order, fault_from_json, fault_to_json, parse_levels, parse_spec_header,
-    record_from_json, record_to_json, spec_header_pairs, CampaignShard, CampaignSpec, ShardError,
+    fault_from_json, fault_to_json, parse_levels, parse_spec_header, record_from_json,
+    record_to_json, spec_header_pairs, CampaignShard, CampaignSpec, SequenceCheck, ShardError,
 };
-use crate::{par, CacheStats, Subject};
+use crate::CacheStats;
 
 /// The identifying first-line `format` value of a JSON Lines shard file.
 pub const CAMPAIGN_JSONL_FORMAT: &str = "holes.campaign-jsonl/v1";
@@ -173,12 +174,6 @@ impl<W: Write> CampaignJsonlWriter<W> {
     }
 }
 
-/// How many seeds each parallel evaluation chunk covers: enough to keep the
-/// worker pool saturated, small enough to bound the records held in memory.
-fn chunk_size() -> usize {
-    (par::max_workers() * 4).max(1)
-}
-
 /// What a streaming shard run produced: the line counts of the emitted
 /// stream plus the evaluation-engine activity behind them.
 #[derive(Debug, Clone, Default)]
@@ -194,95 +189,49 @@ pub struct StreamRun {
 }
 
 /// Evaluate the shard's seeds from global subject index `from_index`
-/// onwards, writing each subject's lines as its chunk completes — the
-/// shared engine of [`run_shard_streaming_with_policy`] and
-/// [`resume_shard_streaming`]. Each subject runs under
-/// [`fault::contain`], so a panicking or fuel-exhausted subject becomes one
-/// fault line instead of tearing down the shard.
+/// onwards through the campaign evaluator, writing each subject's lines as
+/// its chunk completes — the shared engine of [`run_shard_streaming`] and
+/// [`resume_shard_streaming`]. A contained fault becomes one fault line.
 fn stream_seeds<W: Write>(
     writer: &mut CampaignJsonlWriter<W>,
     spec: &CampaignSpec,
     policy: &FaultPolicy,
     from_index: usize,
 ) -> Result<CacheStats, StreamError> {
-    let levels = spec.personality.levels().to_vec();
-    let mut stats = CacheStats::default();
-    let start = spec.seeds.start;
-    let mut seeds = spec
-        .seeds
-        .shard_seeds(spec.shards, spec.shard)
-        .filter(|&seed| (seed - start) as usize >= from_index);
-    loop {
-        let chunk: Vec<u64> = seeds.by_ref().take(chunk_size()).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        let per_seed = par::par_map(&chunk, |_, &seed| {
-            let global_index = (seed - start) as usize;
-            fault::contain(policy, seed, global_index, || {
-                let subject = Subject::from_seed(seed).with_fuel_limit(policy.fuel_limit);
-                let records = subject_records(
-                    &subject,
-                    global_index,
-                    spec.personality,
-                    spec.version,
-                    spec.backend,
-                    &levels,
-                );
-                (records, subject.cache_stats())
-            })
-        });
-        for outcome in per_seed {
-            match outcome {
-                SubjectOutcome::Completed((records, subject_stats)) => {
-                    stats.absorb(subject_stats);
-                    for record in &records {
-                        writer.write_record(record)?;
-                        crate::serve::chaos::on_line_emitted();
-                    }
-                }
-                SubjectOutcome::Faulted(subject_fault) => {
-                    writer.write_fault(&subject_fault)?;
+    let subjects = Subjects::Seeds { spec, from_index };
+    campaign_outcomes(subjects, spec, policy, |outcome| {
+        match outcome {
+            SubjectOutcome::Completed(records) => {
+                for record in &records {
+                    writer.write_record(record)?;
                     crate::serve::chaos::on_line_emitted();
                 }
             }
+            SubjectOutcome::Faulted(subject_fault) => {
+                writer.write_fault(&subject_fault)?;
+                crate::serve::chaos::on_line_emitted();
+            }
         }
-    }
-    Ok(stats)
+        Ok(())
+    })
 }
 
 /// Run one campaign shard, streaming each seed's records to `out` as soon
 /// as they are computed. Seeds are evaluated in parallel chunks and emitted
 /// in seed order, so the stream's record sequence is exactly the classic
 /// driver's — but the full record vector is **never** materialized, and
-/// subjects are dropped as their chunk completes.
+/// subjects are dropped as their chunk completes. Each subject is evaluated
+/// under [`crate::fault::contain`]; contained faults are emitted as
+/// `{"fault": …}` lines in subject order, interleaved with the record
+/// lines (the default policy emits none).
 ///
-/// Returns the number of records emitted and the evaluation-engine
-/// activity aggregated over all subjects (what `holes campaign --stats`
-/// reports). Runs with the default (inert) [`FaultPolicy`]; use
-/// [`run_shard_streaming_with_policy`] to contain faulting subjects.
+/// Returns the line counts and the evaluation-engine activity aggregated
+/// over all subjects (what `holes campaign --stats` reports).
 ///
 /// # Errors
 ///
 /// Returns the spec validation failure or the sink's I/O error.
 pub fn run_shard_streaming<W: Write>(
-    spec: &CampaignSpec,
-    out: W,
-) -> Result<(usize, CacheStats), StreamError> {
-    let run = run_shard_streaming_with_policy(spec, out, &FaultPolicy::default())?;
-    Ok((run.records, run.stats))
-}
-
-/// [`run_shard_streaming`] under an explicit [`FaultPolicy`]: each subject
-/// is evaluated inside [`fault::contain`], and contained faults are emitted
-/// as `{"fault": …}` lines in subject order, interleaved with the record
-/// lines. With the default policy the output is byte-identical to
-/// [`run_shard_streaming`].
-///
-/// # Errors
-///
-/// Returns the spec validation failure or the sink's I/O error.
-pub fn run_shard_streaming_with_policy<W: Write>(
     spec: &CampaignSpec,
     out: W,
     policy: &FaultPolicy,
@@ -299,7 +248,7 @@ pub fn run_shard_streaming_with_policy<W: Write>(
 }
 
 /// Fold a complete set of shard runs into one **unsharded** JSON Lines
-/// stream, byte-identical to [`run_shard_streaming_with_policy`] over the
+/// stream, byte-identical to [`run_shard_streaming`] over the
 /// whole range in a single process — the merge seam the distributed
 /// coordinator ([`crate::serve`]) writes its final report through.
 ///
@@ -371,7 +320,7 @@ fn malformed(line: usize, message: impl std::fmt::Display) -> ShardError {
     ShardError::Malformed(format!("line {}: {message}", line + 1))
 }
 
-/// What [`fold_jsonl_shard`] validated about a stream, once the footer has
+/// What [`fold_jsonl_reader`] validated about a stream, once the footer has
 /// confirmed it was complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonlSummary {
@@ -427,13 +376,15 @@ fn parse_jsonl_header_at(
 /// Stream a JSON Lines shard through a record callback, **line by line from
 /// a reader**: each record is parsed, validated, handed to `each`, and
 /// dropped, so a consumer folding into an aggregate (the `holes report`
-/// accumulator) reads a million-record shard in bounded memory — the
-/// reader state is one line buffer, the spec, the previous record (for the
-/// canonical-order check), and the running count.
+/// accumulator) reads a million-record shard without holding its records —
+/// the reader state is one line buffer, the spec, and the sequence
+/// checker's previous record, faults, and list of subjects with records.
 ///
-/// Every validation of the materializing parser applies — header
-/// consistency, per-record membership and subject-index checks, canonical
-/// record order, and the footer's truncation-detecting counts — and errors
+/// Every validation of the classic parser applies, through the same
+/// checker — header consistency, per-record membership and subject-index
+/// checks, canonical record order, fault order, a subject never both
+/// faulting and yielding records, and the footer's truncation-detecting
+/// counts — and errors
 /// name the offending line and record index. Records handed to `each`
 /// before an error is discovered must be discarded by the caller (an
 /// aggregate built from a stream that later fails validation is
@@ -465,9 +416,7 @@ pub fn fold_jsonl_reader<R: std::io::BufRead>(
     };
     let (spec, levels) = parse_jsonl_header_at(&header_text, line_no)?;
 
-    let mut count = 0usize;
-    let mut previous: Option<ViolationRecord> = None;
-    let mut faults: Vec<SubjectFault> = Vec::new();
+    let mut check = SequenceCheck::new(&spec);
     let mut footer: Option<(usize, Json)> = None;
     while let Some((line_no, line)) = lines.next() {
         let line = line?;
@@ -488,8 +437,9 @@ pub fn fold_jsonl_reader<R: std::io::BufRead>(
                 return Err(malformed(
                     line_no,
                     format!(
-                        "truncated stream ({count} intact records): \
-                         the final line is cut mid-record; rerun with --resume to complete it"
+                        "truncated stream ({} intact records): \
+                         the final line is cut mid-record; rerun with --resume to complete it",
+                        check.records()
                     ),
                 )
                 .into())
@@ -500,52 +450,15 @@ pub fn fold_jsonl_reader<R: std::io::BufRead>(
             footer = Some((line_no, value));
             continue;
         }
+        let at_line = |e: ShardError| e.contextualize(&format!("line {}", line_no + 1));
         if value.get("fault").is_some() {
-            let subject_fault = fault_from_json(&value, &spec)
-                .map_err(|e| e.contextualize(&format!("line {}", line_no + 1)))?;
-            let floor = previous
-                .as_ref()
-                .map(|r| r.subject)
-                .max(faults.last().map(|f| f.subject));
-            if floor.is_some_and(|floor| subject_fault.subject <= floor) {
-                return Err(malformed(
-                    line_no,
-                    format!(
-                        "fault for subject {} violates canonical campaign order \
-                         (a line for subject {} precedes it)",
-                        subject_fault.subject,
-                        floor.expect("floor is Some")
-                    ),
-                )
-                .into());
-            }
-            faults.push(subject_fault);
-            continue;
+            check.fault(&value).map_err(at_line)?;
+        } else {
+            each(check.record(&value).map_err(at_line)?);
         }
-        let record = record_from_json(&value, &spec).map_err(|e| {
-            e.for_record(count)
-                .contextualize(&format!("line {}", line_no + 1))
-        })?;
-        if let Some(prev) = &previous {
-            check_record_order(count - 1, prev, &record, &spec)?;
-        }
-        if let Some(last_fault) = faults.last() {
-            if record.subject <= last_fault.subject {
-                return Err(malformed(
-                    line_no,
-                    format!(
-                        "record for subject {} violates canonical campaign order \
-                         (subject {} already faulted)",
-                        record.subject, last_fault.subject
-                    ),
-                )
-                .into());
-            }
-        }
-        previous = Some(record.clone());
-        each(record);
-        count += 1;
     }
+    let count = check.records();
+    let faults = check.finish();
     let (footer_line, footer) = footer.ok_or_else(|| {
         ShardError::Malformed(format!(
             "truncated stream ({count} intact records, missing footer); \
@@ -600,41 +513,31 @@ pub fn fold_jsonl_reader<R: std::io::BufRead>(
     })
 }
 
-/// [`fold_jsonl_reader`] over an in-memory stream.
-///
-/// # Errors
-///
-/// Returns a [`ShardError`] describing the first malformed line.
-pub fn fold_jsonl_shard(
-    text: &str,
-    each: impl FnMut(ViolationRecord),
-) -> Result<JsonlSummary, ShardError> {
-    match fold_jsonl_reader(text.as_bytes(), each) {
-        Ok(summary) => Ok(summary),
-        Err(StreamError::Shard(error)) => Err(error),
-        // Reading from an in-memory slice cannot fail; keep the error path
-        // total anyway.
-        Err(StreamError::Io(error)) => Err(ShardError::Malformed(format!(
-            "I/O failure on an in-memory stream: {error}"
-        ))),
-    }
-}
-
 /// Parse a JSON Lines shard file back into a [`CampaignShard`], applying
 /// every validation the classic parser does (header consistency, per-record
-/// membership and subject-index checks, canonical record order, and the
-/// footer's truncation-detecting counts). Errors name the offending line
-/// and record index.
+/// membership and subject-index checks, canonical record and fault order,
+/// and the footer's truncation-detecting counts). Errors name the
+/// offending line and record index.
 ///
 /// This materializes every record; callers that only aggregate should use
-/// [`fold_jsonl_shard`] and keep memory bounded.
+/// [`fold_jsonl_reader`] and keep memory bounded.
 ///
 /// # Errors
 ///
 /// Returns a [`ShardError`] describing the first malformed line.
 pub fn read_jsonl_shard(text: &str) -> Result<CampaignShard, ShardError> {
     let mut records: Vec<ViolationRecord> = Vec::new();
-    let summary = fold_jsonl_shard(text, |record| records.push(record))?;
+    let summary = match fold_jsonl_reader(text.as_bytes(), |record| records.push(record)) {
+        Ok(summary) => summary,
+        Err(StreamError::Shard(error)) => return Err(error),
+        // Reading from an in-memory slice cannot fail; keep the error path
+        // total anyway.
+        Err(StreamError::Io(error)) => {
+            return Err(ShardError::Malformed(format!(
+                "I/O failure on an in-memory stream: {error}"
+            )))
+        }
+    };
     Ok(CampaignShard {
         spec: summary.spec,
         result: CampaignResult {
@@ -867,6 +770,10 @@ pub fn resume_shard_streaming(
 mod tests {
     use super::*;
     use crate::shard::{merge_shards, run_shard};
+
+    fn classic(spec: &CampaignSpec) -> CampaignShard {
+        run_shard(spec, &FaultPolicy::default()).unwrap().0
+    }
     use holes_compiler::Personality;
     use holes_progen::SeedRange;
 
@@ -876,14 +783,14 @@ mod tests {
 
     fn streamed(spec: &CampaignSpec) -> String {
         let mut out = Vec::new();
-        run_shard_streaming(spec, &mut out).expect("streaming run");
+        run_shard_streaming(spec, &mut out, &FaultPolicy::default()).expect("streaming run");
         String::from_utf8(out).expect("UTF-8 stream")
     }
 
     #[test]
     fn streamed_shard_reads_back_identical_to_the_classic_run() {
         let range = SeedRange::new(2600, 2612);
-        let classic = run_shard(&spec(range)).unwrap();
+        let classic = classic(&spec(range));
         let text = streamed(&spec(range));
         assert!(is_jsonl_shard(&text));
         assert!(!is_jsonl_shard(&classic.to_json().to_pretty()));
@@ -896,7 +803,7 @@ mod tests {
     #[test]
     fn jsonl_shards_merge_byte_identically_with_classic_shards() {
         let range = SeedRange::new(2700, 2716);
-        let monolithic = run_shard(&spec(range)).unwrap();
+        let monolithic = classic(&spec(range));
         let shards = 3u64;
         let mut mixed = Vec::new();
         for index in 0..shards {
@@ -904,7 +811,7 @@ mod tests {
             if index % 2 == 0 {
                 mixed.push(read_jsonl_shard(&streamed(&shard_spec)).unwrap());
             } else {
-                mixed.push(run_shard(&shard_spec).unwrap());
+                mixed.push(classic(&shard_spec));
             }
         }
         let merged = merge_shards(mixed).unwrap();
@@ -959,7 +866,7 @@ mod tests {
             "range exposed no records to fold"
         );
         let mut tallies = CampaignTallies::new(shard.result.levels.clone(), shard.result.programs);
-        let summary = fold_jsonl_shard(&text, |record| tallies.add(&record)).unwrap();
+        let summary = fold_jsonl_reader(text.as_bytes(), |record| tallies.add(&record)).unwrap();
         assert_eq!(summary.spec, shard.spec);
         assert_eq!(summary.records, shard.result.records.len());
         assert_eq!(summary.programs, shard.result.programs);
@@ -978,13 +885,13 @@ mod tests {
         if lines.len() >= 4 {
             let mut swapped: Vec<&str> = lines.clone();
             swapped.swap(1, 2);
-            let err = fold_jsonl_shard(&swapped.join("\n"), |_| {}).unwrap_err();
-            assert!(
-                err.to_string().contains("canonical campaign order"),
-                "{err}"
-            );
+            let swapped = swapped.join("\n");
+            let err = fold_jsonl_reader(swapped.as_bytes(), |_| {})
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("canonical campaign order"), "{err}");
             assert_eq!(
-                read_jsonl_shard(&swapped.join("\n")).unwrap_err(),
+                read_jsonl_shard(&swapped).unwrap_err().to_string(),
                 err,
                 "the two readers disagree on the rejection"
             );
@@ -999,7 +906,7 @@ mod tests {
             ..FaultPolicy::default()
         };
         let mut out = Vec::new();
-        let run = run_shard_streaming_with_policy(&spec(range), &mut out, &policy).expect("run");
+        let run = run_shard_streaming(&spec(range), &mut out, &policy).expect("run");
         assert_eq!(run.faulted, 2);
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("\"fault\":\"generate\""), "{text}");
@@ -1122,7 +1029,7 @@ mod tests {
             ..FaultPolicy::default()
         };
         let mut out = Vec::new();
-        run_shard_streaming_with_policy(&spec, &mut out, &policy).expect("run");
+        run_shard_streaming(&spec, &mut out, &policy).expect("run");
         let scratch = ScratchFile::new("faulted");
         std::fs::write(&scratch.0, &out[..out.len() * 2 / 3]).unwrap();
         resume_shard_streaming(&spec, &scratch.0, &policy).expect("resume");
@@ -1169,12 +1076,12 @@ mod tests {
             ..FaultPolicy::default()
         };
         let mut faulted_ref = Vec::new();
-        run_shard_streaming_with_policy(&spec, &mut faulted_ref, &policy).expect("run");
+        run_shard_streaming(&spec, &mut faulted_ref, &policy).expect("run");
         let runs: Vec<CampaignShard> = (0..3)
             .map(|i| {
                 let mut out = Vec::new();
                 let shard_spec = spec.clone().with_shard(3, i);
-                run_shard_streaming_with_policy(&shard_spec, &mut out, &policy).expect("run");
+                run_shard_streaming(&shard_spec, &mut out, &policy).expect("run");
                 read_jsonl_shard(&String::from_utf8(out).unwrap()).unwrap()
             })
             .collect();

@@ -22,16 +22,18 @@
 //! budgets, runs the optimization pipeline exactly once.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 
 use holes_compiler::{BackendKind, CompilerConfig, Personality};
 use holes_core::json::Json;
 use holes_core::{Conjecture, Violation};
 
-use crate::campaign::{subject_records, unique_key, CampaignResult, UniqueKey};
+use crate::campaign::{
+    evaluate, subject_records, unique_key, CampaignResult, Subjects, UniqueKey, ViolationRecord,
+};
 use crate::fault::{self, FaultPolicy, SubjectFault, SubjectOutcome};
-use crate::par;
 use crate::shard::{parse_levels, parse_spec_header, spec_header_pairs, CampaignSpec, ShardError};
-use crate::Subject;
+use crate::{par, CacheStats, Subject};
 
 /// The outcome of triaging one violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -231,6 +233,18 @@ impl TriageTable {
         }
     }
 
+    /// Count one triaged violation of `conjecture` against each culprit.
+    fn attribute(&mut self, conjecture: Conjecture, culprits: Vec<String>) {
+        for culprit in culprits {
+            *self
+                .counts
+                .entry(conjecture)
+                .or_default()
+                .entry(culprit)
+                .or_insert(0) += 1;
+        }
+    }
+
     /// Number of distinct passes (or flag combinations) identified.
     pub fn distinct_culprits(&self) -> usize {
         let all: BTreeSet<&String> = self.counts.values().flat_map(|m| m.keys()).collect();
@@ -276,89 +290,56 @@ impl TriageTable {
     }
 }
 
+/// The first `limit` unique violations per conjecture of `records`, in
+/// record order — the triage sample.
+fn sample(records: &[ViolationRecord], limit: usize) -> Vec<&ViolationRecord> {
+    let mut taken: BTreeMap<Conjecture, usize> = BTreeMap::new();
+    let mut seen: BTreeSet<UniqueKey> = BTreeSet::new();
+    records
+        .iter()
+        .filter(|record| {
+            let taken = taken.entry(record.violation.conjecture).or_insert(0);
+            if *taken >= limit || !seen.insert(unique_key(record)) {
+                return false;
+            }
+            *taken += 1;
+            true
+        })
+        .collect()
+}
+
 /// Triage a sample of the unique violations of a campaign and build Table 2.
 ///
+/// `subjects` and `result` come from [`crate::campaign::run_campaign`] over
+/// the same spec, so every probe reuses the campaign's warm caches (the
+/// oracle will not reproduce a violation found on another backend).
 /// `per_conjecture_limit` bounds how many violations are triaged for each
 /// conjecture (triage is the most expensive stage, as the paper also notes:
 /// ~20 minutes per program for gcc). The sample is selected serially — in
 /// record order, so it is deterministic — and then triaged in parallel;
 /// counts are aggregated back in selection order.
+///
+/// Each selected violation's triage runs inside [`fault::contain`], so a
+/// panicking or fuel-exhausted probe is recorded as a [`SubjectFault`] (in
+/// selection order) instead of tearing down the whole triage; faulted
+/// triages contribute nothing to the table. Also returns the pool's engine
+/// activity, which — since the caches are shared — covers the campaign's
+/// work too.
 pub fn triage_campaign(
     subjects: &[Subject],
-    personality: Personality,
-    version: usize,
-    result: &CampaignResult,
-    per_conjecture_limit: usize,
-) -> TriageTable {
-    triage_campaign_on(
-        subjects,
-        personality,
-        version,
-        BackendKind::Reg,
-        result,
-        per_conjecture_limit,
-    )
-}
-
-/// [`triage_campaign`] targeting an explicit backend (the campaign result
-/// must have been produced on the same backend, or the oracle will not
-/// reproduce the violations).
-pub fn triage_campaign_on(
-    subjects: &[Subject],
-    personality: Personality,
-    version: usize,
-    backend: BackendKind,
-    result: &CampaignResult,
-    per_conjecture_limit: usize,
-) -> TriageTable {
-    triage_campaign_on_with_policy(
-        subjects,
-        personality,
-        version,
-        backend,
-        result,
-        per_conjecture_limit,
-        &FaultPolicy::default(),
-    )
-    .0
-}
-
-/// [`triage_campaign_on`] under an explicit [`FaultPolicy`]: each selected
-/// violation's triage runs inside [`fault::contain`], so a panicking or
-/// fuel-exhausted probe is recorded as a [`SubjectFault`] (in selection
-/// order) instead of tearing down the whole triage. Faulted triages
-/// contribute nothing to the table; they are never silently dropped from
-/// the returned fault list.
-pub fn triage_campaign_on_with_policy(
-    subjects: &[Subject],
-    personality: Personality,
-    version: usize,
-    backend: BackendKind,
+    spec: &CampaignSpec,
     result: &CampaignResult,
     per_conjecture_limit: usize,
     policy: &FaultPolicy,
-) -> (TriageTable, Vec<SubjectFault>) {
-    let mut taken: BTreeMap<Conjecture, usize> = BTreeMap::new();
-    let mut seen: BTreeSet<UniqueKey> = BTreeSet::new();
-    let mut selected: Vec<&crate::campaign::ViolationRecord> = Vec::new();
-    for record in &result.records {
-        let conjecture = record.violation.conjecture;
-        if *taken.get(&conjecture).unwrap_or(&0) >= per_conjecture_limit {
-            continue;
-        }
-        if !seen.insert(unique_key(record)) {
-            continue;
-        }
-        *taken.entry(conjecture).or_insert(0) += 1;
-        selected.push(record);
-    }
+) -> (TriageTable, Vec<SubjectFault>, CacheStats) {
+    let selected = sample(&result.records, per_conjecture_limit);
     let outcomes = par::par_map(&selected, |_, record| {
         fault::contain(policy, record.seed, record.subject, || {
-            let config = CompilerConfig::new(personality, record.level)
-                .with_version(version)
-                .with_backend(backend);
+            let config = CompilerConfig::new(spec.personality, record.level)
+                .with_version(spec.version)
+                .with_backend(spec.backend);
             // A fuel limit rides on a cache-sharing clone, exactly as in the
-            // campaign driver.
+            // campaign evaluator.
             let limited;
             let subject = if policy.fuel_limit.is_some() {
                 limited = subjects[record.subject]
@@ -376,19 +357,16 @@ pub fn triage_campaign_on_with_policy(
     for (record, outcome) in selected.iter().zip(outcomes) {
         match outcome {
             SubjectOutcome::Completed(outcome) => {
-                for culprit in outcome.culprits {
-                    *table
-                        .counts
-                        .entry(record.violation.conjecture)
-                        .or_default()
-                        .entry(culprit)
-                        .or_insert(0) += 1;
-                }
+                table.attribute(record.violation.conjecture, outcome.culprits);
             }
             SubjectOutcome::Faulted(subject_fault) => faults.push(subject_fault),
         }
     }
-    (table, faults)
+    let mut stats = CacheStats::default();
+    for subject in subjects {
+        stats.absorb(subject.cache_stats());
+    }
+    (table, faults, stats)
 }
 
 /// The identifying first line of a triage shard file.
@@ -419,8 +397,11 @@ pub struct TriageShard {
 }
 
 /// Run one shard of a sharded triage (see [`TriageShard`] for the
-/// selection semantics), returning the shard plus the aggregated
-/// evaluation-engine activity.
+/// selection semantics). Each seed's whole evaluation (campaign records
+/// plus its triages) runs on the campaign evaluator, inside
+/// [`fault::contain`]: a faulted seed contributes nothing to the table and
+/// is reported as a [`SubjectFault`] in subject order. Also returns the
+/// aggregated evaluation-engine activity.
 ///
 /// # Errors
 ///
@@ -428,88 +409,48 @@ pub struct TriageShard {
 pub fn run_triage_shard(
     spec: &CampaignSpec,
     limit: usize,
-) -> Result<(TriageShard, crate::CacheStats), ShardError> {
-    let (shard, _, stats) = run_triage_shard_with_policy(spec, limit, &FaultPolicy::default())?;
-    Ok((shard, stats))
-}
-
-/// [`run_triage_shard`] under an explicit [`FaultPolicy`]: each seed's
-/// whole evaluation (campaign records plus its triages) runs inside
-/// [`fault::contain`]. A faulted seed contributes nothing to the table and
-/// is reported as a [`SubjectFault`] in subject order.
-///
-/// # Errors
-///
-/// Returns the spec validation failure.
-pub fn run_triage_shard_with_policy(
-    spec: &CampaignSpec,
-    limit: usize,
     policy: &FaultPolicy,
-) -> Result<(TriageShard, Vec<SubjectFault>, crate::CacheStats), ShardError> {
+) -> Result<(TriageShard, Vec<SubjectFault>, CacheStats), ShardError> {
     spec.validate()?;
-    let levels = spec.personality.levels().to_vec();
-    let seeds = spec.shard_seeds();
-    let per_seed = par::par_map(&seeds, |_, &seed| {
-        let global_index = (seed - spec.seeds.start) as usize;
-        fault::contain(policy, seed, global_index, || {
-            let subject = Subject::from_seed(seed).with_fuel_limit(policy.fuel_limit);
-            let records = subject_records(
-                &subject,
-                global_index,
-                spec.personality,
-                spec.version,
-                spec.backend,
-                &levels,
-            );
-            let mut taken: BTreeMap<Conjecture, usize> = BTreeMap::new();
-            let mut seen: BTreeSet<UniqueKey> = BTreeSet::new();
-            let mut table = TriageTable::default();
-            for record in &records {
-                let conjecture = record.violation.conjecture;
-                if *taken.get(&conjecture).unwrap_or(&0) >= limit {
-                    continue;
-                }
-                if !seen.insert(unique_key(record)) {
-                    continue;
-                }
-                *taken.entry(conjecture).or_insert(0) += 1;
-                let config = CompilerConfig::new(spec.personality, record.level)
-                    .with_version(spec.version)
-                    .with_backend(spec.backend);
-                let outcome = triage(&subject, &config, &record.violation);
-                for culprit in outcome.culprits {
-                    *table
-                        .counts
-                        .entry(conjecture)
-                        .or_default()
-                        .entry(culprit)
-                        .or_insert(0) += 1;
-                }
-            }
-            (table, subject.cache_stats())
-        })
-    });
+    let levels = spec.personality.levels();
+    let per_subject = |subject: &Subject, index: usize| {
+        let records = subject_records(
+            subject,
+            index,
+            spec.personality,
+            spec.version,
+            spec.backend,
+            levels,
+        );
+        let mut table = TriageTable::default();
+        for record in sample(&records, limit) {
+            let config = CompilerConfig::new(spec.personality, record.level)
+                .with_version(spec.version)
+                .with_backend(spec.backend);
+            let outcome = triage(subject, &config, &record.violation);
+            table.attribute(record.violation.conjecture, outcome.culprits);
+        }
+        table
+    };
     let mut table = TriageTable::default();
     let mut faults = Vec::new();
-    let mut stats = crate::CacheStats::default();
-    for outcome in per_seed {
+    let subjects = Subjects::Seeds {
+        spec,
+        from_index: 0,
+    };
+    let Ok(stats) = evaluate(subjects, policy, per_subject, |outcome| {
         match outcome {
-            SubjectOutcome::Completed((subject_table, subject_stats)) => {
-                table.absorb(subject_table);
-                stats.absorb(subject_stats);
-            }
+            SubjectOutcome::Completed(subject_table) => table.absorb(subject_table),
             SubjectOutcome::Faulted(subject_fault) => faults.push(subject_fault),
         }
-    }
-    Ok((
-        TriageShard {
-            spec: spec.clone(),
-            limit,
-            table,
-        },
-        faults,
-        stats,
-    ))
+        Ok::<(), Infallible>(())
+    });
+    let shard = TriageShard {
+        spec: spec.clone(),
+        limit,
+        table,
+    };
+    Ok((shard, faults, stats))
 }
 
 /// Merge a complete set of triage shards back into the monolithic
@@ -663,14 +604,14 @@ impl TriageShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::trunk_campaign;
     use crate::subject_pool;
 
     #[test]
     fn triage_identifies_a_culprit_for_found_violations() {
         let subjects = subject_pool(1200, 4);
         for personality in [Personality::Ccg, Personality::Lcc] {
-            let result = run_campaign(&subjects, personality, personality.trunk());
+            let result = trunk_campaign(&subjects, personality);
             let Some(record) = result.records.first() else {
                 continue;
             };
@@ -697,7 +638,7 @@ mod tests {
     fn binary_search_bisection_matches_the_linear_scan() {
         let subjects = subject_pool(1220, 6);
         let personality = Personality::Lcc;
-        let result = run_campaign(&subjects, personality, personality.trunk());
+        let result = trunk_campaign(&subjects, personality);
         let mut compared = 0usize;
         for record in result.records.iter().take(20) {
             let config =
@@ -724,7 +665,7 @@ mod tests {
     fn bisection_uses_fewer_oracle_compiles_than_the_linear_scan() {
         let subjects = subject_pool(1230, 8);
         let personality = Personality::Lcc;
-        let result = run_campaign(&subjects, personality, personality.trunk());
+        let result = trunk_campaign(&subjects, personality);
         assert!(!result.records.is_empty(), "campaign found no violations");
         let mut any_strictly_fewer = false;
         for record in result.records.iter().take(24) {
@@ -776,7 +717,7 @@ mod tests {
         for personality in [Personality::Lcc, Personality::Ccg] {
             let spec = CampaignSpec::new(personality, personality.trunk(), SeedRange::new(0, 12))
                 .with_backend(BackendKind::Stack);
-            let (shard, _) = run_triage_shard(&spec, 3).unwrap();
+            let (shard, _, _) = run_triage_shard(&spec, 3, &FaultPolicy::default()).unwrap();
             assert!(
                 !shard.table.counts.is_empty(),
                 "{personality}: stack campaign exposed nothing to triage"
@@ -802,7 +743,7 @@ mod tests {
         use holes_progen::SeedRange;
         let personality = Personality::Lcc;
         let spec = CampaignSpec::new(personality, personality.trunk(), SeedRange::new(2600, 2612));
-        let (monolithic, stats) = run_triage_shard(&spec, 2).unwrap();
+        let (monolithic, _, stats) = run_triage_shard(&spec, 2, &FaultPolicy::default()).unwrap();
         assert!(stats.compiles > 0, "triage compiled nothing");
         assert!(
             !monolithic.table.counts.is_empty(),
@@ -811,8 +752,12 @@ mod tests {
         for shards in [2u64, 3] {
             let mut runs: Vec<TriageShard> = (0..shards)
                 .map(|index| {
-                    let (run, _) =
-                        run_triage_shard(&spec.clone().with_shard(shards, index), 2).unwrap();
+                    let (run, _, _) = run_triage_shard(
+                        &spec.clone().with_shard(shards, index),
+                        2,
+                        &FaultPolicy::default(),
+                    )
+                    .unwrap();
                     let rendered = run.to_json().to_pretty();
                     let reparsed =
                         TriageShard::from_json(&Json::parse(&rendered).unwrap()).unwrap();
@@ -840,8 +785,10 @@ mod tests {
             Personality::Lcc.trunk(),
             SeedRange::new(2620, 2624),
         );
-        let (s0, _) = run_triage_shard(&spec.clone().with_shard(2, 0), 1).unwrap();
-        let (s1, _) = run_triage_shard(&spec.clone().with_shard(2, 1), 1).unwrap();
+        let (s0, _, _) =
+            run_triage_shard(&spec.clone().with_shard(2, 0), 1, &FaultPolicy::default()).unwrap();
+        let (s1, _, _) =
+            run_triage_shard(&spec.clone().with_shard(2, 1), 1, &FaultPolicy::default()).unwrap();
         assert!(merge_triage_shards(Vec::new()).is_err(), "empty set");
         assert!(
             merge_triage_shards(vec![s0.clone()]).is_err(),
@@ -875,7 +822,7 @@ mod tests {
             Personality::Ccg.trunk(),
             SeedRange::new(2630, 2634),
         );
-        let (run, _) = run_triage_shard(&spec, 1).unwrap();
+        let (run, _, _) = run_triage_shard(&spec, 1, &FaultPolicy::default()).unwrap();
         let good = run.to_json().to_pretty();
         for (needle, replacement) in [
             ("holes.triage-shard/v1", "holes.triage-shard/v0"),
@@ -894,14 +841,15 @@ mod tests {
     #[test]
     fn triage_table_aggregates_by_conjecture() {
         let subjects = subject_pool(1210, 3);
-        let result = run_campaign(&subjects, Personality::Ccg, Personality::Ccg.trunk());
-        let table = triage_campaign(
-            &subjects,
+        let result = trunk_campaign(&subjects, Personality::Ccg);
+        let spec = CampaignSpec::new(
             Personality::Ccg,
             Personality::Ccg.trunk(),
-            &result,
-            2,
+            holes_progen::SeedRange::new(1210, 1213),
         );
+        let (table, faults, _) =
+            triage_campaign(&subjects, &spec, &result, 2, &FaultPolicy::default());
+        assert!(faults.is_empty());
         let rendered = table.render(5);
         assert!(rendered.contains("C1"));
         assert!(table.distinct_culprits() <= 20);

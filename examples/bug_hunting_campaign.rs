@@ -10,8 +10,10 @@
 use holes_compiler::Personality;
 use holes_pipeline::campaign::run_campaign;
 use holes_pipeline::report::build_report;
-use holes_pipeline::subject_pool;
+use holes_pipeline::shard::CampaignSpec;
 use holes_pipeline::triage::triage_campaign;
+use holes_pipeline::{subject_pool, FaultPolicy};
+use holes_progen::SeedRange;
 
 fn main() {
     let count: usize = std::env::args()
@@ -20,9 +22,12 @@ fn main() {
         .unwrap_or(10);
     println!("generating {count} programs...");
     let pool = subject_pool(99_000, count);
+    let seeds = SeedRange::new(99_000, 99_000 + count as u64);
+    let policy = FaultPolicy::default();
     for personality in [Personality::Lcc, Personality::Ccg] {
         let trunk = personality.trunk();
-        let result = run_campaign(&pool, personality, trunk);
+        let spec = CampaignSpec::new(personality, trunk, seeds);
+        let (result, _) = run_campaign(&pool, &spec, &policy);
         println!("\n================ {personality} trunk ================");
         println!("--- Table 1: violations per level ---");
         println!("{}", result.table1());
@@ -32,7 +37,7 @@ fn main() {
         );
 
         println!("--- Table 2: top culprit optimizations ---");
-        let triaged = triage_campaign(&pool, personality, trunk, &result, 5);
+        let (triaged, _, _) = triage_campaign(&pool, &spec, &result, 5, &policy);
         println!("{}", triaged.render(5));
 
         println!("--- Table 3: DIE-level classification ---");

@@ -47,7 +47,7 @@ fn spec(start: u64, len: u64) -> CampaignSpec {
 fn reference_stream(campaign: &CampaignSpec) -> Vec<u8> {
     install_process_store(None);
     let mut out = Vec::new();
-    run_shard_streaming(campaign, &mut out).expect("reference run");
+    run_shard_streaming(campaign, &mut out, &FaultPolicy::default()).expect("reference run");
     out
 }
 
@@ -276,7 +276,9 @@ fn a_warm_shared_cache_fleet_performs_zero_compiles() {
         Arc::new(ArtifactStore::open(&coord_dir.path).expect("coordinator store opens"));
     install_process_store(Some(Arc::clone(&coord_store)));
     let mut reference = Vec::new();
-    let (_, warm_stats) = run_shard_streaming(&campaign, &mut reference).expect("warming run");
+    let warm_stats = run_shard_streaming(&campaign, &mut reference, &FaultPolicy::default())
+        .expect("warming run")
+        .stats;
     assert!(warm_stats.compiles > 0, "the warming run paid the compiles");
     install_process_store(None);
 
@@ -398,7 +400,8 @@ fn flip_donor() -> &'static (Arc<ArtifactStore>, Vec<u8>) {
         let store = Arc::new(ArtifactStore::open(&path).expect("donor store opens"));
         install_process_store(Some(Arc::clone(&store)));
         let mut reference = Vec::new();
-        run_shard_streaming(&spec(4900, 2), &mut reference).expect("warming run");
+        run_shard_streaming(&spec(4900, 2), &mut reference, &FaultPolicy::default())
+            .expect("warming run");
         install_process_store(None);
         (store, reference)
     })
@@ -427,7 +430,7 @@ proptest! {
         victim.attach_remote(Arc::new(FlippingSource { donor, flip }));
         install_process_store(Some(Arc::clone(&victim)));
         let mut out = Vec::new();
-        let (_, stats) = run_shard_streaming(&campaign, &mut out).expect("corrupted-cache run");
+        let stats = run_shard_streaming(&campaign, &mut out, &FaultPolicy::default()).expect("corrupted-cache run").stats;
         install_process_store(None);
 
         prop_assert_eq!(

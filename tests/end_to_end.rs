@@ -6,9 +6,10 @@ use holes_debugger::{trace, DebuggerKind};
 use holes_minic::interp::Interpreter;
 use holes_pipeline::campaign::run_campaign;
 use holes_pipeline::report::build_report;
+use holes_pipeline::shard::CampaignSpec;
 use holes_pipeline::triage::triage;
-use holes_pipeline::{subject_pool, Subject};
-use holes_progen::ProgramGenerator;
+use holes_pipeline::{subject_pool, FaultPolicy, Subject};
+use holes_progen::{ProgramGenerator, SeedRange};
 
 /// Every stage of the pipeline agrees on semantics: the interpreter, the
 /// unoptimized executable, and every optimized executable of both
@@ -81,7 +82,9 @@ fn campaign_triage_and_report_work_together() {
     let pool = subject_pool(62_000, 8);
     let mut total_violations = 0usize;
     for personality in [Personality::Ccg, Personality::Lcc] {
-        let result = run_campaign(&pool, personality, personality.trunk());
+        let seeds = SeedRange::new(62_000, 62_008);
+        let spec = CampaignSpec::new(personality, personality.trunk(), seeds);
+        let (result, _) = run_campaign(&pool, &spec, &FaultPolicy::default());
         total_violations += result.records.len();
         let report = build_report(
             &pool,

@@ -16,6 +16,7 @@ use holes::pipeline::corpus::{Corpus, CorpusEntry};
 use holes::pipeline::report::junit::{junit_xml, CaseOutcome, TestCase};
 use holes::pipeline::report::sarif::{sarif_log, SarifResult};
 use holes::pipeline::shard::{run_shard, CampaignSpec};
+use holes::pipeline::FaultPolicy;
 use holes::progen::SeedRange;
 
 /// Compare `actual` against the fixture `tests/golden/<name>`, or rewrite
@@ -46,7 +47,7 @@ fn check(name: &str, actual: &str) {
 fn recorded_baseline(seeds: &str) -> Baseline {
     let range: SeedRange = seeds.parse().unwrap();
     let spec = CampaignSpec::new(Personality::Ccg, Personality::Ccg.trunk(), range);
-    let shard = run_shard(&spec).unwrap();
+    let (shard, _) = run_shard(&spec, &FaultPolicy::default()).unwrap();
     Baseline::from_tallies(&shard.spec, &shard.result.tallies())
 }
 

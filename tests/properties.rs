@@ -275,37 +275,177 @@ proptest! {
         len in 1u64..12,
         shards in 1u64..7,
         personality_index in 0usize..2,
+        inject_bits in any::<u64>(),
     ) {
         use holes_core::json::Json;
+        use holes_pipeline::fault::FaultPolicy;
         use holes_pipeline::shard::{merge_shards, run_shard, CampaignShard, CampaignSpec};
+        use holes_pipeline::stream::{read_jsonl_shard, run_shard_streaming};
         use holes_progen::SeedRange;
 
         let personality = [Personality::Ccg, Personality::Lcc][personality_index];
         let seeds = SeedRange::new(start, start + len);
         let spec = CampaignSpec::new(personality, personality.trunk(), seeds);
-        let monolithic = run_shard(&spec).unwrap();
+        // Each seed faults with probability 1/4.
+        let policy = FaultPolicy {
+            inject_seeds: (0..len)
+                .filter(|i| inject_bits >> (2 * i) & 3 == 0)
+                .map(|i| start + i)
+                .collect(),
+            ..FaultPolicy::default()
+        };
+        let (monolithic, _) = run_shard(&spec, &policy).unwrap();
+        prop_assert_eq!(monolithic.result.faults.len(), policy.inject_seeds.len());
 
-        let mut runs: Vec<CampaignShard> = Vec::new();
+        let mut classic_runs: Vec<CampaignShard> = Vec::new();
+        let mut streamed_runs: Vec<CampaignShard> = Vec::new();
         for shard in 0..shards {
-            let run = run_shard(&spec.clone().with_shard(shards, shard)).unwrap();
+            let shard_spec = spec.clone().with_shard(shards, shard);
+            let (run, _) = run_shard(&shard_spec, &policy).unwrap();
             // Round-trip through the serialized shard file, as a real
             // multi-machine campaign would.
             let rendered = run.to_json().to_pretty();
             let reparsed = CampaignShard::from_json(&Json::parse(&rendered).unwrap()).unwrap();
             prop_assert_eq!(&reparsed, &run, "shard file round-trip changed the shard");
-            runs.push(reparsed);
+            // The streamed shard of the same spec parses to the same shard.
+            let mut stream = Vec::new();
+            run_shard_streaming(&shard_spec, &mut stream, &policy).unwrap();
+            let streamed = read_jsonl_shard(&String::from_utf8(stream).unwrap()).unwrap();
+            prop_assert_eq!(&streamed, &run, "classic and streamed shards differ");
+            classic_runs.push(reparsed);
+            streamed_runs.push(streamed);
         }
 
-        let merged = merge_shards(runs).unwrap();
-        prop_assert_eq!(&merged.records, &monolithic.result.records);
-        prop_assert_eq!(merged.programs, monolithic.result.programs);
-        prop_assert_eq!(merged.table1(), monolithic.result.table1());
-        prop_assert_eq!(merged.venn(), monolithic.result.venn());
+        for runs in [classic_runs, streamed_runs] {
+            let merged = merge_shards(runs).unwrap();
+            prop_assert_eq!(&merged, &monolithic.result);
+            prop_assert_eq!(merged.table1(), monolithic.result.table1());
+            prop_assert_eq!(merged.venn(), monolithic.result.venn());
+            prop_assert_eq!(
+                merged.summary_json().to_pretty(),
+                monolithic.result.summary_json().to_pretty(),
+                "machine-readable summaries must be byte-identical"
+            );
+        }
+    }
+
+    /// The one record/fault validator, attacked: take a valid shard's line
+    /// sequence, apply a random swap, duplication, deletion, or subject/seed
+    /// rewrite, and render it both as a classic document and as a JSON
+    /// Lines stream (footer counts adjusted). Neither reader panics, and
+    /// both accept or reject alike — and, when both accept, agree on the
+    /// shard.
+    #[test]
+    fn classic_and_streamed_readers_agree_on_mutated_sequences(
+        start in 0u64..5_000,
+        len in 2u64..10,
+        shards in 1u64..3,
+        inject_bits in any::<u64>(),
+        mutation in 0usize..6,
+        at in any::<u64>(),
+        other in any::<u64>(),
+        delta in 1u64..4,
+    ) {
+        use holes_core::json::Json;
+        use holes_pipeline::fault::FaultPolicy;
+        use holes_pipeline::shard::{CampaignShard, CampaignSpec};
+        use holes_pipeline::stream::{read_jsonl_shard, run_shard_streaming};
+        use holes_progen::SeedRange;
+
+        let spec = CampaignSpec::new(
+            Personality::Ccg,
+            Personality::Ccg.trunk(),
+            SeedRange::new(start, start + len),
+        )
+        .with_shard(shards, 0);
+        let policy = FaultPolicy {
+            inject_seeds: (0..len)
+                .filter(|i| inject_bits >> (2 * i) & 3 == 0)
+                .map(|i| start + i)
+                .collect(),
+            ..FaultPolicy::default()
+        };
+        let mut stream = Vec::new();
+        run_shard_streaming(&spec, &mut stream, &policy).unwrap();
+        let text = String::from_utf8(stream).unwrap();
+        let all: Vec<&str> = text.lines().collect();
+        let (header, footer) = (all[0], Json::parse(all[all.len() - 1]).unwrap());
+        let mut lines: Vec<Json> = all[1..all.len() - 1]
+            .iter()
+            .map(|line| Json::parse(line).unwrap())
+            .collect();
+
+        let shift = |line: &mut Json, key: &str, by: u64| {
+            if let Json::Obj(pairs) = line {
+                for (name, value) in pairs.iter_mut() {
+                    if name == key {
+                        *value = Json::from_u64(value.as_u64().unwrap() + by);
+                    }
+                }
+            }
+        };
+        if !lines.is_empty() {
+            let i = (at % lines.len() as u64) as usize;
+            let j = (other % lines.len() as u64) as usize;
+            match mutation {
+                0 => lines.swap(i, j),
+                1 => {
+                    let copy = lines[i].clone();
+                    lines.insert(j, copy);
+                }
+                2 => {
+                    lines.remove(i);
+                }
+                3 => shift(&mut lines[i], "subject", delta),
+                4 => shift(&mut lines[i], "seed", delta),
+                // Move a line to another subject of this shard, keeping its
+                // seed and index consistent.
+                _ => {
+                    shift(&mut lines[i], "subject", delta * shards);
+                    shift(&mut lines[i], "seed", delta * shards);
+                }
+            }
+        }
+
+        let (faults, records): (Vec<Json>, Vec<Json>) =
+            lines.iter().cloned().partition(|line| line.get("fault").is_some());
+        let mut footer_pairs = vec![
+            ("end".to_owned(), Json::Bool(true)),
+            ("programs".to_owned(), footer.get("programs").unwrap().clone()),
+            ("records".to_owned(), Json::from_usize(records.len())),
+        ];
+        if !faults.is_empty() {
+            footer_pairs.push(("faulted".to_owned(), Json::from_usize(faults.len())));
+        }
+        let mut jsonl = format!("{header}\n");
+        for line in &lines {
+            jsonl.push_str(&format!("{}\n", line.to_compact()));
+        }
+        jsonl.push_str(&format!("{}\n", Json::Obj(footer_pairs).to_compact()));
+
+        let Json::Obj(mut document) = Json::parse(header).unwrap() else {
+            panic!("the header is an object");
+        };
+        document[0].1 = Json::str("holes.campaign/v1");
+        document.push(("programs".to_owned(), footer.get("programs").unwrap().clone()));
+        document.push(("records".to_owned(), Json::Arr(records)));
+        if !faults.is_empty() {
+            document.push(("faults".to_owned(), Json::Arr(faults)));
+        }
+
+        let classic = CampaignShard::from_json(&Json::Obj(document));
+        let streamed = read_jsonl_shard(&jsonl);
         prop_assert_eq!(
-            merged.summary_json().to_pretty(),
-            monolithic.result.summary_json().to_pretty(),
-            "machine-readable summaries must be byte-identical"
+            classic.is_ok(),
+            streamed.is_ok(),
+            "mutation {} splits the readers: classic {:?}, stream {:?}",
+            mutation,
+            classic.as_ref().err(),
+            streamed.as_ref().err()
         );
+        if let (Ok(classic), Ok(streamed)) = (classic, streamed) {
+            prop_assert_eq!(classic, streamed);
+        }
     }
 
     /// A campaign over a cold persistent store, re-run warm in a fresh
@@ -323,7 +463,7 @@ proptest! {
         use std::sync::Arc;
         use holes_pipeline::campaign::run_campaign;
         use holes_pipeline::shard::{CampaignShard, CampaignSpec};
-        use holes_pipeline::{ArtifactStore, CacheStats, Subject};
+        use holes_pipeline::{ArtifactStore, CacheStats, FaultPolicy, Subject};
         use holes_progen::SeedRange;
 
         let personality = [Personality::Ccg, Personality::Lcc][personality_index];
@@ -348,15 +488,9 @@ proptest! {
                     subject
                 })
                 .collect();
-            let result = run_campaign(&subjects, personality, personality.trunk());
-            let mut stats = CacheStats::default();
-            for subject in &subjects {
-                stats.absorb(subject.cache_stats());
-            }
-            let shard = CampaignShard {
-                spec: CampaignSpec::new(personality, personality.trunk(), seeds),
-                result,
-            };
+            let spec = CampaignSpec::new(personality, personality.trunk(), seeds);
+            let (result, stats) = run_campaign(&subjects, &spec, &FaultPolicy::default());
+            let shard = CampaignShard { spec, result };
             (shard.to_json().to_pretty(), stats)
         };
 
@@ -422,7 +556,7 @@ proptest! {
     ) {
         use holes_pipeline::fault::FaultPolicy;
         use holes_pipeline::shard::CampaignSpec;
-        use holes_pipeline::stream::{resume_shard_streaming, run_shard_streaming_with_policy};
+        use holes_pipeline::stream::{resume_shard_streaming, run_shard_streaming};
         use holes_progen::SeedRange;
 
         let personality = Personality::Ccg;
@@ -431,7 +565,7 @@ proptest! {
         let policy = FaultPolicy::default();
 
         let mut full: Vec<u8> = Vec::new();
-        run_shard_streaming_with_policy(&spec, &mut full, &policy).unwrap();
+        run_shard_streaming(&spec, &mut full, &policy).unwrap();
 
         // The kill point covers the whole file, endpoints included: 0 is a
         // fresh start, `full.len()` an already-complete no-op.
@@ -470,7 +604,7 @@ proptest! {
         use holes_pipeline::campaign::run_campaign;
         use holes_pipeline::shard::{CampaignShard, CampaignSpec};
         use holes_pipeline::store::io::FailingIo;
-        use holes_pipeline::{ArtifactStore, Subject};
+        use holes_pipeline::{ArtifactStore, FaultPolicy, Subject};
         use holes_progen::SeedRange;
 
         let personality = Personality::Ccg;
@@ -489,11 +623,9 @@ proptest! {
                     subject
                 })
                 .collect();
-            let result = run_campaign(&subjects, personality, personality.trunk());
-            let shard = CampaignShard {
-                spec: CampaignSpec::new(personality, personality.trunk(), seeds),
-                result,
-            };
+            let spec = CampaignSpec::new(personality, personality.trunk(), seeds);
+            let (result, _) = run_campaign(&subjects, &spec, &FaultPolicy::default());
+            let shard = CampaignShard { spec, result };
             shard.to_json().to_pretty()
         };
 
@@ -539,6 +671,7 @@ proptest! {
         personality_index in 0usize..2,
     ) {
         use holes_pipeline::baseline::Baseline;
+        use holes_pipeline::fault::FaultPolicy;
         use holes_pipeline::shard::{run_shard, CampaignSpec};
         use holes_progen::SeedRange;
 
@@ -548,7 +681,7 @@ proptest! {
             personality.trunk(),
             SeedRange::new(start, start + len),
         );
-        let shard = run_shard(&spec).unwrap();
+        let (shard, _) = run_shard(&spec, &FaultPolicy::default()).unwrap();
         let baseline = Baseline::from_tallies(&spec, &shard.result.tallies());
         let diff = baseline.diff(&baseline).unwrap();
         prop_assert_eq!(diff.known.len(), baseline.fingerprints.len());
@@ -574,19 +707,21 @@ proptest! {
     ) {
         use holes_pipeline::baseline::Baseline;
         use holes_pipeline::campaign::CampaignTallies;
+        use holes_pipeline::fault::FaultPolicy;
         use holes_pipeline::shard::{run_shard, CampaignSpec};
         use holes_progen::SeedRange;
 
         let range = SeedRange::new(start, start + len);
         let spec = CampaignSpec::new(Personality::Ccg, Personality::Ccg.trunk(), range);
-        let monolithic = run_shard(&spec).unwrap();
+        let (monolithic, _) = run_shard(&spec, &FaultPolicy::default()).unwrap();
         let reference =
             Baseline::from_tallies(&spec, &monolithic.result.tallies()).to_json().to_pretty();
 
         let mut tallies =
             CampaignTallies::new(spec.personality.levels().to_vec(), len as usize);
         for index in (0..shards).rev() {
-            let shard = run_shard(&spec.clone().with_shard(shards, index)).unwrap();
+            let (shard, _) =
+                run_shard(&spec.clone().with_shard(shards, index), &FaultPolicy::default()).unwrap();
             for record in &shard.result.records {
                 tallies.add(record);
             }

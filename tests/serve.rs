@@ -39,7 +39,7 @@ fn spec(start: u64, len: u64) -> CampaignSpec {
 /// The single-process unsharded stream the service must reproduce.
 fn reference_stream(spec: &CampaignSpec) -> Vec<u8> {
     let mut out = Vec::new();
-    run_shard_streaming(spec, &mut out).expect("reference run");
+    run_shard_streaming(spec, &mut out, &FaultPolicy::default()).expect("reference run");
     out
 }
 
@@ -47,7 +47,7 @@ fn reference_stream(spec: &CampaignSpec) -> Vec<u8> {
 /// evaluation and read the result back as a submittable shard.
 fn evaluate(spec: &CampaignSpec) -> CampaignShard {
     let mut out = Vec::new();
-    run_shard_streaming(spec, &mut out).expect("shard evaluates");
+    run_shard_streaming(spec, &mut out, &FaultPolicy::default()).expect("shard evaluates");
     read_jsonl_shard(&String::from_utf8(out).expect("UTF-8 stream")).expect("stream reads back")
 }
 
