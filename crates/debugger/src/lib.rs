@@ -28,18 +28,32 @@
 //! computed once per (executable, debugger personality), it maps each
 //! breakpoint address to its function name, its visible variables, and a
 //! **pre-resolved location decision** per variable — constant, machine
-//! read ([`holes_machine::MachineRead`]), or optimized-out — with every
-//! DIE walk, location-list scan, and personality quirk already applied.
+//! read ([`holes_machine::MachineRead`]), or optimized-out.
+//!
+//! Building a plan resolves each variable **once per DIE**, not once per
+//! breakpoint address. Its name, constant value, own location list,
+//! abstract-origin fallback and the lldb-like inlined-scope quirk do not
+//! depend on the address: they are decided the first time a frame lists
+//! the DIE, and the name is interned then as an `Arc<str>` shared by the
+//! whole plan. Only the location-list lookup (with the gdb-like
+//! empty-range quirk) runs per address. The scope walk reruns only where
+//! a subprogram, lexical block or inlined subroutine starts or ends, and
+//! one pass over the line table yields the breakpoint addresses in order.
+//! In the benchmark's traced campaign replay (800 ccg seeds × 6 levels,
+//! one trace per plan, 2-vCPU VM), building plans takes 4.8–4.9% of the
+//! replay's time against 5.8–6.2% for the traces they serve.
+//!
 //! [`trace_with_plan`] then services each stop with a binary search plus
-//! one batched machine read: no DIE traversal, no per-stop `String`
-//! allocation (names are interned once per plan as `Arc<str>` and shared
-//! by every [`VarView`] and [`LineStop`]). [`trace`] builds a plan and
-//! runs it; [`trace_unplanned`] keeps the original per-stop resolution as
-//! the reference implementation, and the property suite holds the two
-//! paths to full [`DebugTrace`] equality (the paths share the leaf
-//! location-decision procedure, so the property guards the planning and
-//! batching machinery; the decisions themselves are pinned by the
-//! personality-quirk unit tests).
+//! one batched machine read: no DIE traversal and no per-stop `String`
+//! allocation (every [`VarView`] and [`LineStop`] shares the plan's
+//! names). [`trace`] builds a plan and runs it; [`trace_unplanned`] keeps
+//! per-stop resolution as the reference implementation, and the property
+//! suite holds the two paths to full [`DebugTrace`] equality. Both paths
+//! run the same two-step decision (`decide` per DIE, `resolve` per
+//! address), so the property guards the planning machinery — the per-DIE
+//! memo, the scope-walk reuse, the line-table pass and the batched reads;
+//! the decisions themselves are pinned by the personality-quirk unit
+//! tests.
 
 #![forbid(unsafe_code)]
 
@@ -225,11 +239,12 @@ pub struct FramePlan {
 /// A precomputed debugging session plan for one (executable, debugger
 /// personality) pair.
 ///
-/// Construction ([`StopPlan::compute`]) performs every address-dependent
-/// piece of frame inspection **once per breakpoint address** — subprogram
-/// lookup (via [`ScopeIndex`]), scope and inlined-subroutine walks,
-/// abstract-origin chasing, location-list resolution, and the personality
-/// quirks — and interns every name as an `Arc<str>`. Servicing a stop with
+/// Construction ([`StopPlan::compute`]) performs every piece of frame
+/// inspection ahead of time — subprogram lookup (via [`ScopeIndex`]),
+/// scope and inlined-subroutine walks, abstract-origin chasing,
+/// location-list resolution, and the personality quirks — resolving each
+/// DIE once and only its location lookup once per breakpoint address, and
+/// interns every name as an `Arc<str>`. Servicing a stop with
 /// [`trace_with_plan`] is then a binary search over the address table plus
 /// one batched machine read; nothing is re-derived and no per-stop strings
 /// are allocated. Plans depend only on the executable's debug information,
@@ -248,22 +263,26 @@ impl StopPlan {
     /// personality.
     pub fn compute(executable: &Executable, kind: DebuggerKind) -> StopPlan {
         let debug = &executable.debug;
-        let steppable_lines = debug.line_table.steppable_lines();
-        let index = ScopeIndex::new(debug);
-        let mut interner: HashMap<String, Arc<str>> = HashMap::new();
-        // Steppable lines are ascending, so `or_insert` keeps the lowest
-        // line when two lines share a first address — the same tie-break
-        // the unplanned tracer applies.
-        let mut frames: BTreeMap<u64, FramePlan> = BTreeMap::new();
-        for (line, address) in debug.line_table.first_stmt_addresses() {
-            frames
-                .entry(address)
-                .or_insert_with(|| plan_frame(debug, &index, kind, address, line, &mut interner));
-        }
+        let (sites, steppable_lines) = debug.line_table.first_stmt_addresses();
+        let mut planner = Planner {
+            debug,
+            kind,
+            index: ScopeIndex::new(debug),
+            names: HashMap::new(),
+            memo: vec![Memo::Unseen; debug.len()],
+            scope: None,
+            dies: Vec::new(),
+            outer: 0,
+            stack: Vec::new(),
+        };
+        let frames = sites
+            .into_iter()
+            .map(|(address, line)| (address, planner.frame(address, line)))
+            .collect();
         StopPlan {
             kind,
             steppable_lines,
-            frames: frames.into_iter().collect(),
+            frames,
         }
     }
 
@@ -292,52 +311,106 @@ impl StopPlan {
     }
 }
 
-/// Intern a name, returning the shared allocation for repeats.
-fn intern(interner: &mut HashMap<String, Arc<str>>, name: &str) -> Arc<str> {
-    if let Some(found) = interner.get(name) {
-        return Arc::clone(found);
-    }
-    let shared: Arc<str> = Arc::from(name);
-    interner.insert(name.to_owned(), Arc::clone(&shared));
-    shared
+/// The working state of one [`StopPlan::compute`]: each data DIE's
+/// address-independent half is resolved once and reused at every
+/// breakpoint address that lists it.
+struct Planner<'a> {
+    debug: &'a DebugInfo,
+    kind: DebuggerKind,
+    index: ScopeIndex,
+    /// One shared allocation per distinct name.
+    names: HashMap<&'a str, Arc<str>>,
+    /// Indexed by [`DieId`]. A data DIE is reached either from the
+    /// subprogram's scope or from an inlined subroutine's, never both — its
+    /// nearest non-block ancestor decides — so `in_inlined_scope` is fixed
+    /// per DIE and so is its [`Decision`].
+    memo: Vec<Memo<'a>>,
+    /// The segment the scope fields below were walked for, and the
+    /// covering function's name there.
+    scope: Option<(usize, Arc<str>)>,
+    /// The data DIEs in scope, in frame-listing order; those from
+    /// position `outer` on belong to the innermost inlined subroutine.
+    dies: Vec<DieId>,
+    outer: usize,
+    /// Scope-walk scratch.
+    stack: Vec<DieId>,
 }
 
-/// Precompute the frame listing of one breakpoint address.
-fn plan_frame(
-    debug: &DebugInfo,
-    index: &ScopeIndex,
-    kind: DebuggerKind,
-    address: u64,
-    line: u32,
-    interner: &mut HashMap<String, Arc<str>>,
-) -> FramePlan {
-    let mut vars = Vec::new();
-    let mut function = intern(interner, "");
-    if let Some(subprogram) = index.subprogram_at(address) {
-        function = intern(interner, debug.die(subprogram).name().unwrap_or("?"));
-        let mut dies: Vec<(DieId, bool)> = debug
-            .data_dies_in_scope(subprogram, address)
-            .into_iter()
-            .map(|d| (d, false))
-            .collect();
-        if let Some(inlined) = debug.innermost_inlined_at(subprogram, address) {
-            for die in debug.data_dies_in_scope(inlined, address) {
-                dies.push((die, true));
+/// A DIE's entry in the plan's per-DIE memo.
+#[derive(Clone)]
+enum Memo<'a> {
+    /// No frame has listed the DIE yet.
+    Unseen,
+    /// The DIE has no name, so no frame lists it.
+    Nameless,
+    /// The DIE's interned name and address-independent decision.
+    Var(Arc<str>, Decision<'a>),
+}
+
+impl<'a> Planner<'a> {
+    /// The interned allocation of a name.
+    fn name(&mut self, name: &'a str) -> Arc<str> {
+        Arc::clone(self.names.entry(name).or_insert_with(|| Arc::from(name)))
+    }
+
+    /// Precompute the frame listing of one breakpoint address. The scope
+    /// walk runs only when the address enters a new segment
+    /// ([`ScopeIndex::segment`]); the location-list lookups run for every
+    /// address; everything else comes from the per-DIE memo.
+    fn frame(&mut self, address: u64, line: u32) -> FramePlan {
+        let segment = self.index.segment(address);
+        let function = match &self.scope {
+            Some((walked, function)) if *walked == segment => Arc::clone(function),
+            _ => {
+                let function = self.walk_scopes(address);
+                self.scope = Some((segment, Arc::clone(&function)));
+                function
+            }
+        };
+        let mut vars = Vec::with_capacity(self.dies.len());
+        for position in 0..self.dies.len() {
+            let die = self.dies[position];
+            if let Memo::Unseen = self.memo[die.0] {
+                let debug = self.debug;
+                self.memo[die.0] = match debug.die(die).name() {
+                    Some(name) => {
+                        let decision = decide(debug, self.kind, die, position >= self.outer);
+                        Memo::Var(self.name(name), decision)
+                    }
+                    None => Memo::Nameless,
+                };
+            }
+            if let Memo::Var(name, decision) = &self.memo[die.0] {
+                vars.push(VarPlan {
+                    name: Arc::clone(name),
+                    value: resolve(*decision, self.kind, address),
+                });
             }
         }
-        for (die, in_inlined) in dies {
-            let entry = debug.die(die);
-            let Some(name) = entry.name() else { continue };
-            vars.push(VarPlan {
-                name: intern(interner, name),
-                value: plan_variable(debug, kind, die, in_inlined, address),
-            });
+        FramePlan {
+            line,
+            function,
+            vars,
         }
     }
-    FramePlan {
-        line,
-        function,
-        vars,
+
+    /// Walk the scopes covering `address` into `dies` and `outer`, and
+    /// return the interned name of the covering function (empty when none
+    /// covers it).
+    fn walk_scopes(&mut self, address: u64) -> Arc<str> {
+        let debug = self.debug;
+        self.dies.clear();
+        self.outer = 0;
+        let Some(subprogram) = self.index.subprogram_at(address) else {
+            return self.name("");
+        };
+        debug.append_data_dies_in_scope(subprogram, address, &mut self.stack, &mut self.dies);
+        self.outer = self.dies.len();
+        if let Some(inlined) = debug.innermost_inlined_at_with(subprogram, address, &mut self.stack)
+        {
+            debug.append_data_dies_in_scope(inlined, address, &mut self.stack, &mut self.dies);
+        }
+        self.name(debug.die(subprogram).name().unwrap_or("?"))
     }
 }
 
@@ -447,11 +520,11 @@ pub fn trace_with_plan_fuel(
 /// equal [`DebugTrace`] for every executable and personality).
 ///
 /// Both paths deliberately share the per-variable decision procedure
-/// (`plan_variable`), so the differential property guards everything the
-/// plan *adds* — breakpoint/address mapping, the indexed subprogram
-/// lookup, scope-walk precomputation, interning, and batched reads — not
-/// the leaf location semantics, which the personality-quirk unit tests
-/// and the conjecture suites pin directly.
+/// (`decide`, then `resolve`), so the differential property guards
+/// everything the plan *adds* — breakpoint/address mapping, the indexed
+/// subprogram lookup, the per-DIE memo and scope-walk reuse, interning,
+/// and batched reads — not the leaf location semantics, which the
+/// personality-quirk unit tests and the conjecture suites pin directly.
 pub fn trace_unplanned(executable: &Executable, kind: DebuggerKind) -> DebugTrace {
     let steppable = executable.debug.line_table.steppable_lines();
     let mut breakpoints: BreakpointSet = steppable
@@ -535,7 +608,7 @@ fn resolve_variable(
     in_inlined_scope: bool,
     address: u64,
 ) -> Availability {
-    match plan_variable(debug, kind, die, in_inlined_scope, address) {
+    match resolve(decide(debug, kind, die, in_inlined_scope), kind, address) {
         ValuePlan::Const(c) => Availability::Available(c),
         ValuePlan::OptimizedOut => Availability::OptimizedOut,
         ValuePlan::Read(read) => machine
@@ -545,42 +618,63 @@ fn resolve_variable(
     }
 }
 
-/// Decide how one variable DIE resolves at an address, honouring the
-/// personality quirks. This is the shared decision procedure of both trace
-/// paths: the planned path runs it once per breakpoint address, the
-/// unplanned path at every stop.
-fn plan_variable(
+/// The address-independent half of a variable's location decision.
+#[derive(Debug, Clone, Copy)]
+enum Decision<'a> {
+    /// The value is this constant everywhere (`DW_AT_const_value` on the
+    /// DIE or on its abstract origin).
+    Const(i64),
+    /// No location at all, or the lldb-like inlined-scope quirk hides it.
+    OptimizedOut,
+    /// The location list each stop address is looked up in.
+    LocList(&'a [LocListEntry]),
+}
+
+/// Decide everything about a variable DIE that does not depend on the stop
+/// address, honouring the lldb-like personality quirk. Together with
+/// [`resolve`] this is the one decision procedure of both trace paths: the
+/// planned path decides once per DIE and resolves once per breakpoint
+/// address, the unplanned path does both at every stop.
+fn decide(
     debug: &DebugInfo,
     kind: DebuggerKind,
     die: DieId,
     in_inlined_scope: bool,
-    address: u64,
-) -> ValuePlan {
+) -> Decision<'_> {
     let entry = debug.die(die);
     if let Some(AttrValue::Signed(c)) = entry.attr(Attr::ConstValue) {
-        return ValuePlan::Const(*c);
+        return Decision::Const(*c);
     }
-    let mut loclist = entry.attr(Attr::Location).and_then(AttrValue::as_loclist);
+    if let Some(entries) = entry.attr(Attr::Location).and_then(AttrValue::as_loclist) {
+        return Decision::LocList(entries);
+    }
     // Follow the abstract origin when the concrete DIE has no location of its
     // own — unless we are the lldb-like debugger looking at an inlined
     // variable (the paper's lldb bug 50076).
-    let origin_entry;
-    if loclist.is_none() {
-        if let Some(AttrValue::Ref(origin)) = entry.attr(Attr::AbstractOrigin) {
-            if kind == DebuggerKind::LldbLike && in_inlined_scope {
-                return ValuePlan::OptimizedOut;
-            }
-            origin_entry = debug.die(*origin);
-            if let Some(AttrValue::Signed(c)) = origin_entry.attr(Attr::ConstValue) {
-                return ValuePlan::Const(*c);
-            }
-            loclist = origin_entry
-                .attr(Attr::Location)
-                .and_then(AttrValue::as_loclist);
-        }
+    let Some(AttrValue::Ref(origin)) = entry.attr(Attr::AbstractOrigin) else {
+        return Decision::OptimizedOut;
+    };
+    if kind == DebuggerKind::LldbLike && in_inlined_scope {
+        return Decision::OptimizedOut;
     }
-    let Some(entries) = loclist else {
-        return ValuePlan::OptimizedOut;
+    let origin = debug.die(*origin);
+    if let Some(AttrValue::Signed(c)) = origin.attr(Attr::ConstValue) {
+        return Decision::Const(*c);
+    }
+    origin
+        .attr(Attr::Location)
+        .and_then(AttrValue::as_loclist)
+        .map_or(Decision::OptimizedOut, Decision::LocList)
+}
+
+/// Resolve a [`Decision`] at one stop address: the location-list lookup
+/// (with the gdb-like empty-range quirk) and its mapping to a
+/// [`ValuePlan`].
+fn resolve(decision: Decision<'_>, kind: DebuggerKind, address: u64) -> ValuePlan {
+    let entries = match decision {
+        Decision::Const(c) => return ValuePlan::Const(c),
+        Decision::OptimizedOut => return ValuePlan::OptimizedOut,
+        Decision::LocList(entries) => entries,
     };
     let location = match kind {
         DebuggerKind::LldbLike => holes_debuginfo::location::lookup(entries, address),
@@ -643,6 +737,7 @@ pub fn die_variable_names(debug: &DebugInfo) -> Vec<String> {
 mod tests {
     use super::*;
     use holes_compiler::{compile, CompilerConfig, OptLevel, Personality};
+    use holes_debuginfo::LineRow;
     use holes_minic::ast::{BinOp, Expr, LValue, Program, Stmt, Ty, VarRef};
     use holes_minic::build::ProgramBuilder;
 
@@ -803,6 +898,159 @@ mod tests {
             occurrences > by_name.len(),
             "sample trace never repeats a variable; interning is unexercised"
         );
+    }
+
+    /// `sample_program` at O0 with its `main` subprogram DIE, ready for
+    /// hand edits to the debug information.
+    fn sample_o0() -> (Executable, DieId) {
+        let exe = compile(
+            &sample_program(),
+            &CompilerConfig::new(Personality::Ccg, OptLevel::O0),
+        );
+        let main = exe
+            .debug
+            .iter()
+            .find(|(_, die)| die.tag == DieTag::Subprogram && die.name() == Some("main"))
+            .map(|(id, _)| id)
+            .unwrap();
+        (exe, main)
+    }
+
+    /// The planned traces of both personalities, each asserted equal to the
+    /// unplanned reference: `[gdb-like, lldb-like]`.
+    fn planned_equal_the_reference(exe: &Executable) -> [DebugTrace; 2] {
+        [DebuggerKind::GdbLike, DebuggerKind::LldbLike].map(|kind| {
+            let planned = trace_with_plan(exe, &StopPlan::compute(exe, kind));
+            assert_eq!(planned, trace_unplanned(exe, kind), "{kind:?}");
+            assert!(!planned.stops.is_empty());
+            planned
+        })
+    }
+
+    fn text(value: &str) -> AttrValue {
+        AttrValue::Text(value.to_owned())
+    }
+
+    #[test]
+    fn lines_sharing_a_first_address_stop_as_the_lowest_line() {
+        let (mut exe, _) = sample_o0();
+        let before = trace_unplanned(&exe, DebuggerKind::GdbLike);
+        let last = before.stops.last().unwrap();
+        let (address, line) = (last.address, last.line);
+        // Line 1 declares a global: it is not steppable until this edit.
+        assert!(!before.steppable_lines.contains(&1));
+        for extra in [line + 100, 1] {
+            exe.debug.line_table.push(LineRow {
+                address,
+                line: extra,
+                is_stmt: true,
+            });
+        }
+        for t in planned_equal_the_reference(&exe) {
+            for steppable in [1, line, line + 100] {
+                assert!(t.steppable_lines.contains(&steppable));
+            }
+            let stop = t.stops.iter().find(|s| s.address == address).unwrap();
+            assert_eq!(stop.line, 1);
+            assert!(t.stop_at(line).is_none());
+        }
+    }
+
+    #[test]
+    fn a_partial_lexical_block_lists_its_variable_only_where_it_covers() {
+        let (mut exe, main) = sample_o0();
+        let mut addresses: Vec<u64> = trace_unplanned(&exe, DebuggerKind::GdbLike)
+            .stops
+            .iter()
+            .map(|s| s.address)
+            .collect();
+        addresses.sort_unstable();
+        let (low, high) = (addresses[1], addresses[addresses.len() - 1]);
+        let block = exe.debug.add_die(main, DieTag::LexicalBlock);
+        exe.debug.set_attr(block, Attr::LowPc, AttrValue::Addr(low));
+        exe.debug
+            .set_attr(block, Attr::HighPc, AttrValue::Addr(high));
+        let scoped = exe.debug.add_die(block, DieTag::Variable);
+        exe.debug.set_attr(scoped, Attr::Name, text("scoped"));
+        exe.debug
+            .set_attr(scoped, Attr::ConstValue, AttrValue::Signed(7));
+        for t in planned_equal_the_reference(&exe) {
+            let mut listed = 0;
+            for stop in &t.stops {
+                let found = stop.variables.iter().find(|v| &*v.name == "scoped");
+                if (low..high).contains(&stop.address) {
+                    assert_eq!(found.unwrap().availability, Availability::Available(7));
+                    listed += 1;
+                } else {
+                    assert!(found.is_none(), "listed outside the block at {stop:?}");
+                }
+            }
+            assert!(listed > 0 && listed < t.stops.len());
+        }
+    }
+
+    #[test]
+    fn an_origin_only_inlined_location_is_shown_by_gdb_and_hidden_by_lldb() {
+        let (mut exe, main) = sample_o0();
+        let (low, high) = exe.debug.die(main).pc_range().unwrap();
+        let debug = &mut exe.debug;
+        let callee = debug.add_die(debug.root(), DieTag::Subprogram);
+        debug.set_attr(callee, Attr::Name, text("callee"));
+        let origin = debug.add_die(callee, DieTag::Variable);
+        debug.set_attr(origin, Attr::Name, text("inl"));
+        debug.set_attr(
+            origin,
+            Attr::Location,
+            AttrValue::LocList(vec![LocListEntry::new(low, high, Location::ConstValue(11))]),
+        );
+        let inlined = debug.add_die(main, DieTag::InlinedSubroutine);
+        debug.set_attr(inlined, Attr::LowPc, AttrValue::Addr(low));
+        debug.set_attr(inlined, Attr::HighPc, AttrValue::Addr(high));
+        debug.set_attr(inlined, Attr::AbstractOrigin, AttrValue::Ref(callee));
+        let concrete = debug.add_die(inlined, DieTag::Variable);
+        debug.set_attr(concrete, Attr::Name, text("inl"));
+        debug.set_attr(concrete, Attr::AbstractOrigin, AttrValue::Ref(origin));
+        let [gdb, lldb] = planned_equal_the_reference(&exe);
+        for (t, expected) in [
+            (gdb, Availability::Available(11)),
+            (lldb, Availability::OptimizedOut),
+        ] {
+            for stop in &t.stops {
+                let inl = stop.variables.iter().find(|v| &*v.name == "inl").unwrap();
+                assert_eq!(inl.availability, expected);
+            }
+        }
+    }
+
+    #[test]
+    fn dies_with_the_same_name_share_one_allocation() {
+        let (mut exe, main) = sample_o0();
+        let outer = exe.debug.add_die(main, DieTag::Variable);
+        exe.debug.set_attr(outer, Attr::Name, text("twin"));
+        exe.debug
+            .set_attr(outer, Attr::ConstValue, AttrValue::Signed(1));
+        // A block without a pc range is in scope everywhere.
+        let block = exe.debug.add_die(main, DieTag::LexicalBlock);
+        let inner = exe.debug.add_die(block, DieTag::Variable);
+        exe.debug.set_attr(inner, Attr::Name, text("twin"));
+        exe.debug
+            .set_attr(inner, Attr::ConstValue, AttrValue::Signed(2));
+        for t in planned_equal_the_reference(&exe) {
+            let twins: Vec<&VarView> = t
+                .stops
+                .iter()
+                .flat_map(|stop| &stop.variables)
+                .filter(|v| &*v.name == "twin")
+                .collect();
+            assert_eq!(twins.len(), 2 * t.stops.len());
+            assert!(twins
+                .iter()
+                .any(|v| v.availability == Availability::Available(1)));
+            assert!(twins
+                .iter()
+                .any(|v| v.availability == Availability::Available(2)));
+            assert!(twins.iter().all(|v| Arc::ptr_eq(&v.name, &twins[0].name)));
+        }
     }
 
     #[test]

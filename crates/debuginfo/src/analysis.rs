@@ -122,7 +122,8 @@ fn rank(category: DieCategory) -> u8 {
     }
 }
 
-/// An address-indexed view of a DIE tree's subprogram ranges.
+/// An address-indexed view of a DIE tree's subprogram ranges and scope
+/// boundaries.
 ///
 /// [`DebugInfo::subprogram_at`] scans every DIE of the tree for each lookup,
 /// which is fine for one-off queries but quadratic when a consumer resolves
@@ -140,6 +141,9 @@ pub struct ScopeIndex {
     /// scanning backwards as soon as no earlier range can still cover the
     /// address.
     prefix_max_high: Vec<u64>,
+    /// Every `low` and `high` pc of every scope DIE (subprogram, lexical
+    /// block, inlined subroutine) with a pc range, sorted and deduplicated.
+    boundaries: Vec<u64>,
 }
 
 impl ScopeIndex {
@@ -147,12 +151,21 @@ impl ScopeIndex {
     /// are not indexed — they cover no address, as in
     /// [`crate::die::Die::covers`].
     pub fn new(info: &DebugInfo) -> ScopeIndex {
-        let mut subprograms: Vec<(u64, u64, DieId)> = info
-            .iter()
-            .filter(|(_, die)| die.tag == DieTag::Subprogram)
-            .filter_map(|(id, die)| die.pc_range().map(|(low, high)| (low, high, id)))
-            .collect();
+        let mut subprograms: Vec<(u64, u64, DieId)> = Vec::new();
+        let mut boundaries: Vec<u64> = Vec::new();
+        // Data DIEs' ranges never decide a scope walk.
+        for (id, die) in info.iter().filter(|(_, die)| !die.tag.is_data()) {
+            let Some((low, high)) = die.pc_range() else {
+                continue;
+            };
+            boundaries.extend([low, high]);
+            if die.tag == DieTag::Subprogram {
+                subprograms.push((low, high, id));
+            }
+        }
         subprograms.sort_unstable();
+        boundaries.sort_unstable();
+        boundaries.dedup();
         let mut prefix_max_high = Vec::with_capacity(subprograms.len());
         let mut max_high = 0u64;
         for &(_, high, _) in &subprograms {
@@ -162,6 +175,7 @@ impl ScopeIndex {
         ScopeIndex {
             subprograms,
             prefix_max_high,
+            boundaries,
         }
     }
 
@@ -187,6 +201,15 @@ impl ScopeIndex {
             }
         }
         found
+    }
+
+    /// The segment of `address`: two addresses share a segment when no
+    /// scope DIE's pc range starts or ends between them, so the same
+    /// subprograms, lexical blocks and inlined subroutines cover both and
+    /// every scope walk gives the same answer at either.
+    pub fn segment(&self, address: u64) -> usize {
+        self.boundaries
+            .partition_point(|&boundary| boundary <= address)
     }
 
     /// Number of indexed (concrete) subprograms.
@@ -331,6 +354,24 @@ mod tests {
         for address in [0x120, 0x140, 0x150, 0x15f, 0x160, 0x1f0] {
             assert_eq!(index.subprogram_at(address), info.subprogram_at(address));
         }
+    }
+
+    #[test]
+    fn scope_index_segments_split_at_every_scope_boundary() {
+        let (mut info, sub) = base_info();
+        let block = info.add_die(sub, DieTag::LexicalBlock);
+        info.set_attr(block, Attr::LowPc, AttrValue::Addr(0x140));
+        info.set_attr(block, Attr::HighPc, AttrValue::Addr(0x160));
+        // A data DIE's range is no scope boundary.
+        let var = info.add_die(sub, DieTag::Variable);
+        info.set_attr(var, Attr::LowPc, AttrValue::Addr(0x120));
+        info.set_attr(var, Attr::HighPc, AttrValue::Addr(0x130));
+        let index = ScopeIndex::new(&info);
+        let segments: Vec<usize> = [0x0, 0x100, 0x120, 0x13f, 0x140, 0x15f, 0x160, 0x1ff, 0x200]
+            .iter()
+            .map(|&address| index.segment(address))
+            .collect();
+        assert_eq!(segments, vec![0, 1, 1, 1, 2, 2, 3, 3, 4]);
     }
 
     #[test]

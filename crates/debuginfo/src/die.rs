@@ -301,8 +301,20 @@ impl DebugInfo {
     /// Innermost inlined subroutine covering `address` within `subprogram`,
     /// if any (walks nested inlined subroutines).
     pub fn innermost_inlined_at(&self, subprogram: DieId, address: u64) -> Option<DieId> {
+        self.innermost_inlined_at_with(subprogram, address, &mut Vec::new())
+    }
+
+    /// [`DebugInfo::innermost_inlined_at`] with a caller-owned walk stack,
+    /// for callers that resolve many addresses in a row.
+    pub fn innermost_inlined_at_with(
+        &self,
+        subprogram: DieId,
+        address: u64,
+        stack: &mut Vec<DieId>,
+    ) -> Option<DieId> {
         let mut found = None;
-        let mut stack = vec![subprogram];
+        stack.clear();
+        stack.push(subprogram);
         while let Some(id) = stack.pop() {
             for &child in &self.die(id).children {
                 let die = self.die(child);
@@ -323,21 +335,40 @@ impl DebugInfo {
     /// `address` or have no pc range.
     pub fn data_dies_in_scope(&self, scope: DieId, address: u64) -> Vec<DieId> {
         let mut out = Vec::new();
-        let mut stack = vec![scope];
+        self.append_data_dies_in_scope(scope, address, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// [`DebugInfo::data_dies_in_scope`] into caller-owned buffers: appends
+    /// the scope's data DIEs, in id order, to `out` (leaving what `out`
+    /// already holds in place) and uses `stack` as the walk's scratch.
+    pub fn append_data_dies_in_scope(
+        &self,
+        scope: DieId,
+        address: u64,
+        stack: &mut Vec<DieId>,
+        out: &mut Vec<DieId>,
+    ) {
+        let start = out.len();
+        stack.clear();
+        stack.push(scope);
         while let Some(id) = stack.pop() {
             for &child in &self.die(id).children {
                 let die = self.die(child);
                 match die.tag {
                     DieTag::Variable | DieTag::FormalParameter => out.push(child),
-                    DieTag::LexicalBlock if (die.pc_range().is_none() || die.covers(address)) => {
+                    DieTag::LexicalBlock
+                        if die
+                            .pc_range()
+                            .is_none_or(|(low, high)| low <= address && address < high) =>
+                    {
                         stack.push(child);
                     }
                     _ => {}
                 }
             }
         }
-        out.sort_unstable();
-        out
+        out[start..].sort_unstable();
     }
 
     /// Find a child data DIE (variable or parameter) of `scope` by name,

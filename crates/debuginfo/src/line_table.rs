@@ -68,18 +68,33 @@ impl LineTable {
             .min()
     }
 
-    /// The first `is_stmt` address of *every* steppable line, in one pass —
-    /// the bulk form of [`LineTable::first_address_of_line`] used when a
-    /// consumer (the debugger's breakpoint placement and stop-plan
-    /// precomputation) needs the whole mapping rather than one line.
-    pub fn first_stmt_addresses(&self) -> std::collections::BTreeMap<u32, u64> {
-        let mut map = std::collections::BTreeMap::new();
+    /// Every breakpoint site of the table in one pass — the bulk form of
+    /// [`LineTable::first_address_of_line`] and
+    /// [`LineTable::steppable_lines`] used when a consumer (the debugger's
+    /// stop-plan precomputation) needs the whole mapping rather than one
+    /// line.
+    ///
+    /// Returns the address-ordered `(address, line)` pairs, one per
+    /// distinct first `is_stmt` address (when several lines start at the
+    /// same address, the lowest line wins), together with the steppable
+    /// lines. Rows are already address-ordered, so a line's first
+    /// occurrence is its first address: one walk over the rows keeps the
+    /// lines seen so far sorted, and since lines mostly ascend with the
+    /// address, most insertions are appends.
+    pub fn first_stmt_addresses(&self) -> (Vec<(u64, u32)>, Vec<u32>) {
+        let mut lines: Vec<u32> = Vec::new();
+        let mut sites: Vec<(u64, u32)> = Vec::new();
         for row in self.rows.iter().filter(|r| r.is_stmt) {
-            map.entry(row.line)
-                .and_modify(|first: &mut u64| *first = (*first).min(row.address))
-                .or_insert(row.address);
+            let Err(index) = lines.binary_search(&row.line) else {
+                continue;
+            };
+            lines.insert(index, row.line);
+            match sites.last_mut() {
+                Some(last) if last.0 == row.address => last.1 = last.1.min(row.line),
+                _ => sites.push((row.address, row.line)),
+            }
         }
-        map
+        (sites, lines)
     }
 
     /// All `is_stmt` addresses of a line (loop unrolling can produce several).
@@ -184,12 +199,22 @@ mod tests {
 
     #[test]
     fn bulk_first_addresses_agree_with_the_per_line_lookup() {
-        let t = table();
-        let bulk = t.first_stmt_addresses();
-        assert_eq!(bulk.len(), t.steppable_lines().len());
+        let mut t = table();
+        // Line 4 starts at line 6's first address: the lowest line wins the
+        // site, and both stay steppable.
+        t.push(LineRow {
+            address: 0x108,
+            line: 4,
+            is_stmt: true,
+        });
+        let (sites, lines) = t.first_stmt_addresses();
+        assert_eq!(lines, t.steppable_lines());
+        assert_eq!(sites, vec![(0x100, 5), (0x108, 4)]);
         for line in t.steppable_lines() {
-            assert_eq!(bulk.get(&line).copied(), t.first_address_of_line(line));
+            let first = t.first_address_of_line(line).unwrap();
+            let site = sites.iter().find(|&&(address, _)| address == first);
+            assert!(site.is_some_and(|&(_, winner)| winner <= line));
         }
-        assert!(LineTable::new().first_stmt_addresses().is_empty());
+        assert_eq!(LineTable::new().first_stmt_addresses(), (vec![], vec![]));
     }
 }

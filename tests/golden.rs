@@ -1,7 +1,7 @@
 //! Golden-file tests for the CI-facing emitters: baseline documents,
-//! baseline diffs (text/JSON/SARIF/JUnit), SARIF logs, JUnit XML, and
-//! corpus entries are compared byte-for-byte against checked-in fixtures
-//! under `tests/golden/`.
+//! baseline diffs (text/JSON/SARIF/JUnit), SARIF logs, JUnit XML, corpus
+//! entries, the triage table and a reduce transcript are compared
+//! byte-for-byte against checked-in fixtures under `tests/golden/`.
 //!
 //! When an emitter changes on purpose, re-bless the fixtures with
 //! `HOLES_BLESS=1 cargo test --test golden` and review the diff like any
@@ -9,14 +9,17 @@
 
 use std::path::Path;
 
-use holes::compiler::{BackendKind, OptLevel, Personality};
+use holes::compiler::{BackendKind, CompilerConfig, OptLevel, Personality};
 use holes::core::{Conjecture, Observed};
 use holes::pipeline::baseline::Baseline;
+use holes::pipeline::campaign::run_campaign;
 use holes::pipeline::corpus::{Corpus, CorpusEntry};
+use holes::pipeline::reduce::reduce;
 use holes::pipeline::report::junit::{junit_xml, CaseOutcome, TestCase};
 use holes::pipeline::report::sarif::{sarif_log, SarifResult};
 use holes::pipeline::shard::{run_shard, CampaignSpec};
-use holes::pipeline::FaultPolicy;
+use holes::pipeline::triage::{triage, triage_campaign};
+use holes::pipeline::{subject_pool, FaultPolicy, Subject};
 use holes::progen::SeedRange;
 
 /// Compare `actual` against the fixture `tests/golden/<name>`, or rewrite
@@ -152,4 +155,64 @@ fn corpus_document_bytes_are_stable() {
         reduced_source: "int a0 = 0;\n".to_owned(),
     });
     check("corpus.json", &corpus.to_json().to_pretty());
+}
+
+/// The bytes of `holes triage --personality lcc --seeds 2500..2506 --limit
+/// 1000000 --json`. Every bisection probe traces through a freshly built
+/// stop plan, so this pins the debugger's planning on the triage path.
+#[test]
+fn triage_table_bytes_are_stable() {
+    let seeds: SeedRange = "2500..2506".parse().unwrap();
+    let spec = CampaignSpec::new(Personality::Lcc, Personality::Lcc.trunk(), seeds);
+    let subjects = subject_pool(seeds.start, seeds.len() as usize);
+    let policy = FaultPolicy::default();
+    let (result, _) = run_campaign(&subjects, &spec, &policy);
+    let (table, faults, _) = triage_campaign(&subjects, &spec, &result, 1_000_000, &policy);
+    assert!(faults.is_empty());
+    check(
+        "cli-triage-2500-2506-lcc.json",
+        &table.to_json().to_pretty(),
+    );
+}
+
+/// The transcript of `holes reduce --personality lcc --seed 2501`, whose
+/// reduction shrinks the program: the first violating level, the bisected
+/// culprit, and the reduced source the reducer's re-queries converge on.
+#[test]
+fn reduce_transcript_bytes_are_stable() {
+    let seed = 2501;
+    let subject = Subject::from_seed(seed);
+    let (config, violation) = Personality::Lcc
+        .levels()
+        .iter()
+        .find_map(|&level| {
+            let config = CompilerConfig::new(Personality::Lcc, level);
+            let violation = subject.violations(&config).first().cloned()?;
+            Some((config, violation))
+        })
+        .expect("seed 2501 violates under lcc");
+    let outcome = triage(&subject, &config, &violation);
+    let culprit = outcome.culprits.first().expect("bisection names a culprit");
+    let reduced = reduce(&subject, &config, &violation, Some(culprit));
+    assert!(reduced.reduced_statements < reduced.original_statements);
+    let transcript = format!(
+        "seed {seed}: {} violation at {} — variable `{}` at line {}, observed {}\n\
+         culprit: {culprit} (of {:?})\n\
+         reduced {} -> {} statements ({:.0}% smaller) in {} attempts\n\
+         \n\
+         // reduced program (seed {seed})\n\
+         {}",
+        violation.conjecture,
+        config.describe(),
+        violation.variable,
+        violation.line,
+        violation.observed,
+        outcome.culprits,
+        reduced.original_statements,
+        reduced.reduced_statements,
+        reduced.reduction_ratio() * 100.0,
+        reduced.attempts,
+        reduced.subject.source.text,
+    );
+    check("cli-reduce-2501-lcc.txt", &transcript);
 }

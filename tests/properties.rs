@@ -160,46 +160,45 @@ proptest! {
         }
     }
 
-    /// The planned tracer is invisible: for arbitrary programs, both
-    /// backends, both debugger personalities, and every optimization level
-    /// (O0 included), servicing stops from a precomputed [`StopPlan`]
-    /// produces a `DebugTrace` **equal** (full structural equality — stops,
-    /// values, names, line universe) to the unplanned reference path that
-    /// re-resolves scope DIEs and location lists at every stop.
+    /// The planned tracer is invisible: for arbitrary programs, every
+    /// optimization level of the drawn personality (O0 included), all three
+    /// backends and both debugger personalities, servicing stops from a
+    /// precomputed [`StopPlan`] produces a `DebugTrace` **equal** (full
+    /// structural equality — stops, values, names, line universe) to the
+    /// unplanned reference path that re-resolves scope DIEs and location
+    /// lists at every stop.
     #[test]
     fn planned_traces_equal_the_unplanned_reference(
         seed in 0u64..300,
-        level_index in 0usize..7,
         personality_index in 0usize..2,
-        backend_index in 0usize..3,
     ) {
         use holes_compiler::BackendKind;
         use holes_debugger::{trace_unplanned, trace_with_plan, StopPlan};
         let generated = ProgramGenerator::from_seed(seed).generate();
         let personality = [Personality::Ccg, Personality::Lcc][personality_index];
-        let backend = BackendKind::ALL[backend_index];
-        let levels: Vec<OptLevel> = std::iter::once(OptLevel::O0)
-            .chain(personality.levels().iter().copied())
-            .collect();
-        let level = levels[level_index % levels.len()];
-        let config = CompilerConfig::new(personality, level).with_backend(backend);
-        let exe = compile(&generated.program, &config);
-        for kind in [DebuggerKind::GdbLike, DebuggerKind::LldbLike] {
-            let plan = StopPlan::compute(&exe, kind);
-            let planned = trace_with_plan(&exe, &plan);
-            let reference = trace_unplanned(&exe, kind);
-            prop_assert_eq!(
-                &planned,
-                &reference,
-                "planned trace diverged: seed {} {} {} {} {:?}",
-                seed,
-                personality,
-                level,
-                backend,
-                kind
-            );
-            // The public `trace` entry point is the planned path.
-            prop_assert_eq!(&trace(&exe, kind), &reference);
+        let levels = std::iter::once(OptLevel::O0).chain(personality.levels().iter().copied());
+        for level in levels {
+            for backend in BackendKind::ALL {
+                let config = CompilerConfig::new(personality, level).with_backend(backend);
+                let exe = compile(&generated.program, &config);
+                for kind in [DebuggerKind::GdbLike, DebuggerKind::LldbLike] {
+                    let plan = StopPlan::compute(&exe, kind);
+                    let planned = trace_with_plan(&exe, &plan);
+                    let reference = trace_unplanned(&exe, kind);
+                    prop_assert_eq!(
+                        &planned,
+                        &reference,
+                        "planned trace diverged: seed {} {} {} {} {:?}",
+                        seed,
+                        personality,
+                        level,
+                        backend,
+                        kind
+                    );
+                    // The public `trace` entry point is the planned path.
+                    prop_assert_eq!(&trace(&exe, kind), &reference);
+                }
+            }
         }
     }
 
