@@ -35,7 +35,9 @@
 
 mod args;
 
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use holes::compiler::{BackendKind, CompilerConfig, OptLevel, Personality};
@@ -74,15 +76,28 @@ use args::{Parsed, Spec, UsageError};
 /// Write to stdout, treating a broken pipe (`holes ... | head`) as a clean
 /// exit instead of a panic, like any well-behaved Unix filter.
 fn stdout_write(text: std::fmt::Arguments<'_>) {
-    use std::io::Write;
-    let mut out = std::io::stdout().lock();
-    if let Err(error) = out.write_fmt(text) {
-        if error.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
-        }
-        eprintln!("holes: writing to stdout: {error}");
-        std::process::exit(1);
+    if let Err(error) = std::io::stdout().lock().write_fmt(text) {
+        stdout_failed(error);
     }
+}
+
+/// Stream a document to stdout through a buffer, failing exactly as
+/// [`stdout_write`] does — a broken pipe can now arrive mid-document.
+fn stdout_document(
+    write: impl FnOnce(&mut BufWriter<std::io::StdoutLock<'static>>) -> std::io::Result<()>,
+) {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    if let Err(error) = write(&mut out).and_then(|()| out.flush()) {
+        stdout_failed(error);
+    }
+}
+
+fn stdout_failed(error: std::io::Error) -> ! {
+    if error.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("holes: writing to stdout: {error}");
+    std::process::exit(1);
 }
 
 /// `print!` routed through [`stdout_write`].
@@ -156,7 +171,13 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     // A malformed thread count is rejected up front: ignoring it would
     // silently run on every core.
-    match par::requested_workers().and_then(|_| run(&argv)) {
+    let outcome = par::requested_workers().and_then(|_| run(&argv));
+    if STATS_REQUESTED.load(Ordering::Relaxed) {
+        if let Some(kb) = peak_rss_kb() {
+            eprintln!("memory: peak_rss_kb {kb}");
+        }
+    }
+    match outcome {
         Ok(RunStatus::Clean) => ExitCode::SUCCESS,
         Ok(RunStatus::Faulted) => ExitCode::from(2),
         Ok(RunStatus::Regressed) => ExitCode::from(3),
@@ -283,9 +304,40 @@ fn cache_store(parsed: &Parsed) -> Result<Option<Arc<ArtifactStore>>, String> {
     Ok(ArtifactStore::from_env())
 }
 
+/// Set by [`print_stats`]: a `--stats` run also reports its peak memory at
+/// exit, once its output is written.
+static STATS_REQUESTED: AtomicBool = AtomicBool::new(false);
+
+/// This process's peak resident set in kB: `VmHWM` from `/proc/self/status`,
+/// which, unlike `ru_maxrss`, does not inherit the parent's high-water mark
+/// across `exec`. `None` where that file cannot be read.
+///
+/// The file is read into a stack buffer: called after a run has freed its
+/// data, a heap buffer of this size makes glibc's malloc first consolidate
+/// every freed small chunk, which measured 25–30 ms after a warm-store
+/// triage. `VmHWM` sits well inside the first 4 KiB.
+fn peak_rss_kb() -> Option<u64> {
+    use std::io::Read;
+    let mut file = std::fs::File::open("/proc/self/status").ok()?;
+    let mut buf = [0u8; 4096];
+    let mut len = 0;
+    while len < buf.len() {
+        match file.read(&mut buf[len..]).ok()? {
+            0 => break,
+            n => len += n,
+        }
+    }
+    let value = buf[..len]
+        .split(|&byte| byte == b'\n')
+        .find_map(|line| line.strip_prefix(b"VmHWM:"))?;
+    let value = std::str::from_utf8(value).ok()?;
+    value.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
 /// Print the evaluation-engine statistics on stderr (so stdout's
 /// machine-readable output stays byte-identical with and without `--stats`).
 fn print_stats(stats: &CacheStats, store: Option<&Arc<ArtifactStore>>) {
+    STATS_REQUESTED.store(true, Ordering::Relaxed);
     eprintln!(
         "stats: compiles {}, traces {}, checks {}, hits {}, disk loads {}, codegen-only {}, \
          plan stops {}",
@@ -390,7 +442,8 @@ Options:
                            budget
   --cache-dir DIR          Persist compiled artifacts under DIR and reuse
                            them across invocations (or set HOLES_CACHE_DIR)
-  --stats                  Report cache/store statistics on stderr
+  --stats                  Report cache/store statistics on stderr, and
+                           the process's peak RSS at exit
   --quiet                  Suppress the progress summary and Table 1
 
 K shard files over the same range, merged with `holes report`, reproduce
@@ -450,12 +503,17 @@ fn cmd_campaign(argv: &[String]) -> Result<RunStatus, String> {
         print_stats(&stats, store.as_ref());
     }
     let status = RunStatus::from_faulted(shard.result.faults.len());
-    let rendered = shard.to_json().to_pretty();
     let Some(path) = parsed.opt("out") else {
-        out!("{rendered}");
+        stdout_document(|out| shard.write_json(out));
         return Ok(status);
     };
-    std::fs::write(path, &rendered).map_err(|e| format!("writing `{path}`: {e}"))?;
+    std::fs::File::create(path)
+        .and_then(|file| {
+            let mut out = BufWriter::new(file);
+            shard.write_json(&mut out)?;
+            out.flush()
+        })
+        .map_err(|e| format!("writing `{path}`: {e}"))?;
     if !parsed.switch("quiet") {
         outln!(
             "campaign: {} {}, seeds {}, shard {}/{}{}: {} programs, {} violation records",
@@ -1630,7 +1688,8 @@ Options:
                            circuit breaker degrades this worker to
                            local-only caching, with periodic re-probes
                            (default: 3)
-  --stats                  Report cache/store statistics on stderr
+  --stats                  Report cache/store statistics on stderr, and
+                           the process's peak RSS at exit
   --quiet                  Suppress per-lease progress on stderr
 
 A worker exits 0 when the coordinator reports the campaign over (or
@@ -1761,7 +1820,8 @@ Options:
                            as faults instead of truncating silently
   --cache-dir DIR          Persist compiled artifacts under DIR and reuse
                            them across invocations (or set HOLES_CACHE_DIR)
-  --stats                  Report cache/store statistics on stderr
+  --stats                  Report cache/store statistics on stderr, and
+                           the process's peak RSS at exit
 ";
 
 fn cmd_triage(argv: &[String]) -> Result<RunStatus, String> {

@@ -524,6 +524,43 @@ fn default_campaign_and_report_bytes_match_the_committed_goldens() {
         "cli-report-2500-2506.txt",
         &ok_stdout(&["report", &campaign_file]),
     );
+    // The document streamed to stdout carries the same bytes as `--out`.
+    golden(
+        "cli-campaign-2500-2506.json",
+        &ok_stdout(&["campaign", "--seeds", "2500..2506"]),
+    );
+    let jsonl_file = scratch.path("campaign.jsonl");
+    ok_stdout(&[
+        "campaign",
+        "--seeds",
+        "2500..2506",
+        "--jsonl",
+        "--out",
+        &jsonl_file,
+        "--quiet",
+    ]);
+    golden(
+        "cli-campaign-2500-2506.jsonl",
+        &std::fs::read(Path::new(&jsonl_file)).unwrap(),
+    );
+    // A faulted subject adds the `faults` array; the run exits 2.
+    let faulted_file = scratch.path("campaign-faulted.json");
+    let faulted = holes_env(
+        &[
+            "campaign",
+            "--seeds",
+            "2500..2506",
+            "--out",
+            &faulted_file,
+            "--quiet",
+        ],
+        &[("HOLES_FAULT_SEEDS", "2503")],
+    );
+    assert_eq!(faulted.status.code(), Some(2));
+    golden(
+        "cli-campaign-2500-2506-faulted.json",
+        &std::fs::read(Path::new(&faulted_file)).unwrap(),
+    );
     for (suffix, flag, value) in [
         ("lcc", "--personality", "lcc"),
         ("stack", "--backend", "stack"),
@@ -782,6 +819,67 @@ fn help_and_usage_errors_behave_like_a_unix_tool() {
         );
         assert!(!output.stderr.is_empty());
     }
+}
+
+/// The classic document is streamed: a reader that closes stdout after a
+/// few bytes breaks the pipe mid-document, which is a clean exit like any
+/// Unix filter's, and an unwritable `--out` still fails with the path.
+#[test]
+fn streamed_campaign_documents_fail_like_unix_filters() {
+    use std::io::Read;
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_holes"))
+        .args(["campaign", "--seeds", "0..400"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning the holes binary");
+    let mut head = [0u8; 10];
+    child
+        .stdout
+        .take()
+        .expect("piped stdout")
+        .read_exact(&mut head)
+        .unwrap();
+    assert_eq!(&head, b"{\n  \"forma");
+    // Dropping the pipe's only reader closes it.
+    let output = child.wait_with_output().unwrap();
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "a closed stdout must be a clean exit: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+
+    let scratch = Scratch::new("out-dir");
+    let dir = scratch.0.to_string_lossy().into_owned();
+    let output = holes(&["campaign", "--seeds", "0..2", "--out", &dir, "--quiet"]);
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.starts_with(&format!("holes: campaign: writing `{dir}`: ")),
+        "{stderr}"
+    );
+}
+
+/// `--stats` ends with the process's own peak RSS, read from `VmHWM`.
+#[cfg(target_os = "linux")]
+#[test]
+fn stats_report_the_peak_rss_of_the_process() {
+    let scratch = Scratch::new("peak-rss");
+    let out = scratch.path("campaign.json");
+    let output = holes(&[
+        "campaign", "--seeds", "0..6", "--out", &out, "--stats", "--quiet",
+    ]);
+    assert!(output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let last = stderr.lines().last().unwrap_or_default();
+    let kb: u64 = last
+        .strip_prefix("memory: peak_rss_kb ")
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("missing memory line: {stderr}"));
+    assert!(kb > 0, "{stderr}");
 }
 
 /// Run the binary with extra environment variables set.

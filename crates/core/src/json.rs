@@ -15,8 +15,14 @@
 //!
 //! The parser accepts standard JSON (escapes, surrogate pairs, nesting up to
 //! a fixed depth limit) and reports byte offsets on errors.
+//!
+//! Large documents are not built as trees: [`JsonWriter`] streams the same
+//! bytes [`Json::to_pretty`] and [`Json::to_compact`] would produce straight
+//! into an [`io::Write`] sink. `Json` serves parsing, small documents, and
+//! as the reference the writer is tested against.
 
 use std::fmt::Write as _;
+use std::io;
 
 /// Nesting depth limit of the parser; deeper documents are rejected rather
 /// than risking stack exhaustion on adversarial input.
@@ -258,6 +264,297 @@ fn write_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+/// A streaming JSON emitter over an [`io::Write`] sink.
+///
+/// Its calls describe one value — containers opened and closed with
+/// `begin_*`/`end_*`, object members as a [`JsonWriter::key`] followed by
+/// one value — and it writes exactly the bytes [`Json::to_pretty`]
+/// ([`JsonWriter::pretty`]) or [`Json::to_compact`] ([`JsonWriter::compact`])
+/// produce for that value, without building it: empty containers render as
+/// `[]` and `{}`, strings are escaped alike, and integers are formatted on
+/// the stack. In pretty mode a newline follows each completed top-level
+/// value, as in `to_pretty`; compact mode adds none, so a JSON Lines writer
+/// ends each line itself through [`JsonWriter::get_mut`].
+///
+/// The writer does not buffer: give it an [`io::BufWriter`] for a file or
+/// stdout, and flush that before trusting the output. Calls that do not
+/// describe one well-formed value (a key outside an object, a member value
+/// without a key, an `end_*` that closes the wrong container) are bugs in
+/// the caller and panic in debug builds.
+///
+/// ```
+/// use holes_core::json::{Json, JsonWriter};
+///
+/// let mut out = Vec::new();
+/// let mut writer = JsonWriter::pretty(&mut out);
+/// writer.begin_object()?;
+/// writer.key("seed")?;
+/// writer.u64(7)?;
+/// writer.key("records")?;
+/// writer.begin_array()?;
+/// writer.end_array()?;
+/// writer.end_object()?;
+/// let tree = Json::Obj(vec![
+///     ("seed".to_owned(), Json::from_u64(7)),
+///     ("records".to_owned(), Json::Arr(vec![])),
+/// ]);
+/// assert_eq!(out, tree.to_pretty().into_bytes());
+/// # Ok::<(), std::io::Error>(())
+/// ```
+pub struct JsonWriter<W: io::Write> {
+    out: W,
+    pretty: bool,
+    /// The open containers, innermost last.
+    open: Vec<Container>,
+    /// A key was just written, so the next value is its member's value and
+    /// takes no separator.
+    after_key: bool,
+}
+
+struct Container {
+    object: bool,
+    has_members: bool,
+}
+
+impl<W: io::Write> JsonWriter<W> {
+    /// A writer producing [`Json::to_pretty`]'s bytes: two-space
+    /// indentation and a newline after each top-level value.
+    pub fn pretty(out: W) -> JsonWriter<W> {
+        JsonWriter::new(out, true)
+    }
+
+    /// A writer producing [`Json::to_compact`]'s bytes: no whitespace.
+    pub fn compact(out: W) -> JsonWriter<W> {
+        JsonWriter::new(out, false)
+    }
+
+    fn new(out: W, pretty: bool) -> JsonWriter<W> {
+        JsonWriter {
+            out,
+            pretty,
+            open: Vec::new(),
+            after_key: false,
+        }
+    }
+
+    /// The sink, for bytes between top-level values (a JSON Lines newline)
+    /// or to flush it.
+    pub fn get_mut(&mut self) -> &mut W {
+        &mut self.out
+    }
+
+    /// The sink, once the writer is done.
+    pub fn into_inner(self) -> W {
+        self.out
+    }
+
+    /// Open an array.
+    pub fn begin_array(&mut self) -> io::Result<()> {
+        self.begin(false)
+    }
+
+    /// Close the innermost container, which must be an array.
+    pub fn end_array(&mut self) -> io::Result<()> {
+        self.end(false)
+    }
+
+    /// Open an object.
+    pub fn begin_object(&mut self) -> io::Result<()> {
+        self.begin(true)
+    }
+
+    /// Close the innermost container, which must be an object.
+    pub fn end_object(&mut self) -> io::Result<()> {
+        self.end(true)
+    }
+
+    /// Start an object member; exactly one value must follow.
+    pub fn key(&mut self, key: &str) -> io::Result<()> {
+        debug_assert!(
+            !self.after_key && self.open.last().is_some_and(|c| c.object),
+            "a key must come directly inside an object"
+        );
+        self.separate()?;
+        self.escaped(key, if self.pretty { b"\": " } else { b"\":" })?;
+        self.after_key = true;
+        Ok(())
+    }
+
+    /// Write a string.
+    pub fn string(&mut self, s: &str) -> io::Result<()> {
+        self.before_value()?;
+        self.escaped(s, b"\"")?;
+        self.after_value()
+    }
+
+    /// Write an unsigned integer.
+    pub fn u64(&mut self, n: u64) -> io::Result<()> {
+        let mut digits = [0u8; 20];
+        self.scalar(decimal(n, &mut digits))
+    }
+
+    /// Write a `usize`.
+    pub fn usize(&mut self, n: usize) -> io::Result<()> {
+        self.u64(n as u64)
+    }
+
+    /// Write a whole [`Json`] value — for small trees embedded in a
+    /// streamed document.
+    pub fn value(&mut self, value: &Json) -> io::Result<()> {
+        match value {
+            Json::Null => self.scalar(b"null"),
+            Json::Bool(b) => self.scalar(if *b { b"true" } else { b"false" }),
+            Json::Num(text) => self.scalar(text.as_bytes()),
+            Json::Str(s) => self.string(s),
+            Json::Arr(items) => {
+                self.begin_array()?;
+                for item in items {
+                    self.value(item)?;
+                }
+                self.end_array()
+            }
+            Json::Obj(pairs) => {
+                self.begin_object()?;
+                for (key, value) in pairs {
+                    self.key(key)?;
+                    self.value(value)?;
+                }
+                self.end_object()
+            }
+        }
+    }
+
+    fn begin(&mut self, object: bool) -> io::Result<()> {
+        self.before_value()?;
+        self.out.write_all(if object { b"{" } else { b"[" })?;
+        self.open.push(Container {
+            object,
+            has_members: false,
+        });
+        Ok(())
+    }
+
+    fn end(&mut self, object: bool) -> io::Result<()> {
+        let container = self.open.pop().expect("`end_*` without an open container");
+        debug_assert!(
+            container.object == object && !self.after_key,
+            "`end_*` must close the innermost container after a complete member"
+        );
+        if self.pretty && container.has_members {
+            self.newline(false)?;
+        }
+        self.out.write_all(if object { b"}" } else { b"]" })?;
+        self.after_value()
+    }
+
+    fn scalar(&mut self, text: &[u8]) -> io::Result<()> {
+        self.before_value()?;
+        self.out.write_all(text)?;
+        self.after_value()
+    }
+
+    fn before_value(&mut self) -> io::Result<()> {
+        if std::mem::take(&mut self.after_key) {
+            return Ok(());
+        }
+        debug_assert!(
+            !self.open.last().is_some_and(|c| c.object),
+            "an object member needs a key first"
+        );
+        self.separate()
+    }
+
+    fn after_value(&mut self) -> io::Result<()> {
+        if self.pretty && self.open.is_empty() {
+            self.out.write_all(b"\n")?;
+        }
+        Ok(())
+    }
+
+    /// What precedes a member of the innermost container.
+    fn separate(&mut self) -> io::Result<()> {
+        let Some(container) = self.open.last_mut() else {
+            return Ok(());
+        };
+        let first = !std::mem::replace(&mut container.has_members, true);
+        if self.pretty {
+            self.newline(!first)
+        } else if !first {
+            self.out.write_all(b",")
+        } else {
+            Ok(())
+        }
+    }
+
+    /// An optional comma, a newline, and two spaces per open container, in
+    /// as few writes as the nesting allows.
+    fn newline(&mut self, comma: bool) -> io::Result<()> {
+        const BREAK: &[u8; 34] = b",\n                                ";
+        let start = usize::from(!comma);
+        let mut remaining = 2 * self.open.len();
+        let first = remaining.min(BREAK.len() - 2);
+        self.out.write_all(&BREAK[start..2 + first])?;
+        remaining -= first;
+        while remaining > 0 {
+            let n = remaining.min(BREAK.len() - 2);
+            self.out.write_all(&BREAK[2..2 + n])?;
+            remaining -= n;
+        }
+        Ok(())
+    }
+
+    /// `write_string`'s escaping, writing unescaped runs in one piece, then
+    /// `close` (the closing quote and whatever follows it). Control
+    /// characters are ASCII, so scanning bytes finds them all.
+    fn escaped(&mut self, s: &str, close: &[u8]) -> io::Result<()> {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        self.out.write_all(b"\"")?;
+        let bytes = s.as_bytes();
+        let mut run_start = 0;
+        for (i, &byte) in bytes.iter().enumerate() {
+            let unicode;
+            let escape: &[u8] = match byte {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\r' => b"\\r",
+                b'\t' => b"\\t",
+                0x00..=0x1f => {
+                    unicode = [
+                        b'\\',
+                        b'u',
+                        b'0',
+                        b'0',
+                        HEX[usize::from(byte >> 4)],
+                        HEX[usize::from(byte & 0xf)],
+                    ];
+                    &unicode
+                }
+                _ => continue,
+            };
+            self.out.write_all(&bytes[run_start..i])?;
+            self.out.write_all(escape)?;
+            run_start = i + 1;
+        }
+        self.out.write_all(&bytes[run_start..])?;
+        self.out.write_all(close)
+    }
+}
+
+/// The decimal digits of `n`, formatted at the end of `buf` (20 bytes hold
+/// `u64::MAX`).
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &[u8] {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return &buf[start..];
+        }
+    }
 }
 
 /// A JSON parse failure, with the byte offset it occurred at.

@@ -57,11 +57,20 @@ impl Conjecture {
             Conjecture::C3 => 3,
         }
     }
+
+    /// The spelling used in tables and report files: `C1`, `C2` or `C3`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Conjecture::C1 => "C1",
+            Conjecture::C2 => "C2",
+            Conjecture::C3 => "C3",
+        }
+    }
 }
 
 impl std::fmt::Display for Conjecture {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "C{}", self.index())
+        f.write_str(self.name())
     }
 }
 

@@ -16,8 +16,10 @@
 //! subcommands hold a K-sharded run to this equivalence for every rendered
 //! table.
 
+use std::io::{self, Write};
+
 use holes_compiler::{BackendKind, OptLevel, Personality};
-use holes_core::json::Json;
+use holes_core::json::{Json, JsonWriter};
 use holes_core::{Observed, Violation};
 use holes_minic::ast::FunctionId;
 use holes_progen::SeedRange;
@@ -230,8 +232,49 @@ pub fn validate_shard_specs(specs: &[CampaignSpec]) -> Result<CampaignSpec, Shar
 pub const CAMPAIGN_FORMAT: &str = "holes.campaign/v1";
 
 impl CampaignShard {
+    /// Write the shard-file document (see [`CAMPAIGN_FORMAT`]) to `out`,
+    /// streamed from the typed spec and result: the spec header, the
+    /// program count, one object per record, and a `faults` array only when
+    /// subjects faulted. The bytes equal `self.to_json().to_pretty()`, but
+    /// no [`Json`] tree is built and nothing larger than a number is
+    /// rendered to memory, so memory stays at the records the shard already
+    /// holds. `out` is not flushed; wrap a file or stdout in an
+    /// [`io::BufWriter`] and flush it afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns the sink's I/O error; the document is then incomplete.
+    pub fn write_json(&self, out: &mut impl Write) -> io::Result<()> {
+        let mut json = JsonWriter::pretty(out);
+        json.begin_object()?;
+        for (key, value) in spec_header_pairs(&self.spec, CAMPAIGN_FORMAT) {
+            json.key(&key)?;
+            json.value(&value)?;
+        }
+        json.key("programs")?;
+        json.usize(self.result.programs)?;
+        json.key("records")?;
+        json.begin_array()?;
+        for record in &self.result.records {
+            write_record(&mut json, record)?;
+        }
+        json.end_array()?;
+        // As in `to_json`: no-fault documents carry no `faults` key.
+        if !self.result.faults.is_empty() {
+            json.key("faults")?;
+            json.begin_array()?;
+            for fault in &self.result.faults {
+                write_fault(&mut json, fault)?;
+            }
+            json.end_array()?;
+        }
+        json.end_object()
+    }
+
     /// Serialize to the deterministic shard-file JSON (see
-    /// [`CAMPAIGN_FORMAT`]).
+    /// [`CAMPAIGN_FORMAT`]) as a tree — the reference
+    /// [`CampaignShard::write_json`] is tested against, and the form the
+    /// `serve` wire protocol and journal embed.
     pub fn to_json(&self) -> Json {
         let mut pairs = spec_header_pairs(&self.spec, CAMPAIGN_FORMAT);
         pairs.push((
@@ -530,8 +573,35 @@ pub(crate) fn parse_levels(
     Ok(levels)
 }
 
-/// Serialize one violation record — the schema shared by `holes.campaign/v1`
-/// shard files and the JSON Lines stream ([`crate::stream`]).
+/// Write one violation record — the schema shared by `holes.campaign/v1`
+/// shard files and the JSON Lines stream ([`crate::stream`]); the bytes
+/// equal those of [`record_to_json`]'s tree.
+pub(crate) fn write_record<W: Write>(
+    json: &mut JsonWriter<W>,
+    record: &ViolationRecord,
+) -> io::Result<()> {
+    let violation = &record.violation;
+    json.begin_object()?;
+    json.key("seed")?;
+    json.u64(record.seed)?;
+    json.key("subject")?;
+    json.usize(record.subject)?;
+    json.key("level")?;
+    json.string(record.level.flag())?;
+    json.key("conjecture")?;
+    json.string(violation.conjecture.name())?;
+    json.key("line")?;
+    json.u64(violation.line.into())?;
+    json.key("variable")?;
+    json.string(&violation.variable)?;
+    json.key("function")?;
+    json.usize(violation.function.0)?;
+    json.key("observed")?;
+    json.string(violation.observed.name())?;
+    json.end_object()
+}
+
+/// One violation record as a tree (see [`write_record`]).
 pub(crate) fn record_to_json(record: &ViolationRecord) -> Json {
     Json::Obj(vec![
         ("seed".to_owned(), Json::from_u64(record.seed)),
@@ -603,10 +673,28 @@ pub(crate) fn record_from_json(
     })
 }
 
-/// Serialize one contained subject fault — the schema shared by the
-/// `faults` array of `holes.campaign/v1` shard files and the fault lines of
-/// the JSON Lines stream ([`crate::stream`]). The `fault` key doubles as
-/// the line discriminator: records never carry it.
+/// Write one contained subject fault — the schema shared by the `faults`
+/// array of `holes.campaign/v1` shard files and the fault lines of the JSON
+/// Lines stream ([`crate::stream`]). The `fault` key doubles as the line
+/// discriminator: records never carry it. The bytes equal those of
+/// [`fault_to_json`]'s tree.
+pub(crate) fn write_fault<W: Write>(
+    json: &mut JsonWriter<W>,
+    fault: &SubjectFault,
+) -> io::Result<()> {
+    json.begin_object()?;
+    json.key("fault")?;
+    json.string(fault.stage.name())?;
+    json.key("seed")?;
+    json.u64(fault.seed)?;
+    json.key("subject")?;
+    json.usize(fault.subject)?;
+    json.key("cause")?;
+    json.string(&fault.cause)?;
+    json.end_object()
+}
+
+/// One contained subject fault as a tree (see [`write_fault`]).
 pub(crate) fn fault_to_json(fault: &SubjectFault) -> Json {
     Json::Obj(vec![
         ("fault".to_owned(), Json::str(fault.stage.name())),

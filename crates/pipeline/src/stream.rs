@@ -33,13 +33,13 @@
 use std::io::Write;
 
 use holes_compiler::OptLevel;
-use holes_core::json::Json;
+use holes_core::json::{Json, JsonWriter};
 
 use crate::campaign::{campaign_outcomes, CampaignResult, Subjects, ViolationRecord};
 use crate::fault::{FaultPolicy, SubjectFault, SubjectOutcome};
 use crate::shard::{
-    fault_from_json, fault_to_json, parse_levels, parse_spec_header, record_from_json,
-    record_to_json, spec_header_pairs, CampaignShard, CampaignSpec, SequenceCheck, ShardError,
+    fault_from_json, parse_levels, parse_spec_header, record_from_json, spec_header_pairs,
+    write_fault, write_record, CampaignShard, CampaignSpec, SequenceCheck, ShardError,
 };
 use crate::CacheStats;
 
@@ -79,10 +79,11 @@ impl From<std::io::Error> for StreamError {
     }
 }
 
-/// An incremental writer of the JSON Lines shard format. Records are
-/// flushed to the sink as they arrive; nothing is accumulated.
+/// An incremental writer of the JSON Lines shard format. Every line is
+/// streamed to the sink through a compact [`JsonWriter`] as it arrives;
+/// nothing is accumulated.
 pub struct CampaignJsonlWriter<W: Write> {
-    out: W,
+    json: JsonWriter<W>,
     spec: CampaignSpec,
     records: usize,
     faults: usize,
@@ -107,23 +108,29 @@ impl<W: Write> CampaignJsonlWriter<W> {
     ///
     /// Returns the spec validation failure or the sink's I/O error.
     pub fn resume(
-        mut out: W,
+        out: W,
         spec: &CampaignSpec,
         records: usize,
         faults: usize,
         emit_header: bool,
     ) -> Result<CampaignJsonlWriter<W>, StreamError> {
         spec.validate()?;
-        if emit_header {
-            let header = Json::Obj(spec_header_pairs(spec, CAMPAIGN_JSONL_FORMAT));
-            writeln!(out, "{}", header.to_compact())?;
-        }
-        Ok(CampaignJsonlWriter {
-            out,
+        let mut writer = CampaignJsonlWriter {
+            json: JsonWriter::compact(out),
             spec: spec.clone(),
             records,
             faults,
-        })
+        };
+        if emit_header {
+            let header = Json::Obj(spec_header_pairs(spec, CAMPAIGN_JSONL_FORMAT));
+            writer.json.value(&header)?;
+            writer.end_line()?;
+        }
+        Ok(writer)
+    }
+
+    fn end_line(&mut self) -> std::io::Result<()> {
+        self.json.get_mut().write_all(b"\n")
     }
 
     /// Emit one record line.
@@ -132,7 +139,8 @@ impl<W: Write> CampaignJsonlWriter<W> {
     ///
     /// Returns the sink's I/O error.
     pub fn write_record(&mut self, record: &ViolationRecord) -> Result<(), StreamError> {
-        writeln!(self.out, "{}", record_to_json(record).to_compact())?;
+        write_record(&mut self.json, record)?;
+        self.end_line()?;
         self.records += 1;
         Ok(())
     }
@@ -145,7 +153,8 @@ impl<W: Write> CampaignJsonlWriter<W> {
     ///
     /// Returns the sink's I/O error.
     pub fn write_fault(&mut self, subject_fault: &SubjectFault) -> Result<(), StreamError> {
-        writeln!(self.out, "{}", fault_to_json(subject_fault).to_compact())?;
+        write_fault(&mut self.json, subject_fault)?;
+        self.end_line()?;
         self.faults += 1;
         Ok(())
     }
@@ -168,9 +177,11 @@ impl<W: Write> CampaignJsonlWriter<W> {
         if self.faults > 0 {
             pairs.push(("faulted".to_owned(), Json::from_usize(self.faults)));
         }
-        writeln!(self.out, "{}", Json::Obj(pairs).to_compact())?;
-        self.out.flush()?;
-        Ok(self.out)
+        self.json.value(&Json::Obj(pairs))?;
+        self.end_line()?;
+        let mut out = self.json.into_inner();
+        out.flush()?;
+        Ok(out)
     }
 }
 

@@ -304,6 +304,13 @@ proptest! {
             // Round-trip through the serialized shard file, as a real
             // multi-machine campaign would.
             let rendered = run.to_json().to_pretty();
+            let mut streamed_document = Vec::new();
+            run.write_json(&mut streamed_document).unwrap();
+            prop_assert_eq!(
+                String::from_utf8(streamed_document).unwrap(),
+                rendered.clone(),
+                "the streamed shard document differs from the tree rendering"
+            );
             let reparsed = CampaignShard::from_json(&Json::parse(&rendered).unwrap()).unwrap();
             prop_assert_eq!(&reparsed, &run, "shard file round-trip changed the shard");
             // The streamed shard of the same spec parses to the same shard.
@@ -791,4 +798,99 @@ proptest! {
             }
         }
     }
+
+    /// The streaming writer emits exactly the tree renderings: random
+    /// `Json` values fed through `JsonWriter::value` give `to_pretty()` in
+    /// pretty mode and `to_compact()` in compact mode, byte for byte.
+    #[test]
+    fn json_writer_streams_exactly_the_tree_renderings(seed in any::<u64>()) {
+        use holes_core::json::JsonWriter;
+
+        let mut state = seed;
+        for _ in 0..16 {
+            let value = random_json(&mut state, 4);
+            let mut pretty = Vec::new();
+            JsonWriter::pretty(&mut pretty).value(&value).unwrap();
+            prop_assert_eq!(String::from_utf8(pretty).unwrap(), value.to_pretty());
+            let mut compact = Vec::new();
+            JsonWriter::compact(&mut compact).value(&value).unwrap();
+            prop_assert_eq!(String::from_utf8(compact).unwrap(), value.to_compact());
+        }
+    }
+}
+
+/// One step of splitmix64 over `state`.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A random JSON value nested at most `depth` deep: empty and non-empty
+/// arrays and objects, duplicate keys, extreme and fractional numbers, and
+/// strings mixing quotes, backslashes, control characters and non-ASCII
+/// text.
+fn random_json(state: &mut u64, depth: u32) -> holes_core::json::Json {
+    use holes_core::json::Json;
+
+    let kinds = if depth == 0 { 4 } else { 6 };
+    match splitmix(state) % kinds {
+        0 => Json::Null,
+        1 => Json::Bool(splitmix(state) & 1 == 0),
+        2 => match splitmix(state) % 5 {
+            0 => Json::from_u64(u64::MAX),
+            1 => Json::from_i64(i64::MIN),
+            2 => Json::from_u64(splitmix(state)),
+            3 => Json::from_i64(splitmix(state) as i64),
+            _ => Json::Num("-12.5e-3".to_owned()),
+        },
+        3 => Json::Str(random_text(state)),
+        4 => {
+            let len = splitmix(state) % 4;
+            Json::Arr((0..len).map(|_| random_json(state, depth - 1)).collect())
+        }
+        _ => {
+            let len = splitmix(state) % 4;
+            Json::Obj(
+                (0..len)
+                    .map(|_| {
+                        // Two fixed keys make duplicates common.
+                        let key = match splitmix(state) % 3 {
+                            0 => "a".to_owned(),
+                            1 => "seed".to_owned(),
+                            _ => random_text(state),
+                        };
+                        (key, random_json(state, depth - 1))
+                    })
+                    .collect(),
+            )
+        }
+    }
+}
+
+fn random_text(state: &mut u64) -> String {
+    const PIECES: [&str; 16] = [
+        "a",
+        "records",
+        " ",
+        "/",
+        "\"",
+        "\\",
+        "\n",
+        "\r",
+        "\t",
+        "\u{0}",
+        "\u{8}",
+        "\u{1f}",
+        "\u{7f}",
+        "é",
+        "日本",
+        "\u{1F600}",
+    ];
+    let len = splitmix(state) % 6;
+    (0..len)
+        .map(|_| PIECES[(splitmix(state) % 16) as usize])
+        .collect()
 }
