@@ -16,11 +16,14 @@
 //! The parser accepts standard JSON (escapes, surrogate pairs, nesting up to
 //! a fixed depth limit) and reports byte offsets on errors.
 //!
-//! Large documents are not built as trees: [`JsonWriter`] streams the same
-//! bytes [`Json::to_pretty`] and [`Json::to_compact`] would produce straight
-//! into an [`io::Write`] sink. `Json` serves parsing, small documents, and
-//! as the reference the writer is tested against.
+//! Large documents need not be trees. [`JsonWriter`] streams the same bytes
+//! [`Json::to_pretty`] and [`Json::to_compact`] would produce straight into
+//! an [`io::Write`] sink, and [`JsonReader`] is its reading half: a pull
+//! tokenizer whose events a typed decoder consumes directly. [`Json::parse`]
+//! is built on the same reader. `Json` serves small documents, and is the
+//! reference both streaming halves are tested against.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::io;
 
@@ -228,17 +231,12 @@ impl Json {
     /// Parse a JSON document. Exactly one value is expected; trailing
     /// content other than whitespace is an error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_whitespace();
-        let value = parser.value(0)?;
-        parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.error("trailing content after the JSON value"));
+        let mut reader = JsonReader::new(input);
+        let value = reader.value()?;
+        match reader.next_event()? {
+            None => Ok(value),
+            Some(_) => unreachable!("a complete value is followed by the end of the document"),
         }
-        Ok(value)
     }
 }
 
@@ -426,6 +424,22 @@ impl<W: io::Write> JsonWriter<W> {
         }
     }
 
+    /// Write one [`JsonReader`] event: a document being read, mirrored
+    /// into a writer.
+    pub fn event(&mut self, event: &JsonEvent<'_>) -> io::Result<()> {
+        match event {
+            JsonEvent::BeginObject => self.begin_object(),
+            JsonEvent::EndObject => self.end_object(),
+            JsonEvent::BeginArray => self.begin_array(),
+            JsonEvent::EndArray => self.end_array(),
+            JsonEvent::Key(key) => self.key(key),
+            JsonEvent::Str(s) => self.string(s),
+            JsonEvent::Num(text) => self.scalar(text.as_bytes()),
+            JsonEvent::Bool(b) => self.scalar(if *b { b"true" } else { b"false" }),
+            JsonEvent::Null => self.scalar(b"null"),
+        }
+    }
+
     fn begin(&mut self, object: bool) -> io::Result<()> {
         self.before_value()?;
         self.out.write_all(if object { b"{" } else { b"[" })?;
@@ -574,12 +588,219 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// One step of a [`JsonReader`]'s walk through a document: the calls a
+/// [`JsonWriter`] would take to write it.
+///
+/// Strings and keys borrow from the input unless they contain escapes;
+/// numbers are their literal text, as [`Json::Num`] keeps them.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JsonEvent<'a> {
+    /// `{`.
+    BeginObject,
+    /// `}`.
+    EndObject,
+    /// `[`.
+    BeginArray,
+    /// `]`.
+    EndArray,
+    /// An object member's key; exactly one value follows.
+    Key(Cow<'a, str>),
+    /// A string value.
+    Str(Cow<'a, str>),
+    /// A number value, as its literal text.
+    Num(&'a str),
+    /// `true` or `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
 }
 
-impl Parser<'_> {
+/// A pull tokenizer over one JSON document: the reading half of
+/// [`JsonWriter`], and the tokenizer under every JSON reader in the
+/// workspace — [`Json::parse`] is [`JsonReader::value`] plus the
+/// end-of-document check.
+///
+/// [`JsonReader::next_event`] yields the document's events in order and
+/// `None` once its one value is complete and only whitespace follows.
+/// [`JsonReader::value`] reads the value that starts at the next event as a
+/// tree, and [`JsonReader::skip`] steps over it, so a typed decoder streams
+/// the parts it decodes and takes the rest whole. The reader accepts what
+/// [`Json::parse`] accepts and fails alike: at the same byte offset, with
+/// the same message, and at the same nesting depth limit. After an error
+/// the reader's further events are unspecified.
+///
+/// ```
+/// use holes_core::json::{Json, JsonEvent, JsonReader};
+///
+/// let mut reader = JsonReader::new(r#"{"seed": 7, "records": [1, "x"]}"#);
+/// assert_eq!(reader.next_event()?, Some(JsonEvent::BeginObject));
+/// assert_eq!(reader.next_event()?, Some(JsonEvent::Key("seed".into())));
+/// assert_eq!(reader.next_event()?, Some(JsonEvent::Num("7")));
+/// assert_eq!(reader.next_event()?, Some(JsonEvent::Key("records".into())));
+/// let records = reader.value()?;
+/// assert_eq!(records, Json::Arr(vec![Json::from_u64(1), Json::str("x")]));
+/// assert_eq!(reader.next_event()?, Some(JsonEvent::EndObject));
+/// assert_eq!(reader.next_event()?, None);
+/// # Ok::<(), holes_core::json::JsonError>(())
+/// ```
+#[derive(Debug)]
+pub struct JsonReader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// The open containers, innermost last: `true` for an object.
+    open: Vec<bool>,
+    next: Next,
+}
+
+/// What a [`JsonReader`] reads next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Next {
+    /// A value: the document's, an array element after `,`, or a member's
+    /// after its key.
+    Value,
+    /// The first member of the container just opened, or its end.
+    FirstMember,
+    /// A `,` and another member, or the innermost container's end.
+    MoreMembers,
+    /// Whitespace to the end of the input.
+    End,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> JsonReader<'a> {
+        JsonReader {
+            text,
+            pos: 0,
+            open: Vec::new(),
+            next: Next::Value,
+        }
+    }
+
+    /// The next event, or `None` once the document's value is complete and
+    /// only whitespace follows it.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, nesting beyond the depth limit, and trailing content
+    /// after the value, as [`Json::parse`] reports them.
+    pub fn next_event(&mut self) -> Result<Option<JsonEvent<'a>>, JsonError> {
+        match self.next {
+            Next::Value => self.value_event().map(Some),
+            Next::FirstMember => {
+                self.skip_whitespace();
+                if self.peek() == Some(self.closing_byte()) {
+                    return Ok(Some(self.close()));
+                }
+                self.member().map(Some)
+            }
+            Next::MoreMembers => {
+                self.skip_whitespace();
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        self.member().map(Some)
+                    }
+                    Some(byte) if byte == self.closing_byte() => Ok(Some(self.close())),
+                    _ if self.in_object() => Err(self.error("expected `,` or `}` in object")),
+                    _ => Err(self.error("expected `,` or `]` in array")),
+                }
+            }
+            Next::End => {
+                self.skip_whitespace();
+                if self.pos == self.text.len() {
+                    Ok(None)
+                } else {
+                    Err(self.error("trailing content after the JSON value"))
+                }
+            }
+        }
+    }
+
+    /// Read the value that starts at the next event as a tree. Containers
+    /// are built with exactly as much capacity as they have members.
+    ///
+    /// # Errors
+    ///
+    /// What [`JsonReader::next_event`] reports, and "expected a value" where
+    /// the next event does not start one (a key, a container's end, or the
+    /// end of the document).
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        /// An open container: where its members start on the shared member
+        /// stack, and the key of the member being read.
+        struct Frame {
+            start: usize,
+            object: bool,
+            key: String,
+        }
+        let mut frames: Vec<Frame> = Vec::new();
+        let mut members: Vec<(String, Json)> = Vec::new();
+        loop {
+            let Some(event) = self.next_event()? else {
+                return Err(self.error("expected a value"));
+            };
+            let value = match event {
+                JsonEvent::BeginObject | JsonEvent::BeginArray => {
+                    frames.push(Frame {
+                        start: members.len(),
+                        object: event == JsonEvent::BeginObject,
+                        key: String::new(),
+                    });
+                    continue;
+                }
+                JsonEvent::Key(key) => match frames.last_mut() {
+                    Some(frame) => {
+                        frame.key = key.into_owned();
+                        continue;
+                    }
+                    None => return Err(self.error("expected a value")),
+                },
+                JsonEvent::EndObject | JsonEvent::EndArray => {
+                    let Some(frame) = frames.pop() else {
+                        return Err(self.error("expected a value"));
+                    };
+                    let items = members.drain(frame.start..);
+                    if frame.object {
+                        Json::Obj(items.collect())
+                    } else {
+                        Json::Arr(items.map(|(_, item)| item).collect())
+                    }
+                }
+                JsonEvent::Str(s) => Json::Str(s.into_owned()),
+                JsonEvent::Num(text) => Json::Num(text.to_owned()),
+                JsonEvent::Bool(b) => Json::Bool(b),
+                JsonEvent::Null => Json::Null,
+            };
+            match frames.last_mut() {
+                Some(frame) => members.push((std::mem::take(&mut frame.key), value)),
+                None => return Ok(value),
+            }
+        }
+    }
+
+    /// Step over the value that starts at the next event.
+    ///
+    /// # Errors
+    ///
+    /// As [`JsonReader::value`].
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        let mut depth = 0usize;
+        loop {
+            match self.next_event()? {
+                Some(JsonEvent::BeginObject | JsonEvent::BeginArray) => depth += 1,
+                Some(JsonEvent::EndObject | JsonEvent::EndArray) if depth > 0 => depth -= 1,
+                Some(JsonEvent::Key(_)) if depth > 0 => {}
+                Some(
+                    JsonEvent::Str(_) | JsonEvent::Num(_) | JsonEvent::Bool(_) | JsonEvent::Null,
+                ) => {}
+                _ => return Err(self.error("expected a value")),
+            }
+            if depth == 0 {
+                return Ok(());
+            }
+        }
+    }
+
     fn error(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -588,7 +809,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_whitespace(&mut self) {
@@ -606,100 +827,118 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+    fn in_object(&self) -> bool {
+        self.open.last() == Some(&true)
+    }
+
+    /// The byte that closes the innermost container.
+    fn closing_byte(&self) -> u8 {
+        if self.in_object() {
+            b'}'
+        } else {
+            b']'
+        }
+    }
+
+    /// Consume the innermost container's closing byte.
+    fn close(&mut self) -> JsonEvent<'a> {
+        self.pos += 1;
+        let object = self.open.pop() == Some(true);
+        self.after_value();
+        if object {
+            JsonEvent::EndObject
+        } else {
+            JsonEvent::EndArray
+        }
+    }
+
+    fn after_value(&mut self) {
+        self.next = if self.open.is_empty() {
+            Next::End
+        } else {
+            Next::MoreMembers
+        };
+    }
+
+    /// The start of a member: an object's key and its `:`, or an array's
+    /// element.
+    fn member(&mut self) -> Result<JsonEvent<'a>, JsonError> {
+        if !self.in_object() {
+            return self.value_event();
+        }
+        self.skip_whitespace();
+        let key = self.string()?;
+        self.skip_whitespace();
+        self.expect(b':')?;
+        self.next = Next::Value;
+        Ok(JsonEvent::Key(key))
+    }
+
+    /// The first event of a value: a scalar whole, or a container's start.
+    fn value_event(&mut self) -> Result<JsonEvent<'a>, JsonError> {
+        self.skip_whitespace();
+        if self.open.len() > MAX_DEPTH {
+            return Err(self.error("nesting deeper than the supported limit"));
+        }
+        let event = match self.peek() {
+            Some(b'n') => self.literal("null", JsonEvent::Null)?,
+            Some(b't') => self.literal("true", JsonEvent::Bool(true))?,
+            Some(b'f') => self.literal("false", JsonEvent::Bool(false))?,
+            Some(b'"') => JsonEvent::Str(self.string()?),
+            Some(open @ (b'[' | b'{')) => {
+                self.pos += 1;
+                let object = open == b'{';
+                self.open.push(object);
+                self.next = Next::FirstMember;
+                return Ok(if object {
+                    JsonEvent::BeginObject
+                } else {
+                    JsonEvent::BeginArray
+                });
+            }
+            Some(b'-' | b'0'..=b'9') => JsonEvent::Num(self.number()?),
+            Some(other) => return Err(self.error(format!("unexpected byte `{}`", other as char))),
+            None => return Err(self.error("unexpected end of input")),
+        };
+        self.after_value();
+        Ok(event)
+    }
+
+    fn literal(&mut self, text: &str, event: JsonEvent<'a>) -> Result<JsonEvent<'a>, JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
-            Ok(value)
+            Ok(event)
         } else {
             Err(self.error(format!("expected `{text}`")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.error("nesting deeper than the supported limit"));
-        }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.error(format!("unexpected byte `{}`", other as char))),
-            None => Err(self.error("unexpected end of input")),
-        }
+    /// Advance over bytes a string holds verbatim. The run stops only at
+    /// ASCII bytes, so it always ends on a character boundary.
+    fn plain_run(&mut self) -> &'a str {
+        let start = self.pos;
+        let rest = &self.text.as_bytes()[start..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(rest.len());
+        &self.text[start..self.pos]
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.value(depth + 1)?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.error("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.error("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from the input unless it holds escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let run = self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut out = run.to_owned();
         loop {
-            let start = self.pos;
-            // Consume a run of plain bytes in one go.
-            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.error("invalid UTF-8 in string"))?,
-            );
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -708,6 +947,7 @@ impl Parser<'_> {
                 Some(_) => return Err(self.error("unescaped control character in string")),
                 None => return Err(self.error("unterminated string")),
             }
+            out.push_str(self.plain_run());
         }
     }
 
@@ -751,7 +991,8 @@ impl Parser<'_> {
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let digits = self
-            .bytes
+            .text
+            .as_bytes()
             .get(self.pos..self.pos + 4)
             .ok_or_else(|| self.error("truncated \\u escape"))?;
         // Exactly four ASCII hex digits — `u32::from_str_radix` alone would
@@ -766,7 +1007,7 @@ impl Parser<'_> {
         Ok(unit)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<&'a str, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -790,8 +1031,7 @@ impl Parser<'_> {
                 return Err(self.error("expected digits in exponent"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
-        Ok(Json::Num(text.to_owned()))
+        Ok(&self.text[start..self.pos])
     }
 
     fn digits(&mut self) -> usize {
@@ -942,5 +1182,124 @@ mod tests {
         assert!(Json::parse(&deep).is_err());
         let ok = "[".repeat(100) + &"]".repeat(100);
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    /// Every reader fails where and how the tree parser always has: the
+    /// offsets and messages below are the ones `Json::parse` reported
+    /// before it was rebuilt on `JsonReader`.
+    #[test]
+    fn parse_errors_keep_their_offsets_and_messages() {
+        let deep = "[".repeat(130) + &"]".repeat(130);
+        for (bad, offset, message) in [
+            ("", 0, "unexpected end of input"),
+            ("  ", 2, "unexpected end of input"),
+            ("{", 1, "expected `\"`"),
+            ("[1,]", 3, "unexpected byte `]`"),
+            ("[1 2]", 3, "expected `,` or `]` in array"),
+            ("{\"a\" 1}", 5, "expected `:`"),
+            ("{\"a\":1 \"b\":2}", 7, "expected `,` or `}` in object"),
+            ("{1:2}", 1, "expected `\"`"),
+            ("01x", 2, "trailing content after the JSON value"),
+            ("1.", 2, "expected digits after decimal point"),
+            ("1e", 2, "expected digits in exponent"),
+            ("-", 1, "expected digits in number"),
+            ("nul", 0, "expected `null`"),
+            ("tru", 0, "expected `true`"),
+            ("\"unterminated", 13, "unterminated string"),
+            ("\"ctl\u{1}\"", 4, "unescaped control character in string"),
+            ("\"bad \\q escape\"", 7, "unknown escape `\\q`"),
+            ("\"\\u12g4\"", 3, "invalid \\u escape"),
+            ("\"\\u12", 3, "truncated \\u escape"),
+            ("\"\\uD800\\n\"", 8, "expected `u`"),
+            ("\"\\uD800x\"", 7, "invalid \\u escape"),
+            ("\"\\uD800\\u0041\"", 13, "invalid low surrogate"),
+            ("\"\\uDC00\"", 7, "invalid \\u escape"),
+            ("\"\\", 2, "truncated escape"),
+            ("true false", 5, "trailing content after the JSON value"),
+            ("[1] []", 4, "trailing content after the JSON value"),
+            ("é", 0, "unexpected byte `Ã`"),
+            ("{\"a\":}", 5, "unexpected byte `}`"),
+            (&deep, 129, "nesting deeper than the supported limit"),
+        ] {
+            let expected = JsonError {
+                offset,
+                message: message.to_owned(),
+            };
+            assert_eq!(Json::parse(bad), Err(expected.clone()), "{bad:?}");
+            // Pulling events one by one fails at the same place.
+            let mut reader = JsonReader::new(bad);
+            let error = loop {
+                match reader.next_event() {
+                    Ok(Some(_)) => {}
+                    Ok(None) => panic!("{bad:?} read to the end"),
+                    Err(error) => break error,
+                }
+            };
+            assert_eq!(error, expected, "{bad:?}");
+        }
+    }
+
+    /// Mirroring a reader's events into a writer reproduces the tree's
+    /// renderings, whatever whitespace and escapes the input spelled.
+    #[test]
+    fn reader_events_mirrored_into_a_writer_render_like_the_tree() {
+        let input = " {\"a\\u0041\" : [1, -2.5e+3, \"x\\/y\\n\", true, false, null, {}, []],\n\"\": {\"k\": \"\\ud83d\\ude00\"}} ";
+        let tree = Json::parse(input).unwrap();
+        for (pretty, expected) in [(true, tree.to_pretty()), (false, tree.to_compact())] {
+            let mut out = Vec::new();
+            let mut writer = if pretty {
+                JsonWriter::pretty(&mut out)
+            } else {
+                JsonWriter::compact(&mut out)
+            };
+            let mut reader = JsonReader::new(input);
+            while let Some(event) = reader.next_event().unwrap() {
+                writer.event(&event).unwrap();
+            }
+            assert_eq!(String::from_utf8(out).unwrap(), expected);
+        }
+        // Plain strings borrow from the input; escaped ones are decoded.
+        let mut reader = JsonReader::new(r#"["plain", "esc\"aped"]"#);
+        assert_eq!(reader.next_event().unwrap(), Some(JsonEvent::BeginArray));
+        let Some(JsonEvent::Str(Cow::Borrowed("plain"))) = reader.next_event().unwrap() else {
+            panic!("a plain string is borrowed");
+        };
+        let Some(JsonEvent::Str(Cow::Owned(escaped))) = reader.next_event().unwrap() else {
+            panic!("an escaped string is decoded");
+        };
+        assert_eq!(escaped, "esc\"aped");
+    }
+
+    #[test]
+    fn reader_values_and_skips_take_whole_subtrees() {
+        let mut reader =
+            JsonReader::new(r#"{"skip": {"a": [1, {"b": 2}]}, "take": [3, [4], {}], "n": 5}"#);
+        assert_eq!(reader.next_event().unwrap(), Some(JsonEvent::BeginObject));
+        assert_eq!(
+            reader.next_event().unwrap(),
+            Some(JsonEvent::Key("skip".into()))
+        );
+        reader.skip().unwrap();
+        assert_eq!(
+            reader.next_event().unwrap(),
+            Some(JsonEvent::Key("take".into()))
+        );
+        let Json::Arr(items) = reader.value().unwrap() else {
+            panic!("an array");
+        };
+        assert_eq!(
+            items,
+            [
+                Json::from_u64(3),
+                Json::Arr(vec![Json::from_u64(4)]),
+                Json::Obj(vec![])
+            ]
+        );
+        assert_eq!(items.capacity(), items.len(), "containers are exact-size");
+        // A value cannot start at a key or a container's end.
+        assert!(reader.value().is_err());
+        let mut reader = JsonReader::new("[]");
+        assert_eq!(reader.next_event().unwrap(), Some(JsonEvent::BeginArray));
+        assert!(reader.skip().is_err());
     }
 }

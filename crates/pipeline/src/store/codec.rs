@@ -8,9 +8,11 @@
 //! Sum types use compact tagged arrays (`["r", 3]` for a register operand)
 //! to keep executables — the largest artifact — small on disk.
 
+use std::sync::Arc;
+
 use holes_compiler::{CompilerConfig, Executable, OptLevel, Personality, PipelineReport};
-use holes_core::json::Json;
-use holes_core::{Observed, Violation};
+use holes_core::json::{Json, JsonEvent};
+use holes_core::Violation;
 use holes_debugger::{Availability, DebugTrace, LineStop, VarView};
 use holes_debuginfo::{
     Attr, AttrValue, DebugInfo, Die, DieId, DieTag, LineRow, LineTable, LocListEntry, Location,
@@ -20,6 +22,8 @@ use holes_machine::{
     CallTarget, GlobalSlot, MAddr, MFunction, MInst, MachineCode, MachineProgram, Operand,
 };
 use holes_minic::ast::{BinOp, FunctionId, UnOp};
+
+use super::gate::Payload;
 
 /// Decode failure: a short, human-readable reason (surfaced only in store
 /// diagnostics; the caller recomputes the artifact either way).
@@ -1151,7 +1155,9 @@ pub(super) fn trace_to_json(trace: &DebugTrace) -> Json {
 }
 
 /// Decode a trace encoded by [`trace_to_json`], rebuilding the reached-line
-/// index exactly as the live debugger does (first stop per line wins).
+/// index exactly as the live debugger does (first stop per line wins): the
+/// tree oracle [`read_trace`] is tested against.
+#[cfg(test)]
 pub(super) fn trace_from_json(json: &Json) -> Result<DebugTrace, DecodeError> {
     let stops = arr_field(json, "stops")?
         .iter()
@@ -1211,13 +1217,15 @@ pub(super) fn violations_to_json(violations: &[Violation]) -> Json {
     )
 }
 
-/// Decode a violation set encoded by [`violations_to_json`].
+/// Decode a violation set encoded by [`violations_to_json`]: the tree
+/// oracle [`read_violations`] is tested against.
+#[cfg(test)]
 pub(super) fn violations_from_json(json: &Json) -> Result<Vec<Violation>, DecodeError> {
     json.as_arr()
         .ok_or("violation set is not an array")?
         .iter()
         .map(|v| {
-            let observed: Observed = str_field(v, "observed")?
+            let observed: holes_core::Observed = str_field(v, "observed")?
                 .parse()
                 .map_err(|_| "unknown observed state".to_owned())?;
             Ok(Violation {
@@ -1233,10 +1241,195 @@ pub(super) fn violations_from_json(json: &Json) -> Result<Vec<Violation>, Decode
         .collect()
 }
 
+// ------------------------------------------------------ streamed decoders
+
+/// Source names interned per decoded trace: every stop naming a function or
+/// variable shares one allocation, as in a freshly traced [`DebugTrace`]. A
+/// trace names few, so a scan beats hashing.
+#[derive(Default)]
+struct Names(Vec<Arc<str>>);
+
+impl Names {
+    fn intern(&mut self, name: &str) -> Arc<str> {
+        if let Some(interned) = self.0.iter().find(|interned| interned.as_ref() == name) {
+            return Arc::clone(interned);
+        }
+        let interned: Arc<str> = name.into();
+        self.0.push(Arc::clone(&interned));
+        interned
+    }
+}
+
+/// Decode a trace payload as the envelope gate streams it: the same
+/// artifact, and the same failures, as `trace_from_json` on the payload's
+/// tree. Object members may come in any order, the first of a repeated
+/// member wins, and unknown members are skipped.
+pub(super) fn read_trace(payload: &mut Payload<'_, '_>) -> Result<DebugTrace, DecodeError> {
+    payload.begin_object("trace")?;
+    let mut names = Names::default();
+    let (mut stops, mut steppable_lines) = (None, None);
+    while let Some(key) = payload.key()? {
+        match &*key {
+            "stops" if stops.is_none() => {
+                payload.begin_array("`stops`")?;
+                let mut read = Vec::new();
+                while let Some(event) = payload.element()? {
+                    if event != JsonEvent::BeginObject {
+                        return err("stop is not an object");
+                    }
+                    read.push(read_stop(payload, &mut names)?);
+                }
+                stops = Some(read);
+            }
+            "steppable_lines" if steppable_lines.is_none() => {
+                payload.begin_array("`steppable_lines`")?;
+                let mut read = Vec::new();
+                while let Some(event) = payload.element()? {
+                    let JsonEvent::Num(text) = event else {
+                        return err("steppable line is not an unsigned integer");
+                    };
+                    let line: u64 = text
+                        .parse()
+                        .map_err(|_| "steppable line is not an unsigned integer")?;
+                    // Truncated, as the tree decoder always has: the gate
+                    // accepts exactly what it accepted.
+                    read.push(line as u32);
+                }
+                steppable_lines = Some(read);
+            }
+            _ => payload.skip()?,
+        }
+    }
+    let stops: Vec<LineStop> = stops.ok_or("missing `stops`")?;
+    let mut reached = std::collections::BTreeMap::new();
+    for (index, stop) in stops.iter().enumerate() {
+        reached.entry(stop.line).or_insert(index);
+    }
+    Ok(DebugTrace {
+        stops,
+        steppable_lines: steppable_lines.ok_or("missing `steppable_lines`")?,
+        reached,
+    })
+}
+
+/// One stop's members, after its `{`.
+fn read_stop(payload: &mut Payload<'_, '_>, names: &mut Names) -> Result<LineStop, DecodeError> {
+    let (mut line, mut address, mut function, mut variables) = (None, None, None, None);
+    while let Some(key) = payload.key()? {
+        match &*key {
+            "line" if line.is_none() => line = Some(payload.number::<u64>("line")?),
+            "address" if address.is_none() => address = Some(payload.number("address")?),
+            "function" if function.is_none() => {
+                function = Some(names.intern(&payload.string("function")?));
+            }
+            "variables" if variables.is_none() => {
+                payload.begin_array("`variables`")?;
+                let mut read = Vec::new();
+                while let Some(event) = payload.element()? {
+                    read.push(read_variable(payload, event, names)?);
+                }
+                variables = Some(read);
+            }
+            _ => payload.skip()?,
+        }
+    }
+    Ok(LineStop {
+        line: line
+            .ok_or("missing `line`")?
+            .try_into()
+            .map_err(|_| "`line` is out of u32 range")?,
+        address: address.ok_or("missing `address`")?,
+        function: function.ok_or("missing `function`")?,
+        variables: variables.ok_or("missing `variables`")?,
+    })
+}
+
+/// One `[name, value]` variable pair, from its first event on.
+fn read_variable(
+    payload: &mut Payload<'_, '_>,
+    first: JsonEvent<'_>,
+    names: &mut Names,
+) -> Result<VarView, DecodeError> {
+    if first != JsonEvent::BeginArray {
+        return err("variable is not a pair");
+    }
+    let name = match payload.element()? {
+        Some(JsonEvent::Str(name)) => names.intern(&name),
+        _ => return err("variable is not a pair of a name and a value"),
+    };
+    let availability = match payload.element()? {
+        Some(JsonEvent::Null) => Availability::OptimizedOut,
+        Some(JsonEvent::Num(text)) => Availability::Available(
+            text.parse()
+                .map_err(|_| "variable value is not an integer")?,
+        ),
+        _ => return err("variable is not a pair of a name and a value"),
+    };
+    if payload.element()?.is_some() {
+        return err("variable is not a pair");
+    }
+    Ok(VarView { name, availability })
+}
+
+/// Decode a violation-set payload as the envelope gate streams it: the same
+/// set, and the same failures, as `violations_from_json` on the payload's
+/// tree.
+pub(super) fn read_violations(
+    payload: &mut Payload<'_, '_>,
+) -> Result<Vec<Violation>, DecodeError> {
+    payload.begin_array("violation set")?;
+    let mut violations = Vec::new();
+    while let Some(event) = payload.element()? {
+        if event != JsonEvent::BeginObject {
+            return err("violation is not an object");
+        }
+        let (mut conjecture, mut line, mut variable, mut function, mut observed) =
+            (None, None, None, None, None);
+        while let Some(key) = payload.key()? {
+            match &*key {
+                "conjecture" if conjecture.is_none() => {
+                    conjecture = Some(
+                        payload
+                            .string("conjecture")?
+                            .parse()
+                            .map_err(|_| "unknown conjecture")?,
+                    );
+                }
+                "line" if line.is_none() => line = Some(payload.number::<u64>("line")?),
+                "variable" if variable.is_none() => {
+                    variable = Some(Arc::from(&*payload.string("variable")?));
+                }
+                "function" if function.is_none() => function = Some(payload.number("function")?),
+                "observed" if observed.is_none() => {
+                    observed = Some(
+                        payload
+                            .string("observed")?
+                            .parse()
+                            .map_err(|_| "unknown observed state")?,
+                    );
+                }
+                _ => payload.skip()?,
+            }
+        }
+        violations.push(Violation {
+            conjecture: conjecture.ok_or("missing `conjecture`")?,
+            line: line
+                .ok_or("missing `line`")?
+                .try_into()
+                .map_err(|_| "`line` is out of u32 range")?,
+            variable: variable.ok_or("missing `variable`")?,
+            function: FunctionId(function.ok_or("missing `function`")?),
+            observed: observed.ok_or("missing `observed`")?,
+        });
+    }
+    Ok(violations)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use holes_compiler::compile;
+    use holes_core::Observed;
     use holes_debugger::{trace, DebuggerKind};
     use holes_progen::ProgramGenerator;
 

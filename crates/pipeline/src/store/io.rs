@@ -19,12 +19,14 @@ use std::sync::Mutex;
 /// The file operations the artifact store's load/save path depends on.
 /// Implementations must be shareable across the store's worker threads.
 pub trait StoreIo: Send + Sync + std::fmt::Debug {
-    /// Read a whole file as UTF-8.
+    /// Read a whole file. Whether its bytes are a valid artifact is the
+    /// store's question, not a read failure: text that is not UTF-8 is
+    /// rejected and quarantined like any other damaged content.
     ///
     /// # Errors
     ///
     /// Returns the underlying (or injected) I/O error.
-    fn read_to_string(&self, path: &Path) -> io::Result<String>;
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
     /// Create or replace a file with the given bytes.
     ///
@@ -61,8 +63,8 @@ pub trait StoreIo: Send + Sync + std::fmt::Debug {
 pub struct OsIo;
 
 impl StoreIo for OsIo {
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        std::fs::read_to_string(path)
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        std::fs::read(path)
     }
 
     fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
@@ -153,9 +155,9 @@ impl FailingIo {
 }
 
 impl StoreIo for FailingIo {
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         self.trip()?;
-        OsIo.read_to_string(path)
+        OsIo.read(path)
     }
 
     fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()> {

@@ -30,11 +30,14 @@
 //! Every file is a [`ARTIFACT_FORMAT`] (`holes.artifact/v1`) envelope built
 //! on `holes_core::json`: format tag, kind, subject key, fingerprint, an
 //! FNV-1a checksum of the compact payload text, and the payload itself.
-//! Loads are **corruption-tolerant by construction**: any read, parse,
-//! envelope, checksum, or decode failure — including a decoded executable
-//! whose embedded configuration is not *exactly* the requested one — is
-//! counted in [`StoreStats::rejected`] and reported as a miss, so the
-//! artifact is recomputed (and the file rewritten) rather than trusted.
+//! Loads are **corruption-tolerant by construction**: any parse, envelope,
+//! checksum, or decode failure — including bytes that are not UTF-8, and a
+//! decoded executable whose embedded configuration is not *exactly* the
+//! requested one — is counted in [`StoreStats::rejected`] and reported as a
+//! miss, so the artifact is recomputed (and the file rewritten) rather than
+//! trusted. A load checks and decodes an envelope in one pass over its text,
+//! without building it as a tree: traces and violation sets decode straight
+//! from the reader's events while the checksum is taken alongside.
 //! Writes go to a unique temporary file in the destination directory and
 //! are published with an atomic rename, so concurrent shard processes
 //! sharing one cache directory can never observe a half-written artifact;
@@ -49,6 +52,7 @@
 //! [`crate::Subject::attach_store`].
 
 mod codec;
+mod gate;
 pub mod io;
 
 use std::io::ErrorKind;
@@ -56,6 +60,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
+use codec::DecodeError;
+use gate::{gate, Gated, Payload};
 use io::{FailingIo, OsIo, StoreIo};
 
 use holes_compiler::{CompilerConfig, Executable, Fingerprint};
@@ -457,64 +463,78 @@ impl ArtifactStore {
             .join(format!("{fingerprint}.{kind}.json"))
     }
 
-    /// Load and validate one artifact envelope; a content-level failure
-    /// counts as rejected (and quarantines the file), an absent file as
-    /// missed (falling through to the attached [`RemoteSource`], if any),
+    /// Load, check, and decode one artifact envelope; a content-level
+    /// failure counts as rejected (and quarantines the file), an absent file
+    /// as missed (falling through to the attached [`RemoteSource`], if any),
     /// and a persistent I/O failure as a store error — all yield `None`, so
     /// the artifact is recomputed rather than trusted.
-    fn load(&self, subject: SubjectKey, fingerprint: Fingerprint, kind: &str) -> Option<Json> {
+    fn load<T>(
+        &self,
+        subject: SubjectKey,
+        fingerprint: Fingerprint,
+        kind: &str,
+        decode: impl FnOnce(&mut Payload<'_, '_>) -> Result<T, DecodeError>,
+    ) -> Option<T> {
         let path = self.path_for(subject, fingerprint, kind);
-        let text = match self.with_retry(|| self.io.read_to_string(&path)) {
-            Ok(text) => text,
+        let bytes = match self.with_retry(|| self.io.read(&path)) {
+            Ok(bytes) => bytes,
             Err(error) => {
                 if error.kind() == ErrorKind::NotFound {
                     self.misses.fetch_add(1, Ordering::Relaxed);
-                    return self.load_remote(subject, fingerprint, kind, &path);
+                    return self.load_remote(subject, fingerprint, kind, &path, decode);
                 }
                 return None;
             }
         };
-        let envelope = match Json::parse(&text) {
-            Ok(envelope) => envelope,
-            Err(_) => {
-                self.reject(&path);
-                return None;
-            }
+        let gated = match std::str::from_utf8(&bytes) {
+            Ok(text) => gate(text, subject, fingerprint, kind, decode),
+            Err(_) => Gated::Invalid,
         };
-        match validate_envelope(&envelope, subject, fingerprint, kind) {
-            Some(payload) => Some(payload),
-            None => {
-                self.reject(&path);
+        self.settle(gated, &path)
+    }
+
+    /// Count a gated artifact read from `path`: a valid envelope whose
+    /// payload decoded is loaded; anything else is rejected.
+    fn settle<T>(&self, gated: Gated<T>, path: &Path) -> Option<T> {
+        match gated {
+            Gated::Valid(Ok(artifact)) => {
+                self.loads.fetch_add(1, Ordering::Relaxed);
+                Some(artifact)
+            }
+            _ => {
+                self.reject(path);
                 None
             }
         }
     }
 
     /// The remote leg of a local miss: fetch the envelope from the attached
-    /// [`RemoteSource`], revalidate it through exactly the gates a disk
-    /// load passes, quarantine it on any failure (the recompute heals the
-    /// cache), and write a validated envelope through to `path` so the next
-    /// process pays nothing.
-    fn load_remote(
+    /// [`RemoteSource`], render it once, pass that text through exactly the
+    /// gate a disk load passes, quarantine it on any failure (the recompute
+    /// heals the cache), and write the same text through to `path` so the
+    /// next process pays nothing.
+    fn load_remote<T>(
         &self,
         subject: SubjectKey,
         fingerprint: Fingerprint,
         kind: &str,
         path: &Path,
-    ) -> Option<Json> {
+        decode: impl FnOnce(&mut Payload<'_, '_>) -> Result<T, DecodeError>,
+    ) -> Option<T> {
         let remote = self.remote.get()?;
         match remote.fetch(subject, fingerprint, kind) {
             RemoteFetch::Hit(envelope) => {
-                match validate_envelope(&envelope, subject, fingerprint, kind) {
-                    Some(payload) => {
-                        self.remote_hits.fetch_add(1, Ordering::Relaxed);
-                        self.write_envelope(path, &envelope);
-                        Some(payload)
-                    }
-                    None => {
+                let line = envelope_line(&envelope);
+                match gate(&line, subject, fingerprint, kind, decode) {
+                    Gated::Invalid => {
                         self.remote_rejected.fetch_add(1, Ordering::Relaxed);
-                        self.quarantine_remote(subject, fingerprint, kind, &envelope);
+                        self.quarantine_remote(subject, fingerprint, kind, &line);
                         None
+                    }
+                    valid => {
+                        self.remote_hits.fetch_add(1, Ordering::Relaxed);
+                        self.write_envelope(path, &line);
+                        self.settle(valid, path)
                     }
                 }
             }
@@ -538,17 +558,15 @@ impl ArtifactStore {
         subject: SubjectKey,
         fingerprint: Fingerprint,
         kind: &str,
-        envelope: &Json,
+        line: &str,
     ) {
         let dir = self.root.join("quarantine").join(subject.to_string());
         if self.with_retry(|| self.io.create_dir_all(&dir)).is_err() {
             return;
         }
         let path = dir.join(format!("{fingerprint}.{kind}.remote.json"));
-        let mut text = envelope.to_compact();
-        text.push('\n');
         if self
-            .with_retry(|| self.io.write(&path, text.as_bytes()))
+            .with_retry(|| self.io.write(&path, line.as_bytes()))
             .is_ok()
         {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
@@ -562,7 +580,7 @@ impl ArtifactStore {
     fn save(&self, subject: SubjectKey, fingerprint: Fingerprint, kind: &str, payload: Json) {
         let path = self.path_for(subject, fingerprint, kind);
         let envelope = build_envelope(subject, fingerprint, kind, payload);
-        self.write_envelope(&path, &envelope);
+        self.write_envelope(&path, &envelope_line(&envelope));
         if let Some(remote) = self.remote.get() {
             if !remote.put(&envelope) {
                 self.remote_degraded.fetch_add(1, Ordering::Relaxed);
@@ -570,11 +588,11 @@ impl ArtifactStore {
         }
     }
 
-    /// Publish `envelope` at `path` via a unique temporary file and an
-    /// atomic rename (the shared engine of [`ArtifactStore::save`],
+    /// Publish an envelope's file text at `path` via a unique temporary file
+    /// and an atomic rename (the shared engine of [`ArtifactStore::save`],
     /// remote write-through, and [`ArtifactStore::put_envelope`]). Returns
     /// whether the artifact landed.
-    fn write_envelope(&self, path: &Path, envelope: &Json) -> bool {
+    fn write_envelope(&self, path: &Path, line: &str) -> bool {
         let Some(dir) = path.parent() else {
             return false;
         };
@@ -584,15 +602,13 @@ impl ArtifactStore {
         let Some(file) = path.file_name().and_then(|name| name.to_str()) else {
             return false;
         };
-        let mut text = envelope.to_compact();
-        text.push('\n');
         let tmp = dir.join(format!(
             ".{file}.{}-{}.tmp",
             std::process::id(),
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
         ));
         if self
-            .with_retry(|| self.io.write(&tmp, text.as_bytes()))
+            .with_retry(|| self.io.write(&tmp, line.as_bytes()))
             .is_ok()
         {
             if self.with_retry(|| self.io.rename(&tmp, path)).is_ok() {
@@ -627,8 +643,8 @@ impl ArtifactStore {
             return None;
         }
         let path = self.path_for(subject, fingerprint, kind);
-        let text = match self.with_retry(|| self.io.read_to_string(&path)) {
-            Ok(text) => text,
+        let bytes = match self.with_retry(|| self.io.read(&path)) {
+            Ok(bytes) => bytes,
             Err(error) => {
                 if error.kind() == ErrorKind::NotFound {
                     self.misses.fetch_add(1, Ordering::Relaxed);
@@ -636,16 +652,16 @@ impl ArtifactStore {
                 return None;
             }
         };
-        match Json::parse(&text) {
-            Ok(envelope) if validate_envelope(&envelope, subject, fingerprint, kind).is_some() => {
-                self.loads.fetch_add(1, Ordering::Relaxed);
-                Some(envelope)
-            }
-            _ => {
-                self.reject(&path);
-                None
-            }
+        let envelope = std::str::from_utf8(&bytes)
+            .ok()
+            .filter(|text| gate::is_valid(text, subject, fingerprint, kind))
+            .and_then(|text| Json::parse(text).ok());
+        if envelope.is_some() {
+            self.loads.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.reject(&path);
         }
+        envelope
     }
 
     /// Validate and store an envelope pushed by a remote peer (the
@@ -678,11 +694,12 @@ impl ArtifactStore {
             return Err(format!("`{kind}` is not a valid artifact kind"));
         }
         let kind = kind.to_owned();
-        if validate_envelope(envelope, subject, fingerprint, &kind).is_none() {
+        let line = envelope_line(envelope);
+        if !gate::is_valid(&line, subject, fingerprint, &kind) {
             return Err("envelope failed validation (format or checksum)".into());
         }
         let path = self.path_for(subject, fingerprint, &kind);
-        if self.write_envelope(&path, envelope) {
+        if self.write_envelope(&path, &line) {
             Ok(())
         } else {
             Err("store write failed".into())
@@ -696,17 +713,14 @@ impl ArtifactStore {
         subject: SubjectKey,
         config: &CompilerConfig,
     ) -> Option<Executable> {
-        let payload = self.load(subject, config.fingerprint(), "exe")?;
-        match codec::executable_from_json(&payload) {
-            Ok(executable) if &executable.config == config => {
-                self.loads.fetch_add(1, Ordering::Relaxed);
-                Some(executable)
+        self.load(subject, config.fingerprint(), "exe", |payload| {
+            let executable = codec::executable_from_json(&payload.tree()?)?;
+            if &executable.config == config {
+                Ok(executable)
+            } else {
+                Err("compiled from another configuration".into())
             }
-            _ => {
-                self.reject(&self.path_for(subject, config.fingerprint(), "exe"));
-                None
-            }
-        }
+        })
     }
 
     /// Persist the executable for `(subject, its configuration)`.
@@ -727,17 +741,7 @@ impl ArtifactStore {
         kind: DebuggerKind,
     ) -> Option<DebugTrace> {
         let tag = format!("trace-{}", debugger_tag(kind));
-        let payload = self.load(subject, config.fingerprint(), &tag)?;
-        match codec::trace_from_json(&payload) {
-            Ok(trace) => {
-                self.loads.fetch_add(1, Ordering::Relaxed);
-                Some(trace)
-            }
-            Err(_) => {
-                self.reject(&self.path_for(subject, config.fingerprint(), &tag));
-                None
-            }
-        }
+        self.load(subject, config.fingerprint(), &tag, codec::read_trace)
     }
 
     /// Persist the debug trace for `(subject, config, debugger)`.
@@ -765,17 +769,7 @@ impl ArtifactStore {
         kind: DebuggerKind,
     ) -> Option<Vec<Violation>> {
         let tag = format!("viol-{}", debugger_tag(kind));
-        let payload = self.load(subject, config.fingerprint(), &tag)?;
-        match codec::violations_from_json(&payload) {
-            Ok(violations) => {
-                self.loads.fetch_add(1, Ordering::Relaxed);
-                Some(violations)
-            }
-            Err(_) => {
-                self.reject(&self.path_for(subject, config.fingerprint(), &tag));
-                None
-            }
-        }
+        self.load(subject, config.fingerprint(), &tag, codec::read_violations)
     }
 
     /// The artifact kind of a corpus entry at a violation site: one kind
@@ -797,9 +791,9 @@ impl ArtifactStore {
         variable: &str,
     ) -> Option<Json> {
         let kind = ArtifactStore::corpus_kind(conjecture, line, variable);
-        let payload = self.load(subject, config.fingerprint(), &kind)?;
-        self.loads.fetch_add(1, Ordering::Relaxed);
-        Some(payload)
+        self.load(subject, config.fingerprint(), &kind, |payload| {
+            payload.tree()
+        })
     }
 
     /// Persist a distilled corpus entry beside the subject's compiled
@@ -975,15 +969,15 @@ pub(crate) fn valid_kind(kind: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
 }
 
-/// Validate a `holes.artifact/v1` envelope against the identity it is
-/// supposed to carry, returning the payload only when every gate passes:
-/// the format tag, the artifact kind, the subject key, the fingerprint
-/// (round-tripped through [`Fingerprint`]'s canonical hex spelling rather
-/// than raw string equality, so the check survives cosmetic re-spellings of
-/// the same identity), and the FNV-1a checksum of the compact payload text.
-/// This is the single gate every envelope passes — read from disk, fetched
-/// from a remote, or pushed by a put — so no path can trust bytes another
-/// path would reject.
+/// Validate a parsed `holes.artifact/v1` envelope against the identity it
+/// is supposed to carry, returning the payload only when every check
+/// passes: the format tag, the artifact kind, the subject key, the
+/// fingerprint (round-tripped through [`Fingerprint`]'s canonical hex
+/// spelling rather than raw string equality, so the check survives
+/// cosmetic re-spellings of the same identity), and the FNV-1a checksum of
+/// the compact payload text. The tree oracle the one-pass [`gate`] is
+/// tested against.
+#[cfg(test)]
 fn validate_envelope(
     envelope: &Json,
     subject: SubjectKey,
@@ -1007,7 +1001,7 @@ fn validate_envelope(
 }
 
 /// Assemble the `holes.artifact/v1` envelope for a payload (the exact
-/// object [`validate_envelope`] accepts).
+/// object [`gate`] accepts).
 fn build_envelope(
     subject: SubjectKey,
     fingerprint: Fingerprint,
@@ -1023,6 +1017,14 @@ fn build_envelope(
         ("checksum".to_owned(), Json::str(checksum)),
         ("payload".to_owned(), payload),
     ])
+}
+
+/// An envelope as its file holds it: the compact rendering and a newline.
+/// Rendered once, then gated and written as the same text.
+fn envelope_line(envelope: &Json) -> String {
+    let mut line = envelope.to_compact();
+    line.push('\n');
+    line
 }
 
 /// The timestamp a GC sweep uses for a group member. A file whose mtime
@@ -1173,6 +1175,48 @@ mod tests {
         healed.attach_store(Arc::clone(&scratch.store));
         assert_eq!(healed.violations(&config()), truth);
         assert_eq!(healed.cache_stats().compiles, 0);
+    }
+
+    /// Bytes that are not UTF-8 are damaged content, not a failed read:
+    /// the file is rejected and quarantined at once, never retried or
+    /// counted as a store error.
+    #[test]
+    fn non_utf8_store_files_are_rejected_and_quarantined_not_retried() {
+        let scratch = Scratch::new("non-utf8");
+        let subject = Subject::from_seed(7210);
+        subject.attach_store(Arc::clone(&scratch.store));
+        let truth = subject.violations(&config());
+        let key = SubjectKey::derive(subject.seed, &subject.source.text);
+        let path = scratch
+            .store
+            .path_for(key, config().fingerprint(), "viol-gdb");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] = 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let reread = subject.with_fresh_cache();
+        reread.attach_store(Arc::clone(&scratch.store));
+        assert_eq!(reread.violations(&config()), truth);
+        let stats = scratch.store.stats();
+        assert_eq!(
+            (
+                stats.rejected,
+                stats.quarantined,
+                stats.retries,
+                stats.store_errors
+            ),
+            (1, 1, 0, 0),
+            "{stats:?}"
+        );
+        // The coordinator's fetch path treats such a file alike.
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(scratch
+            .store
+            .fetch_envelope(key, config().fingerprint(), "viol-gdb")
+            .is_none());
+        let stats = scratch.store.stats();
+        assert_eq!((stats.rejected, stats.retries), (2, 0), "{stats:?}");
     }
 
     #[test]

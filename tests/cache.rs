@@ -16,8 +16,11 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use holes_compiler::{Fingerprint, Personality};
+use holes_compiler::{CompilerConfig, Fingerprint, OptLevel, Personality};
 use holes_core::json::Json;
+use holes_debugger::DebuggerKind;
+use holes_pipeline::campaign::run_campaign;
+use holes_pipeline::corpus::CorpusEntry;
 use holes_pipeline::fault::FaultPolicy;
 use holes_pipeline::serve::chaos::{CacheMode, CachePlan};
 use holes_pipeline::serve::{
@@ -28,6 +31,8 @@ use holes_pipeline::store::{
     install_process_store, ArtifactStore, RemoteFetch, RemoteSource, SubjectKey,
 };
 use holes_pipeline::stream::run_shard_streaming;
+use holes_pipeline::triage::triage_campaign;
+use holes_pipeline::{subject_pool, Subject};
 use holes_progen::SeedRange;
 
 /// Serializes every test here: the process-wide store override and the
@@ -455,4 +460,196 @@ proptest! {
             );
         }
     }
+}
+
+/// The configuration an executable envelope's payload records, decoded
+/// from its `config` object through the public constructors.
+fn recorded_config(payload: &Json) -> CompilerConfig {
+    let config = payload
+        .get("config")
+        .expect("an executable records its config");
+    let field = |key: &str| config.get(key).and_then(Json::as_str).expect(key);
+    let personality: Personality = field("personality").parse().expect("personality");
+    let level: OptLevel = field("level").parse().expect("level");
+    let mut decoded = CompilerConfig::new(personality, level).with_version(
+        personality
+            .version_index(field("version"))
+            .expect("version"),
+    );
+    for pass in config
+        .get("disabled_passes")
+        .and_then(Json::as_arr)
+        .expect("passes")
+    {
+        decoded = decoded.with_disabled_pass(pass.as_str().expect("pass name"));
+    }
+    decoded.pass_budget = config.get("pass_budget").and_then(Json::as_usize);
+    if config.get("disable_defects").and_then(Json::as_bool) == Some(true) {
+        decoded = decoded.without_defects();
+    }
+    if let Some(backend) = config.get("backend").and_then(Json::as_str) {
+        decoded = decoded.with_backend(backend.parse().expect("backend"));
+    }
+    decoded
+}
+
+/// A store written by an earlier build stays fully warm. The fixture under
+/// `tests/golden/store-v1/` holds what a debug build of that earlier
+/// `holes` wrote for `triage --personality lcc --seeds 2505..2506 --limit
+/// 1` and `campaign --seeds 2501..2502`, plus the corpus entry `corpus add
+/// --seed 2501` mirrors into the store: every artifact kind. (A debug
+/// build's bisection also probes every pass budget to assert monotonicity,
+/// so its store serves both build profiles warm.) Over a copy of it,
+/// rerunning both computes nothing and prints what a storeless run prints,
+/// and every artifact loads equal to its recomputation.
+#[test]
+fn a_committed_old_store_stays_fully_warm() {
+    let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/store-v1");
+    let copy = Scratch::dir("store-v1");
+    let mut files = Vec::new();
+    for subject_dir in std::fs::read_dir(&fixture)
+        .expect("fixture store")
+        .flatten()
+    {
+        let into = copy.path.join(subject_dir.file_name());
+        std::fs::create_dir_all(&into).unwrap();
+        for file in std::fs::read_dir(subject_dir.path()).unwrap().flatten() {
+            std::fs::copy(file.path(), into.join(file.file_name())).unwrap();
+            files.push(into.join(file.file_name()));
+        }
+    }
+    files.sort();
+    let lcc = CampaignSpec::new(
+        Personality::Lcc,
+        Personality::Lcc.trunk(),
+        SeedRange::new(2505, 2506),
+    );
+    let triage_run = || {
+        let subjects = subject_pool(2505, 1);
+        let (result, _) = run_campaign(&subjects, &lcc, &FaultPolicy::default());
+        let (table, _, stats) =
+            triage_campaign(&subjects, &lcc, &result, 1, &FaultPolicy::default());
+        (table.to_json().to_pretty(), stats)
+    };
+    let campaign_run = || {
+        let mut out = Vec::new();
+        let run = run_shard_streaming(&spec(2501, 1), &mut out, &FaultPolicy::default())
+            .expect("campaign");
+        (out, run.stats)
+    };
+    install_process_store(None);
+    let (triage_reference, _) = triage_run();
+    let (campaign_reference, _) = campaign_run();
+
+    let store = Arc::new(ArtifactStore::open(&copy.path).expect("fixture copy opens"));
+    install_process_store(Some(Arc::clone(&store)));
+    let (triage_warm, triage_stats) = triage_run();
+    let (campaign_warm, campaign_stats) = campaign_run();
+    install_process_store(None);
+    assert_eq!(
+        triage_warm, triage_reference,
+        "warm triage changed its table"
+    );
+    assert_eq!(
+        campaign_warm, campaign_reference,
+        "warm campaign changed its bytes"
+    );
+    for stats in [triage_stats, campaign_stats] {
+        assert_eq!(
+            (stats.compiles, stats.traces, stats.checks),
+            (0, 0, 0),
+            "the old store went cold: {stats:?}"
+        );
+    }
+
+    // Every artifact, loaded on its own, equals its recomputation.
+    let subjects: Vec<Subject> = [2501, 2505].map(Subject::from_seed).into();
+    let subject_of = |path: &std::path::Path| {
+        let key: SubjectKey = path
+            .parent()
+            .unwrap()
+            .file_name()
+            .unwrap()
+            .to_str()
+            .unwrap()
+            .parse()
+            .unwrap();
+        let subject = subjects
+            .iter()
+            .find(|s| SubjectKey::derive(s.seed, &s.source.text) == key)
+            .expect("a fixture subject");
+        (key, subject)
+    };
+    let name = |path: &std::path::Path| path.file_name().unwrap().to_str().unwrap().to_owned();
+    let payload = |path: &std::path::Path| {
+        Json::parse(&std::fs::read_to_string(path).unwrap())
+            .unwrap()
+            .get("payload")
+            .unwrap()
+            .clone()
+    };
+    let mut configs = std::collections::BTreeMap::new();
+    for path in files
+        .iter()
+        .filter(|path| name(path).ends_with(".exe.json"))
+    {
+        let (key, subject) = subject_of(path);
+        let config = recorded_config(&payload(path));
+        assert_eq!(format!("{}.exe.json", config.fingerprint()), name(path));
+        let loaded = store
+            .load_executable(key, &config)
+            .expect("executable loads");
+        assert_eq!(loaded, subject.compile(&config), "{}", name(path));
+        configs.insert(config.fingerprint().to_string(), config);
+    }
+    let (mut kinds, before) = (std::collections::BTreeSet::new(), store.stats());
+    for path in &files {
+        let (key, subject) = subject_of(path);
+        let file = name(path);
+        let (fingerprint, rest) = file.split_once('.').unwrap();
+        let kind = rest.strip_suffix(".json").unwrap();
+        kinds.insert(kind.split('-').next().unwrap().to_owned());
+        if kind == "exe" {
+            continue;
+        }
+        if let Some(site) = kind.strip_prefix("corpus-") {
+            let entry = CorpusEntry::from_json(&payload(path)).expect("a corpus entry");
+            assert_eq!(
+                site,
+                format!("{}-L{}-{}", entry.conjecture, entry.line, entry.variable)
+            );
+            let loaded = store
+                .load_corpus_entry(
+                    key,
+                    &entry.config(),
+                    entry.conjecture,
+                    entry.line,
+                    &entry.variable,
+                )
+                .expect("corpus entry loads");
+            assert_eq!(CorpusEntry::from_json(&loaded).unwrap(), entry);
+            continue;
+        }
+        let config = &configs[fingerprint];
+        let debugger = DebuggerKind::native_for(config.personality);
+        if kind.starts_with("trace-") {
+            let loaded = store
+                .load_trace(key, config, debugger)
+                .expect("trace loads");
+            assert_eq!(loaded, subject.trace(config), "{file}");
+        } else {
+            let loaded = store
+                .load_violations(key, config, debugger)
+                .expect("violations load");
+            assert_eq!(loaded, subject.violations(config), "{file}");
+        }
+    }
+    assert_eq!(
+        kinds.into_iter().collect::<Vec<_>>(),
+        ["corpus", "exe", "trace", "viol"],
+        "the fixture holds every artifact kind"
+    );
+    let after = store.stats();
+    assert_eq!(after.rejected, before.rejected, "{after:?}");
 }
