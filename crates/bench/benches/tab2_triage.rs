@@ -1,29 +1,30 @@
 use criterion::{criterion_group, criterion_main, Criterion};
-use holes_bench::{bench_pool, pool_campaign, pool_spec};
+use holes_bench::pool_size;
 
 use holes_compiler::Personality;
+use holes_pipeline::shard::CampaignSpec;
 use holes_pipeline::triage::triage_campaign;
 use holes_pipeline::FaultPolicy;
+use holes_progen::SeedRange;
 
 /// Table 2: the optimizations most frequently identified as culprits, per
 /// conjecture and compiler personality.
 fn bench(c: &mut Criterion) {
-    let pool = bench_pool(43_000);
+    let seeds = SeedRange::new(43_000, 43_000 + pool_size() as u64);
+    let policy = FaultPolicy::default();
     for personality in [Personality::Ccg, Personality::Lcc] {
-        let result = pool_campaign(&pool, personality, personality.trunk());
-        let spec = pool_spec(&pool, personality, personality.trunk());
-        let (table, _, _) = triage_campaign(&pool, &spec, &result, 4, &FaultPolicy::default());
+        let spec = CampaignSpec::new(personality, personality.trunk(), seeds);
+        let table = triage_campaign(&spec, 4, &policy).table;
         println!("== Table 2 ({personality}) — top culprit passes ==");
         println!("{}", table.render(5));
         println!("distinct culprits: {}", table.distinct_culprits());
     }
     let mut group = c.benchmark_group("tab2");
     group.sample_size(10);
-    let result = pool_campaign(&pool[..1], Personality::Ccg, 4);
-    let spec = pool_spec(&pool[..1], Personality::Ccg, 4);
-    let policy = FaultPolicy::default();
+    // One program end to end: generate, campaign, triage.
+    let spec = CampaignSpec::new(Personality::Ccg, 4, SeedRange::new(43_000, 43_001));
     group.bench_function("triage_one_program", |b| {
-        b.iter(|| triage_campaign(&pool[..1], &spec, &result, 1, &policy))
+        b.iter(|| triage_campaign(&spec, 1, &policy))
     });
     group.finish();
 }

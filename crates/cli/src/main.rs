@@ -44,7 +44,7 @@ use holes::compiler::{BackendKind, CompilerConfig, OptLevel, Personality};
 use holes::core::json::Json;
 use holes::core::Conjecture;
 use holes::pipeline::baseline::{Baseline, ViolationFingerprint, BASELINE_FORMAT};
-use holes::pipeline::campaign::{run_campaign, unique_key, CampaignTallies};
+use holes::pipeline::campaign::{unique_key, CampaignTallies};
 use holes::pipeline::corpus::{distill, Corpus, CorpusEntry, ReplayOutcome};
 use holes::pipeline::fault;
 use holes::pipeline::par::{self, par_map};
@@ -67,7 +67,7 @@ use holes::pipeline::triage::{
     merge_triage_shards, run_triage_shard, triage, triage_campaign, TriageShard,
 };
 use holes::pipeline::{
-    subject_pool, ArtifactStore, CacheStats, FaultPolicy, Subject, SubjectKey, SubjectOutcome,
+    ArtifactStore, CacheStats, FaultPolicy, Subject, SubjectKey, SubjectOutcome,
 };
 use holes::progen::{ProgramGenerator, SeedRange};
 
@@ -1884,14 +1884,12 @@ fn cmd_triage(argv: &[String]) -> Result<RunStatus, String> {
         );
         return triage_shard_mode(&parsed, &spec, limit, &policy, store.as_ref());
     }
-    let subjects = subject_pool(seeds.start, seeds.len() as usize);
-    let (result, _) = run_campaign(&subjects, &spec, &policy);
-    let (table, triage_faults, stats) = triage_campaign(&subjects, &spec, &result, limit, &policy);
-    let faulted = result.faults.len() + triage_faults.len();
+    let run = triage_campaign(&spec, limit, &policy);
+    let faulted = run.campaign_faults.len() + run.triage_faults.len();
     if parsed.switch("stats") {
-        print_stats(&stats, store.as_ref());
+        print_stats(&run.stats, store.as_ref());
     }
-    let rendered = table.to_json().to_pretty();
+    let rendered = run.table.to_json().to_pretty();
     write_out(&parsed, &rendered)?;
     if parsed.switch("json") {
         out!("{rendered}");
@@ -1906,7 +1904,7 @@ fn cmd_triage(argv: &[String]) -> Result<RunStatus, String> {
     );
     outln!();
     outln!("Table 2: culprit passes per conjecture (top {top})");
-    out!("{}", table.render(top));
+    out!("{}", run.table.render(top));
     Ok(RunStatus::from_faulted(faulted))
 }
 

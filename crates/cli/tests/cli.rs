@@ -584,6 +584,74 @@ fn default_campaign_and_report_bytes_match_the_committed_goldens() {
     }
 }
 
+/// The monolithic triage samples the first `--limit` unique violations per
+/// conjecture over the whole range, and contains faults per subject. At
+/// `--limit 3` the quota binds for both personalities, so these fixtures
+/// pin the global selection order; a faulted subject exits 2 and leaves the
+/// other subjects' table.
+#[test]
+fn triage_quota_and_fault_bytes_match_the_committed_goldens() {
+    for personality in ["lcc", "ccg"] {
+        golden(
+            &format!("cli-triage-2500-2560-{personality}-limit3.json"),
+            &ok_stdout(&[
+                "triage",
+                "--personality",
+                personality,
+                "--seeds",
+                "2500..2560",
+                "--limit",
+                "3",
+                "--json",
+            ]),
+        );
+    }
+    let faulted = holes_env(
+        &[
+            "triage",
+            "--personality",
+            "lcc",
+            "--seeds",
+            "2500..2506",
+            "--limit",
+            "1000000",
+            "--json",
+        ],
+        &[("HOLES_FAULT_SEEDS", "2503")],
+    );
+    assert_eq!(faulted.status.code(), Some(2));
+    golden("cli-triage-2500-2506-lcc-faulted.json", &faulted.stdout);
+}
+
+/// Every artifact is built once however many threads race for it, so a
+/// parallel triage counts exactly the work of the serial one.
+#[test]
+fn triage_stats_do_not_depend_on_the_thread_count() {
+    for personality in ["lcc", "ccg"] {
+        let stats = |threads: &str| {
+            let output = holes_env(
+                &[
+                    "triage",
+                    "--personality",
+                    personality,
+                    "--seeds",
+                    "2500..2530",
+                    "--limit",
+                    "1000000",
+                    "--json",
+                    "--stats",
+                ],
+                &[("HOLES_THREADS", threads)],
+            );
+            assert!(output.status.success());
+            let stderr = String::from_utf8(output.stderr).unwrap();
+            let line = stderr.lines().find(|line| line.starts_with("stats: "));
+            line.expect("a stats line").to_owned()
+        };
+        assert_eq!(stats("1"), stats("2"), "{personality}");
+    }
+}
+
 #[test]
 fn frame_backend_surfaces_violations_neither_existing_backend_can_express() {
     let scratch = Scratch::new("frame-backend");
@@ -880,6 +948,28 @@ fn stats_report_the_peak_rss_of_the_process() {
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("missing memory line: {stderr}"));
     assert!(kb > 0, "{stderr}");
+}
+
+/// `holes triage` streams its range subject by subject, so its peak RSS
+/// does not grow with the number of seeds.
+#[cfg(target_os = "linux")]
+#[test]
+fn triage_memory_does_not_grow_with_the_range() {
+    let peak_kb = |seeds: &str| -> u64 {
+        let output = holes(&["triage", "--seeds", seeds, "--json", "--stats"]);
+        assert!(output.status.success());
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        let kb = stderr
+            .lines()
+            .find_map(|line| line.strip_prefix("memory: peak_rss_kb "))
+            .and_then(|kb| kb.parse().ok());
+        kb.unwrap_or_else(|| panic!("missing memory line: {stderr}"))
+    };
+    let (short, long) = (peak_kb("0..40"), peak_kb("0..160"));
+    assert!(
+        long < 2 * short,
+        "0..40 peaks at {short} kB, 0..160 at {long} kB"
+    );
 }
 
 /// Run the binary with extra environment variables set.

@@ -15,11 +15,17 @@
 //! [`holes_compiler::Fingerprint`] exists for display and for on-disk keys.
 //! Artifacts are stored behind [`Arc`], so concurrent readers on the
 //! parallel campaign paths share one copy. All maps are guarded by plain
-//! mutexes held only for lookups and inserts — the expensive work
-//! (compiling, tracing) runs outside the lock, so parallel misses on
-//! *different* configurations never serialize. Two threads racing to fill
-//! the *same* key may both do the work; the first insert wins and the
-//! results are identical because compilation is deterministic.
+//! mutexes held only to find or insert a key's **in-flight cell** — the
+//! expensive work (compiling, tracing) fills that cell outside the map
+//! lock, so parallel misses on *different* configurations never serialize.
+//! A second thread that misses the *same* key waits on that one cell
+//! instead of building it again, so every key is built exactly once and
+//! the activity counters do not depend on thread timing. Builders only
+//! wait on cells further down the order violations → trace → executable →
+//! snapshots (a trace's stop plan is filled after its executable), so no
+//! two threads can wait on each other. A build that panics leaves its cell
+//! empty, and the next lookup builds it afresh — which is what lets
+//! [`crate::fault::contain`] retry a faulted subject.
 //!
 //! The cache holds everything it has computed for the lifetime of the
 //! subject — artifacts in this simulator are kilobytes, and the evaluation
@@ -115,8 +121,23 @@ pub struct ArtifactCache {
     inner: Arc<CacheInner>,
 }
 
+/// One artifact slot: filled once, by the first thread to miss its key.
+type Cell<V> = Arc<OnceLock<Arc<V>>>;
+
 /// One shared, mutex-guarded artifact map.
-type Shard<K, V> = Mutex<HashMap<K, Arc<V>>>;
+type Shard<K, V> = Mutex<HashMap<K, Cell<V>>>;
+
+/// The artifact stored under `key` if its cell is filled, else the cell
+/// (inserted empty on a first miss) for the caller to fill outside the map
+/// lock.
+fn lookup<K: std::hash::Hash + Eq, V>(map: &Shard<K, V>, key: K) -> Result<Arc<V>, Cell<V>> {
+    let mut map = map.lock().unwrap_or_else(PoisonError::into_inner);
+    let cell = map.entry(key).or_default();
+    match cell.get() {
+        Some(found) => Ok(Arc::clone(found)),
+        None => Err(Arc::clone(cell)),
+    }
+}
 
 /// The persistent second level a cache may be bound to: a shared store plus
 /// the owning subject's stable on-disk identity.
@@ -149,11 +170,12 @@ struct CacheInner {
 
 /// Look up `key`; on an in-memory miss try the persistent store (`load`),
 /// then a cheap derivation (`derive` — the snapshot codegen-only path;
-/// traces and violations pass a constant `None`), and only then build
-/// outside the lock — writing fresh artifacts through to the store
-/// (`save`). First insert wins a race; the counters record work actually
-/// performed (a disk load is neither a hit nor a recompute, a derivation is
-/// counted by `derives`).
+/// traces and violations pass a constant `None`), and only then build —
+/// all inside the key's cell, outside the map lock — writing fresh
+/// artifacts through to the store (`save`). The counters record work
+/// actually performed: the thread that fills the cell counts a miss, a disk
+/// load, or a derivation (`derives`); every other lookup of the key,
+/// including one that waited for the fill, counts a hit.
 #[allow(clippy::too_many_arguments)] // counters + staged closures; a param struct would obscure more than it helps
 fn memoize<K: std::hash::Hash + Eq, V>(
     map: &Shard<K, V>,
@@ -167,36 +189,32 @@ fn memoize<K: std::hash::Hash + Eq, V>(
     save: impl FnOnce(&V),
     build: impl FnOnce() -> V,
 ) -> Arc<V> {
-    if let Some(found) = map.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-        hits.fetch_add(1, Ordering::Relaxed);
-        return Arc::clone(found);
-    }
-    let built = match load() {
-        Some(loaded) => {
-            disk_loads.fetch_add(1, Ordering::Relaxed);
-            Arc::new(loaded)
+    let cell = match lookup(map, key) {
+        Ok(found) => {
+            hits.fetch_add(1, Ordering::Relaxed);
+            return found;
         }
-        None => match derive() {
-            Some(derived) => {
-                let derived = Arc::new(derived);
-                derives.fetch_add(1, Ordering::Relaxed);
-                save(&derived);
-                derived
-            }
-            None => {
-                let built = Arc::new(build());
-                misses.fetch_add(1, Ordering::Relaxed);
-                save(&built);
-                built
-            }
-        },
+        Err(cell) => cell,
     };
-    Arc::clone(
-        map.lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert(built),
-    )
+    let mut filled_here = false;
+    let value = cell.get_or_init(|| {
+        filled_here = true;
+        if let Some(loaded) = load() {
+            disk_loads.fetch_add(1, Ordering::Relaxed);
+            return Arc::new(loaded);
+        }
+        let (built, counter) = match derive() {
+            Some(derived) => (derived, derives),
+            None => (build(), misses),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        save(&built);
+        Arc::new(built)
+    });
+    if !filled_here {
+        hits.fetch_add(1, Ordering::Relaxed);
+    }
+    Arc::clone(value)
 }
 
 impl ArtifactCache {
@@ -371,22 +389,16 @@ impl ArtifactCache {
 }
 
 /// Plain counter-free get-or-insert for the auxiliary maps (plans,
-/// snapshots); first insert wins a race, like [`memoize`].
+/// snapshots), built once per key like [`memoize`].
 fn get_or_insert<K: std::hash::Hash + Eq, V>(
     map: &Shard<K, V>,
     key: K,
     build: impl FnOnce() -> V,
 ) -> Arc<V> {
-    if let Some(found) = map.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-        return Arc::clone(found);
+    match lookup(map, key) {
+        Ok(found) => found,
+        Err(cell) => Arc::clone(cell.get_or_init(|| Arc::new(build()))),
     }
-    let built = Arc::new(build());
-    Arc::clone(
-        map.lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert(built),
-    )
 }
 
 impl std::fmt::Debug for ArtifactCache {
@@ -394,5 +406,59 @@ impl std::fmt::Debug for ArtifactCache {
         f.debug_struct("ArtifactCache")
             .field("stats", &self.stats())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use holes_compiler::{OptLevel, Personality};
+    use std::sync::Barrier;
+    use std::time::Duration;
+
+    fn key() -> (CompilerConfig, DebuggerKind) {
+        let config = CompilerConfig::new(Personality::Lcc, OptLevel::O2);
+        let kind = DebuggerKind::native_for(config.personality);
+        (config, kind)
+    }
+
+    #[test]
+    fn racing_misses_on_one_key_build_it_once() {
+        let cache = ArtifactCache::default();
+        let (config, kind) = key();
+        let builds = AtomicUsize::new(0);
+        let threads = 8;
+        let start = Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(|| {
+                    start.wait();
+                    cache.violations(&config, kind, || {
+                        builds.fetch_add(1, Ordering::Relaxed);
+                        // Hold the build open so every other thread misses
+                        // while it is in flight.
+                        std::thread::sleep(Duration::from_millis(20));
+                        Vec::new()
+                    });
+                });
+            }
+        });
+        assert_eq!(builds.into_inner(), 1);
+        let stats = cache.stats();
+        assert_eq!((stats.checks, stats.hits), (1, threads - 1), "{stats:?}");
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_key_to_be_built_again() {
+        let cache = ArtifactCache::default();
+        let (config, kind) = key();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.violations(&config, kind, || panic!("build failed"))
+        }));
+        assert!(panicked.is_err());
+        let built = cache.violations(&config, kind, Vec::new);
+        assert!(built.is_empty());
+        let stats = cache.stats();
+        assert_eq!((stats.checks, stats.hits), (1, 0), "{stats:?}");
     }
 }

@@ -415,8 +415,8 @@ fn chunk_size() -> usize {
 /// Where [`evaluate`] takes its subjects from.
 #[derive(Clone, Copy)]
 pub(crate) enum Subjects<'a> {
-    /// A prebuilt pool (whose warm caches a later triage reuses); the
-    /// subject at position `i` has global index `i`.
+    /// A prebuilt pool (whose warm caches later queries reuse); the subject
+    /// at position `i` has global index `i`.
     Pool(&'a [Subject]),
     /// Made by [`Subject::from_seed`] over the spec's shard seeds whose
     /// global index is at least `from_index`.
@@ -428,18 +428,9 @@ pub(crate) enum Subjects<'a> {
     },
 }
 
-/// The one subject evaluator every campaign operation runs on: evaluate
-/// `per_subject` for each subject in bounded parallel chunks, each subject
-/// under [`fault::contain`] with the policy's fuel limit riding on it, and
-/// hand the outcomes to `sink` in subject order. Returns the engine
-/// activity of the completed subjects, or the sink's first error (which
-/// stops the evaluation).
-pub(crate) fn evaluate<T: Send, E>(
-    subjects: Subjects<'_>,
-    policy: &FaultPolicy,
-    per_subject: impl Fn(&Subject, usize) -> T + Sync,
-    mut sink: impl FnMut(SubjectOutcome<T>) -> Result<(), E>,
-) -> Result<CacheStats, E> {
+/// The `(seed, global index)` jobs of an evaluation in subject order, cut
+/// into the bounded chunks it evaluates in parallel.
+pub(crate) fn chunks(subjects: Subjects<'_>) -> impl Iterator<Item = Vec<(u64, usize)>> + '_ {
     let mut jobs: Box<dyn Iterator<Item = (u64, usize)> + '_> = match subjects {
         Subjects::Pool(pool) => Box::new(pool.iter().map(|s| s.seed).zip(0..)),
         Subjects::Seeds { spec, from_index } => Box::new(
@@ -450,12 +441,26 @@ pub(crate) fn evaluate<T: Send, E>(
         ),
     };
     let chunk_size = chunk_size();
-    let mut stats = CacheStats::default();
-    loop {
+    std::iter::from_fn(move || {
         let chunk: Vec<(u64, usize)> = jobs.by_ref().take(chunk_size).collect();
-        if chunk.is_empty() {
-            return Ok(stats);
-        }
+        (!chunk.is_empty()).then_some(chunk)
+    })
+}
+
+/// The one subject evaluator every campaign operation runs on: evaluate
+/// `per_subject` for each subject in bounded parallel [`chunks`], each
+/// subject under [`fault::contain`] with the policy's fuel limit riding on
+/// it, and hand the outcomes to `sink` in subject order. Returns the engine
+/// activity of the completed subjects, or the sink's first error (which
+/// stops the evaluation).
+pub(crate) fn evaluate<T: Send, E>(
+    subjects: Subjects<'_>,
+    policy: &FaultPolicy,
+    per_subject: impl Fn(&Subject, usize) -> T + Sync,
+    mut sink: impl FnMut(SubjectOutcome<T>) -> Result<(), E>,
+) -> Result<CacheStats, E> {
+    let mut stats = CacheStats::default();
+    for chunk in chunks(subjects) {
         let outcomes = par::par_map(&chunk, |_, &(seed, index)| {
             fault::contain(policy, seed, index, || {
                 // A fuel limit rides on the subject; a pool subject's clone
@@ -484,6 +489,7 @@ pub(crate) fn evaluate<T: Send, E>(
             })?;
         }
     }
+    Ok(stats)
 }
 
 /// [`evaluate`] with the campaign's per-subject work: every subject's
@@ -539,8 +545,9 @@ pub(crate) fn collect_campaign(
 ///
 /// The pool stands in for the spec's seed range — pass its programs in seed
 /// order (`subject_pool(spec.seeds.start, n)`); the subject at position `i`
-/// gets index `i`. Keeping the pool lets a later [`crate::triage`] run
-/// reuse the subjects' warm caches. Each subject is evaluated under
+/// gets index `i`. Keeping the pool lets later queries (a report's
+/// classification, a reduction) reuse the subjects' warm caches. Each
+/// subject is evaluated under
 /// [`fault::contain`], so a panic or (under a fuel limit) a runaway program
 /// becomes a [`SubjectFault`] in the result's `faults` list instead of
 /// crashing the campaign. Subjects are evaluated in parallel and their

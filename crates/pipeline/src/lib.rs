@@ -65,28 +65,31 @@
 //! **One evaluator, one entry point per operation.** Every campaign
 //! operation — [`campaign::run_campaign`] over a prebuilt pool,
 //! [`shard::run_shard`], [`stream::run_shard_streaming`],
-//! [`stream::resume_shard_streaming`], and [`triage::run_triage_shard`] —
-//! takes a [`shard::CampaignSpec`] and a [`FaultPolicy`], returns its
-//! faults and engine statistics, and runs on one subject evaluator: bounded
-//! parallel chunks, each subject under [`fault::contain`] with the fuel
-//! limit riding on it, outcomes delivered in subject order. The classic
-//! shard document collects that outcome sequence; the JSON Lines writer
-//! streams it. [`triage::triage_campaign`] and [`reduce::reduce`] complete
-//! the set, and one validator checks the record/fault sequence of both
-//! shard formats.
+//! [`stream::resume_shard_streaming`], [`triage::run_triage_shard`], and
+//! the monolithic [`triage::triage_campaign`] — takes a
+//! [`shard::CampaignSpec`] and a [`FaultPolicy`], returns its faults and
+//! engine statistics, and runs on one subject evaluator: bounded parallel
+//! chunks, each subject under [`fault::contain`] with the fuel limit riding
+//! on it, outcomes delivered in subject order. The classic shard document
+//! collects that outcome sequence; the JSON Lines writer streams it. The
+//! monolithic triage samples each chunk against its running per-conjecture
+//! quota, triages the sample (each violation contained on its own), and
+//! drops the chunk, so no operation holds a whole range in memory.
+//! [`reduce::reduce`] completes the set, and one validator checks the
+//! record/fault sequence of both shard formats.
 //!
 //! **Deterministic parallelism.** The outer loops — subjects × levels in
-//! the campaign evaluator, violations in [`triage::triage_campaign`],
-//! flags in a gcc-style flag search, (version, level) cells in the
-//! regression studies — are embarrassingly parallel and fan out over scoped
-//! threads ([`par::par_map`]). Results are reassembled **in input order**,
-//! so every rendered table and Venn distribution is byte-identical to a
-//! serial run (the test suite holds the campaign to a plain serial loop
-//! over the oracle); setting `HOLES_THREADS=1` forces serial execution.
-//! Determinism also does not
-//! depend on timing: compilation is a pure function of (program,
-//! configuration), so cache races at worst duplicate work, never change a
-//! result.
+//! the campaign evaluator, a chunk's sampled violations in
+//! [`triage::triage_campaign`], flags in a gcc-style flag search, (version,
+//! level) cells in the regression studies — are embarrassingly parallel and
+//! fan out over scoped threads ([`par::par_map`]). Results are reassembled
+//! **in input order**, so every rendered table and Venn distribution is
+//! byte-identical to a serial run (the test suite holds the campaign to a
+//! plain serial loop over the oracle); setting `HOLES_THREADS=1` forces
+//! serial execution. Neither results nor engine statistics depend on
+//! timing: compilation is a pure function of (program, configuration), and
+//! threads that miss the same cache key wait for one build of it instead of
+//! racing to duplicate it.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -17,7 +17,7 @@
 pub mod junit;
 pub mod sarif;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use holes_compiler::CompilerConfig;
 use holes_core::json::Json;
@@ -239,7 +239,8 @@ pub fn build_report(
 /// [`build_report`] without a pre-generated pool: subjects are regenerated
 /// from the records' seeds, and only for the (at most `limit`) programs the
 /// report actually classifies — the right entry point for drivers holding a
-/// merged campaign over a large seed range.
+/// merged campaign over a large seed range. Records arrive in subject
+/// order, so only the current subject (and its cache) is kept alive.
 ///
 /// Requires records whose `seed` fields are the generator seeds of their
 /// programs (true for every generated campaign; not for hand-written
@@ -254,7 +255,7 @@ pub fn build_report_from_seeds(
 ) -> IssueReport {
     let mut report = IssueReport::default();
     let mut seen: BTreeSet<UniqueKey> = BTreeSet::new();
-    let mut subjects: BTreeMap<usize, Subject> = BTreeMap::new();
+    let mut current: Option<(usize, Subject)> = None;
     for record in &result.records {
         if report.rows.len() >= limit {
             break;
@@ -262,9 +263,9 @@ pub fn build_report_from_seeds(
         if !seen.insert(unique_key(record)) {
             continue;
         }
-        let subject = subjects
-            .entry(record.subject)
-            .or_insert_with(|| Subject::from_seed(record.seed));
+        let kept = current.take().filter(|(index, _)| *index == record.subject);
+        let (_, subject) = current
+            .insert(kept.unwrap_or_else(|| (record.subject, Subject::from_seed(record.seed))));
         let config = CompilerConfig::new(personality, record.level)
             .with_version(version)
             .with_backend(backend);

@@ -29,7 +29,7 @@ use holes_core::json::Json;
 use holes_core::{Conjecture, Violation};
 
 use crate::campaign::{
-    evaluate, subject_records, unique_key, CampaignResult, Subjects, UniqueKey, ViolationRecord,
+    chunks, evaluate, subject_records, unique_key, Subjects, UniqueKey, ViolationRecord,
 };
 use crate::fault::{self, FaultPolicy, SubjectFault, SubjectOutcome};
 use crate::shard::{parse_levels, parse_spec_header, spec_header_pairs, CampaignSpec, ShardError};
@@ -290,10 +290,17 @@ impl TriageTable {
     }
 }
 
-/// The first `limit` unique violations per conjecture of `records`, in
-/// record order — the triage sample.
-fn sample(records: &[ViolationRecord], limit: usize) -> Vec<&ViolationRecord> {
-    let mut taken: BTreeMap<Conjecture, usize> = BTreeMap::new();
+/// The records of `records` a triage samples: in record order, each
+/// violation not seen before in this call whose conjecture has fewer than
+/// `limit` samples in `taken`. `taken` carries the per-conjecture quota
+/// across calls, so sampling subject after subject selects exactly what one
+/// call over all their records would — a [`UniqueKey`] names its subject,
+/// so no key repeats across subjects.
+fn sample<'r>(
+    records: &'r [ViolationRecord],
+    limit: usize,
+    taken: &mut BTreeMap<Conjecture, usize>,
+) -> Vec<&'r ViolationRecord> {
     let mut seen: BTreeSet<UniqueKey> = BTreeSet::new();
     records
         .iter()
@@ -308,65 +315,112 @@ fn sample(records: &[ViolationRecord], limit: usize) -> Vec<&ViolationRecord> {
         .collect()
 }
 
-/// Triage a sample of the unique violations of a campaign and build Table 2.
+/// Triage one record of the campaign `spec` on its subject.
+fn triage_record(
+    subject: &Subject,
+    spec: &CampaignSpec,
+    record: &ViolationRecord,
+) -> TriageOutcome {
+    let config = CompilerConfig::new(spec.personality, record.level)
+        .with_version(spec.version)
+        .with_backend(spec.backend);
+    triage(subject, &config, &record.violation)
+}
+
+/// Everything a monolithic [`triage_campaign`] produced.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TriageRun {
+    /// Table 2's attribution counts.
+    pub table: TriageTable,
+    /// Subjects whose campaign evaluation faulted, in subject order; they
+    /// contribute no violations to the sample.
+    pub campaign_faults: Vec<SubjectFault>,
+    /// Sampled violations whose triage faulted, in selection order; they
+    /// contribute nothing to the table.
+    pub triage_faults: Vec<SubjectFault>,
+    /// The engine activity of every subject — campaign and triage work,
+    /// faulted subjects included.
+    pub stats: CacheStats,
+}
+
+/// Run the campaign of `spec` and triage a sample of its unique violations:
+/// Table 2.
 ///
-/// `subjects` and `result` come from [`crate::campaign::run_campaign`] over
-/// the same spec, so every probe reuses the campaign's warm caches (the
-/// oracle will not reproduce a violation found on another backend).
 /// `per_conjecture_limit` bounds how many violations are triaged for each
 /// conjecture (triage is the most expensive stage, as the paper also notes:
-/// ~20 minutes per program for gcc). The sample is selected serially — in
-/// record order, so it is deterministic — and then triaged in parallel;
-/// counts are aggregated back in selection order.
+/// ~20 minutes per program for gcc). The sample is global: the first
+/// `limit` unique violations per conjecture in record order over the whole
+/// range.
 ///
-/// Each selected violation's triage runs inside [`fault::contain`], so a
-/// panicking or fuel-exhausted probe is recorded as a [`SubjectFault`] (in
-/// selection order) instead of tearing down the whole triage; faulted
-/// triages contribute nothing to the table. Also returns the pool's engine
-/// activity, which — since the caches are shared — covers the campaign's
-/// work too.
+/// The range streams through the campaign evaluator's bounded chunks: each
+/// chunk's subjects are generated and campaigned in parallel, sampled
+/// in subject order against the running quota (a subject's share depends
+/// only on earlier subjects), triaged in parallel, and dropped — so memory
+/// stays constant however long the range. A subject is generated outside
+/// containment, with the fuel limit riding on it, so its cache and its
+/// statistics survive a faulted or retried evaluation. Its campaign runs
+/// under [`fault::contain`], and so does each sampled violation's triage: a
+/// panicking or fuel-exhausted evaluation becomes a [`SubjectFault`]
+/// instead of tearing down the run.
 pub fn triage_campaign(
-    subjects: &[Subject],
     spec: &CampaignSpec,
-    result: &CampaignResult,
     per_conjecture_limit: usize,
     policy: &FaultPolicy,
-) -> (TriageTable, Vec<SubjectFault>, CacheStats) {
-    let selected = sample(&result.records, per_conjecture_limit);
-    let outcomes = par::par_map(&selected, |_, record| {
-        fault::contain(policy, record.seed, record.subject, || {
-            let config = CompilerConfig::new(spec.personality, record.level)
-                .with_version(spec.version)
-                .with_backend(spec.backend);
-            // A fuel limit rides on a cache-sharing clone, exactly as in the
-            // campaign evaluator.
-            let limited;
-            let subject = if policy.fuel_limit.is_some() {
-                limited = subjects[record.subject]
-                    .clone()
-                    .with_fuel_limit(policy.fuel_limit);
-                &limited
-            } else {
-                &subjects[record.subject]
-            };
-            triage(subject, &config, &record.violation)
-        })
-    });
-    let mut table = TriageTable::default();
-    let mut faults = Vec::new();
-    for (record, outcome) in selected.iter().zip(outcomes) {
-        match outcome {
-            SubjectOutcome::Completed(outcome) => {
-                table.attribute(record.violation.conjecture, outcome.culprits);
+) -> TriageRun {
+    let levels = spec.personality.levels();
+    let mut run = TriageRun::default();
+    let mut taken = BTreeMap::new();
+    let subjects = Subjects::Seeds {
+        spec,
+        from_index: 0,
+    };
+    for chunk in chunks(subjects) {
+        let evaluated = par::par_map(&chunk, |_, &(seed, index)| {
+            let subject = Subject::from_seed(seed).with_fuel_limit(policy.fuel_limit);
+            let records = fault::contain(policy, seed, index, || {
+                subject_records(
+                    &subject,
+                    index,
+                    spec.personality,
+                    spec.version,
+                    spec.backend,
+                    levels,
+                )
+            });
+            (subject, records)
+        });
+        let mut selected = Vec::new();
+        for (subject, records) in &evaluated {
+            match records {
+                SubjectOutcome::Completed(records) => selected.extend(
+                    sample(records, per_conjecture_limit, &mut taken)
+                        .into_iter()
+                        .map(|record| (subject, record)),
+                ),
+                SubjectOutcome::Faulted(subject_fault) => {
+                    run.campaign_faults.push(subject_fault.clone());
+                }
             }
-            SubjectOutcome::Faulted(subject_fault) => faults.push(subject_fault),
+        }
+        let outcomes = par::par_map(&selected, |_, &(subject, record)| {
+            fault::contain(policy, record.seed, record.subject, || {
+                triage_record(subject, spec, record)
+            })
+        });
+        for ((_, record), outcome) in selected.iter().zip(outcomes) {
+            match outcome {
+                SubjectOutcome::Completed(outcome) => {
+                    run.table
+                        .attribute(record.violation.conjecture, outcome.culprits);
+                }
+                SubjectOutcome::Faulted(subject_fault) => run.triage_faults.push(subject_fault),
+            }
+        }
+        for (subject, _) in &evaluated {
+            run.stats.absorb(subject.cache_stats());
         }
     }
-    let mut stats = CacheStats::default();
-    for subject in subjects {
-        stats.absorb(subject.cache_stats());
-    }
-    (table, faults, stats)
+    run
 }
 
 /// The identifying first line of a triage shard file.
@@ -423,11 +477,8 @@ pub fn run_triage_shard(
             levels,
         );
         let mut table = TriageTable::default();
-        for record in sample(&records, limit) {
-            let config = CompilerConfig::new(spec.personality, record.level)
-                .with_version(spec.version)
-                .with_backend(spec.backend);
-            let outcome = triage(subject, &config, &record.violation);
+        for record in sample(&records, limit, &mut BTreeMap::new()) {
+            let outcome = triage_record(subject, spec, record);
             table.attribute(record.violation.conjecture, outcome.culprits);
         }
         table
@@ -840,18 +891,16 @@ mod tests {
 
     #[test]
     fn triage_table_aggregates_by_conjecture() {
-        let subjects = subject_pool(1210, 3);
-        let result = trunk_campaign(&subjects, Personality::Ccg);
         let spec = CampaignSpec::new(
             Personality::Ccg,
             Personality::Ccg.trunk(),
             holes_progen::SeedRange::new(1210, 1213),
         );
-        let (table, faults, _) =
-            triage_campaign(&subjects, &spec, &result, 2, &FaultPolicy::default());
-        assert!(faults.is_empty());
-        let rendered = table.render(5);
+        let run = triage_campaign(&spec, 2, &FaultPolicy::default());
+        assert!(run.campaign_faults.is_empty() && run.triage_faults.is_empty());
+        assert!(run.stats.compiles > 0, "triage compiled nothing");
+        let rendered = run.table.render(5);
         assert!(rendered.contains("C1"));
-        assert!(table.distinct_culprits() <= 20);
+        assert!(run.table.distinct_culprits() <= 20);
     }
 }

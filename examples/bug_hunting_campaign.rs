@@ -37,7 +37,7 @@ fn main() {
         );
 
         println!("--- Table 2: top culprit optimizations ---");
-        let (triaged, _, _) = triage_campaign(&pool, &spec, &result, 5, &policy);
+        let triaged = triage_campaign(&spec, 5, &policy).table;
         println!("{}", triaged.render(5));
 
         println!("--- Table 3: DIE-level classification ---");

@@ -19,7 +19,6 @@ use proptest::prelude::*;
 use holes_compiler::{CompilerConfig, Fingerprint, OptLevel, Personality};
 use holes_core::json::Json;
 use holes_debugger::DebuggerKind;
-use holes_pipeline::campaign::run_campaign;
 use holes_pipeline::corpus::CorpusEntry;
 use holes_pipeline::fault::FaultPolicy;
 use holes_pipeline::serve::chaos::{CacheMode, CachePlan};
@@ -32,7 +31,7 @@ use holes_pipeline::store::{
 };
 use holes_pipeline::stream::run_shard_streaming;
 use holes_pipeline::triage::triage_campaign;
-use holes_pipeline::{subject_pool, Subject};
+use holes_pipeline::Subject;
 use holes_progen::SeedRange;
 
 /// Serializes every test here: the process-wide store override and the
@@ -526,11 +525,8 @@ fn a_committed_old_store_stays_fully_warm() {
         SeedRange::new(2505, 2506),
     );
     let triage_run = || {
-        let subjects = subject_pool(2505, 1);
-        let (result, _) = run_campaign(&subjects, &lcc, &FaultPolicy::default());
-        let (table, _, stats) =
-            triage_campaign(&subjects, &lcc, &result, 1, &FaultPolicy::default());
-        (table.to_json().to_pretty(), stats)
+        let run = triage_campaign(&lcc, 1, &FaultPolicy::default());
+        (run.table.to_json().to_pretty(), run.stats)
     };
     let campaign_run = || {
         let mut out = Vec::new();

@@ -12,14 +12,13 @@ use std::path::Path;
 use holes::compiler::{BackendKind, CompilerConfig, OptLevel, Personality};
 use holes::core::{Conjecture, Observed};
 use holes::pipeline::baseline::Baseline;
-use holes::pipeline::campaign::run_campaign;
 use holes::pipeline::corpus::{Corpus, CorpusEntry};
 use holes::pipeline::reduce::reduce;
 use holes::pipeline::report::junit::{junit_xml, CaseOutcome, TestCase};
 use holes::pipeline::report::sarif::{sarif_log, SarifResult};
 use holes::pipeline::shard::{run_shard, CampaignSpec};
 use holes::pipeline::triage::{triage, triage_campaign};
-use holes::pipeline::{subject_pool, FaultPolicy, Subject};
+use holes::pipeline::{FaultPolicy, Subject};
 use holes::progen::SeedRange;
 
 /// Compare `actual` against the fixture `tests/golden/<name>`, or rewrite
@@ -164,14 +163,11 @@ fn corpus_document_bytes_are_stable() {
 fn triage_table_bytes_are_stable() {
     let seeds: SeedRange = "2500..2506".parse().unwrap();
     let spec = CampaignSpec::new(Personality::Lcc, Personality::Lcc.trunk(), seeds);
-    let subjects = subject_pool(seeds.start, seeds.len() as usize);
-    let policy = FaultPolicy::default();
-    let (result, _) = run_campaign(&subjects, &spec, &policy);
-    let (table, faults, _) = triage_campaign(&subjects, &spec, &result, 1_000_000, &policy);
-    assert!(faults.is_empty());
+    let run = triage_campaign(&spec, 1_000_000, &FaultPolicy::default());
+    assert!(run.campaign_faults.is_empty() && run.triage_faults.is_empty());
     check(
         "cli-triage-2500-2506-lcc.json",
-        &table.to_json().to_pretty(),
+        &run.table.to_json().to_pretty(),
     );
 }
 

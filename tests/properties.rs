@@ -667,6 +667,64 @@ proptest! {
         let _ = std::fs::remove_dir_all(&root);
     }
 
+    /// The streamed monolithic triage selects, triages, faults and counts
+    /// exactly what the pool-based triage does — for random ranges, limits
+    /// that bind and limits that do not, both personalities, every backend,
+    /// injected faults and fuel limits.
+    #[test]
+    fn streamed_triage_equals_the_pool_oracle(
+        start in 0u64..10_000,
+        len in 1u64..24,
+        limit_index in 0usize..4,
+        personality_index in 0usize..2,
+        backend_index in 0usize..3,
+        inject_bits in any::<u64>(),
+        fuel_index in 0usize..4,
+    ) {
+        use holes_compiler::BackendKind;
+        use holes_pipeline::shard::CampaignSpec;
+        use holes_pipeline::triage::triage_campaign;
+        use holes_pipeline::{par, ArtifactStore, FaultPolicy};
+        use holes_progen::SeedRange;
+
+        let personality = [Personality::Ccg, Personality::Lcc][personality_index];
+        let spec = CampaignSpec::new(personality, personality.trunk(), SeedRange::new(start, start + len))
+            .with_backend(BackendKind::ALL[backend_index]);
+        let limit = [1, 2, 3, 1_000_000][limit_index];
+        // Each seed faults with probability 1/8; the fuel limits fault some
+        // campaigns and some triage probes. Ranges longer than one chunk
+        // carry the quota across chunks.
+        let policy = FaultPolicy {
+            inject_seeds: (0..len)
+                .filter(|i| inject_bits >> (3 * i) & 7 == 0)
+                .map(|i| start + i)
+                .collect(),
+            fuel_limit: [None, Some(100), Some(300), Some(1_000)][fuel_index],
+            ..FaultPolicy::default()
+        };
+        // Both sides run as the two items of one `par_map`, so each runs on
+        // a pool worker, where every nested `par_map` runs inline: a fuel
+        // fault in a fanned-out flag search would otherwise race the other
+        // probes, and stop at a timing-dependent point.
+        let mut runs = par::par_map(&[true, false], |_, &streamed| {
+            if streamed {
+                triage_campaign(&spec, limit, &policy)
+            } else {
+                pool_triage(&spec, limit, &policy)
+            }
+        });
+        let oracle = runs.pop().unwrap();
+        let streamed = runs.pop().unwrap();
+        prop_assert_eq!(&streamed.table, &oracle.table);
+        prop_assert_eq!(&streamed.campaign_faults, &oracle.campaign_faults);
+        prop_assert_eq!(&streamed.triage_faults, &oracle.triage_faults);
+        // A store shared through HOLES_CACHE_DIR would let one side load
+        // what the other computed.
+        if ArtifactStore::from_env().is_none() {
+            prop_assert_eq!(streamed.stats, oracle.stats);
+        }
+    }
+
     /// Diffing a run's recorded baseline against itself is always empty:
     /// every fingerprint is known, nothing is new or fixed, and the gate
     /// stays silent — for arbitrary ranges and both personalities.
@@ -817,6 +875,61 @@ proptest! {
             prop_assert_eq!(String::from_utf8(compact).unwrap(), value.to_compact());
         }
     }
+}
+
+/// The pool-based monolithic triage that `triage_campaign` streams: a
+/// prebuilt pool, a campaign over the whole range, then the first `limit`
+/// unique violations per conjecture in record order, triaged one after
+/// another. The differential oracle of
+/// `streamed_triage_equals_the_pool_oracle`.
+fn pool_triage(
+    spec: &holes_pipeline::shard::CampaignSpec,
+    limit: usize,
+    policy: &holes_pipeline::FaultPolicy,
+) -> holes_pipeline::triage::TriageRun {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use holes_pipeline::campaign::{run_campaign, unique_key};
+    use holes_pipeline::triage::{triage, TriageRun};
+    use holes_pipeline::{fault, subject_pool, SubjectOutcome};
+
+    let subjects = subject_pool(spec.seeds.start, spec.seeds.len() as usize);
+    let (result, _) = run_campaign(&subjects, spec, policy);
+    let mut run = TriageRun {
+        campaign_faults: result.faults.clone(),
+        ..TriageRun::default()
+    };
+    let mut taken = BTreeMap::new();
+    let mut seen = BTreeSet::new();
+    for record in &result.records {
+        let conjecture = record.violation.conjecture;
+        let taken = taken.entry(conjecture).or_insert(0);
+        if *taken >= limit || !seen.insert(unique_key(record)) {
+            continue;
+        }
+        *taken += 1;
+        let config = CompilerConfig::new(spec.personality, record.level)
+            .with_version(spec.version)
+            .with_backend(spec.backend);
+        let subject = subjects[record.subject]
+            .clone()
+            .with_fuel_limit(policy.fuel_limit);
+        match fault::contain(policy, record.seed, record.subject, || {
+            triage(&subject, &config, &record.violation)
+        }) {
+            SubjectOutcome::Completed(outcome) => {
+                for culprit in outcome.culprits {
+                    let passes = run.table.counts.entry(conjecture).or_default();
+                    *passes.entry(culprit).or_insert(0) += 1;
+                }
+            }
+            SubjectOutcome::Faulted(fault) => run.triage_faults.push(fault),
+        }
+    }
+    for subject in &subjects {
+        run.stats.absorb(subject.cache_stats());
+    }
+    run
 }
 
 /// One step of splitmix64 over `state`.
