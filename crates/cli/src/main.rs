@@ -45,6 +45,7 @@ use holes::core::json::Json;
 use holes::core::Conjecture;
 use holes::pipeline::baseline::{Baseline, ViolationFingerprint, BASELINE_FORMAT};
 use holes::pipeline::campaign::{unique_key, CampaignTallies};
+use holes::pipeline::chaos::{self, ChaosPlan};
 use holes::pipeline::corpus::{distill, Corpus, CorpusEntry, ReplayOutcome};
 use holes::pipeline::fault;
 use holes::pipeline::par::{self, par_map};
@@ -169,9 +170,12 @@ impl RunStatus {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // A malformed thread count is rejected up front: ignoring it would
-    // silently run on every core.
-    let outcome = par::requested_workers().and_then(|_| run(&argv));
+    // A malformed thread count or chaos plan is rejected up front: ignoring
+    // it would silently run on every core, or without the injected faults.
+    let outcome = par::requested_workers()
+        .and_then(|_| ChaosPlan::from_env())
+        .map(chaos::install)
+        .and_then(|()| run(&argv));
     if STATS_REQUESTED.load(Ordering::Relaxed) {
         if let Some(kb) = peak_rss_kb() {
             eprintln!("memory: peak_rss_kb {kb}");
@@ -256,7 +260,7 @@ fn backend_suffix(backend: BackendKind) -> String {
 }
 
 /// The fault policy of a compiling command: the optional `--fuel-limit`
-/// step budget plus whatever `HOLES_FAULT_SEEDS` injects. With neither
+/// step budget plus the installed chaos plan's fault seeds. With neither
 /// present this is the default policy, whose output is byte-identical to a
 /// pipeline without the containment layer.
 fn policy_of(parsed: &Parsed) -> Result<FaultPolicy, String> {
@@ -267,7 +271,11 @@ fn policy_of(parsed: &Parsed) -> Result<FaultPolicy, String> {
         ),
         None => None,
     };
-    FaultPolicy::from_env(fuel_limit)
+    Ok(FaultPolicy {
+        fuel_limit,
+        inject_seeds: chaos::installed().fault_seeds.clone(),
+        ..FaultPolicy::default()
+    })
 }
 
 fn version_of(parsed: &Parsed, personality: Personality) -> Result<usize, String> {
@@ -1515,15 +1523,17 @@ Options:
   --cache-dir DIR          Also serve a fleet-wide artifact cache out of
                            DIR (holes.cache-rpc/v1, same listener; or set
                            HOLES_CACHE_DIR); workers opt in with
-                           --cache-server. HOLES_CACHE_CHAOS=
-                           drop:N|corrupt:N|delay:N mutates the N-th
-                           cache reply for chaos testing
+                           --cache-server
   --quiet                  Suppress lease progress on stderr
+
+Chaos testing: HOLES_CACHE_CHAOS=drop:N|corrupt:N|delay:N drops, bit-flips
+or stalls the N-th cache reply (HOLES_SERVE_CHAOS: see `holes work`).
 
 Exit status: 0 — complete, no contained faults; 2 — complete with
 contained faults, or cut short by quarantined shards or a SIGTERM drain
 (the merged output is only written when every shard completed); 1 — hard
-failure (bad spec, unusable journal, socket errors).
+failure (bad spec, malformed chaos variable, unusable journal, socket
+errors).
 ";
 
 fn cmd_serve(argv: &[String]) -> Result<RunStatus, String> {
@@ -1698,8 +1708,11 @@ unreachable or misbehaving cache server is never fatal: the worker
 degrades to local-only caching and still exits 0. Results from revoked
 leases are submitted anyway and discarded by the coordinator —
 preemption never double-counts a subject.
-HOLES_SERVE_CHAOS=abort:N|preempt:N injects deterministic failures for
-chaos testing (see `holes serve`).
+
+Chaos testing: HOLES_SERVE_CHAOS=abort:N aborts the worker right after its
+N-th streamed shard line; preempt:N runs its N-th lease without
+heartbeats, so the coordinator revokes it. A malformed value exits 1
+before any work.
 ";
 
 fn cmd_work(argv: &[String]) -> Result<RunStatus, String> {

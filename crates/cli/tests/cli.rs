@@ -1627,6 +1627,53 @@ fn bogus_fault_seed_lists_are_rejected_up_front_with_the_offending_entry() {
     );
 }
 
+/// A malformed chaos variable stops `campaign --out F` and `report` at
+/// start-up: exit 1, no output file, and stderr names the variable and its
+/// bad entry.
+fn chaos_typo_is_rejected_at_start_up(variable: &str, value: &str, entry: &str) {
+    let scratch = Scratch::new(&format!("chaos-typo-{}", variable.to_lowercase()));
+    let shard = scratch.path("shard.json");
+    ok_stdout(&["campaign", "--seeds", "0..2", "--out", &shard, "--quiet"]);
+    let out = scratch.path("out.json");
+    for args in [
+        &["campaign", "--seeds", "0..2", "--out", &out, "--quiet"][..],
+        &["report", &shard],
+    ] {
+        let output = holes_env(args, &[(variable, value)]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?} wrote output");
+        assert!(
+            !Path::new(&out).exists(),
+            "{args:?} created its output file"
+        );
+        assert!(
+            stderr.starts_with(&format!("holes: {variable}: ")) && stderr.contains(entry),
+            "{args:?}: stderr must name {variable} and `{entry}`: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn fault_seed_typos_stop_every_command_at_start_up() {
+    chaos_typo_is_rejected_at_start_up("HOLES_FAULT_SEEDS", "3,x", "`x`");
+}
+
+#[test]
+fn store_chaos_typos_stop_every_command_at_start_up() {
+    chaos_typo_is_rejected_at_start_up("HOLES_STORE_CHAOS", "3x", "`3x`");
+}
+
+#[test]
+fn serve_chaos_typos_stop_every_command_at_start_up() {
+    chaos_typo_is_rejected_at_start_up("HOLES_SERVE_CHAOS", "abrt:5", "`abrt:5`");
+}
+
+#[test]
+fn cache_chaos_typos_stop_every_command_at_start_up() {
+    chaos_typo_is_rejected_at_start_up("HOLES_CACHE_CHAOS", "corupt:3", "`corupt:3`");
+}
+
 #[test]
 fn campaign_corpus_prepass_replays_first_and_gates_regressions() {
     let scratch = Scratch::new("prepass");

@@ -43,67 +43,18 @@ pub struct FaultPolicy {
     /// Sleep between retries, multiplied by the attempt number.
     pub backoff: Duration,
     /// Seeds whose evaluation is made to panic on purpose — the fault
-    /// injection seam the chaos tests and the CI smoke job drive via the
-    /// `HOLES_FAULT_SEEDS` environment variable. Empty in normal operation.
+    /// injection seam the chaos tests and the CI smoke job drive through
+    /// the [`crate::chaos::ChaosPlan`]'s fault seeds. Empty in normal
+    /// operation.
     pub inject_seeds: BTreeSet<u64>,
 }
 
 impl FaultPolicy {
-    /// The policy the CLI builds: an optional fuel limit plus any injected
-    /// fault seeds named by the `HOLES_FAULT_SEEDS` environment variable (a
-    /// comma-separated seed list).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending entry when the variable is
-    /// set but not a valid seed list. A chaos schedule that silently loses
-    /// entries would make an injection test pass vacuously, so a typo is a
-    /// hard error, never ignored.
-    pub fn from_env(fuel_limit: Option<u64>) -> Result<FaultPolicy, String> {
-        let inject_seeds = match std::env::var("HOLES_FAULT_SEEDS") {
-            Err(_) => BTreeSet::new(),
-            Ok(list) => {
-                parse_seed_list(&list).map_err(|entry| format!("HOLES_FAULT_SEEDS: {entry}"))?
-            }
-        };
-        Ok(FaultPolicy {
-            fuel_limit,
-            inject_seeds,
-            ..FaultPolicy::default()
-        })
-    }
-
     /// Whether this policy can produce faults at all (so drivers on the
     /// default policy skip nothing and change nothing).
     pub fn is_default(&self) -> bool {
         *self == FaultPolicy::default()
     }
-}
-
-/// Parse a comma-separated seed list (the `HOLES_FAULT_SEEDS` syntax).
-/// Empty entries — a trailing comma, doubled separators — are tolerated;
-/// anything else that is not an unsigned integer is rejected with a message
-/// naming the entry.
-///
-/// # Errors
-///
-/// Returns the offending entry and the expected syntax.
-pub fn parse_seed_list(list: &str) -> Result<BTreeSet<u64>, String> {
-    let mut seeds = BTreeSet::new();
-    for entry in list.split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let seed: u64 = entry.parse().map_err(|_| {
-            format!(
-                "`{entry}` is not a seed (expected a comma-separated list \
-                 of unsigned integers, e.g. `7,23`)"
-            )
-        })?;
-        seeds.insert(seed);
-    }
-    Ok(seeds)
 }
 
 /// The pipeline stage a contained fault was attributed to.
@@ -365,29 +316,40 @@ mod tests {
 
     #[test]
     fn env_policy_parses_seed_lists() {
-        // `from_env` reads the environment at call time, so the parse logic
-        // is exercised through `parse_seed_list` directly (the variable is
-        // unset in the test environment).
-        let policy = FaultPolicy::from_env(Some(500)).expect("unset variable parses");
-        assert_eq!(policy.fuel_limit, Some(500));
-        assert_eq!(
-            parse_seed_list("3, 17,29,").unwrap(),
-            [3u64, 17, 29].into_iter().collect()
-        );
-        assert_eq!(parse_seed_list("").unwrap(), BTreeSet::new());
+        let plan = crate::chaos::plan_of("HOLES_FAULT_SEEDS", "3, 17,29,").expect("valid list");
+        let policy = FaultPolicy {
+            inject_seeds: plan.fault_seeds.clone(),
+            ..FaultPolicy::default()
+        };
+        assert_eq!(policy.inject_seeds, [3u64, 17, 29].into_iter().collect());
+        for seed in [3, 17, 29] {
+            assert!(matches!(
+                contain(&policy, seed, 0, || ()),
+                SubjectOutcome::Faulted(_)
+            ));
+        }
+        assert!(matches!(
+            contain(&policy, 4, 0, || 4),
+            SubjectOutcome::Completed(4)
+        ));
+        let unset = crate::chaos::plan_of("HOLES_FAULT_SEEDS", "").expect("blank list");
+        assert_eq!(unset.fault_seeds, BTreeSet::new());
     }
 
     #[test]
     fn seed_list_typos_are_rejected_with_the_offending_entry() {
         for bad in ["x", "3,x,17", "3;17", "-1", "1.5"] {
-            let err = parse_seed_list(bad).unwrap_err();
+            let err = crate::chaos::plan_of("HOLES_FAULT_SEEDS", bad).unwrap_err();
             assert!(
-                err.contains("is not a seed") && err.contains("comma-separated"),
+                err.starts_with("HOLES_FAULT_SEEDS: ")
+                    && err.contains("is not a seed")
+                    && err.contains("comma-separated"),
                 "`{bad}` -> {err}"
             );
         }
         // The message names the entry, not the whole list.
-        assert!(parse_seed_list("3,oops,17").unwrap_err().contains("`oops`"));
+        let err = crate::chaos::plan_of("HOLES_FAULT_SEEDS", "3,oops,17").unwrap_err();
+        assert!(err.contains("`oops`") && !err.contains("3,oops"), "{err}");
     }
 
     #[test]

@@ -96,6 +96,7 @@
 
 pub mod baseline;
 pub mod campaign;
+pub mod chaos;
 pub mod corpus;
 pub mod fault;
 pub mod reduce;

@@ -14,9 +14,8 @@
 //! execution, which is occasionally useful for profiling and debugging).
 //! Parallelism is **single-level**: a [`par_map`] reached from inside
 //! another `par_map`'s worker runs its items inline on that worker, so
-//! composed stages (a parallel triage whose flag search is itself a
-//! `par_map`, a campaign invoked from a caller's fan-out) never multiply
-//! into workers × workers threads.
+//! composed stages (a campaign invoked from a caller's fan-out) never
+//! multiply into workers × workers threads.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -41,9 +41,9 @@ use std::time::{Duration, Instant};
 use holes_compiler::Fingerprint;
 use holes_core::json::Json;
 
-use super::chaos::{CacheMode, CachePlan};
 use super::protocol::{connect_with_timeout, missing, read_message, str_field, write_message};
 use super::ServeError;
+use crate::chaos::{CacheMode, Counted};
 use crate::store::{valid_kind, ArtifactStore, RemoteFetch, RemoteSource, SubjectKey};
 
 /// Version tag every `holes.cache-rpc/v1` message carries in its `rpc`
@@ -257,11 +257,11 @@ pub(crate) fn serve_cache_connection(
     mut writer: TcpStream,
     store: Option<Arc<ArtifactStore>>,
     message: Json,
-    chaos: Option<Arc<CachePlan>>,
+    chaos: Option<Arc<Counted<CacheMode>>>,
     quiet: bool,
 ) {
     let reply = handle_request(store.as_ref(), &message);
-    let outcome = match chaos.as_deref().and_then(CachePlan::fire) {
+    let outcome = match chaos.as_deref().and_then(Counted::fire) {
         Some(CacheMode::Drop) => {
             if !quiet {
                 eprintln!("serve: cache chaos: dropping a reply");

@@ -20,11 +20,11 @@ use std::time::{Duration, Instant};
 use holes_core::json::Json;
 
 use super::cache::{serve_cache_connection, CACHE_RPC_FORMAT};
-use super::chaos::{cache_plan_from_env, CachePlan};
 use super::journal::Journal;
 use super::lease::{Assignment, LeaseConfig, LeaseTable, Revocation, Submission};
 use super::protocol::{read_message, write_message, Reply, Request};
 use super::ServeError;
+use crate::chaos::{self, CacheMode, Counted};
 use crate::shard::{CampaignShard, CampaignSpec};
 use crate::store::ArtifactStore;
 use crate::stream::{write_merged_stream, StreamRun};
@@ -44,8 +44,8 @@ pub struct ServeConfig {
     /// error reply and workers degrade to local-only caching).
     pub cache: Option<Arc<ArtifactStore>>,
     /// Cache-reply chaos override for in-process tests; when `None` the
-    /// `HOLES_CACHE_CHAOS` environment plan applies.
-    pub cache_chaos: Option<Arc<CachePlan>>,
+    /// installed [`chaos::ChaosPlan`]'s cache event applies.
+    pub cache_chaos: Option<Arc<Counted<CacheMode>>>,
     /// Suppress progress lines on stderr.
     pub quiet: bool,
 }
@@ -350,7 +350,10 @@ impl Coordinator {
         drain: &AtomicBool,
     ) -> Result<ServeReport, ServeError> {
         let mut state = ServeState::open(spec, config)?;
-        let cache_chaos = config.cache_chaos.clone().or_else(cache_plan_from_env);
+        let cache_chaos = config
+            .cache_chaos
+            .clone()
+            .or_else(|| chaos::installed().cache.clone());
         // Connection threads read the request line off the accept loop and
         // forward parsed `holes.rpc/v1` messages (with the socket to answer
         // on) back over this channel; the lease state stays single-threaded.
@@ -458,7 +461,7 @@ impl Coordinator {
         &self,
         stream: TcpStream,
         config: &ServeConfig,
-        cache_chaos: &Option<Arc<CachePlan>>,
+        cache_chaos: &Option<Arc<Counted<CacheMode>>>,
         rpc: &Sender<(Json, TcpStream)>,
         live_threads: &Arc<AtomicUsize>,
     ) -> Result<(), ServeError> {

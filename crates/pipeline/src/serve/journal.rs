@@ -163,7 +163,9 @@ mod tests {
     use crate::FaultPolicy;
     use holes_compiler::Personality;
     use holes_progen::SeedRange;
+    use proptest::prelude::*;
     use std::path::PathBuf;
+    use std::sync::OnceLock;
 
     fn spec() -> CampaignSpec {
         CampaignSpec::new(
@@ -264,5 +266,150 @@ mod tests {
         std::fs::write(&scratch2.path, &bytes).expect("mismatched journal writes");
         let refusal = Journal::open(&scratch2.path, &spec, 3).expect_err("mismatched entry");
         assert!(refusal.to_string().contains("does not match"), "{refusal}");
+    }
+
+    /// A real journal of `spec()` in 3 lease shards holding entries for
+    /// shards 0 and 2, and the header of a journal written for 4 shards.
+    fn pristine() -> &'static (Vec<u8>, String) {
+        static PRISTINE: OnceLock<(Vec<u8>, String)> = OnceLock::new();
+        PRISTINE.get_or_init(|| {
+            let scratch = Scratch::new("pristine");
+            let spec = spec();
+            let (mut journal, _) = Journal::open(&scratch.path, &spec, 3).expect("journal opens");
+            for index in [0, 2] {
+                let lease = spec.clone().with_shard(3, index as u64);
+                let shard = run_shard(&lease, &FaultPolicy::default()).expect("shard evaluates");
+                journal.record(index, &shard.0).expect("entry appends");
+            }
+            let bytes = std::fs::read(&scratch.path).expect("journal reads");
+            (bytes, header_line(&spec, 4))
+        })
+    }
+
+    /// Truncate at a byte, flip a byte, duplicate a line, or splice in the
+    /// foreign header. Returns the mutated bytes and, for a truncation, the
+    /// length cut to.
+    fn mutate(
+        bytes: &[u8],
+        foreign: &str,
+        mutation: usize,
+        at: u64,
+        other: u64,
+    ) -> (Vec<u8>, Option<usize>) {
+        let mut lines: Vec<&[u8]> = bytes.split_inclusive(|&byte| byte == b'\n').collect();
+        let line = (at % lines.len() as u64) as usize;
+        let slot = (other % (lines.len() as u64 + 1)) as usize;
+        match mutation {
+            0 => {
+                let cut = (at % (bytes.len() as u64 + 1)) as usize;
+                (bytes[..cut].to_vec(), Some(cut))
+            }
+            1 => {
+                let mut flipped = bytes.to_vec();
+                flipped[(at % bytes.len() as u64) as usize] ^= (other % 255 + 1) as u8;
+                (flipped, None)
+            }
+            2 => {
+                lines.insert(slot, lines[line]);
+                (lines.concat(), None)
+            }
+            _ => {
+                lines.insert(slot, foreign.as_bytes());
+                (lines.concat(), None)
+            }
+        }
+    }
+
+    /// The scratch of the journal fuzzer: two copies of one journal and a
+    /// sentinel file beside them that no open may touch.
+    struct Sandbox(PathBuf);
+
+    impl Sandbox {
+        fn new(bytes: &[u8]) -> Sandbox {
+            let dir = std::env::temp_dir().join(format!(
+                "holes-journal-sandbox-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("sandbox creates");
+            std::fs::write(dir.join("sentinel"), "untouched").expect("sentinel writes");
+            for copy in ["a", "b"] {
+                std::fs::write(dir.join(copy), bytes).expect("journal copy writes");
+            }
+            Sandbox(dir)
+        }
+
+        /// Open one copy: the recovered entries or the error (its path
+        /// masked), and the file's text afterwards.
+        fn open(&self, copy: &str) -> (Result<Vec<(usize, CampaignShard)>, String>, String) {
+            let path = self.0.join(copy);
+            let outcome = Journal::open(&path, &spec(), 3)
+                .map(|(_, recovered)| recovered)
+                .map_err(|error| {
+                    error
+                        .to_string()
+                        .replace(&path.display().to_string(), "JOURNAL")
+                });
+            let after = std::fs::read(&path).expect("journal reads");
+            (outcome, String::from_utf8_lossy(&after).into_owned())
+        }
+    }
+
+    impl Drop for Sandbox {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The journal reader, attacked: mutate a real two-entry journal and
+        /// require that opening it never panics, never touches a file
+        /// beside it, gives the same verdict on two copies of the same
+        /// bytes, and — when the only change is a truncation — recovers
+        /// exactly the entries of the intact prefix and cuts the file back
+        /// to it.
+        #[test]
+        fn journal_open_survives_mutated_journals(
+            mutation in 0usize..4,
+            at in any::<u64>(),
+            other in any::<u64>(),
+        ) {
+            let (bytes, foreign) = pristine();
+            let (mutated, cut) = mutate(bytes, foreign, mutation, at, other);
+            let sandbox = Sandbox::new(&mutated);
+            let (verdict, after) = sandbox.open("a");
+            prop_assert_eq!(sandbox.open("b"), (verdict.clone(), after.clone()));
+            let mut files: Vec<PathBuf> = std::fs::read_dir(&sandbox.0)
+                .expect("sandbox lists")
+                .map(|entry| entry.expect("sandbox entry").path())
+                .collect();
+            files.sort();
+            prop_assert_eq!(files, ["a", "b", "sentinel"].map(|file| sandbox.0.join(file)));
+            prop_assert_eq!(
+                std::fs::read(sandbox.0.join("sentinel")).expect("sentinel reads"),
+                b"untouched"
+            );
+
+            if let Some(cut) = cut {
+                // Line ends of the header and the two entries.
+                let ends: Vec<usize> = bytes
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &byte)| byte == b'\n')
+                    .map(|(i, _)| i + 1)
+                    .collect();
+                let intact = ends.iter().filter(|&&end| end <= cut).count();
+                let recovered = verdict.expect("a truncated journal opens");
+                let indices: Vec<usize> = recovered.iter().map(|(index, _)| *index).collect();
+                prop_assert_eq!(indices, [0, 2][..intact.saturating_sub(1)].to_vec());
+                // A journal cut inside its header starts over from a fresh
+                // header; otherwise the torn tail is cut away.
+                let kept = ends[..intact].last().copied().unwrap_or(ends[0]);
+                prop_assert_eq!(after, String::from_utf8_lossy(&bytes[..kept]));
+            }
+        }
     }
 }

@@ -32,11 +32,11 @@
 //!   store → remote fetch → recompute, with write-through puts), behind
 //!   timeouts, bounded retry, and a circuit breaker that degrades to
 //!   local-only caching.
-//! * [`chaos`] — the `HOLES_SERVE_CHAOS` fault-injection knob the CI smoke
-//!   drives (`abort:N` hard-kills the process mid-shard; `preempt:N`
-//!   silences heartbeats so a lease is revoked under a live worker), plus
-//!   `HOLES_CACHE_CHAOS` (`drop:N`/`corrupt:N`/`delay:N`) for mutating
-//!   cache replies.
+//!
+//! The service's chaos seams — `HOLES_SERVE_CHAOS` (`abort:N` hard-kills a
+//! worker mid-shard; `preempt:N` silences a lease's heartbeats) and
+//! `HOLES_CACHE_CHAOS` (`drop:N`/`corrupt:N`/`delay:N` mutates a cache
+//! reply) — read the process's [`crate::chaos`] plan.
 //!
 //! The load-bearing guarantee, held by proptests over random kill and
 //! revocation schedules: the coordinator's merged stream is
@@ -48,7 +48,6 @@
 //! [`Coordinator`]: coordinator::Coordinator
 
 pub mod cache;
-pub mod chaos;
 pub mod coordinator;
 pub mod journal;
 pub mod lease;
@@ -106,6 +105,77 @@ impl From<crate::stream::StreamError> for ServeError {
         match error {
             crate::stream::StreamError::Shard(e) => ServeError::Shard(e),
             crate::stream::StreamError::Io(e) => ServeError::Io(e),
+        }
+    }
+}
+
+/// The serve and cache chaos events as the service sees them; both are
+/// parsed by [`crate::chaos`].
+#[cfg(test)]
+mod chaos {
+    mod tests {
+        use crate::chaos::{plan_of, CacheMode, Counted, ServeMode};
+
+        fn serve_event(raw: &str) -> Result<Option<Counted<ServeMode>>, String> {
+            plan_of("HOLES_SERVE_CHAOS", raw).map(|plan| plan.serve)
+        }
+
+        #[test]
+        fn chaos_plans_parse_and_typos_are_rejected() {
+            assert!(serve_event("").expect("empty is no plan").is_none());
+            assert!(serve_event("  ").expect("blank is no plan").is_none());
+
+            let abort = serve_event("abort:3").expect("valid").expect("present");
+            assert_eq!(abort.mode, ServeMode::Abort);
+            let preempt = serve_event("preempt:1").expect("valid").expect("present");
+            assert_eq!(preempt.mode, ServeMode::Preempt);
+
+            for bogus in [
+                "abort", "abort:", "abort:0", "abort:-2", "abort:x", "stall:4", "4",
+            ] {
+                let message = serve_event(bogus).expect_err(bogus);
+                assert!(
+                    message.starts_with("HOLES_SERVE_CHAOS: "),
+                    "`{bogus}` -> {message}"
+                );
+            }
+            let message = serve_event("stall:4").expect_err("unknown mode");
+            assert!(
+                message.contains("stall"),
+                "message names the mode: {message}"
+            );
+        }
+
+        #[test]
+        fn the_nth_event_fires_exactly_once() {
+            let event = serve_event("preempt:2").expect("valid").expect("present");
+            let fired: Vec<bool> = (0..4).map(|_| event.fire().is_some()).collect();
+            assert_eq!(fired, vec![false, true, false, false]);
+        }
+
+        #[test]
+        fn cache_chaos_plans_parse_and_fire_exactly_once() {
+            let cache = |raw: &str| plan_of("HOLES_CACHE_CHAOS", raw).map(|plan| plan.cache);
+            assert!(cache("").expect("empty is no plan").is_none());
+            for (raw, mode) in [
+                ("drop:1", CacheMode::Drop),
+                ("corrupt:3", CacheMode::Corrupt),
+                ("delay:2", CacheMode::Delay),
+            ] {
+                let event = cache(raw).expect("valid").expect("present");
+                assert_eq!(event.mode, mode, "{raw}");
+            }
+            for bogus in ["drop", "drop:", "drop:0", "corrupt:-1", "stall:4", "4"] {
+                assert!(cache(bogus).is_err(), "`{bogus}` should be rejected");
+            }
+
+            let event = Counted::new(CacheMode::Corrupt, 2);
+            let fired: Vec<Option<CacheMode>> = (0..4).map(|_| event.fire()).collect();
+            assert_eq!(
+                fired,
+                vec![None, Some(CacheMode::Corrupt), None, None],
+                "the N-th reply is mutated exactly once"
+            );
         }
     }
 }

@@ -23,7 +23,6 @@ use std::time::{Duration, Instant};
 
 use holes_core::json::Json;
 
-use super::chaos;
 use super::lease::GRACE_BEATS;
 use super::protocol::{connect_with_timeout, read_message, write_message, Reply, Request};
 use super::ServeError;
@@ -127,7 +126,7 @@ fn run_lease(
     spec: &CampaignSpec,
     heartbeat_ms: u64,
 ) -> Result<(), ServeError> {
-    let preempted = chaos::preempt_this_lease();
+    let preempted = crate::chaos::preempt_this_lease();
     let stop = Arc::new(AtomicBool::new(false));
     let heart = (!preempted).then(|| {
         let stop = Arc::clone(&stop);

@@ -12,6 +12,7 @@
 
 use std::collections::VecDeque;
 use std::io;
+use std::num::NonZeroUsize;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -92,7 +93,7 @@ enum Mode {
     Script(Mutex<VecDeque<bool>>),
     /// Every `n`th operation fails (1-based: `Every(3)` fails operations
     /// 3, 6, 9, …).
-    Every(usize),
+    Every(NonZeroUsize),
 }
 
 /// An [`OsIo`] wrapper that injects deterministic transient failures: the
@@ -120,8 +121,8 @@ impl FailingIo {
     }
 
     /// A schedule that fails every `period`th operation, forever — what
-    /// `HOLES_STORE_CHAOS=<period>` installs. A `period` of 0 never fails.
-    pub fn every(period: usize) -> FailingIo {
+    /// `HOLES_STORE_CHAOS=<period>` installs.
+    pub fn every(period: NonZeroUsize) -> FailingIo {
         FailingIo {
             mode: Mode::Every(period),
             attempts: AtomicUsize::new(0),
@@ -143,8 +144,7 @@ impl FailingIo {
                 .expect("failure script poisoned")
                 .pop_front()
                 .unwrap_or(false),
-            Mode::Every(0) => false,
-            Mode::Every(period) => (attempt + 1).is_multiple_of(*period),
+            Mode::Every(period) => (attempt + 1).is_multiple_of(period.get()),
         };
         if fail {
             self.injected.fetch_add(1, Ordering::Relaxed);

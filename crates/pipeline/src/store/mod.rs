@@ -76,13 +76,6 @@ pub const ARTIFACT_FORMAT: &str = "holes.artifact/v1";
 /// enables the store for every subject created by this process.
 pub const CACHE_DIR_ENV: &str = "HOLES_CACHE_DIR";
 
-/// The environment variable that injects periodic store I/O failures for
-/// chaos testing: `HOLES_STORE_CHAOS=<n>` makes every `n`th store file
-/// operation of the [`ArtifactStore::from_env`] store fail (see
-/// [`io::FailingIo::every`]). Campaign *results* must be unaffected — only
-/// the retry/error counters and cache effectiveness may change.
-pub const STORE_CHAOS_ENV: &str = "HOLES_STORE_CHAOS";
-
 /// What a [`RemoteSource`] lookup produced: a full artifact envelope, a
 /// definitive "the remote has no such artifact", or "the remote could not
 /// be asked" (transport failure or an open circuit breaker). The store
@@ -350,9 +343,11 @@ impl ArtifactStore {
     /// instance, so its [`stats`](ArtifactStore::stats) aggregate the whole
     /// process). An unusable cache directory degrades the process to
     /// memory-only caching with a single warning rather than failing the
-    /// run; [`STORE_CHAOS_ENV`] wraps the store in a periodic failure
-    /// schedule. A store installed via [`install_process_store`] takes
-    /// precedence over the environment lookup.
+    /// run; the installed [`crate::chaos::ChaosPlan`]'s store period wraps
+    /// the store in a periodic failure schedule ([`FailingIo::every`]),
+    /// which may change the retry/error counters but never a result. A
+    /// store installed via [`install_process_store`] takes precedence over
+    /// the environment lookup.
     pub fn from_env() -> Option<Arc<ArtifactStore>> {
         if let Some(installed) = PROCESS_STORE
             .read()
@@ -366,11 +361,7 @@ impl ArtifactStore {
                 let dir = std::env::var(CACHE_DIR_ENV)
                     .ok()
                     .filter(|dir| !dir.is_empty())?;
-                let chaos = std::env::var(STORE_CHAOS_ENV)
-                    .ok()
-                    .and_then(|value| value.parse::<usize>().ok())
-                    .filter(|&period| period > 0);
-                let io: Box<dyn StoreIo> = match chaos {
+                let io: Box<dyn StoreIo> = match crate::chaos::installed().store_period {
                     Some(period) => Box::new(FailingIo::every(period)),
                     None => Box::new(OsIo),
                 };

@@ -215,12 +215,12 @@ fn stream_seeds<W: Write>(
             SubjectOutcome::Completed(records) => {
                 for record in &records {
                     writer.write_record(record)?;
-                    crate::serve::chaos::on_line_emitted();
+                    crate::chaos::on_line_emitted();
                 }
             }
             SubjectOutcome::Faulted(subject_fault) => {
                 writer.write_fault(&subject_fault)?;
-                crate::serve::chaos::on_line_emitted();
+                crate::chaos::on_line_emitted();
             }
         }
         Ok(())

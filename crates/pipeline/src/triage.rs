@@ -12,7 +12,7 @@
 //! first time a configuration is seen and a hash lookup afterwards. The
 //! bisection needs O(log n) oracle queries instead of the linear scan's
 //! O(n) (the scan is kept as [`bisect_linear`], and tests hold the two to
-//! identical culprits); the flag search evaluates its flags in parallel.
+//! identical culprits); the flag search probes its flags one at a time.
 //!
 //! Budget probes are additionally (nearly) **compile-free**: a pass-budget
 //! configuration is a strict prefix of its base pipeline, so the subject's
@@ -167,8 +167,10 @@ pub fn bisect_linear(
 
 /// Disable each flag in turn; every flag whose disabling removes the
 /// violation is reported (the method can identify multiple flags because of
-/// pass dependencies, as the paper notes). The per-flag recompilations are
-/// independent and evaluated in parallel, in schedule order.
+/// pass dependencies, as the paper notes). The probes run serially, in
+/// schedule order: a probe that exhausts a fuel limit then faults at its
+/// own `trace` stage and at the same point on every run, which probes
+/// fanned out over threads cannot promise.
 ///
 /// When no flag removes the violation, one extra probe with an empty pass
 /// pipeline decides whether the violation comes from code generation
@@ -178,16 +180,14 @@ pub fn bisect_linear(
 /// the register backend the probe never fires: every defect there is
 /// pass-gated, so a zero-pass compilation is violation-free.)
 fn flag_search(subject: &Subject, config: &CompilerConfig, violation: &Violation) -> TriageOutcome {
-    let flags = config.triage_flags();
-    let removed = par::par_map(&flags, |_, flag| {
-        let candidate = config.clone().with_disabled_pass(flag);
-        !subject.violation_occurs(&candidate, violation)
-    });
-    let mut culprits: Vec<String> = flags
-        .iter()
-        .zip(removed)
-        .filter(|(_, removed)| *removed)
-        .map(|(flag, _)| (*flag).to_owned())
+    let mut culprits: Vec<String> = config
+        .triage_flags()
+        .into_iter()
+        .filter(|flag| {
+            let candidate = config.clone().with_disabled_pass(flag);
+            !subject.violation_occurs(&candidate, violation)
+        })
+        .map(str::to_owned)
         .collect();
     if culprits.is_empty()
         && subject.violation_occurs(&config.clone().with_pass_budget(0), violation)
@@ -656,7 +656,41 @@ impl TriageShard {
 mod tests {
     use super::*;
     use crate::campaign::trunk_campaign;
+    use crate::fault::FaultStage;
     use crate::subject_pool;
+    use holes_compiler::OptLevel;
+
+    #[test]
+    fn a_flag_search_probe_out_of_fuel_faults_at_the_trace_stage() {
+        // Seed 1200's ccg Og violations trace in 497 machine steps; with
+        // the first triage flag disabled the program takes 523.
+        let personality = Personality::Ccg;
+        let result = trunk_campaign(&subject_pool(1200, 1), personality);
+        let record = result
+            .records
+            .iter()
+            .find(|record| record.level == OptLevel::Og)
+            .expect("seed 1200 violates at Og");
+        let config =
+            CompilerConfig::new(personality, OptLevel::Og).with_version(personality.trunk());
+        let policy = FaultPolicy {
+            fuel_limit: Some(510),
+            ..FaultPolicy::default()
+        };
+        let subject = Subject::from_seed(1200).with_fuel_limit(policy.fuel_limit);
+        assert!(subject.violation_occurs(&config, &record.violation));
+        // Called off any `par_map` worker, as a triage chunk that samples
+        // one violation calls it.
+        match fault::contain(&policy, 1200, 0, || {
+            triage(&subject, &config, &record.violation)
+        }) {
+            SubjectOutcome::Faulted(fault) => {
+                assert_eq!(fault.stage, FaultStage::Trace, "{fault}");
+                assert!(fault.cause.contains("step budget"), "{fault}");
+            }
+            SubjectOutcome::Completed(outcome) => panic!("no probe ran out of fuel: {outcome:?}"),
+        }
+    }
 
     #[test]
     fn triage_identifies_a_culprit_for_found_violations() {
@@ -743,11 +777,13 @@ mod tests {
             assert!(linear_work <= budgets);
             assert!(binary_stats.compiles <= 1, "{binary_stats:?}");
             assert!(linear_stats.compiles <= 1, "{linear_stats:?}");
+            // Budget probes are derived from the pass-prefix snapshots.
+            assert!(binary_stats.codegen_only >= 1, "{binary_stats:?}");
             any_strictly_fewer |= binary_work < linear_work;
         }
         // The debug monotonicity assertion deliberately probes every budget,
-        // so the count advantage is only observable in release builds (the
-        // benchmark suite measures it there).
+        // so the count advantage is only observable in release builds
+        // (`perfbench` measures it as `triage.probes_per_bisection`).
         if !cfg!(debug_assertions) {
             assert!(
                 any_strictly_fewer,

@@ -19,9 +19,9 @@ use proptest::prelude::*;
 use holes_compiler::{CompilerConfig, Fingerprint, OptLevel, Personality};
 use holes_core::json::Json;
 use holes_debugger::DebuggerKind;
+use holes_pipeline::chaos::{CacheMode, Counted};
 use holes_pipeline::corpus::CorpusEntry;
 use holes_pipeline::fault::FaultPolicy;
-use holes_pipeline::serve::chaos::{CacheMode, CachePlan};
 use holes_pipeline::serve::{
     run_worker, Coordinator, LeaseConfig, RemoteStore, ServeConfig, WorkerConfig, WorkerOutcome,
 };
@@ -93,7 +93,7 @@ impl Drop for Scratch {
 fn run_fleet(
     campaign: &CampaignSpec,
     cache: Option<Arc<ArtifactStore>>,
-    cache_chaos: Option<Arc<CachePlan>>,
+    cache_chaos: Option<Arc<Counted<CacheMode>>>,
     tag: &str,
     workers: usize,
 ) -> (Vec<u8>, Vec<WorkerOutcome>) {
@@ -164,7 +164,7 @@ fn fleet_stream_is_byte_identical_under_every_cache_chaos_schedule() {
     let coord_dir = Scratch::dir("chaos-coord");
     let coord_store =
         Arc::new(ArtifactStore::open(&coord_dir.path).expect("coordinator store opens"));
-    let schedules: [(&str, Option<(CacheMode, u32)>); 5] = [
+    let schedules: [(&str, Option<(CacheMode, usize)>); 5] = [
         ("clean", None),
         ("drop", Some((CacheMode::Drop, 1))),
         ("corrupt1", Some((CacheMode::Corrupt, 1))),
@@ -173,7 +173,7 @@ fn fleet_stream_is_byte_identical_under_every_cache_chaos_schedule() {
     ];
     for (tag, schedule) in schedules {
         let worker_dir = Scratch::dir(&format!("{tag}-local"));
-        let chaos = schedule.map(|(mode, count)| Arc::new(CachePlan::new(mode, count)));
+        let chaos = schedule.map(|(mode, count)| Arc::new(Counted::new(mode, count)));
 
         let (merged, _) = run_fleet_with_remote(
             &campaign,
@@ -204,7 +204,7 @@ fn fleet_stream_is_byte_identical_under_every_cache_chaos_schedule() {
 fn run_fleet_with_remote(
     campaign: &CampaignSpec,
     cache: Option<Arc<ArtifactStore>>,
-    cache_chaos: Option<Arc<CachePlan>>,
+    cache_chaos: Option<Arc<Counted<CacheMode>>>,
     tag: &str,
     worker_dir: &Scratch,
 ) -> (Vec<u8>, Vec<WorkerOutcome>) {

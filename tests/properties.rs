@@ -684,7 +684,7 @@ proptest! {
         use holes_compiler::BackendKind;
         use holes_pipeline::shard::CampaignSpec;
         use holes_pipeline::triage::triage_campaign;
-        use holes_pipeline::{par, ArtifactStore, FaultPolicy};
+        use holes_pipeline::{ArtifactStore, FaultPolicy};
         use holes_progen::SeedRange;
 
         let personality = [Personality::Ccg, Personality::Lcc][personality_index];
@@ -702,19 +702,8 @@ proptest! {
             fuel_limit: [None, Some(100), Some(300), Some(1_000)][fuel_index],
             ..FaultPolicy::default()
         };
-        // Both sides run as the two items of one `par_map`, so each runs on
-        // a pool worker, where every nested `par_map` runs inline: a fuel
-        // fault in a fanned-out flag search would otherwise race the other
-        // probes, and stop at a timing-dependent point.
-        let mut runs = par::par_map(&[true, false], |_, &streamed| {
-            if streamed {
-                triage_campaign(&spec, limit, &policy)
-            } else {
-                pool_triage(&spec, limit, &policy)
-            }
-        });
-        let oracle = runs.pop().unwrap();
-        let streamed = runs.pop().unwrap();
+        let streamed = triage_campaign(&spec, limit, &policy);
+        let oracle = pool_triage(&spec, limit, &policy);
         prop_assert_eq!(&streamed.table, &oracle.table);
         prop_assert_eq!(&streamed.campaign_faults, &oracle.campaign_faults);
         prop_assert_eq!(&streamed.triage_faults, &oracle.triage_faults);
