@@ -44,7 +44,7 @@ use holes::compiler::{BackendKind, CompilerConfig, OptLevel, Personality};
 use holes::core::json::Json;
 use holes::core::Conjecture;
 use holes::pipeline::baseline::{Baseline, ViolationFingerprint, BASELINE_FORMAT};
-use holes::pipeline::campaign::{unique_key, CampaignTallies};
+use holes::pipeline::campaign::{unique_key, CampaignResult, CampaignTallies};
 use holes::pipeline::chaos::{self, ChaosPlan};
 use holes::pipeline::corpus::{distill, Corpus, CorpusEntry, ReplayOutcome};
 use holes::pipeline::fault;
@@ -346,35 +346,11 @@ fn peak_rss_kb() -> Option<u64> {
 /// machine-readable output stays byte-identical with and without `--stats`).
 fn print_stats(stats: &CacheStats, store: Option<&Arc<ArtifactStore>>) {
     STATS_REQUESTED.store(true, Ordering::Relaxed);
-    eprintln!(
-        "stats: compiles {}, traces {}, checks {}, hits {}, disk loads {}, codegen-only {}, \
-         plan stops {}",
-        stats.compiles,
-        stats.traces,
-        stats.checks,
-        stats.hits,
-        stats.disk_loads,
-        stats.codegen_only,
-        stats.plan_hits,
-    );
+    eprintln!("stats: {stats}");
     if let Some(store) = store {
-        let s = store.stats();
-        eprintln!(
-            "store: dir {}, loads {}, misses {}, writes {}, rejected {}, retries {}, \
-             quarantined {}, store errors {}",
-            store.root().display(),
-            s.loads,
-            s.misses,
-            s.writes,
-            s.rejected,
-            s.retries,
-            s.quarantined,
-            s.store_errors,
-        );
-        eprintln!(
-            "remote: hits {}, misses {}, rejected {}, degraded {}",
-            s.remote_hits, s.remote_misses, s.remote_rejected, s.remote_degraded,
-        );
+        let counters = store.stats();
+        eprintln!("store: dir {}, {counters}", store.root().display());
+        eprintln!("remote: {}", counters.remote);
     }
 }
 
@@ -649,6 +625,30 @@ fn parse_shard_file(path: &str) -> Result<CampaignShard, String> {
     CampaignShard::from_json(&json).map_err(|e| format!("`{path}`: {e}"))
 }
 
+/// Parse campaign shard files of either format and merge them into the
+/// campaign they describe, returning its spec and merged result.
+fn merge_shard_files(paths: &[String]) -> Result<(CampaignSpec, CampaignResult), String> {
+    let shards = paths
+        .iter()
+        .map(|path| parse_shard_file(path))
+        .collect::<Result<Vec<_>, _>>()?;
+    let specs: Vec<CampaignSpec> = shards.iter().map(|shard| shard.spec.clone()).collect();
+    let result = merge_shards(shards).map_err(|e| merge_error(e, paths, &specs))?;
+    Ok((specs[0].clone(), result))
+}
+
+/// A shard-merge failure that also says which file carried which shard, so
+/// a duplicate shard index, a foreign campaign or a missing shard names the
+/// files at fault, not just the indices.
+fn merge_error(error: ShardError, paths: &[String], specs: &[CampaignSpec]) -> String {
+    let origins: Vec<String> = paths
+        .iter()
+        .zip(specs)
+        .map(|(path, spec)| format!("`{path}` (shard {}/{})", spec.shard, spec.shards))
+        .collect();
+    format!("{error}; inputs were: {}", origins.join(", "))
+}
+
 fn cmd_report(argv: &[String]) -> Result<RunStatus, String> {
     let spec = Spec {
         options: &["out", "issues", "cache-dir", "format"],
@@ -671,27 +671,7 @@ fn cmd_report(argv: &[String]) -> Result<RunStatus, String> {
     }
     // `--issues` classifies the first N unique violations in canonical
     // merged-record order, so this path still materializes the records.
-    let mut shards = Vec::new();
-    for path in parsed.positionals() {
-        shards.push(parse_shard_file(path)?);
-    }
-    let campaign = shards[0].spec.clone();
-    // Remember which file carried which shard, so a merge failure (duplicate
-    // shard index, foreign campaign, missing shard) names the files at
-    // fault, not just the indices.
-    let origins: Vec<String> = parsed
-        .positionals()
-        .iter()
-        .zip(&shards)
-        .map(|(path, shard)| {
-            format!(
-                "`{path}` (shard {}/{})",
-                shard.spec.shard, shard.spec.shards
-            )
-        })
-        .collect();
-    let result = merge_shards(shards)
-        .map_err(|e: ShardError| format!("{e}; inputs were: {}", origins.join(", ")))?;
+    let (campaign, result) = merge_shard_files(parsed.positionals())?;
     // Regenerates only the (at most `issue_limit`) classified programs
     // from their seeds, not the campaign's full range.
     let issues = build_report_from_seeds(
@@ -770,13 +750,7 @@ fn fold_shard_files(paths: &[String]) -> Result<(CampaignSpec, CampaignTallies),
             specs.push(shard.spec);
         }
     }
-    let origins: Vec<String> = paths
-        .iter()
-        .zip(&specs)
-        .map(|(path, spec)| format!("`{path}` (shard {}/{})", spec.shard, spec.shards))
-        .collect();
-    let campaign = validate_shard_specs(&specs)
-        .map_err(|e| format!("{e}; inputs were: {}", origins.join(", ")))?;
+    let campaign = validate_shard_specs(&specs).map_err(|e| merge_error(e, paths, &specs))?;
     let tallies = tallies.expect("at least one input file was folded");
     Ok((campaign, tallies))
 }
@@ -1292,23 +1266,7 @@ fn corpus_distill_seed(parsed: &Parsed, seed: u64) -> Result<Vec<CorpusEntry>, S
 /// shard files describe, in canonical merged-record order (the shard-file
 /// mode of `corpus add`).
 fn corpus_distill_shards(files: &[String], limit: usize) -> Result<Vec<CorpusEntry>, String> {
-    let mut shards = Vec::new();
-    for path in files {
-        shards.push(parse_shard_file(path)?);
-    }
-    let campaign = shards[0].spec.clone();
-    let origins: Vec<String> = files
-        .iter()
-        .zip(&shards)
-        .map(|(path, shard)| {
-            format!(
-                "`{path}` (shard {}/{})",
-                shard.spec.shard, shard.spec.shards
-            )
-        })
-        .collect();
-    let result = merge_shards(shards)
-        .map_err(|e: ShardError| format!("{e}; inputs were: {}", origins.join(", ")))?;
+    let (campaign, result) = merge_shard_files(files)?;
     let mut seen = std::collections::BTreeSet::new();
     let mut entries = Vec::new();
     for record in &result.records {

@@ -950,6 +950,67 @@ fn stats_report_the_peak_rss_of_the_process() {
     assert!(kb > 0, "{stderr}");
 }
 
+/// The full `--stats` text of a cold and a warm store run, and of a
+/// storeless one, at one and two worker threads: every counter of every
+/// line, in order, with its label. The trailing `memory:` line's value
+/// varies, so only its prefix is checked.
+#[test]
+fn stats_lines_are_pinned_cold_warm_and_storeless() {
+    let run = |args: &[&str], threads: &str| -> Vec<String> {
+        let output = holes_env(args, &[("HOLES_THREADS", threads)]);
+        assert!(output.status.success(), "{output:?}");
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        let mut lines: Vec<String> = stderr.lines().map(str::to_owned).collect();
+        if cfg!(target_os = "linux") {
+            let memory = lines.pop().unwrap_or_default();
+            assert!(memory.starts_with("memory: peak_rss_kb "), "{stderr}");
+        }
+        lines
+    };
+    let cold_stats = "stats: compiles 36, traces 36, checks 36, hits 0, disk loads 0, \
+                      codegen-only 0, plan stops 745";
+    let remote = "remote: hits 0, misses 0, rejected 0, degraded 0";
+    for threads in ["1", "2"] {
+        let scratch = Scratch::new(&format!("stats-lines-{threads}"));
+        let cache = scratch.path("cache");
+        let out = scratch.path("campaign.json");
+        let seeds = ["campaign", "--seeds", "2500..2506"];
+        let tail = ["--out", &out, "--quiet", "--stats"];
+        let stored = [&seeds[..], &["--cache-dir", &cache], &tail].concat();
+        assert_eq!(
+            run(&stored, threads),
+            [
+                cold_stats.to_owned(),
+                format!(
+                    "store: dir {cache}, loads 0, misses 108, writes 108, rejected 0, \
+                     retries 0, quarantined 0, store errors 0"
+                ),
+                remote.to_owned(),
+            ],
+            "cold, HOLES_THREADS={threads}"
+        );
+        assert_eq!(
+            run(&stored, threads),
+            [
+                "stats: compiles 0, traces 0, checks 0, hits 0, disk loads 36, \
+                 codegen-only 0, plan stops 0"
+                    .to_owned(),
+                format!(
+                    "store: dir {cache}, loads 36, misses 0, writes 0, rejected 0, \
+                     retries 0, quarantined 0, store errors 0"
+                ),
+                remote.to_owned(),
+            ],
+            "warm, HOLES_THREADS={threads}"
+        );
+        assert_eq!(
+            run(&[&seeds[..], &tail].concat(), threads),
+            [cold_stats],
+            "storeless, HOLES_THREADS={threads}"
+        );
+    }
+}
+
 /// `holes triage` streams its range subject by subject, so its peak RSS
 /// does not grow with the number of seeds.
 #[cfg(target_os = "linux")]

@@ -49,14 +49,6 @@ impl Value {
             Value::Const(_) => None,
         }
     }
-
-    /// The constant, if this operand is one.
-    pub fn as_const(self) -> Option<i64> {
-        match self {
-            Value::Const(c) => Some(c),
-            Value::Temp(_) => None,
-        }
-    }
 }
 
 /// The location bound to a variable by a [`Op::DbgValue`] instruction.
@@ -556,11 +548,6 @@ impl IrProgram {
     /// The IR function lowered from a source function.
     pub fn function(&self, id: FunctionId) -> &IrFunction {
         &self.functions[id.0]
-    }
-
-    /// Total instruction count.
-    pub fn inst_count(&self) -> usize {
-        self.functions.iter().map(|f| f.insts.len()).sum()
     }
 }
 

@@ -61,9 +61,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use holes_compiler::Executable;
-use holes_debuginfo::{
-    Attr, AttrValue, DebugInfo, DieId, DieTag, LocListEntry, Location, ScopeIndex,
-};
+use holes_debuginfo::{Attr, AttrValue, DebugInfo, DieId, LocListEntry, Location, ScopeIndex};
 use holes_machine::{BreakpointSet, MachineError, MachineRead, StopReason, Vm};
 
 /// The debugger personality.
@@ -723,21 +721,11 @@ pub fn native_trace(executable: &Executable) -> DebugTrace {
     )
 }
 
-/// List the variables whose DIEs exist somewhere in the executable's debug
-/// information (regardless of location); used by tests and examples.
-pub fn die_variable_names(debug: &DebugInfo) -> Vec<String> {
-    debug
-        .iter()
-        .filter(|(_, d)| d.tag == DieTag::Variable || d.tag == DieTag::FormalParameter)
-        .filter_map(|(_, d)| d.name().map(str::to_owned))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use holes_compiler::{compile, CompilerConfig, OptLevel, Personality};
-    use holes_debuginfo::LineRow;
+    use holes_debuginfo::{DieTag, LineRow};
     use holes_minic::ast::{BinOp, Expr, LValue, Program, Stmt, Ty, VarRef};
     use holes_minic::build::ProgramBuilder;
 

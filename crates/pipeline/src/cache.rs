@@ -52,64 +52,14 @@
 //! savings observable.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use holes_compiler::{CompilerConfig, Executable, PassSnapshots};
 use holes_core::Violation;
 use holes_debugger::{DebugTrace, DebuggerKind, StopPlan};
 
+use crate::stats::{CacheStats, Counter, Counters};
 use crate::store::{ArtifactStore, SubjectKey};
-
-/// Cache activity counters, taken at one instant (see
-/// [`ArtifactCache::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Full compilations actually performed (executable-map misses the
-    /// whole pipeline had to run for).
-    pub compiles: usize,
-    /// Debugger runs actually performed (trace-map misses).
-    pub traces: usize,
-    /// Full conjecture sweeps actually performed (violation-map misses).
-    pub checks: usize,
-    /// Lookups answered from the cache across all three maps.
-    pub hits: usize,
-    /// In-memory misses answered by the persistent store instead of being
-    /// recomputed (see [`crate::store`]); zero when no store is attached.
-    pub disk_loads: usize,
-    /// Executable-map misses satisfied by **code generation alone**: the
-    /// requested configuration was a pass-budget prefix of an already
-    /// recorded pipeline run, so the executable was derived from its IR
-    /// checkpoint instead of re-running the pipeline (see
-    /// [`holes_compiler::PassSnapshots`]). Proves a bisection performs no
-    /// full recompiles for non-trunk budgets.
-    pub codegen_only: usize,
-    /// Breakpoint stops answered from a precomputed
-    /// [`holes_debugger::StopPlan`] — a plan lookup plus machine reads —
-    /// instead of a per-stop DIE traversal. Proves the tracing oracle ran
-    /// on the allocation-free hot path.
-    pub plan_hits: usize,
-}
-
-impl CacheStats {
-    /// Total lookups (hits plus misses) across all three maps. Stop-plan
-    /// hits are per *stop*, not per lookup, and are excluded.
-    pub fn lookups(&self) -> usize {
-        self.hits + self.compiles + self.traces + self.checks + self.disk_loads + self.codegen_only
-    }
-
-    /// Fold another snapshot into this one (used to aggregate per-subject
-    /// stats over a whole campaign pool).
-    pub fn absorb(&mut self, other: CacheStats) {
-        self.compiles += other.compiles;
-        self.traces += other.traces;
-        self.checks += other.checks;
-        self.hits += other.hits;
-        self.disk_loads += other.disk_loads;
-        self.codegen_only += other.codegen_only;
-        self.plan_hits += other.plan_hits;
-    }
-}
 
 /// Memoized artifacts for one subject across compiler configurations.
 ///
@@ -158,13 +108,7 @@ struct CacheInner {
     /// Recorded pass-prefix checkpoints, keyed by the **budget-free** base
     /// configuration; any budgeted sibling derives from them.
     snapshots: Shard<CompilerConfig, PassSnapshots>,
-    compiles: AtomicUsize,
-    traces_run: AtomicUsize,
-    checks_run: AtomicUsize,
-    hits: AtomicUsize,
-    disk_loads: AtomicUsize,
-    codegen_only: AtomicUsize,
-    plan_hits: AtomicUsize,
+    counters: Counters<CacheStats>,
     store: OnceLock<StoreBinding>,
 }
 
@@ -173,17 +117,16 @@ struct CacheInner {
 /// traces and violations pass a constant `None`), and only then build —
 /// all inside the key's cell, outside the map lock — writing fresh
 /// artifacts through to the store (`save`). The counters record work
-/// actually performed: the thread that fills the cell counts a miss, a disk
-/// load, or a derivation (`derives`); every other lookup of the key,
-/// including one that waited for the fill, counts a hit.
+/// actually performed: the thread that fills the cell counts a miss (the
+/// map's `miss` counter), a disk load, or a derivation (`codegen_only`);
+/// every other lookup of the key, including one that waited for the fill,
+/// counts a hit.
 #[allow(clippy::too_many_arguments)] // counters + staged closures; a param struct would obscure more than it helps
 fn memoize<K: std::hash::Hash + Eq, V>(
     map: &Shard<K, V>,
     key: K,
-    misses: &AtomicUsize,
-    hits: &AtomicUsize,
-    disk_loads: &AtomicUsize,
-    derives: &AtomicUsize,
+    counters: &Counters<CacheStats>,
+    miss: Counter<CacheStats>,
     load: impl FnOnce() -> Option<V>,
     derive: impl FnOnce() -> Option<V>,
     save: impl FnOnce(&V),
@@ -191,7 +134,7 @@ fn memoize<K: std::hash::Hash + Eq, V>(
 ) -> Arc<V> {
     let cell = match lookup(map, key) {
         Ok(found) => {
-            hits.fetch_add(1, Ordering::Relaxed);
+            counters.bump(|s| &mut s.hits);
             return found;
         }
         Err(cell) => cell,
@@ -200,19 +143,19 @@ fn memoize<K: std::hash::Hash + Eq, V>(
     let value = cell.get_or_init(|| {
         filled_here = true;
         if let Some(loaded) = load() {
-            disk_loads.fetch_add(1, Ordering::Relaxed);
+            counters.bump(|s| &mut s.disk_loads);
             return Arc::new(loaded);
         }
-        let (built, counter) = match derive() {
-            Some(derived) => (derived, derives),
-            None => (build(), misses),
+        let (built, counter): (V, Counter<CacheStats>) = match derive() {
+            Some(derived) => (derived, |s| &mut s.codegen_only),
+            None => (build(), miss),
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        counters.bump(counter);
         save(&built);
         Arc::new(built)
     });
     if !filled_here {
-        hits.fetch_add(1, Ordering::Relaxed);
+        counters.bump(|s| &mut s.hits);
     }
     Arc::clone(value)
 }
@@ -245,10 +188,8 @@ impl ArtifactCache {
         memoize(
             &self.inner.executables,
             config.clone(),
-            &self.inner.compiles,
-            &self.inner.hits,
-            &self.inner.disk_loads,
-            &self.inner.codegen_only,
+            &self.inner.counters,
+            |s| &mut s.compiles,
             || binding.and_then(|b| b.store.load_executable(b.subject, config)),
             derive,
             |built| {
@@ -272,10 +213,8 @@ impl ArtifactCache {
         memoize(
             &self.inner.traces,
             (config.clone(), kind),
-            &self.inner.traces_run,
-            &self.inner.hits,
-            &self.inner.disk_loads,
-            &self.inner.codegen_only,
+            &self.inner.counters,
+            |s| &mut s.traces,
             || binding.and_then(|b| b.store.load_trace(b.subject, config, kind)),
             || None,
             |built| {
@@ -299,10 +238,8 @@ impl ArtifactCache {
         memoize(
             &self.inner.violations,
             (config.clone(), kind),
-            &self.inner.checks_run,
-            &self.inner.hits,
-            &self.inner.disk_loads,
-            &self.inner.codegen_only,
+            &self.inner.counters,
+            |s| &mut s.checks,
             || binding.and_then(|b| b.store.load_violations(b.subject, config, kind)),
             || None,
             |built| {
@@ -341,20 +278,12 @@ impl ArtifactCache {
     /// Record breakpoint stops that were answered from a precomputed stop
     /// plan (see [`CacheStats::plan_hits`]).
     pub fn note_plan_hits(&self, stops: usize) {
-        self.inner.plan_hits.fetch_add(stops, Ordering::Relaxed);
+        self.inner.counters.add(|s| &mut s.plan_hits, stops);
     }
 
     /// A snapshot of the activity counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            compiles: self.inner.compiles.load(Ordering::Relaxed),
-            traces: self.inner.traces_run.load(Ordering::Relaxed),
-            checks: self.inner.checks_run.load(Ordering::Relaxed),
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            disk_loads: self.inner.disk_loads.load(Ordering::Relaxed),
-            codegen_only: self.inner.codegen_only.load(Ordering::Relaxed),
-            plan_hits: self.inner.plan_hits.load(Ordering::Relaxed),
-        }
+        self.inner.counters.get()
     }
 
     /// Drop every memoized artifact (counters are kept; they describe work
@@ -413,6 +342,7 @@ impl std::fmt::Debug for ArtifactCache {
 mod tests {
     use super::*;
     use holes_compiler::{OptLevel, Personality};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
     use std::time::Duration;
 

@@ -104,6 +104,7 @@ pub mod regression;
 pub mod report;
 pub mod serve;
 pub mod shard;
+pub mod stats;
 pub mod store;
 pub mod stream;
 pub mod triage;
@@ -111,17 +112,17 @@ pub mod triage;
 mod cache;
 pub mod par;
 
-pub use cache::{ArtifactCache, CacheStats};
+pub use cache::ArtifactCache;
 pub use fault::{FaultPolicy, FaultStage, SubjectFault, SubjectOutcome};
 pub use holes_compiler::{BackendKind, Fingerprint};
+pub use stats::{CacheStats, RemoteStats, StoreStats};
 pub use store::{
-    install_process_store, ArtifactStore, GcStats, RemoteFetch, RemoteSource, StoreStats,
-    SubjectKey,
+    install_process_store, ArtifactStore, GcStats, RemoteFetch, RemoteSource, SubjectKey,
 };
 
 use std::sync::Arc;
 
-use holes_compiler::{compile, CompilerConfig, Executable, OptLevel, PassSnapshots, Personality};
+use holes_compiler::{compile, CompilerConfig, Executable, PassSnapshots};
 use holes_core::{SiteQuery, Violation};
 use holes_debugger::{trace_with_plan_fuel, DebugTrace, DebuggerKind, StopPlan};
 use holes_minic::analysis::ProgramAnalysis;
@@ -360,14 +361,10 @@ pub fn subject_pool(base_seed: u64, count: usize) -> Vec<Subject> {
     par::par_map(&seeds, |_, &seed| Subject::from_seed(seed))
 }
 
-/// The levels the paper evaluates for a personality (excluding `-O0`).
-pub fn evaluated_levels(personality: Personality) -> Vec<OptLevel> {
-    personality.levels().to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use holes_compiler::{OptLevel, Personality};
 
     #[test]
     fn subjects_compile_and_trace() {

@@ -26,9 +26,9 @@ use holes_core::json::Json;
 use super::lease::GRACE_BEATS;
 use super::protocol::{connect_with_timeout, read_message, write_message, Reply, Request};
 use super::ServeError;
-use crate::cache::CacheStats;
 use crate::fault::FaultPolicy;
 use crate::shard::{spec_header_pairs, CampaignSpec};
+use crate::stats::CacheStats;
 use crate::stream::{read_jsonl_shard, resume_shard_streaming, CAMPAIGN_JSONL_FORMAT};
 
 /// Worker configuration.

@@ -136,9 +136,9 @@ pub struct CampaignShard {
 /// the default policy nothing faults. Subjects are generated *and*
 /// evaluated in parallel chunks and reassembled in seed order, so the
 /// result is deterministic for a given spec. Also returns the
-/// evaluation-engine activity aggregated over the shard's subjects
-/// (compiles, traces, checks, hits, disk loads) — what the CLI's `--stats`
-/// switch reports.
+/// evaluation-engine activity aggregated over the shard's subjects (every
+/// [`CacheStats`] counter) — the `stats:` line of the CLI's `--stats`
+/// switch.
 ///
 /// # Errors
 ///

@@ -57,7 +57,7 @@ pub mod io;
 
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use codec::DecodeError;
@@ -68,6 +68,8 @@ use holes_compiler::{CompilerConfig, Executable, Fingerprint};
 use holes_core::json::Json;
 use holes_core::{Conjecture, Violation};
 use holes_debugger::{DebugTrace, DebuggerKind};
+
+use crate::stats::{Counters, StoreStats};
 
 /// The identifying `format` value of every artifact file.
 pub const ARTIFACT_FORMAT: &str = "holes.artifact/v1";
@@ -80,7 +82,7 @@ pub const CACHE_DIR_ENV: &str = "HOLES_CACHE_DIR";
 /// definitive "the remote has no such artifact", or "the remote could not
 /// be asked" (transport failure or an open circuit breaker). The store
 /// treats `Unavailable` exactly like a miss — the artifact is recomputed —
-/// but counts it in [`StoreStats::remote_degraded`] so degradation is
+/// but counts it in [`RemoteStats::degraded`](crate::RemoteStats::degraded) so degradation is
 /// observable.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RemoteFetch {
@@ -157,41 +159,6 @@ impl std::str::FromStr for SubjectKey {
     }
 }
 
-/// Store activity counters, taken at one instant (see
-/// [`ArtifactStore::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Artifacts successfully loaded from disk.
-    pub loads: usize,
-    /// Lookups whose file did not exist.
-    pub misses: usize,
-    /// Files that existed but were rejected (truncated, corrupted, wrong
-    /// format, checksum or configuration mismatch) and recomputed instead.
-    pub rejected: usize,
-    /// Artifacts written (or rewritten) to disk.
-    pub writes: usize,
-    /// Transient I/O failures that were retried (each retry counts once).
-    pub retries: usize,
-    /// Rejected files moved aside into `<root>/quarantine/` for post-mortem
-    /// inspection instead of being overwritten in place.
-    pub quarantined: usize,
-    /// Operations abandoned after exhausting their retries; each one
-    /// degrades that lookup or write to memory-only behavior.
-    pub store_errors: usize,
-    /// Local misses answered by a validated fetch from the attached
-    /// [`RemoteSource`] (each one also written through to local disk).
-    pub remote_hits: usize,
-    /// Local misses the remote also missed.
-    pub remote_misses: usize,
-    /// Remote envelopes that failed the checksum/identity gates and were
-    /// quarantined instead of trusted (the artifact is recomputed).
-    pub remote_rejected: usize,
-    /// Remote operations skipped or failed because the remote was
-    /// unavailable (transport error after retries, or an open circuit
-    /// breaker) — the store degraded to local-only behavior for them.
-    pub remote_degraded: usize,
-}
-
 /// Outcome of one [`ArtifactStore::gc`] sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcStats {
@@ -215,17 +182,7 @@ pub struct ArtifactStore {
     root: PathBuf,
     io: Box<dyn StoreIo>,
     remote: OnceLock<Arc<dyn RemoteSource>>,
-    loads: AtomicUsize,
-    misses: AtomicUsize,
-    rejected: AtomicUsize,
-    writes: AtomicUsize,
-    retries: AtomicUsize,
-    quarantined: AtomicUsize,
-    store_errors: AtomicUsize,
-    remote_hits: AtomicUsize,
-    remote_misses: AtomicUsize,
-    remote_rejected: AtomicUsize,
-    remote_degraded: AtomicUsize,
+    counters: Counters<StoreStats>,
 }
 
 /// Per-process source of unique temporary file names.
@@ -315,17 +272,7 @@ impl ArtifactStore {
             root,
             io,
             remote: OnceLock::new(),
-            loads: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            rejected: AtomicUsize::new(0),
-            writes: AtomicUsize::new(0),
-            retries: AtomicUsize::new(0),
-            quarantined: AtomicUsize::new(0),
-            store_errors: AtomicUsize::new(0),
-            remote_hits: AtomicUsize::new(0),
-            remote_misses: AtomicUsize::new(0),
-            remote_rejected: AtomicUsize::new(0),
-            remote_degraded: AtomicUsize::new(0),
+            counters: Counters::default(),
         })
     }
 
@@ -391,11 +338,11 @@ impl ArtifactStore {
                 Err(error) if error.kind() == ErrorKind::NotFound => return Err(error),
                 Err(error) => {
                     if attempt >= IO_RETRIES {
-                        self.store_errors.fetch_add(1, Ordering::Relaxed);
+                        self.counters.bump(|s| &mut s.store_errors);
                         return Err(error);
                     }
                     attempt += 1;
-                    self.retries.fetch_add(1, Ordering::Relaxed);
+                    self.counters.bump(|s| &mut s.retries);
                     std::thread::sleep(IO_BACKOFF * attempt);
                 }
             }
@@ -409,7 +356,7 @@ impl ArtifactStore {
     /// Quarantined files are invisible to loads and to [`ArtifactStore::gc`]
     /// (which only sweeps direct subject directories).
     fn reject(&self, path: &Path) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
+        self.counters.bump(|s| &mut s.rejected);
         let Some(file) = path.file_name() else { return };
         let Some(subject) = path.parent().and_then(Path::file_name) else {
             return;
@@ -422,7 +369,7 @@ impl ArtifactStore {
             .with_retry(|| self.io.rename(path, &dir.join(file)))
             .is_ok()
         {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
+            self.counters.bump(|s| &mut s.quarantined);
         }
     }
 
@@ -433,19 +380,7 @@ impl ArtifactStore {
 
     /// A snapshot of the activity counters.
     pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            loads: self.loads.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            store_errors: self.store_errors.load(Ordering::Relaxed),
-            remote_hits: self.remote_hits.load(Ordering::Relaxed),
-            remote_misses: self.remote_misses.load(Ordering::Relaxed),
-            remote_rejected: self.remote_rejected.load(Ordering::Relaxed),
-            remote_degraded: self.remote_degraded.load(Ordering::Relaxed),
-        }
+        self.counters.get()
     }
 
     fn path_for(&self, subject: SubjectKey, fingerprint: Fingerprint, kind: &str) -> PathBuf {
@@ -471,7 +406,7 @@ impl ArtifactStore {
             Ok(bytes) => bytes,
             Err(error) => {
                 if error.kind() == ErrorKind::NotFound {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    self.counters.bump(|s| &mut s.misses);
                     return self.load_remote(subject, fingerprint, kind, &path, decode);
                 }
                 return None;
@@ -489,7 +424,7 @@ impl ArtifactStore {
     fn settle<T>(&self, gated: Gated<T>, path: &Path) -> Option<T> {
         match gated {
             Gated::Valid(Ok(artifact)) => {
-                self.loads.fetch_add(1, Ordering::Relaxed);
+                self.counters.bump(|s| &mut s.loads);
                 Some(artifact)
             }
             _ => {
@@ -518,23 +453,23 @@ impl ArtifactStore {
                 let line = envelope_line(&envelope);
                 match gate(&line, subject, fingerprint, kind, decode) {
                     Gated::Invalid => {
-                        self.remote_rejected.fetch_add(1, Ordering::Relaxed);
+                        self.counters.bump(|s| &mut s.remote.rejected);
                         self.quarantine_remote(subject, fingerprint, kind, &line);
                         None
                     }
                     valid => {
-                        self.remote_hits.fetch_add(1, Ordering::Relaxed);
+                        self.counters.bump(|s| &mut s.remote.hits);
                         self.write_envelope(path, &line);
                         self.settle(valid, path)
                     }
                 }
             }
             RemoteFetch::Miss => {
-                self.remote_misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.bump(|s| &mut s.remote.misses);
                 None
             }
             RemoteFetch::Unavailable => {
-                self.remote_degraded.fetch_add(1, Ordering::Relaxed);
+                self.counters.bump(|s| &mut s.remote.degraded);
                 None
             }
         }
@@ -560,7 +495,7 @@ impl ArtifactStore {
             .with_retry(|| self.io.write(&path, line.as_bytes()))
             .is_ok()
         {
-            self.quarantined.fetch_add(1, Ordering::Relaxed);
+            self.counters.bump(|s| &mut s.quarantined);
         }
     }
 
@@ -574,7 +509,7 @@ impl ArtifactStore {
         self.write_envelope(&path, &envelope_line(&envelope));
         if let Some(remote) = self.remote.get() {
             if !remote.put(&envelope) {
-                self.remote_degraded.fetch_add(1, Ordering::Relaxed);
+                self.counters.bump(|s| &mut s.remote.degraded);
             }
         }
     }
@@ -603,7 +538,7 @@ impl ArtifactStore {
             .is_ok()
         {
             if self.with_retry(|| self.io.rename(&tmp, path)).is_ok() {
-                self.writes.fetch_add(1, Ordering::Relaxed);
+                self.counters.bump(|s| &mut s.writes);
                 return true;
             }
             let _ = self.io.remove_file(&tmp);
@@ -638,7 +573,7 @@ impl ArtifactStore {
             Ok(bytes) => bytes,
             Err(error) => {
                 if error.kind() == ErrorKind::NotFound {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    self.counters.bump(|s| &mut s.misses);
                 }
                 return None;
             }
@@ -648,7 +583,7 @@ impl ArtifactStore {
             .filter(|text| gate::is_valid(text, subject, fingerprint, kind))
             .and_then(|text| Json::parse(text).ok());
         if envelope.is_some() {
-            self.loads.fetch_add(1, Ordering::Relaxed);
+            self.counters.bump(|s| &mut s.loads);
         } else {
             self.reject(&path);
         }

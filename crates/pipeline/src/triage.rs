@@ -32,7 +32,10 @@ use crate::campaign::{
     chunks, evaluate, subject_records, unique_key, Subjects, UniqueKey, ViolationRecord,
 };
 use crate::fault::{self, FaultPolicy, SubjectFault, SubjectOutcome};
-use crate::shard::{parse_levels, parse_spec_header, spec_header_pairs, CampaignSpec, ShardError};
+use crate::shard::{
+    parse_levels, parse_spec_header, spec_header_pairs, validate_shard_specs, CampaignSpec,
+    ShardError,
+};
 use crate::{par, CacheStats, Subject};
 
 /// The outcome of triaging one violation.
@@ -514,32 +517,13 @@ pub fn run_triage_shard(
 ///
 /// Returns a [`ShardError`] when the set is incomplete or inconsistent.
 pub fn merge_triage_shards(shards: Vec<TriageShard>) -> Result<TriageTable, ShardError> {
-    let first = shards
-        .first()
-        .cloned()
-        .ok_or_else(|| ShardError::Incompatible("no triage shards to merge".into()))?;
-    for shard in &shards {
-        shard.spec.validate()?;
-        if !shard.spec.same_campaign(&first.spec) {
-            return Err(ShardError::Incompatible(format!(
-                "triage shard {} belongs to a different campaign than shard {}",
-                shard.spec.shard, first.spec.shard
-            )));
-        }
-        if shard.limit != first.limit {
-            return Err(ShardError::Incompatible(format!(
-                "triage shard {} used limit {} but shard {} used limit {}",
-                shard.spec.shard, shard.limit, first.spec.shard, first.limit
-            )));
-        }
-    }
-    let mut indices: Vec<u64> = shards.iter().map(|s| s.spec.shard).collect();
-    indices.sort_unstable();
-    let expected: Vec<u64> = (0..first.spec.shards).collect();
-    if indices != expected {
+    let specs: Vec<CampaignSpec> = shards.iter().map(|shard| shard.spec.clone()).collect();
+    validate_shard_specs(&specs)?;
+    let first = &shards[0];
+    if let Some(other) = shards.iter().find(|shard| shard.limit != first.limit) {
         return Err(ShardError::Incompatible(format!(
-            "triage shard indices {indices:?} do not cover 0..{} exactly once",
-            first.spec.shards
+            "triage shard {} used limit {} but shard {} used limit {}",
+            other.spec.shard, other.limit, first.spec.shard, first.limit
         )));
     }
     let mut table = TriageTable::default();

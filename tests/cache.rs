@@ -346,10 +346,10 @@ fn an_unreachable_cache_server_degrades_to_local_only() {
     );
     let stats = local.stats();
     assert!(
-        stats.remote_degraded > 0,
+        stats.remote.degraded > 0,
         "degradation is observable in StoreStats: {stats:?}"
     );
-    assert_eq!(stats.remote_hits, 0, "nothing was fetched: {stats:?}");
+    assert_eq!(stats.remote.hits, 0, "nothing was fetched: {stats:?}");
     assert!(
         outcomes.iter().map(|o| o.stats.compiles).sum::<usize>() > 0,
         "the fleet recomputed locally"
@@ -445,13 +445,13 @@ proptest! {
         prop_assert!(stats.compiles > 0, "the subjects were recomputed: {:?}", stats);
         let store_stats = victim.stats();
         prop_assert!(
-            store_stats.remote_rejected + store_stats.remote_degraded > 0,
+            store_stats.remote.rejected + store_stats.remote.degraded > 0,
             "every flipped envelope was refused one way or the other: {:?}",
             store_stats
         );
         // A rejection (as opposed to a parse failure) leaves the evidence
         // in quarantine.
-        if store_stats.remote_rejected > 0 {
+        if store_stats.remote.rejected > 0 {
             prop_assert!(
                 store_stats.quarantined > 0,
                 "rejected envelopes are quarantined: {:?}",
