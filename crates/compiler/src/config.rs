@@ -341,6 +341,15 @@ impl CompilerConfig {
         schedule
     }
 
+    /// The passes the pipeline runs, in order: [`Self::pass_schedule`]
+    /// without `disabled_passes`. A `pass_budget` counts passes of this
+    /// schedule, so budget `k` names its pass `k - 1`.
+    pub fn effective_schedule(&self) -> Vec<&'static str> {
+        let mut schedule = self.pass_schedule();
+        schedule.retain(|pass| !self.disabled_passes.contains(*pass));
+        schedule
+    }
+
     /// The boolean `-fno-<pass>` style flags available for triage at this
     /// configuration: one per scheduled pass.
     pub fn triage_flags(&self) -> Vec<&'static str> {

@@ -62,6 +62,8 @@ pub use defects::{catalogue, stack_catalogue, Defect, DefectAction};
 pub use executable::Executable;
 pub use passes::PipelineReport;
 
+use std::sync::Arc;
+
 use holes_minic::ast::Program;
 
 /// The synthetic source-file name every compilation uses.
@@ -112,12 +114,24 @@ fn codegen_ir(
 /// backend. The derived executable is byte-identical to a from-scratch
 /// budgeted compile — the unit tests hold every budget of every
 /// personality, level, and backend to full structural equality.
+///
+/// Many passes leave the IR unchanged. Recording compares each pass's IR
+/// with the previous checkpoint and shares that checkpoint when they are
+/// equal, so [`PassSnapshots::canonical_budget`] names, for every budget,
+/// the smallest budget of its run of equal checkpoints. Code generation
+/// reads nothing but the IR and the budget-free configuration, so the two
+/// budgets' executables differ only in their recorded `config` and
+/// `report`, and their machine code, debug information and traces are
+/// equal.
 #[derive(Debug, Clone)]
 pub struct PassSnapshots {
     /// The budget-free configuration the pipeline ran as.
     base: CompilerConfig,
-    /// IR after the first `k` scheduled passes, `k = 0..=passes`.
-    checkpoints: Vec<ir::IrProgram>,
+    /// IR after the first `k` scheduled passes, `k = 0..=passes`; equal
+    /// neighbours share one checkpoint.
+    checkpoints: Vec<Arc<ir::IrProgram>>,
+    /// `canonical[k]` = the smallest budget whose checkpoint `k` shares.
+    canonical: Vec<usize>,
     /// The passes that actually ran, in order.
     passes_run: Vec<String>,
     /// Pass-level defect ids in application order (no isel entries).
@@ -134,6 +148,7 @@ impl PassSnapshots {
         PassSnapshots {
             base: config.clone(),
             checkpoints: recorded.checkpoints,
+            canonical: recorded.canonical,
             passes_run: recorded.report.passes_run,
             pass_defects: recorded.report.defects_applied[..pass_defect_count].to_vec(),
             defect_counts: recorded.defect_counts,
@@ -161,6 +176,20 @@ impl PassSnapshots {
         self.passes_run.len()
     }
 
+    /// The IR after the first `budget` passes (all of them for budgets
+    /// beyond [`Self::pass_count`]), before the code-generation stage.
+    pub fn checkpoint(&self, budget: usize) -> &ir::IrProgram {
+        &self.checkpoints[budget.min(self.pass_count())]
+    }
+
+    /// The smallest budget whose checkpoint equals `budget`'s, found when
+    /// the pipeline was recorded: every budget between the two ran only
+    /// passes that left the IR unchanged, so both budgets derive the same
+    /// machine code and debug information.
+    pub fn canonical_budget(&self, budget: usize) -> usize {
+        self.canonical[budget.min(self.pass_count())]
+    }
+
     /// Derive the executable of `config` — which must be the recorded base
     /// configuration plus a pass budget — from the matching checkpoint, by
     /// code generation alone: no optimization pass is re-run.
@@ -182,7 +211,7 @@ impl PassSnapshots {
             config.describe()
         );
         let cut = budget.min(self.pass_count());
-        let mut ir = self.checkpoints[cut].clone();
+        let mut ir = (*self.checkpoints[cut]).clone();
         let mut report = PipelineReport {
             passes_run: self.passes_run[..cut].to_vec(),
             defects_applied: self.pass_defects[..self.defect_counts[cut]].to_vec(),
@@ -375,6 +404,17 @@ mod tests {
                             derived, scratch,
                             "{personality} {level} {backend} budget {budget}: derived \
                              executable diverged from the from-scratch compile"
+                        );
+                        // A budget that shares its checkpoint with a smaller
+                        // one derives the same code and debug information.
+                        let canonical = config
+                            .clone()
+                            .with_pass_budget(snapshots.canonical_budget(budget));
+                        let shared = snapshots.codegen_budget(&generated.program, &canonical);
+                        assert_eq!(
+                            (&shared.machine, &shared.debug),
+                            (&derived.machine, &derived.debug),
+                            "{personality} {level} {backend} budget {budget}"
                         );
                     }
                 }

@@ -13,6 +13,7 @@ pub mod scalar;
 pub mod structure;
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use holes_minic::ast::{GlobalId, Program};
 
@@ -116,20 +117,25 @@ pub fn run_pipeline(
     run_pipeline_observed(ir, source, config, |_, _| ())
 }
 
-/// The recorded execution of one pipeline run: the report, plus a clone of
-/// the whole IR program after each scheduled pass (and its injected
-/// defects) — the raw material of `holes_compiler::PassSnapshots`, which
-/// derives any pass-budget prefix of the run by code generation alone.
+/// The recorded execution of one pipeline run: the report, plus the whole
+/// IR program after each scheduled pass (and its injected defects) — the
+/// raw material of `holes_compiler::PassSnapshots`, which derives any
+/// pass-budget prefix of the run by code generation alone.
 #[derive(Debug, Clone)]
 pub struct PipelineCheckpoints {
     /// The full run's report: every pass, then the pass-level defects in
     /// application order, then the `isel` (code-generation stage) defects.
     pub report: PipelineReport,
     /// `checkpoints[k]` is the IR after the first `k` scheduled passes and
-    /// their defects; `checkpoints[0]` is the freshly lowered program. The
-    /// code-generation stage's defects are **not** applied to any
-    /// checkpoint — they belong to codegen, which every budget re-runs.
-    pub checkpoints: Vec<IrProgram>,
+    /// their defects; `checkpoints[0]` is the freshly lowered program. A
+    /// pass that left the IR unchanged shares its predecessor's checkpoint
+    /// instead of cloning it. The code-generation stage's defects are
+    /// **not** applied to any checkpoint — they belong to codegen, which
+    /// every budget re-runs.
+    pub checkpoints: Vec<Arc<IrProgram>>,
+    /// `canonical[k]` is the first budget of the run of unchanged passes
+    /// that ends at `k`: the smallest budget whose checkpoint `k` shares.
+    pub canonical: Vec<usize>,
     /// `defect_counts[k]` is how many entries of `report.defects_applied`
     /// were applied within the first `k` passes (so the tail beyond
     /// `defect_counts[checkpoints.len() - 1]` is the isel stage's).
@@ -137,29 +143,39 @@ pub struct PipelineCheckpoints {
 }
 
 /// [`run_pipeline`], additionally recording a checkpoint of the IR after
-/// every pass. The final state of `ir` and the returned report are
-/// identical to the unrecorded run.
+/// every pass: each pass's IR is compared with the previous checkpoint and
+/// cloned only when it differs. The final state of `ir` and the returned
+/// report are identical to the unrecorded run.
 pub fn run_pipeline_with_checkpoints(
     ir: &mut IrProgram,
     source: &Program,
     config: &CompilerConfig,
 ) -> PipelineCheckpoints {
-    let mut checkpoints = vec![ir.clone()];
+    let mut checkpoints = vec![Arc::new(ir.clone())];
+    let mut canonical = vec![0usize];
     let mut defect_counts = vec![0usize];
     let report = run_pipeline_observed(ir, source, config, |ir, defects_so_far| {
-        checkpoints.push(ir.clone());
+        let previous = checkpoints.last().expect("the lowered program");
+        if **previous == *ir {
+            canonical.push(canonical[canonical.len() - 1]);
+            checkpoints.push(Arc::clone(previous));
+        } else {
+            canonical.push(checkpoints.len());
+            checkpoints.push(Arc::new(ir.clone()));
+        }
         defect_counts.push(defects_so_far);
     });
     PipelineCheckpoints {
         report,
         checkpoints,
+        canonical,
         defect_counts,
     }
 }
 
 /// The shared pipeline loop: `observe` is called after each pass and its
 /// defects with the current IR and the number of defects applied so far
-/// (the recording run clones checkpoints there; the plain run passes a
+/// (the recording run records checkpoints there; the plain run passes a
 /// no-op that compiles away).
 fn run_pipeline_observed(
     ir: &mut IrProgram,
@@ -169,8 +185,7 @@ fn run_pipeline_observed(
 ) -> PipelineReport {
     let cx = PassContext::new(source, ir);
     let mut report = PipelineReport::default();
-    let mut schedule = config.pass_schedule();
-    schedule.retain(|p| !config.disabled_passes.contains(*p));
+    let mut schedule = config.effective_schedule();
     if let Some(budget) = config.pass_budget {
         schedule.truncate(budget);
     }

@@ -21,11 +21,11 @@
 //! A second thread that misses the *same* key waits on that one cell
 //! instead of building it again, so every key is built exactly once and
 //! the activity counters do not depend on thread timing. Builders only
-//! wait on cells further down the order violations → trace → executable →
-//! snapshots (a trace's stop plan is filled after its executable), so no
-//! two threads can wait on each other. A build that panics leaves its cell
-//! empty, and the next lookup builds it afresh — which is what lets
-//! [`crate::fault::contain`] retry a faulted subject.
+//! wait on cells further down the order violations → trace → prefix trace
+//! or executable → snapshots (a trace's stop plan is filled after its
+//! executable), so no two threads can wait on each other. A build that
+//! panics leaves its cell empty, and the next lookup builds it afresh —
+//! which is what lets [`crate::fault::contain`] retry a faulted subject.
 //!
 //! The cache holds everything it has computed for the lifetime of the
 //! subject — artifacts in this simulator are kilobytes, and the evaluation
@@ -40,7 +40,7 @@
 //! computed artifacts are spilled back, so later *processes* revisiting the
 //! same configurations skip the work entirely (see [`crate::store`]).
 //!
-//! Two auxiliary maps make the oracle's remaining work cheap. **Stop
+//! Three auxiliary maps make the oracle's remaining work cheap. **Stop
 //! plans** ([`ArtifactCache::stop_plan`]) hold the per-(configuration,
 //! debugger) [`StopPlan`]s the tracer services breakpoint stops from —
 //! resolved once, reused by every later trace of that executable. **Pass
@@ -48,8 +48,15 @@
 //! checkpoints of a base configuration's pipeline run, from which any
 //! pass-budget sibling is derived by code generation alone — so a triage
 //! bisection probing a dozen budgets runs the optimization pipeline once.
-//! [`CacheStats::codegen_only`] and [`CacheStats::plan_hits`] make both
-//! savings observable.
+//! **Prefix traces** ([`ArtifactCache::prefix_trace`]) hold one trace per
+//! (base configuration, canonical budget, debugger): budgets whose passes
+//! left the IR unchanged share one derivation, one stop plan and one
+//! debugger run, and the derived executable and plan are dropped once
+//! traced. Budgeted executables never reach the store; each budget's trace
+//! and violation set do, under the budget's own key.
+//! [`CacheStats::codegen_only`] (distinct prefixes derived),
+//! [`CacheStats::traces`] (debugger runs; a budget sharing a prefix counts
+//! a hit) and [`CacheStats::plan_hits`] make the savings observable.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -108,19 +115,22 @@ struct CacheInner {
     /// Recorded pass-prefix checkpoints, keyed by the **budget-free** base
     /// configuration; any budgeted sibling derives from them.
     snapshots: Shard<CompilerConfig, PassSnapshots>,
+    /// Traces of derived pass prefixes, keyed by (budget-free base
+    /// configuration, canonical budget, debugger); see
+    /// [`ArtifactCache::prefix_trace`].
+    prefixes: Shard<(CompilerConfig, usize, DebuggerKind), DebugTrace>,
     counters: Counters<CacheStats>,
     store: OnceLock<StoreBinding>,
 }
 
 /// Look up `key`; on an in-memory miss try the persistent store (`load`),
-/// then a cheap derivation (`derive` — the snapshot codegen-only path;
-/// traces and violations pass a constant `None`), and only then build —
-/// all inside the key's cell, outside the map lock — writing fresh
-/// artifacts through to the store (`save`). The counters record work
-/// actually performed: the thread that fills the cell counts a miss (the
-/// map's `miss` counter), a disk load, or a derivation (`codegen_only`);
-/// every other lookup of the key, including one that waited for the fill,
-/// counts a hit.
+/// then a cheap derivation (`derive`), and only then build — all inside
+/// the key's cell, outside the map lock — writing the filled artifact
+/// through to the store (`save`). The counters record work actually
+/// performed: the thread that fills the cell counts a miss (the map's
+/// `miss` counter) or a disk load; every other lookup of the key, including
+/// one that waited for the fill, counts a hit. A derivation counts its own
+/// work: it may hand back an artifact another cell already holds.
 #[allow(clippy::too_many_arguments)] // counters + staged closures; a param struct would obscure more than it helps
 fn memoize<K: std::hash::Hash + Eq, V>(
     map: &Shard<K, V>,
@@ -128,7 +138,7 @@ fn memoize<K: std::hash::Hash + Eq, V>(
     counters: &Counters<CacheStats>,
     miss: Counter<CacheStats>,
     load: impl FnOnce() -> Option<V>,
-    derive: impl FnOnce() -> Option<V>,
+    derive: impl FnOnce() -> Option<Arc<V>>,
     save: impl FnOnce(&V),
     build: impl FnOnce() -> V,
 ) -> Arc<V> {
@@ -146,13 +156,13 @@ fn memoize<K: std::hash::Hash + Eq, V>(
             counters.bump(|s| &mut s.disk_loads);
             return Arc::new(loaded);
         }
-        let (built, counter): (V, Counter<CacheStats>) = match derive() {
-            Some(derived) => (derived, |s| &mut s.codegen_only),
-            None => (build(), miss),
-        };
-        counters.bump(counter);
-        save(&built);
-        Arc::new(built)
+        let filled = derive().unwrap_or_else(|| {
+            let built = build();
+            counters.bump(miss);
+            Arc::new(built)
+        });
+        save(&filled);
+        filled
     });
     if !filled_here {
         counters.bump(|s| &mut s.hits);
@@ -173,40 +183,52 @@ impl ArtifactCache {
         self.inner.store.get().map(|binding| &binding.store)
     }
 
-    /// The executable for a configuration, compiling on a miss — after
-    /// consulting the persistent store (when one is attached) and the
-    /// caller's cheap derivation (`derive`; `Subject` supplies the
-    /// snapshot codegen-only path for budgeted configurations, counted by
-    /// [`CacheStats::codegen_only`]).
+    /// The executable for a configuration, built on a miss. An unbudgeted
+    /// configuration is compiled (`compile`, counted by
+    /// [`CacheStats::compiles`]) after consulting the persistent store,
+    /// when one is attached. A budgeted one is derived from its base's
+    /// pass snapshots (`derive`, counted by [`CacheStats::codegen_only`])
+    /// and never touches the store: a derivation costs less than an
+    /// envelope round trip.
     pub fn executable(
         &self,
         config: &CompilerConfig,
-        derive: impl FnOnce() -> Option<Executable>,
+        derive: impl FnOnce() -> Executable,
         compile: impl FnOnce() -> Executable,
     ) -> Arc<Executable> {
-        let binding = self.inner.store.get();
+        let budgeted = config.pass_budget.is_some();
+        let binding = self.inner.store.get().filter(|_| !budgeted);
         memoize(
             &self.inner.executables,
             config.clone(),
             &self.inner.counters,
-            |s| &mut s.compiles,
+            if budgeted {
+                |s| &mut s.codegen_only
+            } else {
+                |s| &mut s.compiles
+            },
             || binding.and_then(|b| b.store.load_executable(b.subject, config)),
-            derive,
+            || None,
             |built| {
                 if let Some(b) = binding {
                     b.store.save_executable(b.subject, built);
                 }
             },
-            compile,
+            || if budgeted { derive() } else { compile() },
         )
     }
 
-    /// The debug trace for a configuration and debugger, tracing on a miss
-    /// (after consulting the persistent store, when one is attached).
+    /// The debug trace for a configuration and debugger, after consulting
+    /// the persistent store (when one is attached). On a miss `derive` may
+    /// serve a trace another cell holds — `Subject` passes its pass-prefix
+    /// path for budgeted configurations ([`ArtifactCache::prefix_trace`])
+    /// — and `run` traces otherwise. Either way the trace is written
+    /// through to the store under this configuration's own key.
     pub fn trace(
         &self,
         config: &CompilerConfig,
         kind: DebuggerKind,
+        derive: impl FnOnce() -> Option<Arc<DebugTrace>>,
         run: impl FnOnce() -> DebugTrace,
     ) -> Arc<DebugTrace> {
         let binding = self.inner.store.get();
@@ -216,13 +238,47 @@ impl ArtifactCache {
             &self.inner.counters,
             |s| &mut s.traces,
             || binding.and_then(|b| b.store.load_trace(b.subject, config, kind)),
-            || None,
+            derive,
             |built| {
                 if let Some(b) = binding {
                     b.store.save_trace(b.subject, config, kind, built);
                 }
             },
             run,
+        )
+    }
+
+    /// The trace of one derived pass prefix: one cell per (budget-free
+    /// `base` configuration, `canonical` budget, debugger), shared by every
+    /// budget whose checkpoint equals the canonical one (see
+    /// [`PassSnapshots::canonical_budget`]). Filling it runs `derive` —
+    /// code generation, the stop plan and the trace, whose executable and
+    /// plan are dropped afterwards — and counts one
+    /// [`CacheStats::codegen_only`] derivation and one trace; a budget that
+    /// finds the cell filled counts a hit. Prefix cells live in memory
+    /// only: the store holds each budget's trace under its own key.
+    pub fn prefix_trace(
+        &self,
+        base: &CompilerConfig,
+        canonical: usize,
+        kind: DebuggerKind,
+        derive: impl FnOnce() -> DebugTrace,
+    ) -> Arc<DebugTrace> {
+        debug_assert!(base.pass_budget.is_none(), "prefix keys are budget-free");
+        let counters = &self.inner.counters;
+        memoize(
+            &self.inner.prefixes,
+            (base.clone(), canonical, kind),
+            counters,
+            |s| &mut s.traces,
+            || None,
+            || None,
+            |_| (),
+            || {
+                let trace = derive();
+                counters.bump(|s| &mut s.codegen_only);
+                trace
+            },
         )
     }
 
@@ -289,31 +345,16 @@ impl ArtifactCache {
     /// Drop every memoized artifact (counters are kept; they describe work
     /// performed, not storage).
     pub fn clear(&self) {
-        self.inner
-            .executables
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.inner
-            .traces
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.inner
-            .violations
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.inner
-            .plans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        self.inner
-            .snapshots
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        fn empty<K, V>(map: &Shard<K, V>) {
+            map.lock().unwrap_or_else(PoisonError::into_inner).clear();
+        }
+        let inner = &*self.inner;
+        empty(&inner.executables);
+        empty(&inner.traces);
+        empty(&inner.violations);
+        empty(&inner.plans);
+        empty(&inner.snapshots);
+        empty(&inner.prefixes);
     }
 }
 

@@ -52,7 +52,11 @@
 //! from its base pipeline's recorded IR checkpoints by code generation
 //! alone ([`holes_compiler::PassSnapshots`],
 //! [`CacheStats::codegen_only`]): a bisection runs the optimization
-//! pipeline once, not once per probed budget.
+//! pipeline once, not once per probed budget. Budgets whose passes left
+//! the IR unchanged share one canonical prefix, so equal prefixes are
+//! derived, planned and traced once ([`ArtifactCache::prefix_trace`]);
+//! the executable and plan derived for a trace are dropped once it is
+//! traced, and no budgeted executable is written to the store.
 //!
 //! **Persistence.** The cache can spill to and reload from a [`store`]
 //! rooted at a cache directory (`HOLES_CACHE_DIR`, or the CLI's
@@ -223,32 +227,28 @@ impl Subject {
     }
 
     /// Compile under a configuration (memoized; the returned artifact is
-    /// shared with the cache). Budgeted configurations whose base pipeline
-    /// has been (or can be) recorded are derived by code generation alone
-    /// — see [`holes_compiler::PassSnapshots`] and
-    /// [`CacheStats::codegen_only`].
+    /// shared with the cache). A budgeted configuration is derived from its
+    /// base pipeline's recorded checkpoints by code generation alone — see
+    /// [`holes_compiler::PassSnapshots`] and [`CacheStats::codegen_only`]
+    /// — and is never written to the persistent store.
     pub fn compile_shared(&self, config: &CompilerConfig) -> Arc<Executable> {
         fault::set_stage(fault::FaultStage::Compile);
         self.cache.executable(
             config,
-            || self.derive_from_snapshots(config),
+            || self.snapshots(config).codegen_budget(&self.program, config),
             || compile(&self.program, config),
         )
     }
 
-    /// The snapshot codegen-only path: a configuration with a pass budget
-    /// is a strict prefix of its budget-free base pipeline, so its
-    /// executable falls out of the base's recorded IR checkpoints without
-    /// re-running a single pass. Returns `None` for unbudgeted
-    /// configurations (they *are* the base).
-    fn derive_from_snapshots(&self, config: &CompilerConfig) -> Option<Executable> {
-        config.pass_budget?;
+    /// The recorded checkpoints of `config`'s budget-free base pipeline,
+    /// recording them on first use. Every budgeted executable — served by
+    /// [`Subject::compile_shared`] or derived for a trace — comes out of
+    /// them through [`PassSnapshots::codegen_budget`].
+    fn snapshots(&self, config: &CompilerConfig) -> Arc<PassSnapshots> {
         let mut base = config.clone();
         base.pass_budget = None;
-        let snapshots = self
-            .cache
-            .snapshots(&base, || PassSnapshots::record(&self.program, &base));
-        Some(snapshots.codegen_budget(&self.program, config))
+        self.cache
+            .snapshots(&base, || PassSnapshots::record(&self.program, &base))
     }
 
     /// Compile under a configuration.
@@ -259,23 +259,61 @@ impl Subject {
     /// Compile and trace with a specific debugger (memoized). Tracing runs
     /// through the executable's cached [`holes_debugger::StopPlan`]: each
     /// stop is a plan lookup plus a batched machine read, counted by
-    /// [`CacheStats::plan_hits`].
+    /// [`CacheStats::plan_hits`]. A budgeted configuration is traced
+    /// through its pass prefix instead (see [`ArtifactCache::prefix_trace`]).
     pub fn trace_shared(&self, config: &CompilerConfig, kind: DebuggerKind) -> Arc<DebugTrace> {
-        self.cache.trace(config, kind, || {
-            let executable = self.compile_shared(config);
-            let plan = self
-                .cache
-                .stop_plan(config, kind, || StopPlan::compute(&executable, kind));
-            fault::set_stage(fault::FaultStage::Trace);
-            let (trace, error) = trace_with_plan_fuel(&executable, &plan, self.fuel_limit);
-            if let (Some(error), Some(_)) = (&error, self.fuel_limit) {
-                // Under an explicit fuel limit a terminal machine error is a
-                // containable fault, not a silently truncated trace.
-                std::panic::panic_any(format!("machine error while tracing: {error}"));
-            }
-            self.cache.note_plan_hits(trace.stops.len());
-            trace
-        })
+        self.cache.trace(
+            config,
+            kind,
+            || {
+                config
+                    .pass_budget
+                    .map(|budget| self.prefix_trace(config, budget, kind))
+            },
+            || {
+                let executable = self.compile_shared(config);
+                let plan = self
+                    .cache
+                    .stop_plan(config, kind, || StopPlan::compute(&executable, kind));
+                self.run_trace(&executable, &plan)
+            },
+        )
+    }
+
+    /// The trace of a budgeted configuration, served by the cell of its
+    /// canonical budget ([`PassSnapshots::canonical_budget`]): budgets
+    /// whose passes left the IR unchanged share one derivation, one stop
+    /// plan and one debugger run. The derived executable and its plan are
+    /// dropped once traced — a bisection reads only the trace.
+    fn prefix_trace(
+        &self,
+        config: &CompilerConfig,
+        budget: usize,
+        kind: DebuggerKind,
+    ) -> Arc<DebugTrace> {
+        fault::set_stage(fault::FaultStage::Compile);
+        let snapshots = self.snapshots(config);
+        let canonical = snapshots.canonical_budget(budget);
+        self.cache
+            .prefix_trace(snapshots.base_config(), canonical, kind, || {
+                let prefix = snapshots.base_config().clone().with_pass_budget(canonical);
+                let executable = snapshots.codegen_budget(&self.program, &prefix);
+                let plan = StopPlan::compute(&executable, kind);
+                self.run_trace(&executable, &plan)
+            })
+    }
+
+    /// Trace `executable` through `plan` under the subject's fuel limit.
+    fn run_trace(&self, executable: &Executable, plan: &StopPlan) -> DebugTrace {
+        fault::set_stage(fault::FaultStage::Trace);
+        let (trace, error) = trace_with_plan_fuel(executable, plan, self.fuel_limit);
+        if let (Some(error), Some(_)) = (&error, self.fuel_limit) {
+            // Under an explicit fuel limit a terminal machine error is a
+            // containable fault, not a silently truncated trace.
+            std::panic::panic_any(format!("machine error while tracing: {error}"));
+        }
+        self.cache.note_plan_hits(trace.stops.len());
+        trace
     }
 
     /// Compile and trace with the native debugger of the configuration's
@@ -436,13 +474,58 @@ mod tests {
             let _ = subject.violations(&o2.clone().with_pass_budget(budget));
         }
         let stats = subject.cache_stats();
-        // Every budget is a distinct cache entry — but all of them are
-        // derived from one recorded pipeline by code generation alone, so
-        // no full compile runs at all.
-        assert_eq!(stats.codegen_only, o2.pass_schedule().len() + 1);
+        let budgets = o2.pass_schedule().len() + 1;
+        // Every budget is a distinct cache entry: one conjecture sweep each.
+        assert_eq!(stats.checks, budgets);
+        // All of them derive from one recorded pipeline by code generation
+        // alone, so no full compile runs at all — and budgets whose passes
+        // left the IR unchanged share one derivation and one trace, each
+        // later sharer counting a hit.
+        let snapshots = PassSnapshots::record(&subject.program, &o2);
+        let prefixes: std::collections::BTreeSet<usize> = (0..budgets)
+            .map(|budget| snapshots.canonical_budget(budget))
+            .collect();
+        assert!(prefixes.len() < budgets, "every pass changed the IR");
         assert_eq!(stats.compiles, 0);
-        // Each budget's trace is serviced through its stop plan.
+        assert_eq!(stats.codegen_only, prefixes.len());
+        assert_eq!(stats.traces, prefixes.len());
+        assert_eq!(stats.hits, budgets - prefixes.len());
+        // Each derived trace is serviced through its stop plan.
         assert!(stats.plan_hits > 0);
+    }
+
+    #[test]
+    fn equal_prefixes_share_one_trace_until_the_cache_is_cleared() {
+        let subject = &subject_pool(907, 1)[0];
+        let config = CompilerConfig::new(Personality::Lcc, OptLevel::O2);
+        let kind = DebuggerKind::native_for(config.personality);
+        let snapshots = PassSnapshots::record(&subject.program, &config);
+        let budget = (0..=snapshots.pass_count())
+            .find(|&budget| snapshots.canonical_budget(budget) < budget)
+            .expect("a pass that leaves the IR unchanged");
+        let canonical = config
+            .clone()
+            .with_pass_budget(snapshots.canonical_budget(budget));
+        let aliased = config.clone().with_pass_budget(budget);
+        let first = subject.trace_shared(&canonical, kind);
+        let shared = subject.trace_shared(&aliased, kind);
+        assert!(Arc::ptr_eq(&first, &shared), "the equal budget retraced");
+        let stats = subject.cache_stats();
+        assert_eq!(
+            (stats.traces, stats.codegen_only, stats.hits),
+            (1, 1, 1),
+            "{stats:?}"
+        );
+        // Clearing drops the prefix cell with the rest: the same budget is
+        // derived and traced afresh.
+        subject.clear_cache();
+        let _ = subject.trace_shared(&aliased, kind);
+        let stats = subject.cache_stats();
+        assert_eq!(
+            (stats.traces, stats.codegen_only, stats.hits),
+            (2, 2, 1),
+            "{stats:?}"
+        );
     }
 
     #[test]

@@ -27,7 +27,8 @@ pub struct CacheStats {
     /// Full compilations actually performed (executable-map misses the
     /// whole pipeline had to run for).
     pub compiles: usize,
-    /// Debugger runs actually performed (trace-map misses).
+    /// Debugger runs actually performed: trace-map misses, except that a
+    /// budget sharing an already traced pass prefix counts a hit instead.
     pub traces: usize,
     /// Full conjecture sweeps actually performed (violation-map misses).
     pub checks: usize,
@@ -36,12 +37,14 @@ pub struct CacheStats {
     /// In-memory misses answered by the persistent store instead of being
     /// recomputed (see [`crate::store`]); zero when no store is attached.
     pub disk_loads: usize,
-    /// Executable-map misses satisfied by **code generation alone**: the
-    /// requested configuration was a pass-budget prefix of an already
-    /// recorded pipeline run, so the executable was derived from its IR
-    /// checkpoint instead of re-running the pipeline (see
-    /// [`holes_compiler::PassSnapshots`]). Proves a bisection performs no
-    /// full recompiles for non-trunk budgets.
+    /// Distinct pass prefixes derived by **code generation alone**: the
+    /// requested configuration was a pass-budget prefix of a recorded
+    /// pipeline run, so its executable came from an IR checkpoint instead
+    /// of re-running the pipeline (see [`holes_compiler::PassSnapshots`]).
+    /// Budgets whose checkpoints are equal share one derivation; a
+    /// budgeted executable requested directly counts one of its own.
+    /// Proves a bisection performs no full recompiles for non-trunk
+    /// budgets.
     pub codegen_only: usize,
     /// Breakpoint stops answered from a precomputed
     /// [`holes_debugger::StopPlan`] — a plan lookup plus machine reads —

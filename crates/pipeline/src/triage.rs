@@ -19,7 +19,12 @@
 //! cache derives its executable from the recorded pass-prefix snapshots by
 //! code generation alone (see [`holes_compiler::PassSnapshots`] and
 //! `CacheStats::codegen_only`) — a whole bisection, probing a dozen
-//! budgets, runs the optimization pipeline exactly once.
+//! budgets, runs the optimization pipeline exactly once. Probes of budgets
+//! whose passes left the IR unchanged share one derivation and one trace
+//! (a hit, not a trace, in `--stats`), and no budgeted executable is
+//! written to the store. Budgets count the passes that run — the
+//! configuration's [`CompilerConfig::effective_schedule`], without its
+//! disabled passes — so the culprit is named from that schedule too.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
@@ -84,7 +89,7 @@ pub fn bisect(subject: &Subject, config: &CompilerConfig, violation: &Violation)
     if config.backend != BackendKind::Reg {
         return bisect_linear(subject, config, violation);
     }
-    let schedule = config.pass_schedule();
+    let schedule = config.effective_schedule();
     let passes = schedule.len();
     let occurs = |budget: usize| {
         // A budget covering the whole schedule is the unbudgeted pipeline;
@@ -139,7 +144,7 @@ pub fn bisect_linear(
     config: &CompilerConfig,
     violation: &Violation,
 ) -> TriageOutcome {
-    let schedule = config.pass_schedule();
+    let schedule = config.effective_schedule();
     for budget in 0..=schedule.len() {
         // A budget covering the whole schedule is the unbudgeted pipeline;
         // probing it as the original configuration reuses cached artifacts
@@ -728,6 +733,28 @@ mod tests {
             compared > 0,
             "campaign produced no lcc violations to bisect"
         );
+    }
+
+    #[test]
+    fn bisection_names_the_culprit_of_the_effective_schedule() {
+        // Budgets count the passes that run, so with `simplifycfg` disabled
+        // budget `k` names the `k`-th *enabled* pass; the `k`-th scheduled
+        // pass is here `sroa`, the one before the culprit.
+        let subject = Subject::from_seed(2500);
+        let config = CompilerConfig::new(Personality::Lcc, OptLevel::Og);
+        let disabled = config.clone().with_disabled_pass("simplifycfg");
+        let culprit = |config: &CompilerConfig, violation: &Violation| {
+            let binary = bisect(&subject, config, violation);
+            assert_eq!(binary, bisect_linear(&subject, config, violation));
+            binary.culprits
+        };
+        let violations = subject.violations(&config);
+        let violation = violations
+            .iter()
+            .find(|violation| culprit(&config, violation) == ["instcombine"])
+            .expect("seed 2500 has an instcombine violation at lcc -Og");
+        assert!(subject.violation_occurs(&disabled, violation));
+        assert_eq!(culprit(&disabled, violation), ["instcombine"]);
     }
 
     #[test]

@@ -461,6 +461,103 @@ proptest! {
     }
 }
 
+/// A cold triage persists answers, not throwaway executables. It writes
+/// each probed budget's trace and every violation set, but no executable
+/// with a pass budget: those are derived from pass snapshots in memory and
+/// dropped once traced. Every file it does write has the bytes that saving
+/// the from-scratch artifact writes, which is what the earlier path that
+/// persisted budgeted executables wrote too. A warm rerun computes nothing
+/// and prints the storeless table.
+#[test]
+fn a_cold_triage_persists_no_budgeted_executable() {
+    let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let personality = Personality::Lcc;
+    let lcc = CampaignSpec::new(personality, personality.trunk(), SeedRange::new(2500, 2506));
+    let triage_run = || {
+        let run = triage_campaign(&lcc, 1000, &FaultPolicy::default());
+        (run.table.to_json().to_pretty(), run.stats)
+    };
+    install_process_store(None);
+    let (reference, _) = triage_run();
+    let dir = Scratch::dir("cold-triage");
+    install_process_store(Some(Arc::new(
+        ArtifactStore::open(&dir.path).expect("store opens"),
+    )));
+    let (cold, _) = triage_run();
+    let (warm, warm_stats) = triage_run();
+    install_process_store(None);
+    assert_eq!(cold, reference, "cold triage changed its table");
+    assert_eq!(warm, reference, "warm triage changed its table");
+    assert_eq!(
+        (warm_stats.compiles, warm_stats.traces, warm_stats.checks),
+        (0, 0, 0),
+        "the warm triage recomputed: {warm_stats:?}"
+    );
+
+    // Every configuration the triage can probe, by fingerprint.
+    let mut configs = std::collections::BTreeMap::new();
+    for &level in personality.levels() {
+        let config = CompilerConfig::new(personality, level).with_version(personality.trunk());
+        for budget in 0..=config.effective_schedule().len() {
+            let budgeted = config.clone().with_pass_budget(budget);
+            configs.insert(budgeted.fingerprint(), budgeted);
+        }
+        configs.insert(config.fingerprint(), config);
+    }
+    let subjects: Vec<Subject> = lcc.seeds.iter().map(Subject::from_seed).collect();
+    let replica_dir = Scratch::dir("cold-triage-replica");
+    let replica = ArtifactStore::open(&replica_dir.path).expect("replica opens");
+    let kind = DebuggerKind::native_for(personality);
+    let (mut executables, mut budgeted_traces) = (0usize, 0usize);
+    for subject_dir in std::fs::read_dir(&dir.path).expect("store").flatten() {
+        let key: SubjectKey = subject_dir.file_name().to_str().unwrap().parse().unwrap();
+        let subject = subjects
+            .iter()
+            .find(|s| SubjectKey::derive(s.seed, &s.source.text) == key)
+            .expect("a triaged subject");
+        for file in std::fs::read_dir(subject_dir.path()).unwrap().flatten() {
+            let name = file.file_name().to_str().unwrap().to_owned();
+            let (fingerprint, rest) = name.split_once('.').unwrap();
+            let config = &configs[&fingerprint.parse::<Fingerprint>().unwrap()];
+            let exe = holes_compiler::compile(&subject.program, config);
+            let trace = holes_debugger::trace(&exe, kind);
+            match rest {
+                "exe.json" => {
+                    assert_eq!(
+                        config.pass_budget, None,
+                        "{name} persists a budgeted executable"
+                    );
+                    executables += 1;
+                    replica.save_executable(key, &exe);
+                }
+                "trace-lldb.json" => {
+                    budgeted_traces += usize::from(config.pass_budget.is_some());
+                    replica.save_trace(key, config, kind, &trace);
+                }
+                "viol-lldb.json" => {
+                    let violations = holes_core::check_all(
+                        &subject.program,
+                        &subject.analysis,
+                        &subject.source,
+                        &trace,
+                    );
+                    replica.save_violations(key, config, kind, &violations);
+                }
+                other => panic!("unexpected artifact kind {other}"),
+            }
+            let rewritten = replica_dir.path.join(subject_dir.file_name()).join(&name);
+            assert!(
+                std::fs::read(file.path()).unwrap() == std::fs::read(rewritten).unwrap(),
+                "{name} differs from the from-scratch artifact's envelope"
+            );
+        }
+    }
+    assert!(
+        executables > 0 && budgeted_traces > 0,
+        "the triage bisected nothing"
+    );
+}
+
 /// The configuration an executable envelope's payload records, decoded
 /// from its `config` object through the public constructors.
 fn recorded_config(payload: &Json) -> CompilerConfig {

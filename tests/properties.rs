@@ -265,6 +265,47 @@ proptest! {
         }
     }
 
+    /// Equal pass prefixes are derived once, and sharing them changes no
+    /// trace: for every budget of both personalities at `-Og` and `-O2` on
+    /// every backend, the trace a subject serves for `with_pass_budget(k)`
+    /// equals the trace of that configuration compiled from scratch, and
+    /// `k`'s canonical budget is no larger and shares its checkpoint.
+    #[test]
+    fn shared_pass_prefixes_serve_from_scratch_traces(seed in 0u64..5_000) {
+        use holes_compiler::{BackendKind, PassSnapshots};
+        let generated = ProgramGenerator::from_seed(seed).generate();
+        let subject = holes_pipeline::Subject::from_generated(generated);
+        let mut shared = 0usize;
+        for personality in [Personality::Ccg, Personality::Lcc] {
+            let kind = DebuggerKind::native_for(personality);
+            for level in [OptLevel::Og, OptLevel::O2] {
+                for backend in BackendKind::ALL {
+                    let config = CompilerConfig::new(personality, level).with_backend(backend);
+                    let snapshots = PassSnapshots::record(&subject.program, &config);
+                    for budget in 0..=snapshots.pass_count() {
+                        let canonical = snapshots.canonical_budget(budget);
+                        prop_assert!(canonical <= budget);
+                        prop_assert!(snapshots.checkpoint(canonical) == snapshots.checkpoint(budget));
+                        shared += usize::from(canonical < budget);
+                        let budgeted = config.clone().with_pass_budget(budget);
+                        let scratch = trace(&compile(&subject.program, &budgeted), kind);
+                        prop_assert_eq!(
+                            &*subject.trace_shared(&budgeted, kind),
+                            &scratch,
+                            "seed {} {} budget {} (canonical {})",
+                            seed,
+                            config.describe(),
+                            budget,
+                            canonical
+                        );
+                    }
+                }
+            }
+        }
+        // The sharing path itself ran: some pass left the IR unchanged.
+        prop_assert!(shared > 0);
+    }
+
     /// Merging K sharded campaign runs — round-tripped through their JSON
     /// shard files — reproduces the unsharded campaign byte-for-byte, for
     /// random shard counts, seed ranges, and personalities.
