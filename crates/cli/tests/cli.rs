@@ -524,6 +524,16 @@ fn default_campaign_and_report_bytes_match_the_committed_goldens() {
         "cli-report-2500-2506.txt",
         &ok_stdout(&["report", &campaign_file]),
     );
+    // `--issues` classifies the first unique violations in merged-record
+    // order, as text and inside the JSON summary.
+    golden(
+        "cli-report-2500-2506-issues.txt",
+        &ok_stdout(&["report", "--issues", "5", &campaign_file]),
+    );
+    golden(
+        "cli-report-2500-2506-issues.json",
+        &ok_stdout(&["report", "--issues", "5", "--json", &campaign_file]),
+    );
     // The document streamed to stdout carries the same bytes as `--out`.
     golden(
         "cli-campaign-2500-2506.json",
@@ -1414,6 +1424,49 @@ fn corpus_add_then_replay_reproduces_and_tampered_entries_gate() {
         replay.contains("corpus replay: 2 of 2 entries reproduced"),
         "{replay}"
     );
+
+    // The JSONL shards of a campaign, in either order, distill the same
+    // entries as its single classic file.
+    let mut corpora = Vec::new();
+    let whole = scratch.path("whole.json");
+    ok_stdout(&[
+        "campaign",
+        "--seeds",
+        "2500..2506",
+        "--out",
+        &whole,
+        "--quiet",
+    ]);
+    let shards: Vec<String> = (0..2)
+        .map(|shard| {
+            let file = scratch.path(&format!("s{shard}.jsonl"));
+            ok_stdout(&[
+                "campaign",
+                "--seeds",
+                "2500..2506",
+                "--shards",
+                "2",
+                "--shard",
+                &shard.to_string(),
+                "--jsonl",
+                "--out",
+                &file,
+                "--quiet",
+            ]);
+            file
+        })
+        .collect();
+    for (name, inputs) in [
+        ("whole-corpus.json", vec![whole.as_str()]),
+        ("sharded-corpus.json", vec![&shards[1], &shards[0]]),
+    ] {
+        let corpus = scratch.path(name);
+        let mut args = vec!["corpus", "add", "--corpus", &corpus, "--limit", "3"];
+        args.extend(inputs);
+        ok_stdout(&args);
+        corpora.push(std::fs::read(Path::new(&corpus)).unwrap());
+    }
+    assert_eq!(corpora[0], corpora[1], "sharded corpus add drifted");
 }
 
 /// Out-of-range heartbeat cadences are rejected when the command line is
