@@ -42,9 +42,9 @@ use std::sync::Arc;
 
 use holes::compiler::{BackendKind, CompilerConfig, OptLevel, Personality};
 use holes::core::json::Json;
-use holes::core::Conjecture;
+use holes::core::{Conjecture, Violation};
 use holes::pipeline::baseline::{Baseline, ViolationFingerprint, BASELINE_FORMAT};
-use holes::pipeline::campaign::{unique_key, CampaignResult, CampaignTallies};
+use holes::pipeline::campaign::{unique_records, CampaignTallies, ViolationRecord};
 use holes::pipeline::chaos::{self, ChaosPlan};
 use holes::pipeline::corpus::{distill, Corpus, CorpusEntry, ReplayOutcome};
 use holes::pipeline::fault;
@@ -57,12 +57,12 @@ use holes::pipeline::serve::{
     run_worker, Coordinator, LeaseConfig, RemoteStore, ServeConfig, WorkerConfig,
 };
 use holes::pipeline::shard::{
-    merge_shards, run_shard, validate_shard_specs, CampaignShard, CampaignSpec, ShardError,
+    run_shard, validate_shard_specs, CampaignShard, CampaignSpec, ShardError,
 };
 use holes::pipeline::store::{install_process_store, CACHE_DIR_ENV};
 use holes::pipeline::stream::{
-    fold_jsonl_reader, is_jsonl_shard, parse_jsonl_header, read_jsonl_shard,
-    resume_shard_streaming, run_shard_streaming, StreamError,
+    fold_jsonl_reader, is_jsonl_shard, parse_jsonl_header, resume_shard_streaming,
+    run_shard_streaming, StreamError,
 };
 use holes::pipeline::triage::{
     merge_triage_shards, run_triage_shard, triage, triage_campaign, TriageShard,
@@ -274,7 +274,6 @@ fn policy_of(parsed: &Parsed) -> Result<FaultPolicy, String> {
     Ok(FaultPolicy {
         fuel_limit,
         inject_seeds: chaos::installed().fault_seeds.clone(),
-        ..FaultPolicy::default()
     })
 }
 
@@ -615,28 +614,6 @@ Options:
   --cache-dir DIR Persist/reuse the artifacts --issues recompiles
 ";
 
-/// Parse one shard file of either format, auto-detected by its first line.
-fn parse_shard_file(path: &str) -> Result<CampaignShard, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading `{path}`: {e}"))?;
-    if is_jsonl_shard(&text) {
-        return read_jsonl_shard(&text).map_err(|e| format!("`{path}`: {e}"));
-    }
-    let json = Json::parse(&text).map_err(|e| format!("`{path}`: {e}"))?;
-    CampaignShard::from_json(&json).map_err(|e| format!("`{path}`: {e}"))
-}
-
-/// Parse campaign shard files of either format and merge them into the
-/// campaign they describe, returning its spec and merged result.
-fn merge_shard_files(paths: &[String]) -> Result<(CampaignSpec, CampaignResult), String> {
-    let shards = paths
-        .iter()
-        .map(|path| parse_shard_file(path))
-        .collect::<Result<Vec<_>, _>>()?;
-    let specs: Vec<CampaignSpec> = shards.iter().map(|shard| shard.spec.clone()).collect();
-    let result = merge_shards(shards).map_err(|e| merge_error(e, paths, &specs))?;
-    Ok((specs[0].clone(), result))
-}
-
 /// A shard-merge failure that also says which file carried which shard, so
 /// a duplicate shard index, a foreign campaign or a missing shard names the
 /// files at fault, not just the indices.
@@ -663,92 +640,98 @@ fn cmd_report(argv: &[String]) -> Result<RunStatus, String> {
         return Err("no shard files given".into());
     }
     let issue_limit: usize = parsed.opt_parse("issues", 0).map_err(|e| e.to_string())?;
-    if issue_limit == 0 {
-        // The default path streams: every aggregate the report renders is
-        // order-independent, so records fold into one accumulator file by
-        // file (line by line for JSONL inputs) and are never materialized.
-        return report_streaming(&parsed);
-    }
-    // `--issues` classifies the first N unique violations in canonical
-    // merged-record order, so this path still materializes the records.
-    let (campaign, result) = merge_shard_files(parsed.positionals())?;
+    // Every aggregate the report renders is order-independent, so records
+    // fold into one accumulator and are never held — except that `--issues`
+    // classifies the first N unique violations in merged-record order, so
+    // it collects the records and restores that order.
+    let mut records = Vec::new();
+    let (campaign, tallies) = fold_shard_files(parsed.positionals(), |record| {
+        if issue_limit > 0 {
+            records.push(record);
+        }
+    })?;
+    records.sort_by_key(|record| record.subject);
     // Regenerates only the (at most `issue_limit`) classified programs
     // from their seeds, not the campaign's full range.
-    let issues = build_report_from_seeds(
-        &result,
-        campaign.personality,
-        campaign.version,
-        campaign.backend,
-        issue_limit,
-    );
+    let issues = (issue_limit > 0).then(|| {
+        build_report_from_seeds(
+            &records,
+            campaign.personality,
+            campaign.version,
+            campaign.backend,
+            issue_limit,
+        )
+    });
     render_report(
         &parsed,
         &campaign,
-        &result.tallies(),
-        Some((&issues, issue_limit)),
+        &tallies,
+        issues.as_ref().map(|report| (report, issue_limit)),
     )
 }
 
-/// The streaming path of `holes report`: fold every input file's records
-/// into one [`CampaignTallies`] accumulator and render from the tallies.
-/// Output is byte-identical to the materializing path; memory is bounded
-/// by the accumulator (unique violations), never by the record count.
-fn report_streaming(parsed: &Parsed) -> Result<RunStatus, String> {
-    let (campaign, tallies) = fold_shard_files(parsed.positionals())?;
-    render_report(parsed, &campaign, &tallies, None)
-}
-
-/// Fold campaign shard files into one [`CampaignTallies`] accumulator —
-/// line by line for JSONL shards, per parsed document for classic shards —
-/// and validate that together they cover one campaign exactly once. The
-/// deterministic-merge seam shared by `holes report` and `holes baseline
-/// record`/`diff`: both commands see the identical merged campaign, so a
-/// sharded baseline is byte-identical to an unsharded one.
-fn fold_shard_files(paths: &[String]) -> Result<(CampaignSpec, CampaignTallies), String> {
+/// Fold campaign shard files of either format — line by line for JSONL
+/// shards, per parsed document for classic shards — into one
+/// [`CampaignTallies`] accumulator, hand every record to `each` in file
+/// order, and validate that together the files cover one campaign exactly
+/// once. The CLI's one shard-file reader, behind `holes report`, `holes
+/// baseline record`/`diff` and `holes corpus add`: every command sees the
+/// identical merged campaign, so a sharded run is byte-identical to an
+/// unsharded one. A consumer that needs the records in merged order
+/// collects them and stably sorts them by subject, as the library's shard
+/// merge does: within a subject all records live in one file, already in
+/// canonical order.
+fn fold_shard_files(
+    paths: &[String],
+    mut each: impl FnMut(ViolationRecord),
+) -> Result<(CampaignSpec, CampaignTallies), String> {
     use std::io::{BufRead, Read};
+    // A shard's levels are its personality's (the parsers check), so its
+    // spec alone sizes the accumulator.
+    let fresh = |spec: &CampaignSpec| {
+        CampaignTallies::new(
+            spec.personality.levels().to_vec(),
+            spec.seeds.len() as usize,
+        )
+    };
     let mut specs: Vec<CampaignSpec> = Vec::new();
     let mut tallies: Option<CampaignTallies> = None;
     for path in paths {
-        let file = std::fs::File::open(path).map_err(|e| format!("reading `{path}`: {e}"))?;
-        let mut reader = std::io::BufReader::new(file);
-        let mut first_line = String::new();
-        reader
-            .read_line(&mut first_line)
-            .map_err(|e| format!("reading `{path}`: {e}"))?;
-        if is_jsonl_shard(&first_line) {
-            let (spec, levels) =
-                parse_jsonl_header(first_line.trim_end()).map_err(|e| format!("`{path}`: {e}"))?;
-            let into = tallies
-                .get_or_insert_with(|| CampaignTallies::new(levels, spec.seeds.len() as usize));
-            // Chain the already-consumed header line back in front of the
-            // remaining stream, so the reader sees the whole file.
-            let chained = std::io::Cursor::new(first_line.clone()).chain(reader);
-            let summary = fold_jsonl_reader(chained, |record| into.add(&record))
-                .map_err(|e| format!("`{path}`: {e}"))?;
-            for _ in &summary.faults {
-                into.add_fault();
-            }
-            specs.push(summary.spec);
+        let in_file = |e: &dyn std::fmt::Display| format!("`{path}`: {e}");
+        let reading = |e: std::io::Error| format!("reading `{path}`: {e}");
+        let mut reader = std::io::BufReader::new(std::fs::File::open(path).map_err(reading)?);
+        // The first non-blank line names the format: blank lines may
+        // precede a JSONL header.
+        let mut head = String::new();
+        while head.trim().is_empty() && reader.read_line(&mut head).map_err(reading)? > 0 {}
+        let (spec, faults) = if is_jsonl_shard(&head) {
+            let (spec, _) = parse_jsonl_header(head.trim()).map_err(|e| in_file(&e))?;
+            let into = tallies.get_or_insert_with(|| fresh(&spec));
+            // Chain the consumed lines back in front of the rest of the
+            // stream, so the reader sees (and numbers) the whole file.
+            let chained = std::io::Cursor::new(head).chain(reader);
+            let summary = fold_jsonl_reader(chained, |record| {
+                into.add(&record);
+                each(record);
+            })
+            .map_err(|e| in_file(&e))?;
+            (summary.spec, summary.faults.len())
         } else {
             // A classic holes.campaign/v1 document: parse it, fold its
             // records, and drop it before the next file is opened.
-            let mut text = first_line;
-            reader
-                .read_to_string(&mut text)
-                .map_err(|e| format!("reading `{path}`: {e}"))?;
-            let json = Json::parse(&text).map_err(|e| format!("`{path}`: {e}"))?;
-            let shard = CampaignShard::from_json(&json).map_err(|e| format!("`{path}`: {e}"))?;
-            let into = tallies.get_or_insert_with(|| {
-                CampaignTallies::new(shard.result.levels.clone(), shard.spec.seeds.len() as usize)
-            });
-            for record in &shard.result.records {
-                into.add(record);
+            reader.read_to_string(&mut head).map_err(reading)?;
+            let json = Json::parse(&head).map_err(|e| in_file(&e))?;
+            let shard = CampaignShard::from_json(&json).map_err(|e| in_file(&e))?;
+            let into = tallies.get_or_insert_with(|| fresh(&shard.spec));
+            for record in shard.result.records {
+                into.add(&record);
+                each(record);
             }
-            for _ in &shard.result.faults {
-                into.add_fault();
-            }
-            specs.push(shard.spec);
-        }
+            (shard.spec, shard.result.faults.len())
+        };
+        let into = tallies.as_mut().expect("sized from this file's spec");
+        (0..faults).for_each(|_| into.add_fault());
+        specs.push(spec);
     }
     let campaign = validate_shard_specs(&specs).map_err(|e| merge_error(e, paths, &specs))?;
     let tallies = tallies.expect("at least one input file was folded");
@@ -756,8 +739,7 @@ fn fold_shard_files(paths: &[String]) -> Result<(CampaignSpec, CampaignTallies),
 }
 
 /// Render the merged campaign — JSON summary and/or the text tables — from
-/// its one-pass tallies. Shared by the streaming and materializing paths,
-/// which therefore cannot diverge byte-wise.
+/// its one-pass tallies, plus the classified issues under `--issues`.
 fn render_report(
     parsed: &Parsed,
     campaign: &CampaignSpec,
@@ -998,7 +980,7 @@ fn baseline_record(parsed: &Parsed, files: &[String]) -> Result<RunStatus, Strin
     if parsed.opt("format").is_some() {
         return Err("`--format` applies to `diff` only (a baseline has one format)".into());
     }
-    let (campaign, tallies) = fold_shard_files(files)?;
+    let (campaign, tallies) = fold_shard_files(files, |_| {})?;
     let baseline = Baseline::from_tallies(&campaign, &tallies);
     let rendered = baseline.to_json().to_pretty();
     let status = RunStatus::from_faulted(tallies.faulted());
@@ -1034,7 +1016,7 @@ fn baseline_diff(
     let run = if inputs.len() == 1 && is_baseline_file(&inputs[0])? {
         load_baseline(&inputs[0])?
     } else {
-        let (campaign, tallies) = fold_shard_files(inputs)?;
+        let (campaign, tallies) = fold_shard_files(inputs, |_| {})?;
         Baseline::from_tallies(&campaign, &tallies)
     };
     let diff = baseline.diff(&run).map_err(|e| e.to_string())?;
@@ -1218,22 +1200,34 @@ fn corpus_add(parsed: &Parsed, files: &[String]) -> Result<RunStatus, String> {
 /// Distill the first violation of one seeded program (the `--seed` mode of
 /// `corpus add`), honoring the personality/version/backend/level options.
 fn corpus_distill_seed(parsed: &Parsed, seed: u64) -> Result<Vec<CorpusEntry>, String> {
+    let subject = Subject::from_seed(seed);
+    let (config, violation) = first_violation(parsed, &subject)??;
+    Ok(vec![distill(&subject, &config, &violation)])
+}
+
+/// The first violation of `subject` under the `--personality`,
+/// `--compiler-version` and `--backend` options: at `--level`, or at the
+/// first of the personality's levels that violates. The outer error is a
+/// usage error; the inner one says the subject has no violation there
+/// (`reduce` prints it, `corpus add --seed` fails with it).
+fn first_violation(
+    parsed: &Parsed,
+    subject: &Subject,
+) -> Result<Result<(CompilerConfig, Violation), String>, String> {
     let personality = personality_of(parsed)?;
     let version = version_of(parsed, personality)?;
     let backend = backend_of(parsed)?;
-    let subject = Subject::from_seed(seed);
+    let flags = |levels: &[OptLevel]| {
+        let flags: Vec<&str> = levels.iter().map(|l| l.flag()).collect();
+        flags.join(", ")
+    };
     let levels: Vec<OptLevel> = match parsed.opt("level") {
         Some(raw) => {
             let level: OptLevel = raw.parse().map_err(|e| format!("{e}"))?;
             if !personality.levels().contains(&level) {
                 return Err(format!(
                     "{personality} does not evaluate {level} (levels: {})",
-                    personality
-                        .levels()
-                        .iter()
-                        .map(|l| l.flag())
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                    flags(personality.levels())
                 ));
             }
             vec![level]
@@ -1247,41 +1241,34 @@ fn corpus_distill_seed(parsed: &Parsed, seed: u64) -> Result<Vec<CorpusEntry>, S
         let violation = subject.violations(&config).first().cloned()?;
         Some((config, violation))
     });
-    let Some((config, violation)) = found else {
-        return Err(format!(
-            "seed {seed}: no violations under {} {} at {}",
+    Ok(found.ok_or_else(|| {
+        format!(
+            "seed {}: no violations under {} {} at {}",
+            subject.seed,
             personality,
             personality.version_names()[version],
-            levels
-                .iter()
-                .map(|l| l.flag())
-                .collect::<Vec<_>>()
-                .join(", "),
-        ));
-    };
-    Ok(vec![distill(&subject, &config, &violation)])
+            flags(&levels),
+        )
+    }))
 }
 
 /// Distill up to `limit` unique violations of the merged campaign the
 /// shard files describe, in canonical merged-record order (the shard-file
 /// mode of `corpus add`).
 fn corpus_distill_shards(files: &[String], limit: usize) -> Result<Vec<CorpusEntry>, String> {
-    let (campaign, result) = merge_shard_files(files)?;
-    let mut seen = std::collections::BTreeSet::new();
-    let mut entries = Vec::new();
-    for record in &result.records {
-        if entries.len() >= limit {
-            break;
-        }
-        if !seen.insert(unique_key(record)) {
-            continue;
-        }
-        let subject = Subject::from_seed(record.seed);
-        let config = CompilerConfig::new(campaign.personality, record.level)
-            .with_version(campaign.version)
-            .with_backend(campaign.backend);
-        entries.push(distill(&subject, &config, &record.violation));
-    }
+    let mut records = Vec::new();
+    let (campaign, _) = fold_shard_files(files, |record| records.push(record))?;
+    records.sort_by_key(|record| record.subject);
+    let entries = unique_records(&records)
+        .take(limit)
+        .map(|record| {
+            let subject = Subject::from_seed(record.seed);
+            let config = CompilerConfig::new(campaign.personality, record.level)
+                .with_version(campaign.version)
+                .with_backend(campaign.backend);
+            distill(&subject, &config, &record.violation)
+        })
+        .collect();
     Ok(entries)
 }
 
@@ -1995,49 +1982,13 @@ fn cmd_reduce(argv: &[String]) -> Result<RunStatus, String> {
             .map_err(|_| format!("invalid value for `--seed`: `{raw}`"))?,
         None => return Err("missing required option `--seed S`".into()),
     };
-    let personality = personality_of(&parsed)?;
-    let version = version_of(&parsed, personality)?;
-    let backend = backend_of(&parsed)?;
     let subject = Subject::from_seed(seed);
-
-    // Pick the level: the requested one, or the first level that violates.
-    let levels: Vec<OptLevel> = match parsed.opt("level") {
-        Some(raw) => {
-            let level: OptLevel = raw.parse().map_err(|e| format!("{e}"))?;
-            if !personality.levels().contains(&level) {
-                return Err(format!(
-                    "{personality} does not evaluate {level} (levels: {})",
-                    personality
-                        .levels()
-                        .iter()
-                        .map(|l| l.flag())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            }
-            vec![level]
+    let (config, violation) = match first_violation(&parsed, &subject)? {
+        Ok(found) => found,
+        Err(none) => {
+            outln!("{none}");
+            return Ok(RunStatus::Clean);
         }
-        None => personality.levels().to_vec(),
-    };
-    let found = levels.iter().find_map(|&level| {
-        let config = CompilerConfig::new(personality, level)
-            .with_version(version)
-            .with_backend(backend);
-        let violation = subject.violations(&config).first().cloned()?;
-        Some((config, violation))
-    });
-    let Some((config, violation)) = found else {
-        outln!(
-            "seed {seed}: no violations under {} {} at {}",
-            personality,
-            personality.version_names()[version],
-            levels
-                .iter()
-                .map(|l| l.flag())
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-        return Ok(RunStatus::Clean);
     };
     outln!(
         "seed {seed}: {} violation at {} — variable `{}` at line {}, observed {}",

@@ -369,18 +369,21 @@ fn jsonl_shards_report_byte_identically_and_mix_with_classic_shards() {
         "{first_line}"
     );
     assert!(jsonl_text.lines().last().unwrap().contains("\"end\":true"));
+    // The JSONL reader skips blank lines before the header, so the format
+    // is detected from the first non-blank line too.
+    let prefixed = scratch.path("prefixed.jsonl");
+    std::fs::write(Path::new(&prefixed), format!("\n  \n{jsonl_text}")).unwrap();
 
     for flags in [vec![], vec!["--json"]] {
-        let mut mixed_args = vec!["report"];
-        mixed_args.extend(flags.iter().copied());
-        let mut single_args = mixed_args.clone();
-        mixed_args.extend([s0.as_str(), s1.as_str()]);
-        single_args.push(full.as_str());
-        assert_eq!(
-            ok_stdout(&mixed_args),
-            ok_stdout(&single_args),
-            "JSONL+classic merge diverged from the classic run ({flags:?})"
-        );
+        let report = |files: &[&str]| ok_stdout(&[&["report"], &flags[..], files].concat());
+        let single = report(&[&full]);
+        for stream in [&s0, &prefixed] {
+            assert_eq!(
+                report(&[stream, &s1]),
+                single,
+                "JSONL+classic merge diverged from the classic run ({stream}, {flags:?})"
+            );
+        }
     }
 
     // Streaming to stdout equals the file contents.
@@ -1427,7 +1430,6 @@ fn corpus_add_then_replay_reproduces_and_tampered_entries_gate() {
 
     // The JSONL shards of a campaign, in either order, distill the same
     // entries as its single classic file.
-    let mut corpora = Vec::new();
     let whole = scratch.path("whole.json");
     ok_stdout(&[
         "campaign",
@@ -1456,17 +1458,17 @@ fn corpus_add_then_replay_reproduces_and_tampered_entries_gate() {
             file
         })
         .collect();
-    for (name, inputs) in [
-        ("whole-corpus.json", vec![whole.as_str()]),
-        ("sharded-corpus.json", vec![&shards[1], &shards[0]]),
-    ] {
+    let distill = |name: &str, inputs: &[&str]| {
         let corpus = scratch.path(name);
-        let mut args = vec!["corpus", "add", "--corpus", &corpus, "--limit", "3"];
-        args.extend(inputs);
-        ok_stdout(&args);
-        corpora.push(std::fs::read(Path::new(&corpus)).unwrap());
-    }
-    assert_eq!(corpora[0], corpora[1], "sharded corpus add drifted");
+        let add = ["corpus", "add", "--corpus", &corpus, "--limit", "3"];
+        ok_stdout(&[&add[..], inputs].concat());
+        std::fs::read(Path::new(&corpus)).unwrap()
+    };
+    assert_eq!(
+        distill("sharded-corpus.json", &[&shards[1], &shards[0]]),
+        distill("whole-corpus.json", &[&whole]),
+        "sharded corpus add drifted"
+    );
 }
 
 /// Out-of-range heartbeat cadences are rejected when the command line is

@@ -24,8 +24,8 @@
 //! wait on cells further down the order violations → trace → prefix trace
 //! or executable → snapshots (a trace's stop plan is filled after its
 //! executable), so no two threads can wait on each other. A build that
-//! panics leaves its cell empty, and the next lookup builds it afresh —
-//! which is what lets [`crate::fault::contain`] retry a faulted subject.
+//! panics leaves its cell empty, and the next lookup builds it afresh — so
+//! a fault that [`crate::fault::contain`] caught leaves no poisoned cell.
 //!
 //! The cache holds everything it has computed for the lifetime of the
 //! subject — artifacts in this simulator are kilobytes, and the evaluation

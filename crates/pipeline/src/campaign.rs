@@ -58,9 +58,22 @@ pub fn unique_key(record: &ViolationRecord) -> UniqueKey {
     )
 }
 
+/// The first record of each unique violation ([`UniqueKey`]), in record
+/// order — how every consumer picks "the first N unique violations": the
+/// issue report, the triage sample, and `holes corpus add`.
+pub fn unique_records<'r>(
+    records: impl IntoIterator<Item = &'r ViolationRecord>,
+) -> impl Iterator<Item = &'r ViolationRecord> {
+    let mut seen: BTreeSet<UniqueKeyRef<'r>> = BTreeSet::new();
+    records
+        .into_iter()
+        .filter(move |record| seen.insert(unique_key_ref(record)))
+}
+
 /// [`UniqueKey`] borrowing the variable name from its record: the one-off
-/// aggregation queries ([`CampaignResult::unique`], `venn`) build one key
-/// per record, so even the `Arc` bump is avoidable.
+/// aggregation queries ([`CampaignResult::unique`], `venn`,
+/// [`unique_records`]) build one key per record, so even the `Arc` bump is
+/// avoidable.
 type UniqueKeyRef<'a> = (usize, Conjecture, u32, &'a str);
 
 fn unique_key_ref(record: &ViolationRecord) -> UniqueKeyRef<'_> {

@@ -18,15 +18,13 @@
 //!   never dropped.
 //!
 //! The default policy ([`FaultPolicy::default`]) reproduces the historical
-//! behavior byte for byte: no fuel override, no retries, and — since a
-//! defect-free evaluation never panics — no observable change on the
-//! no-fault path.
+//! behavior byte for byte: no fuel override and — since a defect-free
+//! evaluation never panics — no observable change on the no-fault path.
 
 use std::collections::BTreeSet;
 use std::panic::AssertUnwindSafe;
-use std::time::Duration;
 
-/// How subject evaluation faults are contained and retried.
+/// How subject evaluation faults are contained.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPolicy {
     /// Step budget for the virtual machines, overriding the default fuel.
@@ -35,13 +33,6 @@ pub struct FaultPolicy {
     /// turns budget exhaustion (and any other terminal machine error) into
     /// a contained [`SubjectFault`] at the [`FaultStage::Trace`] stage.
     pub fuel_limit: Option<u64>,
-    /// How many times a faulted evaluation is retried before the fault is
-    /// recorded. Deterministic faults fault again; retries exist for
-    /// transient causes (injected chaos, flaky I/O reached through a
-    /// store-backed cache).
-    pub max_retries: u32,
-    /// Sleep between retries, multiplied by the attempt number.
-    pub backoff: Duration,
     /// Seeds whose evaluation is made to panic on purpose — the fault
     /// injection seam the chaos tests and the CI smoke job drive through
     /// the [`crate::chaos::ChaosPlan`]'s fault seeds. Empty in normal
@@ -185,43 +176,33 @@ fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Run one subject evaluation under containment: catch panics (including
 /// the fuel-exhaustion panic the tracing layer raises under a
-/// [`FaultPolicy::fuel_limit`]), attribute them to the stage the thread
-/// last entered, and retry per the policy. Returns the evaluation's value
-/// or the final attempt's fault.
+/// [`FaultPolicy::fuel_limit`]) and attribute them to the stage the thread
+/// last entered. Returns the evaluation's value or its fault.
 pub fn contain<T>(
     policy: &FaultPolicy,
     seed: u64,
     subject: usize,
-    evaluate: impl Fn() -> T,
+    evaluate: impl FnOnce() -> T,
 ) -> SubjectOutcome<T> {
     silence_contained_panics();
-    let mut fault = None;
-    for attempt in 0..=policy.max_retries {
-        if attempt > 0 {
-            std::thread::sleep(policy.backoff * attempt);
+    set_stage(FaultStage::Generate);
+    CONTAINED.with(|cell| cell.set(true));
+    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if policy.inject_seeds.contains(&seed) {
+            panic!("injected fault (HOLES_FAULT_SEEDS)");
         }
-        set_stage(FaultStage::Generate);
-        CONTAINED.with(|cell| cell.set(true));
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if policy.inject_seeds.contains(&seed) {
-                panic!("injected fault (HOLES_FAULT_SEEDS)");
-            }
-            evaluate()
-        }));
-        CONTAINED.with(|cell| cell.set(false));
-        match caught {
-            Ok(value) => return SubjectOutcome::Completed(value),
-            Err(payload) => {
-                fault = Some(SubjectFault {
-                    seed,
-                    subject,
-                    stage: STAGE.with(std::cell::Cell::get),
-                    cause: panic_cause(payload),
-                });
-            }
-        }
+        evaluate()
+    }));
+    CONTAINED.with(|cell| cell.set(false));
+    match caught {
+        Ok(value) => SubjectOutcome::Completed(value),
+        Err(payload) => SubjectOutcome::Faulted(SubjectFault {
+            seed,
+            subject,
+            stage: STAGE.with(std::cell::Cell::get),
+            cause: panic_cause(payload),
+        }),
     }
-    SubjectOutcome::Faulted(fault.expect("at least one attempt ran"))
 }
 
 #[cfg(test)]
@@ -280,33 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn retries_rerun_the_evaluation_and_can_recover() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let attempts = AtomicU32::new(0);
-        let policy = FaultPolicy {
-            max_retries: 2,
-            ..FaultPolicy::default()
-        };
-        let outcome = contain(&policy, 0, 0, || {
-            if attempts.fetch_add(1, Ordering::SeqCst) < 2 {
-                panic!("transient");
-            }
-            "ok"
-        });
-        assert!(matches!(outcome, SubjectOutcome::Completed("ok")));
-        assert_eq!(attempts.load(Ordering::SeqCst), 3);
-
-        // A deterministic fault exhausts the retries and is recorded once.
-        let exhausted = AtomicU32::new(0);
-        let outcome = contain(&policy, 0, 0, || {
-            exhausted.fetch_add(1, Ordering::SeqCst);
-            panic!("permanent");
-        });
-        assert!(matches!(outcome, SubjectOutcome::Faulted(_)));
-        assert_eq!(exhausted.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
     fn stage_names_round_trip() {
         for stage in FaultStage::ALL {
             assert_eq!(stage.name().parse::<FaultStage>(), Ok(stage));
@@ -350,55 +304,5 @@ mod tests {
         // The message names the entry, not the whole list.
         let err = crate::chaos::plan_of("HOLES_FAULT_SEEDS", "3,oops,17").unwrap_err();
         assert!(err.contains("`oops`") && !err.contains("3,oops"), "{err}");
-    }
-
-    #[test]
-    fn zero_retries_means_exactly_one_attempt_and_no_backoff_sleep() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        let attempts = AtomicU32::new(0);
-        let policy = FaultPolicy {
-            max_retries: 0,
-            // A backoff that would stall the test if any retry slept.
-            backoff: Duration::from_secs(3600),
-            ..FaultPolicy::default()
-        };
-        let started = std::time::Instant::now();
-        let outcome = contain(&policy, 5, 2, || {
-            attempts.fetch_add(1, Ordering::SeqCst);
-            panic!("first and only attempt");
-        });
-        assert_eq!(attempts.load(Ordering::SeqCst), 1);
-        assert!(started.elapsed() < Duration::from_secs(60), "backoff slept");
-        match outcome {
-            SubjectOutcome::Faulted(fault) => assert_eq!(fault.cause, "first and only attempt"),
-            SubjectOutcome::Completed(()) => panic!("panic escaped containment"),
-        }
-    }
-
-    #[test]
-    fn fuel_exhaustion_on_the_final_retry_records_the_last_attempt() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        // Every attempt exhausts its fuel (the trace-stage panic a
-        // fuel-limited VM raises); the recorded fault must be the *final*
-        // attempt's, after exactly max_retries + 1 attempts.
-        let attempts = AtomicU32::new(0);
-        let policy = FaultPolicy {
-            fuel_limit: Some(10),
-            max_retries: 2,
-            ..FaultPolicy::default()
-        };
-        let outcome = contain(&policy, 9, 4, || {
-            let attempt = attempts.fetch_add(1, Ordering::SeqCst);
-            set_stage(FaultStage::Trace);
-            panic!("fuel exhausted after 10 steps (attempt {attempt})");
-        });
-        assert_eq!(attempts.load(Ordering::SeqCst), 3);
-        match outcome {
-            SubjectOutcome::Faulted(fault) => {
-                assert_eq!(fault.stage, FaultStage::Trace);
-                assert_eq!(fault.cause, "fuel exhausted after 10 steps (attempt 2)");
-            }
-            SubjectOutcome::Completed(()) => panic!("exhaustion escaped containment"),
-        }
     }
 }

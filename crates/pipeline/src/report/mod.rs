@@ -17,15 +17,13 @@
 pub mod junit;
 pub mod sarif;
 
-use std::collections::BTreeSet;
-
-use holes_compiler::CompilerConfig;
+use holes_compiler::{BackendKind, CompilerConfig, Personality};
 use holes_core::json::Json;
 use holes_core::{Conjecture, Violation};
 use holes_debugger::DebuggerKind;
 use holes_debuginfo::{categorize_variable, DieCategory};
 
-use crate::campaign::{unique_key, CampaignResult, UniqueKey};
+use crate::campaign::{unique_records, CampaignResult, ViolationRecord};
 use crate::Subject;
 
 /// Whether a violation is attributed to the compiler or to the native
@@ -206,80 +204,78 @@ pub fn classify(
 pub fn build_report(
     subjects: &[Subject],
     result: &CampaignResult,
-    personality: holes_compiler::Personality,
+    personality: Personality,
     version: usize,
-    backend: holes_compiler::BackendKind,
+    backend: BackendKind,
     limit: usize,
 ) -> IssueReport {
-    let mut report = IssueReport::default();
-    let mut seen: BTreeSet<UniqueKey> = BTreeSet::new();
-    for record in &result.records {
-        if report.rows.len() >= limit {
-            break;
-        }
-        if !seen.insert(unique_key(record)) {
-            continue;
-        }
-        let config = CompilerConfig::new(personality, record.level)
-            .with_version(version)
-            .with_backend(backend);
-        let (category, component) = classify(&subjects[record.subject], &config, &record.violation);
-        report.rows.push(IssueRow {
-            seed: record.seed,
-            conjecture: record.violation.conjecture,
-            variable: record.violation.variable.clone(),
-            line: record.violation.line,
-            category,
-            component,
-        });
-    }
-    report
+    let rows = unique_records(&result.records)
+        .take(limit)
+        .map(|record| {
+            issue_row(
+                &subjects[record.subject],
+                record,
+                personality,
+                version,
+                backend,
+            )
+        })
+        .collect();
+    IssueReport { rows }
 }
 
 /// [`build_report`] without a pre-generated pool: subjects are regenerated
 /// from the records' seeds, and only for the (at most `limit`) programs the
 /// report actually classifies — the right entry point for drivers holding a
-/// merged campaign over a large seed range. Records arrive in subject
-/// order, so only the current subject (and its cache) is kept alive.
+/// merged campaign's records over a large seed range. Records arrive in
+/// subject order, so only the current subject (and its cache) is kept
+/// alive.
 ///
 /// Requires records whose `seed` fields are the generator seeds of their
 /// programs (true for every generated campaign; not for hand-written
 /// subjects, whose seed is 0). Produces exactly the rows `build_report`
 /// would.
 pub fn build_report_from_seeds(
-    result: &CampaignResult,
-    personality: holes_compiler::Personality,
+    records: &[ViolationRecord],
+    personality: Personality,
     version: usize,
-    backend: holes_compiler::BackendKind,
+    backend: BackendKind,
     limit: usize,
 ) -> IssueReport {
-    let mut report = IssueReport::default();
-    let mut seen: BTreeSet<UniqueKey> = BTreeSet::new();
     let mut current: Option<(usize, Subject)> = None;
-    for record in &result.records {
-        if report.rows.len() >= limit {
-            break;
-        }
-        if !seen.insert(unique_key(record)) {
-            continue;
-        }
-        let kept = current.take().filter(|(index, _)| *index == record.subject);
-        let (_, subject) = current
-            .insert(kept.unwrap_or_else(|| (record.subject, Subject::from_seed(record.seed))));
-        let config = CompilerConfig::new(personality, record.level)
-            .with_version(version)
-            .with_backend(backend);
-        let (category, component) = classify(subject, &config, &record.violation);
-        report.rows.push(IssueRow {
-            seed: record.seed,
-            conjecture: record.violation.conjecture,
-            variable: record.violation.variable.clone(),
-            line: record.violation.line,
-            category,
-            component,
-        });
+    let rows = unique_records(records)
+        .take(limit)
+        .map(|record| {
+            let kept = current.take().filter(|(index, _)| *index == record.subject);
+            let (_, subject) = current
+                .insert(kept.unwrap_or_else(|| (record.subject, Subject::from_seed(record.seed))));
+            issue_row(subject, record, personality, version, backend)
+        })
+        .collect();
+    IssueReport { rows }
+}
+
+/// Classify one record of a campaign run at `personality`/`version` on
+/// `backend` into its report row.
+fn issue_row(
+    subject: &Subject,
+    record: &ViolationRecord,
+    personality: Personality,
+    version: usize,
+    backend: BackendKind,
+) -> IssueRow {
+    let config = CompilerConfig::new(personality, record.level)
+        .with_version(version)
+        .with_backend(backend);
+    let (category, component) = classify(subject, &config, &record.violation);
+    IssueRow {
+        seed: record.seed,
+        conjecture: record.violation.conjecture,
+        variable: record.violation.variable.clone(),
+        line: record.violation.line,
+        category,
+        component,
     }
-    report
 }
 
 #[cfg(test)]
@@ -303,7 +299,7 @@ mod tests {
             10,
         );
         let from_seeds = build_report_from_seeds(
-            &result,
+            &result.records,
             personality,
             personality.trunk(),
             holes_compiler::BackendKind::Reg,

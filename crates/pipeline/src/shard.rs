@@ -14,7 +14,10 @@
 //!
 //! The integration tests and the `holes` CLI's `campaign`/`report`
 //! subcommands hold a K-sharded run to this equivalence for every rendered
-//! table.
+//! table. The CLI reaches the same merged order without materializing
+//! shards: it folds each file's records and, where a consumer needs them
+//! in order (`report --issues`, `corpus add`), stably sorts the collected
+//! records by subject exactly as [`merge_shards`] does.
 
 use std::io::{self, Write};
 
@@ -194,9 +197,9 @@ pub fn merge_shards(shards: Vec<CampaignShard>) -> Result<CampaignResult, ShardE
 /// Check that a set of specs forms one complete campaign — every spec
 /// valid, all describing the same campaign, and the shard indices covering
 /// `0..shards` exactly once — and return the first spec. This is
-/// [`merge_shards`]' validation, shared with the streaming `holes report`
-/// path (which folds records instead of materializing shards, but must
-/// reject exactly the same inputs).
+/// [`merge_shards`]' validation, shared with the `holes` CLI's one
+/// shard-file reader, which folds records instead of materializing shards
+/// but must reject exactly the same inputs.
 ///
 /// # Errors
 ///

@@ -22,13 +22,14 @@
 //! through the same record/fault sequence checker (membership, canonical
 //! record order, fault order, and the footer counts), reports errors with
 //! the **record index and line number**, and hands each record to a fold
-//! callback instead of materializing a vector, so `holes report` aggregates
-//! arbitrarily large shards without holding their records.
+//! callback instead of materializing a vector. It is the only way the
+//! `holes` CLI reads a JSONL shard: every consumer folds the records, and
+//! `holes report --issues` and `holes corpus add` collect them.
 //! [`read_jsonl_shard`] collects the fold into an ordinary
-//! [`CampaignShard`] for consumers that do need the records: merging JSONL
-//! shards through
+//! [`CampaignShard`] for the library's consumers that need one (the `serve`
+//! worker, the tests): merging JSONL shards through
 //! [`crate::shard::merge_shards`] is byte-identical to merging classic
-//! shards, which the CLI and test suite hold it to.
+//! shards, which the test suite holds it to.
 
 use std::io::Write;
 
@@ -311,11 +312,15 @@ pub fn write_merged_stream<W: Write>(
     })
 }
 
-/// Whether `text` looks like a JSON Lines shard file (first line is a
-/// `holes.campaign-jsonl/v1` header) — how `holes report` auto-detects the
-/// format of each input file.
+/// Whether `text` looks like a JSON Lines shard file (its first non-blank
+/// line is a `holes.campaign-jsonl/v1` header) — how the `holes` CLI
+/// auto-detects the format of each input file. Blank lines before the
+/// header are skipped, as [`fold_jsonl_reader`] skips them.
 pub fn is_jsonl_shard(text: &str) -> bool {
-    let first = text.lines().next().unwrap_or("");
+    let first = text
+        .lines()
+        .find(|line| !line.trim().is_empty())
+        .unwrap_or("");
     Json::parse(first)
         .ok()
         .and_then(|header| {
@@ -804,6 +809,7 @@ mod tests {
         let classic = classic(&spec(range));
         let text = streamed(&spec(range));
         assert!(is_jsonl_shard(&text));
+        assert!(is_jsonl_shard(&format!("\n \n{text}")));
         assert!(!is_jsonl_shard(&classic.to_json().to_pretty()));
         let parsed = read_jsonl_shard(&text).unwrap();
         assert_eq!(parsed, classic);

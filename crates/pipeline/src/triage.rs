@@ -34,7 +34,7 @@ use holes_core::json::Json;
 use holes_core::{Conjecture, Violation};
 
 use crate::campaign::{
-    chunks, evaluate, subject_records, unique_key, Subjects, UniqueKey, ViolationRecord,
+    chunks, evaluate, subject_records, unique_records, Subjects, ViolationRecord,
 };
 use crate::fault::{self, FaultPolicy, SubjectFault, SubjectOutcome};
 use crate::shard::{
@@ -298,23 +298,23 @@ impl TriageTable {
     }
 }
 
-/// The records of `records` a triage samples: in record order, each
-/// violation not seen before in this call whose conjecture has fewer than
-/// `limit` samples in `taken`. `taken` carries the per-conjecture quota
-/// across calls, so sampling subject after subject selects exactly what one
-/// call over all their records would — a [`UniqueKey`] names its subject,
-/// so no key repeats across subjects.
+/// The records of `records` a triage samples: in record order, the first
+/// record of each unique violation ([`unique_records`]) whose conjecture
+/// has fewer than `limit` samples in `taken`. `taken` carries the
+/// per-conjecture quota across calls, so sampling subject after subject
+/// selects exactly what one call over all their records would — a
+/// [`UniqueKey`](crate::campaign::UniqueKey) names its subject, so no key
+/// repeats across subjects. A full quota never reopens, so skipping a
+/// violation for its quota never lets a later record of it in.
 fn sample<'r>(
     records: &'r [ViolationRecord],
     limit: usize,
     taken: &mut BTreeMap<Conjecture, usize>,
 ) -> Vec<&'r ViolationRecord> {
-    let mut seen: BTreeSet<UniqueKey> = BTreeSet::new();
-    records
-        .iter()
+    unique_records(records)
         .filter(|record| {
             let taken = taken.entry(record.violation.conjecture).or_insert(0);
-            if *taken >= limit || !seen.insert(unique_key(record)) {
+            if *taken >= limit {
                 return false;
             }
             *taken += 1;
@@ -366,7 +366,7 @@ pub struct TriageRun {
 /// only on earlier subjects), triaged in parallel, and dropped — so memory
 /// stays constant however long the range. A subject is generated outside
 /// containment, with the fuel limit riding on it, so its cache and its
-/// statistics survive a faulted or retried evaluation. Its campaign runs
+/// statistics survive a faulted evaluation. Its campaign runs
 /// under [`fault::contain`], and so does each sampled violation's triage: a
 /// panicking or fuel-exhausted evaluation becomes a [`SubjectFault`]
 /// instead of tearing down the run.

@@ -741,7 +741,6 @@ proptest! {
                 .map(|i| start + i)
                 .collect(),
             fuel_limit: [None, Some(100), Some(300), Some(1_000)][fuel_index],
-            ..FaultPolicy::default()
         };
         let streamed = triage_campaign(&spec, limit, &policy);
         let oracle = pool_triage(&spec, limit, &policy);
