@@ -2052,7 +2052,8 @@ campaign shards are writing to the same store.
 
 Options:
   --max-bytes N    Byte budget the store is collected down to (required)
-  --cache-dir DIR  The store to collect (or set HOLES_CACHE_DIR)
+  --cache-dir DIR  The store to collect (or set HOLES_CACHE_DIR); it must
+                   exist, and gc never creates it
 ";
 
 fn cmd_cache(argv: &[String]) -> Result<RunStatus, String> {
@@ -2074,8 +2075,13 @@ fn cmd_cache(argv: &[String]) -> Result<RunStatus, String> {
         [] => return Err("missing action (try `holes cache gc --max-bytes N`)".into()),
         [other, ..] => return Err(format!("unknown cache action `{other}` (expected `gc`)")),
     }
-    let store = cache_store(&parsed)?
+    let dir = parsed
+        .opt("cache-dir")
+        .map(str::to_owned)
+        .or_else(|| std::env::var(CACHE_DIR_ENV).ok())
+        .filter(|dir| !dir.is_empty())
         .ok_or("no artifact store configured (use --cache-dir or HOLES_CACHE_DIR)")?;
+    let store = ArtifactStore::open_existing(&dir).map_err(|error| error.to_string())?;
     let max_bytes: u64 = match parsed.opt("max-bytes") {
         Some(raw) => raw
             .parse()

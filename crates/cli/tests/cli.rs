@@ -863,6 +863,66 @@ fn cache_gc_caps_the_store_and_keeps_campaigns_correct() {
     assert!(stderr.contains("`1000`"), "{stderr}");
 }
 
+/// `cache gc` collects an existing store and never creates one: a
+/// mistyped directory, named by `--cache-dir` or by `HOLES_CACHE_DIR`,
+/// exits 1 naming it and leaves nothing behind.
+#[test]
+fn cache_gc_refuses_a_missing_store_without_creating_it() {
+    let scratch = Scratch::new("gc-missing");
+    let missing = scratch.path("typo");
+    for output in [
+        holes(&["cache", "gc", "--max-bytes", "0", "--cache-dir", &missing]),
+        holes_env(
+            &["cache", "gc", "--max-bytes", "0"],
+            &[("HOLES_CACHE_DIR", &missing)],
+        ),
+    ] {
+        assert_eq!(output.status.code(), Some(1), "{output:?}");
+        assert!(output.stdout.is_empty(), "{output:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("no artifact store at {missing}")),
+            "{stderr}"
+        );
+        assert!(!Path::new(&missing).exists(), "gc created {missing}");
+    }
+}
+
+/// A warm triage answers from the store, so a fuel limit that faults some
+/// searches must fault the same ones warm: a faulted search stores no
+/// answer. Storeless, cold and warm runs print the same bytes and exit
+/// with the same status.
+#[test]
+fn fuel_faulted_triage_prints_the_same_bytes_storeless_cold_and_warm() {
+    let scratch = Scratch::new("fuel-triage");
+    let cache = scratch.path("cache");
+    for personality in ["lcc", "ccg"] {
+        let args = [
+            "triage",
+            "--personality",
+            personality,
+            "--seeds",
+            "0..30",
+            "--limit",
+            "1000",
+            "--json",
+            "--fuel-limit",
+            "1000",
+        ];
+        let storeless = holes(&args);
+        assert_eq!(storeless.status.code(), Some(2), "{storeless:?}");
+        let stored = [&args[..], &["--cache-dir", &cache]].concat();
+        for run in ["cold", "warm"] {
+            let output = holes(&stored);
+            assert_eq!(
+                (output.status.code(), &output.stdout),
+                (storeless.status.code(), &storeless.stdout),
+                "{personality} {run}"
+            );
+        }
+    }
+}
+
 #[test]
 fn help_and_usage_errors_behave_like_a_unix_tool() {
     let help = String::from_utf8(ok_stdout(&["help"])).unwrap();

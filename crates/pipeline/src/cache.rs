@@ -52,8 +52,8 @@
 //! (base configuration, canonical budget, debugger): budgets whose passes
 //! left the IR unchanged share one derivation, one stop plan and one
 //! debugger run, and the derived executable and plan are dropped once
-//! traced. Budgeted executables never reach the store; each budget's trace
-//! and violation set do, under the budget's own key.
+//! traced. Budgeted executables and traces never reach the store: triage
+//! keeps its answer there instead, one envelope per violation site.
 //! [`CacheStats::codegen_only`] (distinct prefixes derived),
 //! [`CacheStats::traces`] (debugger runs; a budget sharing a prefix counts
 //! a hit) and [`CacheStats::plan_hits`] make the savings observable.
@@ -180,7 +180,13 @@ impl ArtifactCache {
 
     /// The store this cache is bound to, if any.
     pub fn store(&self) -> Option<&Arc<ArtifactStore>> {
-        self.inner.store.get().map(|binding| &binding.store)
+        self.binding().map(|(store, _)| store)
+    }
+
+    /// The store this cache is bound to, with the owning subject's key.
+    pub(crate) fn binding(&self) -> Option<(&Arc<ArtifactStore>, SubjectKey)> {
+        let binding = self.inner.store.get()?;
+        Some((&binding.store, binding.subject))
     }
 
     /// The executable for a configuration, built on a miss. An unbudgeted
@@ -222,8 +228,11 @@ impl ArtifactCache {
     /// the persistent store (when one is attached). On a miss `derive` may
     /// serve a trace another cell holds — `Subject` passes its pass-prefix
     /// path for budgeted configurations ([`ArtifactCache::prefix_trace`])
-    /// — and `run` traces otherwise. Either way the trace is written
-    /// through to the store under this configuration's own key.
+    /// — and `run` traces otherwise. An unbudgeted configuration's trace is
+    /// written through to the store under its own key. A budgeted one is
+    /// not: only bisection probes read it, and the store keeps the
+    /// bisection's answer instead (see [`crate::triage`]). Budgeted traces
+    /// that an earlier build wrote still load.
     pub fn trace(
         &self,
         config: &CompilerConfig,
@@ -240,7 +249,7 @@ impl ArtifactCache {
             || binding.and_then(|b| b.store.load_trace(b.subject, config, kind)),
             derive,
             |built| {
-                if let Some(b) = binding {
+                if let Some(b) = binding.filter(|_| config.pass_budget.is_none()) {
                     b.store.save_trace(b.subject, config, kind, built);
                 }
             },
@@ -256,7 +265,7 @@ impl ArtifactCache {
     /// plan are dropped afterwards — and counts one
     /// [`CacheStats::codegen_only`] derivation and one trace; a budget that
     /// finds the cell filled counts a hit. Prefix cells live in memory
-    /// only: the store holds each budget's trace under its own key.
+    /// only.
     pub fn prefix_trace(
         &self,
         base: &CompilerConfig,

@@ -56,13 +56,15 @@
 //! the IR unchanged share one canonical prefix, so equal prefixes are
 //! derived, planned and traced once ([`ArtifactCache::prefix_trace`]);
 //! the executable and plan derived for a trace are dropped once it is
-//! traced, and no budgeted executable is written to the store.
+//! traced, and no budgeted executable or trace is written to the store.
 //!
 //! **Persistence.** The cache can spill to and reload from a [`store`]
 //! rooted at a cache directory (`HOLES_CACHE_DIR`, or the CLI's
 //! `--cache-dir`): artifacts persist *across processes*, so a range that
 //! was campaigned once is free for every later `triage`/`reduce`/`report`
-//! invocation — the warm run performs zero compiles and zero traces. For
+//! invocation — the warm run performs zero compiles and zero traces. Triage
+//! persists its answers, one culprit list per violation site, rather than
+//! its probes' traces, so a warm triage loads one envelope per violation. For
 //! very large ranges, [`stream`] replaces the in-memory shard document
 //! with a record-streaming JSON Lines format of bounded memory.
 //!

@@ -540,6 +540,13 @@ impl RemoteSource for RemoteStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+    use std::sync::OnceLock;
+
+    use holes_compiler::{CompilerConfig, OptLevel, Personality};
+    use proptest::prelude::*;
+
+    use crate::Subject;
 
     fn round_trip_request(request: &CacheRequest) -> CacheRequest {
         let json = Json::parse(&request.to_json().to_compact()).expect("wire line parses");
@@ -708,5 +715,255 @@ mod tests {
         std::thread::sleep(Duration::from_millis(60));
         assert!(remote.admit(), "half-open probe admitted after cooldown");
         assert!(!remote.admit(), "only one probe per window");
+    }
+
+    /// Real `holes.cache-rpc/v1` request lines, and the store files they
+    /// address: a put of a real triage-answer envelope, a fetch of that
+    /// answer, and a fetch of a violation set.
+    struct Wire {
+        /// `(relative path, bytes)` of every file of a warm store.
+        files: Vec<(PathBuf, Vec<u8>)>,
+        /// The requests, as parsed JSON.
+        requests: Vec<Json>,
+    }
+
+    /// The [`Wire`] fixture, built once from a real lcc subject's store.
+    fn wire() -> &'static Wire {
+        static WIRE: OnceLock<Wire> = OnceLock::new();
+        WIRE.get_or_init(|| {
+            let root =
+                std::env::temp_dir().join(format!("holes-cache-rpc-wire-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            let store = Arc::new(ArtifactStore::open(&root).expect("open store"));
+            let subject = Subject::from_seed(2501);
+            subject.attach_store(Arc::clone(&store));
+            let config = CompilerConfig::new(Personality::Lcc, OptLevel::O2);
+            let violation = subject.violations(&config)[0].clone();
+            let _ = crate::triage::triage(&subject, &config, &violation);
+            let key = SubjectKey::derive(subject.seed, &subject.source.text);
+            let mut files = Vec::new();
+            let mut answer = None;
+            for entry in std::fs::read_dir(root.join(key.to_string())).expect("subject dir") {
+                let path = entry.expect("store entry").path();
+                let name = path.file_name().unwrap().to_str().unwrap().to_owned();
+                if name.contains(".triage-") {
+                    answer = Some(path.clone());
+                }
+                let relative = path.strip_prefix(&root).unwrap().to_path_buf();
+                files.push((relative, std::fs::read(&path).expect("store file")));
+            }
+            files.sort();
+            let answer = answer.expect("the triage stored its answer");
+            let envelope = Json::parse(&std::fs::read_to_string(&answer).unwrap()).unwrap();
+            let kind = |json: &Json| json.get("kind").and_then(Json::as_str).unwrap().to_owned();
+            let fetch = |kind: String| {
+                CacheRequest::Fetch {
+                    subject: key,
+                    fingerprint: config.fingerprint(),
+                    kind,
+                }
+                .to_json()
+            };
+            let requests = vec![
+                fetch(kind(&envelope)),
+                fetch("viol-lldb".to_owned()),
+                CacheRequest::Put { envelope }.to_json(),
+            ];
+            let _ = std::fs::remove_dir_all(&root);
+            Wire { files, requests }
+        })
+    }
+
+    /// A hostile or malformed value, from a fixed menu: strings that try to
+    /// leave the store root or break a file name (picks 0 to 11), and
+    /// values of other shapes.
+    fn hostile(pick: u64) -> Json {
+        match pick % 16 {
+            // Kinds that climb out of `<root>/<subject>/` into the sandbox
+            // beside the root.
+            0 => Json::str("x/../../../escape"),
+            1 => Json::str("x/y/../../../../sentinel"),
+            2 => Json::str("/etc/passwd"),
+            3 => Json::str(".."),
+            4 => Json::str(""),
+            5 => Json::str("triage-lldb-C1-F0-L1-.."),
+            6 => Json::str("viol-lldb.json"),
+            7 => Json::str("a\\b"),
+            8 => Json::str("exe\n"),
+            9 => Json::str("x".repeat(300)),
+            10 => Json::str("\u{e9}t\u{e9}"),
+            11 => Json::str("quarantine"),
+            12 => Json::Null,
+            13 => Json::Num("17".into()),
+            14 => Json::Arr(vec![Json::str("..")]),
+            _ => Json::Obj(vec![]),
+        }
+    }
+
+    /// Apply one structure-aware mutation to a request: replace, drop,
+    /// repeat or reorder a field of the request or of its embedded
+    /// envelope, or flip or cut a byte of its wire line. `None` when the
+    /// mutated line no longer parses as JSON (the transport rejects it
+    /// before the request parser sees it).
+    fn mutate(request: &Json, mutation: usize, at: u64, other: u64) -> Option<Json> {
+        let Json::Obj(mut fields) = request.clone() else {
+            unreachable!("a request is an object");
+        };
+        let index = (at % fields.len() as u64) as usize;
+        match mutation {
+            0 => fields[index].1 = hostile(other),
+            1 => {
+                fields.remove(index);
+            }
+            2 => {
+                let name = fields[index].0.clone();
+                let slot = (other as usize / 16) % (fields.len() + 1);
+                fields.insert(slot, (name, hostile(other)));
+            }
+            3 => fields.rotate_left(index),
+            // The kind a fetch names or an embedded envelope claims: the
+            // checksum covers only the payload, so a put's envelope stays
+            // intact under a hostile or another valid kind.
+            4 => {
+                let in_envelope = fields.iter().any(|(name, _)| name == "envelope");
+                let target = if in_envelope {
+                    match fields.iter_mut().find(|(name, _)| name == "envelope") {
+                        Some((_, Json::Obj(envelope))) => envelope,
+                        _ => unreachable!("a put's envelope is an object"),
+                    }
+                } else {
+                    &mut fields
+                };
+                if let Some((_, kind)) = target.iter_mut().find(|(name, _)| name == "kind") {
+                    *kind = match other % 4 {
+                        0 => Json::str(format!("triage-lldb-C1-F0-L{at}-v")),
+                        _ => hostile(other / 4 % 12),
+                    };
+                }
+            }
+            // Any field of the embedded envelope.
+            5 => {
+                let Some((_, Json::Obj(envelope))) =
+                    fields.iter_mut().find(|(name, _)| name == "envelope")
+                else {
+                    return mutate(request, 0, at, other);
+                };
+                let field = (other as usize / 16) % envelope.len();
+                envelope[field].1 = hostile(other);
+            }
+            6 => {
+                let mut line = request.to_compact().into_bytes();
+                let at = (at % line.len() as u64) as usize;
+                line[at] ^= 1 << (other % 8);
+                return String::from_utf8(line)
+                    .ok()
+                    .and_then(|text| Json::parse(&text).ok());
+            }
+            _ => {
+                let line = request.to_compact();
+                let cut = (at % line.len() as u64) as usize;
+                return line.get(..cut).and_then(|text| Json::parse(text).ok());
+            }
+        }
+        Some(Json::Obj(fields))
+    }
+
+    /// A warm store root with a sentinel file beside it that no request may
+    /// touch.
+    struct Sandbox {
+        dir: PathBuf,
+        store: Arc<ArtifactStore>,
+    }
+
+    impl Sandbox {
+        fn new(copy: &str) -> Sandbox {
+            let dir = std::env::temp_dir().join(format!(
+                "holes-cache-rpc-sandbox-{copy}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("sandbox creates");
+            std::fs::write(dir.join("sentinel"), "untouched").expect("sentinel writes");
+            for (relative, bytes) in &wire().files {
+                let path = dir.join("store").join(relative);
+                std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+                std::fs::write(path, bytes).unwrap();
+            }
+            let store = Arc::new(ArtifactStore::open(dir.join("store")).expect("store opens"));
+            Sandbox { dir, store }
+        }
+
+        /// Every file under the sandbox, relative to it, with its bytes.
+        fn files(&self) -> Vec<(PathBuf, Vec<u8>)> {
+            let mut files = Vec::new();
+            let mut stack = vec![self.dir.clone()];
+            while let Some(dir) = stack.pop() {
+                for entry in std::fs::read_dir(&dir).expect("sandbox lists").flatten() {
+                    let path = entry.path();
+                    if path.is_dir() {
+                        stack.push(path);
+                    } else {
+                        let bytes = std::fs::read(&path).expect("sandbox file reads");
+                        files.push((path.strip_prefix(&self.dir).unwrap().to_path_buf(), bytes));
+                    }
+                }
+            }
+            files.sort();
+            files
+        }
+    }
+
+    impl Drop for Sandbox {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    /// Serve `request` against two copies of one warm store: the parser
+    /// decides the same way twice, an accepted fetch names a path-safe
+    /// kind, both copies give the same reply and end with the same files,
+    /// and nothing outside the store root is touched.
+    fn survives(request: &Json) {
+        let parsed = format!("{:?}", CacheRequest::from_json(request));
+        assert_eq!(format!("{:?}", CacheRequest::from_json(request)), parsed);
+        if let Ok(CacheRequest::Fetch { kind, .. }) = CacheRequest::from_json(request) {
+            assert!(valid_kind(&kind), "accepted kind `{kind}`");
+        }
+        let (a, b) = (Sandbox::new("a"), Sandbox::new("b"));
+        let reply = handle_request(Some(&a.store), request).to_compact();
+        assert_eq!(handle_request(Some(&b.store), request).to_compact(), reply);
+        let files = a.files();
+        assert_eq!(b.files(), files);
+        let sentinel = PathBuf::from("sentinel");
+        for (path, _) in &files {
+            assert!(
+                path.starts_with("store") || path == &sentinel,
+                "{} lies outside the store root after {reply}",
+                path.display()
+            );
+        }
+        let kept = files.iter().find(|(path, _)| path == &sentinel);
+        assert_eq!(kept.map(|(_, bytes)| &bytes[..]), Some(&b"untouched"[..]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The cache request parser, attacked: apply one mutation to each
+        /// real fetch and put (a triage-answer envelope's included) and
+        /// require that serving it never panics and [`survives`].
+        #[test]
+        fn cache_requests_survive_structure_aware_mutation(
+            mutation in 0usize..8,
+            at in any::<u64>(),
+            other in any::<u64>(),
+        ) {
+            for request in &wire().requests {
+                if let Some(mutated) = mutate(request, mutation, at, other) {
+                    survives(&mutated);
+                }
+            }
+        }
     }
 }

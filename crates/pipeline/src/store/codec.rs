@@ -1,5 +1,5 @@
 //! JSON codecs for the artifacts the on-disk store spills: whole
-//! [`Executable`]s, [`DebugTrace`]s, and violation sets.
+//! [`Executable`]s, [`DebugTrace`]s, violation sets, and triage answers.
 //!
 //! Encoding is deterministic (a pure function of the value, like everything
 //! built on `holes_core::json`), and decoding is *total* over arbitrary
@@ -24,6 +24,7 @@ use holes_machine::{
 use holes_minic::ast::{BinOp, FunctionId, UnOp};
 
 use super::gate::Payload;
+use crate::triage::{TriageMethod, TriageOutcome};
 
 /// Decode failure: a short, human-readable reason (surfaced only in store
 /// diagnostics; the caller recomputes the artifact either way).
@@ -1239,6 +1240,62 @@ pub(super) fn violations_from_json(json: &Json) -> Result<Vec<Violation>, Decode
             })
         })
         .collect()
+}
+
+// --------------------------------------------------------- triage answers
+
+/// Encode a triage answer: the violation site the search ran for (what
+/// [`holes_core::SiteQuery::for_violation`] matches), the search method,
+/// and the culprits it returned.
+pub(super) fn answer_to_json(violation: &Violation, outcome: &TriageOutcome) -> Json {
+    let culprits = outcome.culprits.iter().map(Json::str).collect();
+    Json::Obj(vec![
+        (
+            "conjecture".to_owned(),
+            Json::str(violation.conjecture.to_string()),
+        ),
+        (
+            "function".to_owned(),
+            Json::from_usize(violation.function.0),
+        ),
+        ("line".to_owned(), Json::from_u64(violation.line.into())),
+        (
+            "variable".to_owned(),
+            Json::str(violation.variable.as_ref()),
+        ),
+        ("method".to_owned(), Json::str(outcome.method.name())),
+        ("culprits".to_owned(), Json::Arr(culprits)),
+    ])
+}
+
+/// Decode a triage answer encoded by [`answer_to_json`] for `violation`'s
+/// site and the search `method`; an answer recorded for any other site or
+/// by the other method is an error.
+pub(super) fn answer_from_json(
+    json: &Json,
+    violation: &Violation,
+    method: TriageMethod,
+) -> Result<TriageOutcome, DecodeError> {
+    let same_site = str_field(json, "conjecture")? == violation.conjecture.to_string()
+        && usize_field(json, "function")? == violation.function.0
+        && u32_field(json, "line")? == violation.line
+        && str_field(json, "variable")? == &*violation.variable;
+    if !same_site {
+        return err("answers another violation site");
+    }
+    if str_field(json, "method")? != method.name() {
+        return err("answers another triage method");
+    }
+    let culprits = arr_field(json, "culprits")?
+        .iter()
+        .map(|culprit| {
+            culprit
+                .as_str()
+                .map(str::to_owned)
+                .ok_or_else(|| "culprit is not a string".to_owned())
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(TriageOutcome { culprits, method })
 }
 
 // ------------------------------------------------------ streamed decoders

@@ -282,25 +282,36 @@ mod tests {
 
     use holes_compiler::{CompilerConfig, Executable, OptLevel, Personality};
     use holes_core::json::Json;
+    use holes_core::Violation;
+    use holes_debugger::DebuggerKind;
 
     use super::super::codec::{
-        executable_from_json, read_trace, read_violations, trace_from_json, violations_from_json,
+        answer_from_json, executable_from_json, read_trace, read_violations, trace_from_json,
+        violations_from_json,
     };
     use super::super::{build_envelope, validate_envelope, ArtifactStore, SubjectKey};
     use super::*;
+    use crate::triage::{TriageMethod, TriageOutcome};
     use crate::Subject;
 
     fn config() -> CompilerConfig {
         CompilerConfig::new(Personality::Ccg, OptLevel::O2)
     }
 
-    /// The artifact kinds a ccg subject writes, in `kind_index` order.
-    const KINDS: [&str; 3] = ["exe", "trace-gdb", "viol-gdb"];
+    /// Real envelopes of every kind one warm ccg subject writes.
+    struct Envelopes {
+        /// The subject's key.
+        key: SubjectKey,
+        /// The violation whose triage answer is among `texts`.
+        violation: Violation,
+        /// Each kind with its file text: an executable, a trace, a
+        /// violation set and a triage answer.
+        texts: Vec<(String, String)>,
+    }
 
-    /// Real envelopes: the file text of every kind one warm ccg subject
-    /// wrote, with the subject's key. Written once into a temp directory.
-    fn envelopes() -> &'static (SubjectKey, Vec<String>) {
-        static ENVELOPES: OnceLock<(SubjectKey, Vec<String>)> = OnceLock::new();
+    /// The [`Envelopes`], written once into a temp directory.
+    fn envelopes() -> &'static Envelopes {
+        static ENVELOPES: OnceLock<Envelopes> = OnceLock::new();
         ENVELOPES.get_or_init(|| {
             let root =
                 std::env::temp_dir().join(format!("holes-gate-envelopes-{}", std::process::id()));
@@ -308,18 +319,31 @@ mod tests {
             let store = Arc::new(ArtifactStore::open(&root).expect("open store"));
             let subject = Subject::from_seed(7960);
             subject.attach_store(Arc::clone(&store));
-            let _ = subject.violations(&config());
+            let violation = subject.violations(&config())[0].clone();
+            let _ = crate::triage::triage(&subject, &config(), &violation);
             let key = SubjectKey::derive(subject.seed, &subject.source.text);
-            let texts = KINDS
+            let answer = ArtifactStore::answer_kind(DebuggerKind::GdbLike, &violation);
+            let texts = ["exe", "trace-gdb", "viol-gdb", &answer]
                 .iter()
                 .map(|kind| {
-                    std::fs::read_to_string(store.path_for(key, config().fingerprint(), kind))
-                        .expect("the warm subject wrote every kind")
+                    let path = store.path_for(key, config().fingerprint(), kind);
+                    let text =
+                        std::fs::read_to_string(path).expect("the warm subject wrote every kind");
+                    (kind.to_string(), text)
                 })
                 .collect();
             let _ = std::fs::remove_dir_all(&root);
-            (key, texts)
+            Envelopes {
+                key,
+                violation,
+                texts,
+            }
         })
+    }
+
+    /// The flag search's triage answer for the [`Envelopes`]' violation.
+    fn answer_for(json: &Json) -> Result<TriageOutcome, DecodeError> {
+        answer_from_json(json, &envelopes().violation, TriageMethod::FlagSearch)
     }
 
     /// A gate's decision, comparable across the two gates: `None` for an
@@ -382,7 +406,7 @@ mod tests {
                 assert_eq!(streamed, oracle(text, key, kind, trace_from_json), "{text}");
                 matches!(streamed, Some(Some(_)))
             }
-            _ => {
+            "viol-gdb" => {
                 let streamed =
                     twice(|| verdict(gate(text, key, fingerprint, kind, read_violations)));
                 assert_eq!(
@@ -390,6 +414,15 @@ mod tests {
                     oracle(text, key, kind, violations_from_json),
                     "{text}"
                 );
+                matches!(streamed, Some(Some(_)))
+            }
+            _ => {
+                let streamed = twice(|| {
+                    verdict(gate(text, key, fingerprint, kind, |p| {
+                        answer_for(&p.tree()?)
+                    }))
+                });
+                assert_eq!(streamed, oracle(text, key, kind, answer_for), "{text}");
                 matches!(streamed, Some(Some(_)))
             }
         }
@@ -640,11 +673,20 @@ mod tests {
             "exe" => sandbox.store.load_executable(key, &config()).is_some(),
             "trace-gdb" => sandbox
                 .store
-                .load_trace(key, &config(), holes_debugger::DebuggerKind::GdbLike)
+                .load_trace(key, &config(), DebuggerKind::GdbLike)
+                .is_some(),
+            "viol-gdb" => sandbox
+                .store
+                .load_violations(key, &config(), DebuggerKind::GdbLike)
                 .is_some(),
             _ => sandbox
                 .store
-                .load_violations(key, &config(), holes_debugger::DebuggerKind::GdbLike)
+                .load_triage_answer(
+                    key,
+                    &config(),
+                    &envelopes().violation,
+                    TriageMethod::FlagSearch,
+                )
                 .is_some(),
         };
         assert_eq!(loaded, loads, "the store and the gate disagree");
@@ -666,9 +708,9 @@ mod tests {
 
     #[test]
     fn real_envelopes_load_through_both_gates() {
-        let (key, texts) = envelopes();
+        let Envelopes { key, texts, .. } = envelopes();
         let sandbox = Sandbox::new();
-        for (kind, text) in KINDS.iter().zip(texts) {
+        for (kind, text) in texts {
             assert!(
                 gates_agree(text, *key, kind),
                 "a real {kind} envelope was refused"
@@ -681,7 +723,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// The one-pass gate, attacked: take a real envelope of each kind,
-        /// apply a structure-aware mutation — a bit flip, a truncation,
+        /// a triage answer included, apply a structure-aware mutation — a
+        /// bit flip, a truncation,
         /// reordered or repeated fields, whitespace or `\uXXXX`
         /// re-spellings, nesting around the depth limit, or a tampered
         /// payload under a recomputed checksum — and require the same
@@ -690,14 +733,14 @@ mod tests {
         /// never retries, and never touches a file outside its root.
         #[test]
         fn one_pass_gate_agrees_with_the_tree_oracle_on_mutated_envelopes(
-            kind_index in 0usize..3,
+            kind_index in 0usize..4,
             mutation in 0usize..10,
             at in any::<u64>(),
             other in any::<u64>(),
         ) {
-            let (key, texts) = envelopes();
-            let kind = KINDS[kind_index];
-            let bytes = mutate(&texts[kind_index], *key, kind, mutation, at, other);
+            let Envelopes { key, texts, .. } = envelopes();
+            let (kind, text) = &texts[kind_index];
+            let bytes = mutate(text, *key, kind, mutation, at, other);
             let loads = match std::str::from_utf8(&bytes) {
                 Ok(text) => gates_agree(text, *key, kind),
                 Err(_) => false,

@@ -8,7 +8,11 @@
 //! recompiles and re-traces everything from scratch. This module spills the
 //! three cached artifact kinds — [`Executable`]s, [`DebugTrace`]s, and full
 //! violation sets — to a cache directory and loads them back in any later
-//! process, so a range campaigned once is free forever after.
+//! process, so a range campaigned once is free forever after. Beside them
+//! it keeps two kinds of *answers*: the culprit list a triage search
+//! returned for one violation site ([`ArtifactStore::load_triage_answer`]),
+//! so a warm triage loads one small envelope per violation instead of
+//! replaying the search's probes, and distilled corpus entries.
 //!
 //! # Keys and layout
 //!
@@ -22,8 +26,17 @@
 //! <root>/<subject-key>/<fingerprint>.<kind>.json
 //! ```
 //!
-//! where `<kind>` is `exe`, `trace-gdb`, `trace-lldb`, `viol-gdb`, or
-//! `viol-lldb`.
+//! where `<kind>` is one of:
+//!
+//! * `exe` — an unbudgeted executable;
+//! * `trace-gdb`, `trace-lldb` — a debug trace. Only unbudgeted
+//!   configurations' traces are written; pass-budget traces written by
+//!   earlier builds still load;
+//! * `viol-gdb`, `viol-lldb` — a full violation set;
+//! * `triage-<debugger>-<conjecture>-F<function>-L<line>-<variable>` — a
+//!   triage answer for one violation site under the configuration, for
+//!   example `triage-lldb-C1-F3-L25-c10`;
+//! * `corpus-<conjecture>-L<line>-<variable>` — a distilled corpus entry.
 //!
 //! # Format, integrity, and concurrency
 //!
@@ -31,9 +44,10 @@
 //! on `holes_core::json`: format tag, kind, subject key, fingerprint, an
 //! FNV-1a checksum of the compact payload text, and the payload itself.
 //! Loads are **corruption-tolerant by construction**: any parse, envelope,
-//! checksum, or decode failure — including bytes that are not UTF-8, and a
+//! checksum, or decode failure — including bytes that are not UTF-8, a
 //! decoded executable whose embedded configuration is not *exactly* the
-//! requested one — is counted in [`StoreStats::rejected`] and reported as a
+//! requested one, and a triage answer recorded for another violation site
+//! or search method — is counted in [`StoreStats::rejected`] and reported as a
 //! miss, so the artifact is recomputed (and the file rewritten) rather than
 //! trusted. A load checks and decodes an envelope in one pass over its text,
 //! without building it as a tree: traces and violation sets decode straight
@@ -70,6 +84,7 @@ use holes_core::{Conjecture, Violation};
 use holes_debugger::{DebugTrace, DebuggerKind};
 
 use crate::stats::{Counters, StoreStats};
+use crate::triage::{TriageMethod, TriageOutcome};
 
 /// The identifying `format` value of every artifact file.
 pub const ARTIFACT_FORMAT: &str = "holes.artifact/v1";
@@ -243,6 +258,24 @@ impl ArtifactStore {
         ArtifactStore::open_with_io(root, Box::new(OsIo))
     }
 
+    /// Open the store rooted at `root` without creating it: for commands
+    /// that maintain an existing store, such as `holes cache gc`, a missing
+    /// directory is a mistyped path, not an empty store.
+    ///
+    /// # Errors
+    ///
+    /// Returns a `NotFound` error when `root` is not a directory.
+    pub fn open_existing(root: impl Into<PathBuf>) -> std::io::Result<ArtifactStore> {
+        let root = root.into();
+        if !root.is_dir() {
+            return Err(std::io::Error::new(
+                ErrorKind::NotFound,
+                format!("no artifact store at {}", root.display()),
+            ));
+        }
+        Ok(ArtifactStore::at(root, Box::new(OsIo)))
+    }
+
     /// [`ArtifactStore::open`] over an explicit [`StoreIo`] implementation —
     /// the seam the chaos tests use to inject transient failures into the
     /// load/save path. Transient failures while creating the root are
@@ -268,12 +301,17 @@ impl ArtifactStore {
                 }
             }
         }
-        Ok(ArtifactStore {
+        Ok(ArtifactStore::at(root, io))
+    }
+
+    /// A store over `io` rooted at the directory `root`.
+    fn at(root: PathBuf, io: Box<dyn StoreIo>) -> ArtifactStore {
+        ArtifactStore {
             root,
             io,
             remote: OnceLock::new(),
             counters: Counters::default(),
-        })
+        }
     }
 
     /// Layer this store over a fleet-wide [`RemoteSource`] as its third
@@ -696,6 +734,59 @@ impl ArtifactStore {
     ) -> Option<Vec<Violation>> {
         let tag = format!("viol-{}", debugger_tag(kind));
         self.load(subject, config.fingerprint(), &tag, codec::read_violations)
+    }
+
+    /// The artifact kind of a triage answer: one kind per debugger and
+    /// violation site — the conjecture, function, line and variable that
+    /// [`crate::Subject::violation_occurs`] queries — so the answers for
+    /// every violation of one `(subject, configuration)` sit side by side.
+    fn answer_kind(kind: DebuggerKind, violation: &Violation) -> String {
+        format!(
+            "triage-{}-{}-F{}-L{}-{}",
+            debugger_tag(kind),
+            violation.conjecture,
+            violation.function.0,
+            violation.line,
+            violation.variable
+        )
+    }
+
+    /// Load the triage answer cached for `violation` on `subject` under
+    /// `config` (with its native debugger): the culprits an earlier
+    /// [`crate::triage::bisect`] or flag search returned. An intact
+    /// envelope whose payload names another site or another `method` is
+    /// rejected like a corrupted one.
+    pub fn load_triage_answer(
+        &self,
+        subject: SubjectKey,
+        config: &CompilerConfig,
+        violation: &Violation,
+        method: TriageMethod,
+    ) -> Option<TriageOutcome> {
+        let kind = DebuggerKind::native_for(config.personality);
+        let tag = ArtifactStore::answer_kind(kind, violation);
+        self.load(subject, config.fingerprint(), &tag, |payload| {
+            codec::answer_from_json(&payload.tree()?, violation, method)
+        })
+    }
+
+    /// Persist the outcome of a triage search for `violation` on `subject`
+    /// under `config`.
+    pub fn save_triage_answer(
+        &self,
+        subject: SubjectKey,
+        config: &CompilerConfig,
+        violation: &Violation,
+        outcome: &TriageOutcome,
+    ) {
+        let kind = DebuggerKind::native_for(config.personality);
+        let tag = ArtifactStore::answer_kind(kind, violation);
+        self.save(
+            subject,
+            config.fingerprint(),
+            &tag,
+            codec::answer_to_json(violation, outcome),
+        );
     }
 
     /// The artifact kind of a corpus entry at a violation site: one kind

@@ -21,10 +21,18 @@
 //! `CacheStats::codegen_only`) — a whole bisection, probing a dozen
 //! budgets, runs the optimization pipeline exactly once. Probes of budgets
 //! whose passes left the IR unchanged share one derivation and one trace
-//! (a hit, not a trace, in `--stats`), and no budgeted executable is
-//! written to the store. Budgets count the passes that run — the
-//! configuration's [`CompilerConfig::effective_schedule`], without its
+//! (a hit, not a trace, in `--stats`). Budgets count the passes that run —
+//! the configuration's [`CompilerConfig::effective_schedule`], without its
 //! disabled passes — so the culprit is named from that schedule too.
+//!
+//! With a persistent store attached, the search's **answer** is what
+//! persists, not its probes: [`bisect`] and the flag search each look up
+//! the culprit list stored for the violation's site under the
+//! configuration and return it without probing, or search and write the
+//! culprits through ([`crate::ArtifactStore::load_triage_answer`]). No
+//! budgeted executable or trace is written, so a warm triage loads one
+//! small envelope per violation. Every caller of [`bisect`] and [`triage`]
+//! — the CLI's triage, `holes reduce` and `corpus add` — shares them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
@@ -61,6 +69,16 @@ pub enum TriageMethod {
     FlagSearch,
 }
 
+impl TriageMethod {
+    /// The method's name in stored triage answers.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            TriageMethod::Bisection => "bisection",
+            TriageMethod::FlagSearch => "flag-search",
+        }
+    }
+}
+
 /// Triage one violation found on `subject` under `config`.
 pub fn triage(subject: &Subject, config: &CompilerConfig, violation: &Violation) -> TriageOutcome {
     match config.personality {
@@ -86,9 +104,43 @@ pub fn triage(subject: &Subject, config: &CompilerConfig, violation: &Violation)
 /// reference scan, whose "first budget at which the violation appears"
 /// semantics are well defined for any predicate.
 pub fn bisect(subject: &Subject, config: &CompilerConfig, violation: &Violation) -> TriageOutcome {
-    if config.backend != BackendKind::Reg {
-        return bisect_linear(subject, config, violation);
-    }
+    remembered(subject, config, violation, TriageMethod::Bisection, || {
+        if config.backend == BackendKind::Reg {
+            binary_search(subject, config, violation)
+        } else {
+            bisect_linear(subject, config, violation).culprits
+        }
+    })
+}
+
+/// The culprits of `violation` on `subject` under `config`: the answer its
+/// store holds for the violation's site, if the subject has a store and it
+/// holds one, else what `search` returns — written through to the store.
+/// A search that faults writes nothing.
+fn remembered(
+    subject: &Subject,
+    config: &CompilerConfig,
+    violation: &Violation,
+    method: TriageMethod,
+    search: impl FnOnce() -> Vec<String>,
+) -> TriageOutcome {
+    let binding = subject.cache.binding();
+    binding
+        .and_then(|(store, key)| store.load_triage_answer(key, config, violation, method))
+        .unwrap_or_else(|| {
+            let outcome = TriageOutcome {
+                culprits: search(),
+                method,
+            };
+            if let Some((store, key)) = binding {
+                store.save_triage_answer(key, config, violation, &outcome);
+            }
+            outcome
+        })
+}
+
+/// The binary search behind [`bisect`] on the register backend.
+fn binary_search(subject: &Subject, config: &CompilerConfig, violation: &Violation) -> Vec<String> {
     let schedule = config.effective_schedule();
     let passes = schedule.len();
     let occurs = |budget: usize| {
@@ -105,10 +157,7 @@ pub fn bisect(subject: &Subject, config: &CompilerConfig, violation: &Violation)
     if !occurs(passes) {
         // The violation does not reproduce even with the full pipeline
         // budget; nothing to attribute.
-        return TriageOutcome {
-            culprits: Vec::new(),
-            method: TriageMethod::Bisection,
-        };
+        return Vec::new();
     }
     // Invariant: occurs(high); low is the smallest budget not yet ruled out.
     let (mut low, mut high) = (0usize, passes);
@@ -130,15 +179,13 @@ pub fn bisect(subject: &Subject, config: &CompilerConfig, violation: &Violation)
     } else {
         schedule[high - 1].to_owned()
     };
-    TriageOutcome {
-        culprits: vec![culprit],
-        method: TriageMethod::Bisection,
-    }
+    vec![culprit]
 }
 
 /// The linear-scan reference implementation of [`bisect`]: try every prefix
 /// budget from 0 up and report the first at which the violation appears.
-/// O(n) oracle queries; kept for the equivalence tests and benchmarks.
+/// O(n) oracle queries; kept for the equivalence tests and benchmarks. It
+/// never consults the store: [`bisect`] stores the answer it returns.
 pub fn bisect_linear(
     subject: &Subject,
     config: &CompilerConfig,
@@ -187,25 +234,27 @@ pub fn bisect_linear(
 /// defects need, since they live outside the flaggable pass schedule. (On
 /// the register backend the probe never fires: every defect there is
 /// pass-gated, so a zero-pass compilation is violation-free.)
+///
+/// Like [`bisect`], it answers from the subject's store when that holds the
+/// site's answer, and stores the answer it finds.
 fn flag_search(subject: &Subject, config: &CompilerConfig, violation: &Violation) -> TriageOutcome {
-    let mut culprits: Vec<String> = config
-        .triage_flags()
-        .into_iter()
-        .filter(|flag| {
-            let candidate = config.clone().with_disabled_pass(flag);
-            !subject.violation_occurs(&candidate, violation)
-        })
-        .map(str::to_owned)
-        .collect();
-    if culprits.is_empty()
-        && subject.violation_occurs(&config.clone().with_pass_budget(0), violation)
-    {
-        culprits.push("isel".to_owned());
-    }
-    TriageOutcome {
-        culprits,
-        method: TriageMethod::FlagSearch,
-    }
+    remembered(subject, config, violation, TriageMethod::FlagSearch, || {
+        let mut culprits: Vec<String> = config
+            .triage_flags()
+            .into_iter()
+            .filter(|flag| {
+                let candidate = config.clone().with_disabled_pass(flag);
+                !subject.violation_occurs(&candidate, violation)
+            })
+            .map(str::to_owned)
+            .collect();
+        if culprits.is_empty()
+            && subject.violation_occurs(&config.clone().with_pass_budget(0), violation)
+        {
+            culprits.push("isel".to_owned());
+        }
+        culprits
+    })
 }
 
 /// Table 2: for each conjecture, how many triaged violations are attributed

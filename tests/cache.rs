@@ -11,14 +11,17 @@
 //! test in this file serializes on one mutex and uninstalls on exit.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use holes_compiler::{CompilerConfig, Fingerprint, OptLevel, Personality};
+use holes_compiler::{BackendKind, CompilerConfig, Fingerprint, OptLevel, Personality};
 use holes_core::json::Json;
+use holes_core::{Observed, Violation};
 use holes_debugger::DebuggerKind;
+use holes_minic::ast::FunctionId;
 use holes_pipeline::chaos::{CacheMode, Counted};
 use holes_pipeline::corpus::CorpusEntry;
 use holes_pipeline::fault::FaultPolicy;
@@ -30,8 +33,8 @@ use holes_pipeline::store::{
     install_process_store, ArtifactStore, RemoteFetch, RemoteSource, SubjectKey,
 };
 use holes_pipeline::stream::run_shard_streaming;
-use holes_pipeline::triage::triage_campaign;
-use holes_pipeline::Subject;
+use holes_pipeline::triage::{bisect, triage_campaign, TriageMethod, TriageOutcome, TriageRun};
+use holes_pipeline::{CacheStats, Subject};
 use holes_progen::SeedRange;
 
 /// Serializes every test here: the process-wide store override and the
@@ -365,6 +368,8 @@ fn an_unreachable_cache_server_degrades_to_local_only() {
 struct FlippingSource {
     donor: Arc<ArtifactStore>,
     flip: u64,
+    /// Triage answer envelopes served (flipped).
+    answers: AtomicUsize,
 }
 
 impl RemoteSource for FlippingSource {
@@ -372,6 +377,9 @@ impl RemoteSource for FlippingSource {
         let Some(envelope) = self.donor.fetch_envelope(subject, fingerprint, kind) else {
             return RemoteFetch::Miss;
         };
+        if kind.starts_with("triage-") {
+            self.answers.fetch_add(1, Ordering::Relaxed);
+        }
         let mut bytes = envelope.to_compact().into_bytes();
         let index = (self.flip as usize) % bytes.len();
         let bit = 1u8 << ((self.flip >> 48) % 8);
@@ -390,10 +398,17 @@ impl RemoteSource for FlippingSource {
     }
 }
 
-/// The flip proptest's warm donor store and reference bytes, built once:
-/// re-warming per case would dominate the test. Initialized under
-/// [`FLEET_LOCK`] (it installs the process store transiently); the
-/// directory lives in the temp dir for the life of the test process.
+/// The flip proptest's triage: up to two violations per conjecture of the
+/// campaign's range, flag-searched.
+fn flip_triage() -> TriageRun {
+    triage_campaign(&spec(4900, 2), 2, &FaultPolicy::default())
+}
+
+/// The flip proptest's warm donor store and reference bytes (the campaign
+/// stream, then the triage table), built once: re-warming per case would
+/// dominate the test. Initialized under [`FLEET_LOCK`] (it installs the
+/// process store transiently); the directory lives in the temp dir for the
+/// life of the test process.
 fn flip_donor() -> &'static (Arc<ArtifactStore>, Vec<u8>) {
     static DONOR: OnceLock<(Arc<ArtifactStore>, Vec<u8>)> = OnceLock::new();
     DONOR.get_or_init(|| {
@@ -406,6 +421,7 @@ fn flip_donor() -> &'static (Arc<ArtifactStore>, Vec<u8>) {
         let mut reference = Vec::new();
         run_shard_streaming(&spec(4900, 2), &mut reference, &FaultPolicy::default())
             .expect("warming run");
+        reference.extend(flip_triage().table.to_json().to_pretty().into_bytes());
         install_process_store(None);
         (store, reference)
     })
@@ -418,7 +434,9 @@ proptest! {
     /// envelope is corrupted, the store either fails to parse it
     /// (transport failure → degradation counter) or rejects it through
     /// the validation gates (quarantine), and in both cases the subject
-    /// is recomputed — campaign bytes never change.
+    /// is recomputed — campaign bytes never change. The triage that
+    /// follows fetches flipped answer envelopes too; refused, they are
+    /// searched again, and the table never changes either.
     #[test]
     fn corrupted_cache_envelopes_are_rejected_quarantined_and_recomputed(flip in any::<u64>()) {
         let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -431,10 +449,13 @@ proptest! {
         // Victim: a cold store whose remote tier serves only flipped bytes.
         let victim_dir = Scratch::dir("flip-victim");
         let victim = Arc::new(ArtifactStore::open(&victim_dir.path).expect("victim store opens"));
-        victim.attach_remote(Arc::new(FlippingSource { donor, flip }));
+        let source = Arc::new(FlippingSource { donor, flip, answers: AtomicUsize::new(0) });
+        victim.attach_remote(Arc::clone(&source) as Arc<dyn RemoteSource>);
         install_process_store(Some(Arc::clone(&victim)));
         let mut out = Vec::new();
         let stats = run_shard_streaming(&campaign, &mut out, &FaultPolicy::default()).expect("corrupted-cache run").stats;
+        let triage = flip_triage();
+        out.extend(triage.table.to_json().to_pretty().into_bytes());
         install_process_store(None);
 
         prop_assert_eq!(
@@ -443,6 +464,8 @@ proptest! {
             "a corrupted cache envelope changed campaign bytes (flip {})", flip
         );
         prop_assert!(stats.compiles > 0, "the subjects were recomputed: {:?}", stats);
+        prop_assert!(source.answers.load(Ordering::Relaxed) > 0, "no answer envelope was served");
+        prop_assert!(triage.stats.traces > 0, "the searches ran again: {:?}", triage.stats);
         let store_stats = victim.stats();
         prop_assert!(
             store_stats.remote.rejected + store_stats.remote.degraded > 0,
@@ -461,33 +484,21 @@ proptest! {
     }
 }
 
-/// A cold triage persists answers, not throwaway executables. It writes
-/// each probed budget's trace and every violation set, but no executable
-/// with a pass budget: those are derived from pass snapshots in memory and
-/// dropped once traced. Every file it does write has the bytes that saving
-/// the from-scratch artifact writes, which is what the earlier path that
-/// persisted budgeted executables wrote too. A warm rerun computes nothing
-/// and prints the storeless table.
+/// A cold triage persists answers, not throwaway probes. It writes every
+/// violation set, every unbudgeted executable and trace, and one triage
+/// answer per triaged violation, but no executable or trace with a pass
+/// budget: those are derived from pass snapshots in memory and dropped once
+/// the bisection that needed them has its answer. Every file it writes has
+/// the bytes that saving the from-scratch artifact writes, and every answer
+/// those that saving a storeless bisection's culprits writes. A warm rerun
+/// computes nothing and prints the storeless table.
 #[test]
 fn a_cold_triage_persists_no_budgeted_executable() {
     let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let personality = Personality::Lcc;
     let lcc = CampaignSpec::new(personality, personality.trunk(), SeedRange::new(2500, 2506));
-    let triage_run = || {
-        let run = triage_campaign(&lcc, 1000, &FaultPolicy::default());
-        (run.table.to_json().to_pretty(), run.stats)
-    };
-    install_process_store(None);
-    let (reference, _) = triage_run();
     let dir = Scratch::dir("cold-triage");
-    install_process_store(Some(Arc::new(
-        ArtifactStore::open(&dir.path).expect("store opens"),
-    )));
-    let (cold, _) = triage_run();
-    let (warm, warm_stats) = triage_run();
-    install_process_store(None);
-    assert_eq!(cold, reference, "cold triage changed its table");
-    assert_eq!(warm, reference, "warm triage changed its table");
+    let (reference, warm_stats) = storeless_cold_and_warm(&lcc, &FaultPolicy::default(), &dir);
     assert_eq!(
         (warm_stats.compiles, warm_stats.traces, warm_stats.checks),
         (0, 0, 0),
@@ -508,7 +519,7 @@ fn a_cold_triage_persists_no_budgeted_executable() {
     let replica_dir = Scratch::dir("cold-triage-replica");
     let replica = ArtifactStore::open(&replica_dir.path).expect("replica opens");
     let kind = DebuggerKind::native_for(personality);
-    let (mut executables, mut budgeted_traces) = (0usize, 0usize);
+    let (mut executables, mut answers) = (0usize, 0usize);
     for subject_dir in std::fs::read_dir(&dir.path).expect("store").flatten() {
         let key: SubjectKey = subject_dir.file_name().to_str().unwrap().parse().unwrap();
         let subject = subjects
@@ -519,31 +530,41 @@ fn a_cold_triage_persists_no_budgeted_executable() {
             let name = file.file_name().to_str().unwrap().to_owned();
             let (fingerprint, rest) = name.split_once('.').unwrap();
             let config = &configs[&fingerprint.parse::<Fingerprint>().unwrap()];
-            let exe = holes_compiler::compile(&subject.program, config);
-            let trace = holes_debugger::trace(&exe, kind);
-            match rest {
-                "exe.json" => {
-                    assert_eq!(
-                        config.pass_budget, None,
-                        "{name} persists a budgeted executable"
-                    );
-                    executables += 1;
-                    replica.save_executable(key, &exe);
+            if let Some(site) = rest
+                .strip_prefix("triage-lldb-")
+                .and_then(|site| site.strip_suffix(".json"))
+            {
+                let violation = violation_at(site);
+                let outcome = bisect(subject, config, &violation);
+                replica.save_triage_answer(key, config, &violation, &outcome);
+                answers += 1;
+            } else {
+                let exe = holes_compiler::compile(&subject.program, config);
+                let trace = holes_debugger::trace(&exe, kind);
+                match rest {
+                    "exe.json" => {
+                        assert_eq!(
+                            config.pass_budget, None,
+                            "{name} persists a budgeted executable"
+                        );
+                        executables += 1;
+                        replica.save_executable(key, &exe);
+                    }
+                    "trace-lldb.json" => {
+                        assert_eq!(config.pass_budget, None, "{name} persists a budgeted trace");
+                        replica.save_trace(key, config, kind, &trace);
+                    }
+                    "viol-lldb.json" => {
+                        let violations = holes_core::check_all(
+                            &subject.program,
+                            &subject.analysis,
+                            &subject.source,
+                            &trace,
+                        );
+                        replica.save_violations(key, config, kind, &violations);
+                    }
+                    other => panic!("unexpected artifact kind {other}"),
                 }
-                "trace-lldb.json" => {
-                    budgeted_traces += usize::from(config.pass_budget.is_some());
-                    replica.save_trace(key, config, kind, &trace);
-                }
-                "viol-lldb.json" => {
-                    let violations = holes_core::check_all(
-                        &subject.program,
-                        &subject.analysis,
-                        &subject.source,
-                        &trace,
-                    );
-                    replica.save_violations(key, config, kind, &violations);
-                }
-                other => panic!("unexpected artifact kind {other}"),
             }
             let rewritten = replica_dir.path.join(subject_dir.file_name()).join(&name);
             assert!(
@@ -552,10 +573,196 @@ fn a_cold_triage_persists_no_budgeted_executable() {
             );
         }
     }
-    assert!(
-        executables > 0 && budgeted_traces > 0,
-        "the triage bisected nothing"
+    // Each lcc bisection of an observed violation blames exactly one pass,
+    // so the table counts one attribution per stored answer.
+    let attributions: usize = reference
+        .table
+        .counts
+        .values()
+        .flat_map(|passes| passes.values())
+        .sum();
+    assert!(executables > 0, "the triage compiled nothing");
+    assert_eq!(answers, attributions, "one answer per triaged violation");
+}
+
+/// The violation at an answer kind's site, `<conjecture>-F<function>-L<line>-
+/// <variable>`; its observed state is not part of the site.
+fn violation_at(site: &str) -> Violation {
+    let [conjecture, function, line, variable]: [&str; 4] = site
+        .splitn(4, '-')
+        .collect::<Vec<_>>()
+        .try_into()
+        .expect("four site fields");
+    Violation {
+        conjecture: conjecture.parse().expect("conjecture"),
+        function: FunctionId(function[1..].parse().expect("function")),
+        line: line[1..].parse().expect("line"),
+        variable: variable.into(),
+        observed: Observed::NotVisible,
+    }
+}
+
+/// An intact answer envelope filed under another violation site's kind —
+/// right format, kind, subject, fingerprint and checksum, but a payload
+/// that answers a different site — is rejected like a corrupted file: it
+/// is counted, quarantined, and the search runs again and rewrites it. So
+/// is an answer that the other search method stored.
+#[test]
+fn an_answer_naming_another_site_is_rejected_quarantined_and_recomputed() {
+    let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    install_process_store(None);
+    let personality = Personality::Lcc;
+    let config = CompilerConfig::new(personality, OptLevel::O2).with_version(personality.trunk());
+    let subject = Subject::from_seed(2501);
+    let violations = subject.violations(&config);
+    let [asked, other, ..] = &violations[..] else {
+        panic!("seed 2501 has two lcc -O2 violations");
+    };
+    let expected = bisect(&subject, &config, asked);
+
+    let dir = Scratch::dir("foreign-answer");
+    let store = Arc::new(ArtifactStore::open(&dir.path).expect("store opens"));
+    let key = SubjectKey::derive(subject.seed, &subject.source.text);
+    store.save_triage_answer(key, &config, other, &expected);
+    let kind_of = |violation: &Violation| {
+        format!(
+            "triage-lldb-{}-F{}-L{}-{}",
+            violation.conjecture, violation.function.0, violation.line, violation.variable
+        )
+    };
+    let path_of = |violation: &Violation| {
+        dir.path.join(key.to_string()).join(format!(
+            "{}.{}.json",
+            config.fingerprint(),
+            kind_of(violation)
+        ))
+    };
+    let Json::Obj(mut fields) =
+        Json::parse(&std::fs::read_to_string(path_of(other)).unwrap()).unwrap()
+    else {
+        panic!("an envelope is an object");
+    };
+    for (name, value) in &mut fields {
+        if name == "kind" {
+            *value = Json::str(kind_of(asked));
+        }
+    }
+    let foreign = format!("{}\n", Json::Obj(fields).to_compact());
+    std::fs::write(path_of(asked), &foreign).unwrap();
+
+    let warm = subject.with_fresh_cache();
+    warm.attach_store(Arc::clone(&store));
+    let before = store.stats();
+    assert_eq!(bisect(&warm, &config, asked), expected);
+    let after = store.stats();
+    assert_eq!(after.rejected - before.rejected, 1, "{after:?}");
+    assert_eq!(after.quarantined - before.quarantined, 1, "{after:?}");
+    assert!(warm.cache_stats().traces > 0, "the bisection ran again");
+    let quarantined = dir
+        .path
+        .join("quarantine")
+        .join(key.to_string())
+        .join(path_of(asked).file_name().unwrap());
+    assert_eq!(std::fs::read_to_string(quarantined).unwrap(), foreign);
+    let bisection = TriageMethod::Bisection;
+    assert_eq!(
+        store.load_triage_answer(key, &config, asked, bisection),
+        Some(expected.clone())
     );
+
+    // An answer the other search method stored is not this one's either.
+    let flags = TriageOutcome {
+        method: TriageMethod::FlagSearch,
+        ..expected
+    };
+    store.save_triage_answer(key, &config, asked, &flags);
+    let before = store.stats();
+    assert_eq!(
+        store.load_triage_answer(key, &config, asked, bisection),
+        None
+    );
+    assert_eq!(store.stats().rejected - before.rejected, 1);
+}
+
+/// Everything a triage run prints — its table and its faults — without the
+/// engine counters, which differ between storeless, cold and warm runs.
+fn printed(run: &TriageRun) -> TriageRun {
+    TriageRun {
+        stats: CacheStats::default(),
+        ..run.clone()
+    }
+}
+
+/// Run `triage_campaign` storeless, over a cold store in `dir`, and over
+/// the same store warm. The cold and warm runs must print what the
+/// storeless run prints; returns the storeless run and the warm run's
+/// counters.
+fn storeless_cold_and_warm(
+    spec: &CampaignSpec,
+    policy: &FaultPolicy,
+    dir: &Scratch,
+) -> (TriageRun, CacheStats) {
+    install_process_store(None);
+    let reference = triage_campaign(spec, 1000, policy);
+    install_process_store(Some(Arc::new(
+        ArtifactStore::open(&dir.path).expect("store opens"),
+    )));
+    let cold = triage_campaign(spec, 1000, policy);
+    let warm = triage_campaign(spec, 1000, policy);
+    install_process_store(None);
+    assert_eq!(printed(&cold), printed(&reference), "cold run of {spec:?}");
+    assert_eq!(printed(&warm), printed(&reference), "warm run of {spec:?}");
+    (reference, warm.stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Differential oracle for the answer store: over a random seed range,
+    /// personality and backend, a triage over a cold store and the rerun
+    /// over the warm one print the storeless table, and the warm rerun
+    /// compiles, traces and checks nothing.
+    #[test]
+    fn stored_triage_answers_agree_with_the_storeless_search(
+        start in 0u64..1_000_000,
+        personality in 0usize..2,
+        backend in 0usize..3,
+    ) {
+        let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let personality = [Personality::Lcc, Personality::Ccg][personality];
+        let backend = [BackendKind::Reg, BackendKind::Stack, BackendKind::Frame][backend];
+        let spec = CampaignSpec::new(personality, personality.trunk(), SeedRange::new(start, start + 3))
+            .with_backend(backend);
+        let dir = Scratch::dir("differential");
+        let (_, warm) = storeless_cold_and_warm(&spec, &FaultPolicy::default(), &dir);
+        prop_assert_eq!((warm.compiles, warm.traces, warm.checks), (0, 0, 0), "{:?}", warm);
+    }
+}
+
+/// The differential oracle under a fuel limit that faults some subjects'
+/// campaigns and some triage searches: storeless, cold and warm runs print
+/// the same table and the same faults. A faulted search stores no answer,
+/// so the warm run faults at the same probe again.
+#[test]
+fn fuel_faulted_triage_prints_the_same_storeless_cold_and_warm() {
+    let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for personality in [Personality::Lcc, Personality::Ccg] {
+        let spec = CampaignSpec::new(personality, personality.trunk(), SeedRange::new(0, 12));
+        let policy = FaultPolicy {
+            fuel_limit: Some(1000),
+            ..FaultPolicy::default()
+        };
+        let dir = Scratch::dir(&format!("fuel-{personality}"));
+        let (reference, _) = storeless_cold_and_warm(&spec, &policy, &dir);
+        assert!(
+            !reference.table.counts.is_empty(),
+            "{personality}: nothing was triaged"
+        );
+        assert!(
+            !reference.campaign_faults.is_empty() || !reference.triage_faults.is_empty(),
+            "{personality}: the fuel limit faulted nothing"
+        );
+    }
 }
 
 /// The configuration an executable envelope's payload records, decoded
