@@ -190,7 +190,7 @@ fn codegen_with_abi(
     let ids = match config {
         None => Vec::new(),
         Some(config) => frame_catalogue(config.personality)
-            .into_iter()
+            .iter()
             .filter(|d| d.active_in(config))
             .filter(|d| match d.action {
                 DefectAction::StaleFrameBase => applied.stale,

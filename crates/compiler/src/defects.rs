@@ -181,557 +181,562 @@ const ALL_CCG_LEVELS: &[OptLevel] = &[Og, O1, O2, O3, Os, Oz];
 const ALL_LCC_LEVELS: &[OptLevel] = &[Og, O2, O3, Os, Oz];
 
 /// The full defect catalogue for a personality.
-pub fn catalogue(personality: Personality) -> Vec<Defect> {
+pub fn catalogue(personality: Personality) -> &'static [Defect] {
     match personality {
-        Personality::Ccg => ccg_catalogue(),
-        Personality::Lcc => lcc_catalogue(),
+        Personality::Ccg => CCG_CATALOGUE,
+        Personality::Lcc => LCC_CATALOGUE,
     }
 }
 
-fn ccg_catalogue() -> Vec<Defect> {
-    vec![
-        Defect {
-            id: "ccg-105158",
-            paper_ref: "gcc bug 105158 (cleanup_tree_cfg loses bindings)",
-            personality: Ccg,
-            pass: "cfg-cleanup",
-            levels: &[O1, O2, O3, Os, Oz],
-            category: Cat::HollowDie,
-            conjectures: &[1],
-            action: A::DropDbg,
-            selector: VarSelector::nth(C::Any, 0, 2),
-            introduced: 0,
-            fixed: Some(5),
-        },
-        Defect {
-            id: "ccg-105179",
-            paper_ref: "gcc bug 105179 (-fcprop-registers range misses call)",
-            personality: Ccg,
-            pass: "cprop-registers",
-            levels: &[Og],
-            category: Cat::IncompleteDie,
-            conjectures: &[1],
-            action: A::TruncateBeforeSink,
-            selector: VarSelector::nth(C::Any, 0, 3),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-105007",
-            paper_ref: "gcc bug 105007 (EVRP drops propagated constant)",
-            personality: Ccg,
-            pass: "evrp",
-            levels: &[O2, O3],
-            category: Cat::HollowDie,
-            conjectures: &[1],
-            action: A::DropDbg,
-            selector: VarSelector::nth(C::ConstValued, 1, 3),
-            introduced: 2,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-105108",
-            paper_ref: "gcc bug 105108 (CCP omits DW_AT_const_value)",
-            personality: Ccg,
-            pass: "tree-ccp",
-            levels: &[Og, O1],
-            category: Cat::HollowDie,
-            conjectures: &[2],
-            action: A::UndefDbg,
-            selector: VarSelector::nth(C::ConstValued, 0, 4),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-105161",
-            paper_ref: "gcc bug 105161 (constant folding loses value)",
-            personality: Ccg,
-            pass: "tree-ccp",
-            levels: &[Og, O1, O2, O3],
-            category: Cat::HollowDie,
-            conjectures: &[2],
-            action: A::UndefDbg,
-            selector: VarSelector::nth(C::ConstValued, 1, 4),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-105145",
-            paper_ref: "gcc bug 105145 (address-taken locals in registers)",
-            personality: Ccg,
-            pass: "ipa-sra",
-            levels: &[O1, O2, O3],
-            category: Cat::HollowDie,
-            conjectures: &[2],
-            action: A::DropDbg,
-            selector: VarSelector::all(C::SlotVar),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-105248",
-            paper_ref: "gcc bug 105248 (DSE drops bindings, code unchanged)",
-            personality: Ccg,
-            pass: "tree-dse",
-            levels: &[O1, O2, O3],
-            category: Cat::HollowDie,
-            conjectures: &[1],
-            action: A::DropDbg,
-            selector: VarSelector::nth(C::ConstValued, 2, 5),
-            introduced: 1,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-105176",
-            paper_ref: "gcc bug 105176 (DCE drops bindings at -Os/-Oz)",
-            personality: Ccg,
-            pass: "tree-dce",
-            levels: &[Os, Oz],
-            category: Cat::IncompleteDie,
-            conjectures: &[1],
-            action: A::UndefDbg,
-            selector: VarSelector::nth(C::Any, 1, 4),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-105261",
-            paper_ref: "gcc bug 105261 (SRA drops constant-valued variables)",
-            personality: Ccg,
-            pass: "ipa-sra",
-            levels: &[O2, O3, Os, Oz],
-            category: Cat::HollowDie,
-            conjectures: &[1],
-            action: A::DropDbg,
-            selector: VarSelector::nth(C::ConstValued, 3, 5),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-105249",
-            paper_ref: "gcc bug 105249 (scheduler attributes code to wrong scope)",
-            personality: Ccg,
-            pass: "schedule-insns2",
-            levels: &[Os],
-            category: Cat::Covered,
-            conjectures: &[2],
-            action: A::MisScope,
-            selector: VarSelector::all(C::InductionVar),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-105036",
-            paper_ref: "gcc bug 105036 (scheduling + inlining + unrolling)",
-            personality: Ccg,
-            pass: "schedule-insns2",
-            levels: &[O3],
-            category: Cat::Covered,
-            conjectures: &[2],
-            action: A::MisScope,
-            selector: VarSelector::nth(C::InductionVar, 0, 2),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-104938",
-            paper_ref: "gcc bug 104938 (CCP shrinks location range at -Og)",
-            personality: Ccg,
-            pass: "tree-ccp",
-            levels: &[Og],
-            category: Cat::IncompleteDie,
-            conjectures: &[3],
-            action: A::DelayDbg(6),
-            selector: VarSelector::nth(C::Any, 0, 3),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-105124",
-            paper_ref: "gcc bug 105124 (range misses live lines at -Og)",
-            personality: Ccg,
-            pass: "tree-ccp",
-            levels: &[Og],
-            category: Cat::IncompleteDie,
-            conjectures: &[3],
-            action: A::DelayDbg(4),
-            selector: VarSelector::nth(C::ConstValued, 1, 3),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-105194",
-            paper_ref: "gcc bug 105194 (cfg cleanup after DCE, fixed with 105158)",
-            personality: Ccg,
-            pass: "cfg-cleanup",
-            levels: &[Og, O1, O2, O3],
-            category: Cat::IncompleteDie,
-            conjectures: &[3],
-            action: A::DelayDbg(5),
-            selector: VarSelector::nth(C::Any, 2, 4),
-            introduced: 0,
-            fixed: Some(5),
-        },
-        Defect {
-            id: "ccg-105159",
-            paper_ref: "gcc bug 105159 (-fipa-reference-addressable at -Og)",
-            personality: Ccg,
-            pass: "toplevel-reorder",
-            levels: &[Og],
-            category: Cat::HollowDie,
-            conjectures: &[3],
-            action: A::DropDbg,
-            selector: VarSelector::nth(C::Any, 3, 6),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-104549",
-            paper_ref: "gcc bug 104549 (inlining emits wrong location range)",
-            personality: Ccg,
-            pass: "inline",
-            levels: &[O2, O3],
-            category: Cat::Covered,
-            conjectures: &[1],
-            action: A::MisScope,
-            selector: VarSelector::nth(C::ConstValued, 0, 3),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-104891",
-            paper_ref: "gcc bug 104891 (unnamed scopes lose constants)",
-            personality: Ccg,
-            pass: "tree-vrp",
-            levels: &[O2, O3],
-            category: Cat::IncompleteDie,
-            conjectures: &[2],
-            action: A::UndefDbg,
-            selector: VarSelector::all(C::BlockScoped),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "ccg-105389",
-            paper_ref: "gcc bug 105389 (one value range missing at -Og)",
-            personality: Ccg,
-            pass: "cprop-registers",
-            levels: &[Og],
-            category: Cat::IncompleteDie,
-            conjectures: &[3],
-            action: A::DelayDbg(3),
-            selector: VarSelector::nth(C::Any, 1, 5),
-            introduced: 0,
-            fixed: None,
-        },
-        // Historical defects: fixed before trunk; they reproduce the
-        // much larger violation counts of old releases (Table 4, Figure 1).
-        Defect {
-            id: "ccg-legacy-ivopts",
-            paper_ref: "",
-            personality: Ccg,
-            pass: "ivopts",
-            levels: ALL_CCG_LEVELS,
-            category: Cat::HollowDie,
-            conjectures: &[2],
-            action: A::UndefDbg,
-            selector: VarSelector::all(C::InductionVar),
-            introduced: 0,
-            fixed: Some(3),
-        },
-        Defect {
-            id: "ccg-legacy-dce",
-            paper_ref: "",
-            personality: Ccg,
-            pass: "tree-dce",
-            levels: ALL_CCG_LEVELS,
-            category: Cat::HollowDie,
-            conjectures: &[1, 3],
-            action: A::DropDbg,
-            selector: VarSelector::nth(C::Any, 0, 4),
-            introduced: 0,
-            fixed: Some(2),
-        },
-        Defect {
-            id: "ccg-legacy-cleanup",
-            paper_ref: "",
-            personality: Ccg,
-            pass: "cfg-cleanup",
-            levels: ALL_CCG_LEVELS,
-            category: Cat::IncompleteDie,
-            conjectures: &[3],
-            action: A::DelayDbg(7),
-            selector: VarSelector::nth(C::Any, 1, 2),
-            introduced: 0,
-            fixed: Some(2),
-        },
-        Defect {
-            id: "ccg-legacy-ccp",
-            paper_ref: "",
-            personality: Ccg,
-            pass: "tree-ccp",
-            levels: ALL_CCG_LEVELS,
-            category: Cat::HollowDie,
-            conjectures: &[2, 3],
-            action: A::UndefDbg,
-            selector: VarSelector::nth(C::ConstValued, 2, 3),
-            introduced: 0,
-            fixed: Some(2),
-        },
-    ]
-}
+static CCG_CATALOGUE: &[Defect] = &[
+    Defect {
+        id: "ccg-105158",
+        paper_ref: "gcc bug 105158 (cleanup_tree_cfg loses bindings)",
+        personality: Ccg,
+        pass: "cfg-cleanup",
+        levels: &[O1, O2, O3, Os, Oz],
+        category: Cat::HollowDie,
+        conjectures: &[1],
+        action: A::DropDbg,
+        selector: VarSelector::nth(C::Any, 0, 2),
+        introduced: 0,
+        fixed: Some(5),
+    },
+    Defect {
+        id: "ccg-105179",
+        paper_ref: "gcc bug 105179 (-fcprop-registers range misses call)",
+        personality: Ccg,
+        pass: "cprop-registers",
+        levels: &[Og],
+        category: Cat::IncompleteDie,
+        conjectures: &[1],
+        action: A::TruncateBeforeSink,
+        selector: VarSelector::nth(C::Any, 0, 3),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-105007",
+        paper_ref: "gcc bug 105007 (EVRP drops propagated constant)",
+        personality: Ccg,
+        pass: "evrp",
+        levels: &[O2, O3],
+        category: Cat::HollowDie,
+        conjectures: &[1],
+        action: A::DropDbg,
+        selector: VarSelector::nth(C::ConstValued, 1, 3),
+        introduced: 2,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-105108",
+        paper_ref: "gcc bug 105108 (CCP omits DW_AT_const_value)",
+        personality: Ccg,
+        pass: "tree-ccp",
+        levels: &[Og, O1],
+        category: Cat::HollowDie,
+        conjectures: &[2],
+        action: A::UndefDbg,
+        selector: VarSelector::nth(C::ConstValued, 0, 4),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-105161",
+        paper_ref: "gcc bug 105161 (constant folding loses value)",
+        personality: Ccg,
+        pass: "tree-ccp",
+        levels: &[Og, O1, O2, O3],
+        category: Cat::HollowDie,
+        conjectures: &[2],
+        action: A::UndefDbg,
+        selector: VarSelector::nth(C::ConstValued, 1, 4),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-105145",
+        paper_ref: "gcc bug 105145 (address-taken locals in registers)",
+        personality: Ccg,
+        pass: "ipa-sra",
+        levels: &[O1, O2, O3],
+        category: Cat::HollowDie,
+        conjectures: &[2],
+        action: A::DropDbg,
+        selector: VarSelector::all(C::SlotVar),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-105248",
+        paper_ref: "gcc bug 105248 (DSE drops bindings, code unchanged)",
+        personality: Ccg,
+        pass: "tree-dse",
+        levels: &[O1, O2, O3],
+        category: Cat::HollowDie,
+        conjectures: &[1],
+        action: A::DropDbg,
+        selector: VarSelector::nth(C::ConstValued, 2, 5),
+        introduced: 1,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-105176",
+        paper_ref: "gcc bug 105176 (DCE drops bindings at -Os/-Oz)",
+        personality: Ccg,
+        pass: "tree-dce",
+        levels: &[Os, Oz],
+        category: Cat::IncompleteDie,
+        conjectures: &[1],
+        action: A::UndefDbg,
+        selector: VarSelector::nth(C::Any, 1, 4),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-105261",
+        paper_ref: "gcc bug 105261 (SRA drops constant-valued variables)",
+        personality: Ccg,
+        pass: "ipa-sra",
+        levels: &[O2, O3, Os, Oz],
+        category: Cat::HollowDie,
+        conjectures: &[1],
+        action: A::DropDbg,
+        selector: VarSelector::nth(C::ConstValued, 3, 5),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-105249",
+        paper_ref: "gcc bug 105249 (scheduler attributes code to wrong scope)",
+        personality: Ccg,
+        pass: "schedule-insns2",
+        levels: &[Os],
+        category: Cat::Covered,
+        conjectures: &[2],
+        action: A::MisScope,
+        selector: VarSelector::all(C::InductionVar),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-105036",
+        paper_ref: "gcc bug 105036 (scheduling + inlining + unrolling)",
+        personality: Ccg,
+        pass: "schedule-insns2",
+        levels: &[O3],
+        category: Cat::Covered,
+        conjectures: &[2],
+        action: A::MisScope,
+        selector: VarSelector::nth(C::InductionVar, 0, 2),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-104938",
+        paper_ref: "gcc bug 104938 (CCP shrinks location range at -Og)",
+        personality: Ccg,
+        pass: "tree-ccp",
+        levels: &[Og],
+        category: Cat::IncompleteDie,
+        conjectures: &[3],
+        action: A::DelayDbg(6),
+        selector: VarSelector::nth(C::Any, 0, 3),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-105124",
+        paper_ref: "gcc bug 105124 (range misses live lines at -Og)",
+        personality: Ccg,
+        pass: "tree-ccp",
+        levels: &[Og],
+        category: Cat::IncompleteDie,
+        conjectures: &[3],
+        action: A::DelayDbg(4),
+        selector: VarSelector::nth(C::ConstValued, 1, 3),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-105194",
+        paper_ref: "gcc bug 105194 (cfg cleanup after DCE, fixed with 105158)",
+        personality: Ccg,
+        pass: "cfg-cleanup",
+        levels: &[Og, O1, O2, O3],
+        category: Cat::IncompleteDie,
+        conjectures: &[3],
+        action: A::DelayDbg(5),
+        selector: VarSelector::nth(C::Any, 2, 4),
+        introduced: 0,
+        fixed: Some(5),
+    },
+    Defect {
+        id: "ccg-105159",
+        paper_ref: "gcc bug 105159 (-fipa-reference-addressable at -Og)",
+        personality: Ccg,
+        pass: "toplevel-reorder",
+        levels: &[Og],
+        category: Cat::HollowDie,
+        conjectures: &[3],
+        action: A::DropDbg,
+        selector: VarSelector::nth(C::Any, 3, 6),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-104549",
+        paper_ref: "gcc bug 104549 (inlining emits wrong location range)",
+        personality: Ccg,
+        pass: "inline",
+        levels: &[O2, O3],
+        category: Cat::Covered,
+        conjectures: &[1],
+        action: A::MisScope,
+        selector: VarSelector::nth(C::ConstValued, 0, 3),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-104891",
+        paper_ref: "gcc bug 104891 (unnamed scopes lose constants)",
+        personality: Ccg,
+        pass: "tree-vrp",
+        levels: &[O2, O3],
+        category: Cat::IncompleteDie,
+        conjectures: &[2],
+        action: A::UndefDbg,
+        selector: VarSelector::all(C::BlockScoped),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "ccg-105389",
+        paper_ref: "gcc bug 105389 (one value range missing at -Og)",
+        personality: Ccg,
+        pass: "cprop-registers",
+        levels: &[Og],
+        category: Cat::IncompleteDie,
+        conjectures: &[3],
+        action: A::DelayDbg(3),
+        selector: VarSelector::nth(C::Any, 1, 5),
+        introduced: 0,
+        fixed: None,
+    },
+    // Historical defects: fixed before trunk; they reproduce the
+    // much larger violation counts of old releases (Table 4, Figure 1).
+    Defect {
+        id: "ccg-legacy-ivopts",
+        paper_ref: "",
+        personality: Ccg,
+        pass: "ivopts",
+        levels: ALL_CCG_LEVELS,
+        category: Cat::HollowDie,
+        conjectures: &[2],
+        action: A::UndefDbg,
+        selector: VarSelector::all(C::InductionVar),
+        introduced: 0,
+        fixed: Some(3),
+    },
+    Defect {
+        id: "ccg-legacy-dce",
+        paper_ref: "",
+        personality: Ccg,
+        pass: "tree-dce",
+        levels: ALL_CCG_LEVELS,
+        category: Cat::HollowDie,
+        conjectures: &[1, 3],
+        action: A::DropDbg,
+        selector: VarSelector::nth(C::Any, 0, 4),
+        introduced: 0,
+        fixed: Some(2),
+    },
+    Defect {
+        id: "ccg-legacy-cleanup",
+        paper_ref: "",
+        personality: Ccg,
+        pass: "cfg-cleanup",
+        levels: ALL_CCG_LEVELS,
+        category: Cat::IncompleteDie,
+        conjectures: &[3],
+        action: A::DelayDbg(7),
+        selector: VarSelector::nth(C::Any, 1, 2),
+        introduced: 0,
+        fixed: Some(2),
+    },
+    Defect {
+        id: "ccg-legacy-ccp",
+        paper_ref: "",
+        personality: Ccg,
+        pass: "tree-ccp",
+        levels: ALL_CCG_LEVELS,
+        category: Cat::HollowDie,
+        conjectures: &[2, 3],
+        action: A::UndefDbg,
+        selector: VarSelector::nth(C::ConstValued, 2, 3),
+        introduced: 0,
+        fixed: Some(2),
+    },
+];
 
-fn lcc_catalogue() -> Vec<Defect> {
-    vec![
-        Defect {
-            id: "lcc-53855a",
-            paper_ref: "clang bug 53855a (LSR fails to salvage induction variables)",
-            personality: Lcc,
-            pass: "lsr",
-            levels: &[Og, O2, O3, Oz],
-            category: Cat::HollowDie,
-            conjectures: &[2],
-            action: A::UndefDbg,
-            selector: VarSelector::all(C::InductionVar),
-            introduced: 0,
-            fixed: Some(5),
-        },
-        Defect {
-            id: "lcc-53855b",
-            paper_ref: "clang bug 53855b (LSR, not covered by the trunk* fix)",
-            personality: Lcc,
-            pass: "lsr",
-            levels: &[Os],
-            category: Cat::HollowDie,
-            conjectures: &[2],
-            action: A::UndefDbg,
-            selector: VarSelector::all(C::InductionVar),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-55101",
-            paper_ref: "clang bug 55101 (LSR + instruction selection)",
-            personality: Lcc,
-            pass: "lsr",
-            levels: &[O2],
-            category: Cat::HollowDie,
-            conjectures: &[1],
-            action: A::UndefDbg,
-            selector: VarSelector::nth(C::Any, 1, 3),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-49546",
-            paper_ref: "clang bug 49546 (SimplifyCFG drops lone debug statements)",
-            personality: Lcc,
-            pass: "simplifycfg",
-            levels: &[Og],
-            category: Cat::MissingDie,
-            conjectures: &[1],
-            action: A::DropDie,
-            selector: VarSelector::nth(C::InductionVar, 0, 2),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-49769",
-            paper_ref: "clang bug 49769 (CFG simplification after inlining)",
-            personality: Lcc,
-            pass: "simplifycfg",
-            levels: &[Og],
-            category: Cat::HollowDie,
-            conjectures: &[1],
-            action: A::DropDbg,
-            selector: VarSelector::nth(C::ConstValued, 0, 3),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-55115",
-            paper_ref: "clang bug 55115 (debug statements cannot be re-homed)",
-            personality: Lcc,
-            pass: "simplifycfg-late",
-            levels: &[Og, O2, O3],
-            category: Cat::MissingDie,
-            conjectures: &[1],
-            action: A::DropDie,
-            selector: VarSelector::nth(C::Any, 2, 5),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-49580",
-            paper_ref: "clang bug 49580 (loop rotation loses exit-block metadata)",
-            personality: Lcc,
-            pass: "loop-rotate",
-            levels: &[Og],
-            category: Cat::MissingDie,
-            conjectures: &[1],
-            action: A::DropDie,
-            selector: VarSelector::nth(C::InductionVar, 1, 2),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-49973",
-            paper_ref: "clang bug 49973 (induction-variable simplification)",
-            personality: Lcc,
-            pass: "indvars",
-            levels: &[O3],
-            category: Cat::HollowDie,
-            conjectures: &[1],
-            action: A::DropDbg,
-            selector: VarSelector::nth(C::ConstValued, 1, 3),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-49975",
-            paper_ref: "clang bug 49975 (InstructionCombining peephole)",
-            personality: Lcc,
-            pass: "instcombine",
-            levels: &[O3],
-            category: Cat::HollowDie,
-            conjectures: &[1],
-            action: A::DropDie,
-            selector: VarSelector::nth(C::Any, 0, 5),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-51780",
-            paper_ref: "clang bug 51780 (instruction selection, global loads)",
-            personality: Lcc,
-            pass: "isel",
-            levels: &[O2],
-            category: Cat::MissingDie,
-            conjectures: &[1],
-            action: A::DropDie,
-            selector: VarSelector::nth(C::Any, 1, 5),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-55123",
-            paper_ref: "clang bug 55123 (instcombine + inlining interaction)",
-            personality: Lcc,
-            pass: "instcombine",
-            levels: &[Og, O2, O3],
-            category: Cat::HollowDie,
-            conjectures: &[1],
-            action: A::DropDbg,
-            selector: VarSelector::nth(C::ConstValued, 2, 4),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-54611",
-            paper_ref: "clang bug 54611 (scheduling leaves incomplete ranges)",
-            personality: Lcc,
-            pass: "machine-scheduler",
-            levels: &[O2],
-            category: Cat::IncompleteDie,
-            conjectures: &[2],
-            action: A::DelayDbg(4),
-            selector: VarSelector::nth(C::Any, 0, 4),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-54757",
-            paper_ref: "clang bug 54757 (loop removal drops expression parts)",
-            personality: Lcc,
-            pass: "loop-unroll",
-            levels: &[Og, O2, O3],
-            category: Cat::HollowDie,
-            conjectures: &[2],
-            action: A::UndefDbg,
-            selector: VarSelector::nth(C::InductionVar, 1, 2),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-54763",
-            paper_ref: "clang bug 54763 (phi-node placement limitation)",
-            personality: Lcc,
-            pass: "instcombine",
-            levels: &[O2, O3],
-            category: Cat::IncompleteDie,
-            conjectures: &[2],
-            action: A::UndefDbg,
-            selector: VarSelector::nth(C::ConstValued, 3, 4),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-50286",
-            paper_ref: "clang bug 50286 (instruction scheduling at -Og)",
-            personality: Lcc,
-            pass: "machine-scheduler",
-            levels: &[Og],
-            category: Cat::IncompleteDie,
-            conjectures: &[3],
-            action: A::DelayDbg(5),
-            selector: VarSelector::nth(C::Any, 1, 4),
-            introduced: 0,
-            fixed: None,
-        },
-        Defect {
-            id: "lcc-54796",
-            paper_ref: "clang bug 54796 (SROA drops then partially restores)",
-            personality: Lcc,
-            pass: "sroa",
-            levels: &[Os],
-            category: Cat::IncompleteDie,
-            conjectures: &[3],
-            action: A::DelayDbg(6),
-            selector: VarSelector::all(C::SlotVar),
-            introduced: 0,
-            fixed: None,
-        },
-        // Historical defects fixed before trunk.
-        Defect {
-            id: "lcc-legacy-lsr",
-            paper_ref: "",
-            personality: Lcc,
-            pass: "lsr",
-            levels: ALL_LCC_LEVELS,
-            category: Cat::HollowDie,
-            conjectures: &[2],
-            action: A::DropDbg,
-            selector: VarSelector::nth(C::Any, 0, 2),
-            introduced: 0,
-            fixed: Some(2),
-        },
-        Defect {
-            id: "lcc-legacy-sroa",
-            paper_ref: "",
-            personality: Lcc,
-            pass: "sroa",
-            levels: ALL_LCC_LEVELS,
-            category: Cat::HollowDie,
-            conjectures: &[2, 3],
-            action: A::UndefDbg,
-            selector: VarSelector::nth(C::Any, 0, 3),
-            introduced: 0,
-            fixed: Some(3),
-        },
-        Defect {
-            id: "lcc-legacy-scheduler",
-            paper_ref: "",
-            personality: Lcc,
-            pass: "machine-scheduler",
-            levels: ALL_LCC_LEVELS,
-            category: Cat::IncompleteDie,
-            conjectures: &[3],
-            action: A::DelayDbg(8),
-            selector: VarSelector::nth(C::Any, 1, 3),
-            introduced: 0,
-            fixed: Some(1),
-        },
-    ]
+static LCC_CATALOGUE: &[Defect] = &[
+    Defect {
+        id: "lcc-53855a",
+        paper_ref: "clang bug 53855a (LSR fails to salvage induction variables)",
+        personality: Lcc,
+        pass: "lsr",
+        levels: &[Og, O2, O3, Oz],
+        category: Cat::HollowDie,
+        conjectures: &[2],
+        action: A::UndefDbg,
+        selector: VarSelector::all(C::InductionVar),
+        introduced: 0,
+        fixed: Some(5),
+    },
+    Defect {
+        id: "lcc-53855b",
+        paper_ref: "clang bug 53855b (LSR, not covered by the trunk* fix)",
+        personality: Lcc,
+        pass: "lsr",
+        levels: &[Os],
+        category: Cat::HollowDie,
+        conjectures: &[2],
+        action: A::UndefDbg,
+        selector: VarSelector::all(C::InductionVar),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-55101",
+        paper_ref: "clang bug 55101 (LSR + instruction selection)",
+        personality: Lcc,
+        pass: "lsr",
+        levels: &[O2],
+        category: Cat::HollowDie,
+        conjectures: &[1],
+        action: A::UndefDbg,
+        selector: VarSelector::nth(C::Any, 1, 3),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-49546",
+        paper_ref: "clang bug 49546 (SimplifyCFG drops lone debug statements)",
+        personality: Lcc,
+        pass: "simplifycfg",
+        levels: &[Og],
+        category: Cat::MissingDie,
+        conjectures: &[1],
+        action: A::DropDie,
+        selector: VarSelector::nth(C::InductionVar, 0, 2),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-49769",
+        paper_ref: "clang bug 49769 (CFG simplification after inlining)",
+        personality: Lcc,
+        pass: "simplifycfg",
+        levels: &[Og],
+        category: Cat::HollowDie,
+        conjectures: &[1],
+        action: A::DropDbg,
+        selector: VarSelector::nth(C::ConstValued, 0, 3),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-55115",
+        paper_ref: "clang bug 55115 (debug statements cannot be re-homed)",
+        personality: Lcc,
+        pass: "simplifycfg-late",
+        levels: &[Og, O2, O3],
+        category: Cat::MissingDie,
+        conjectures: &[1],
+        action: A::DropDie,
+        selector: VarSelector::nth(C::Any, 2, 5),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-49580",
+        paper_ref: "clang bug 49580 (loop rotation loses exit-block metadata)",
+        personality: Lcc,
+        pass: "loop-rotate",
+        levels: &[Og],
+        category: Cat::MissingDie,
+        conjectures: &[1],
+        action: A::DropDie,
+        selector: VarSelector::nth(C::InductionVar, 1, 2),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-49973",
+        paper_ref: "clang bug 49973 (induction-variable simplification)",
+        personality: Lcc,
+        pass: "indvars",
+        levels: &[O3],
+        category: Cat::HollowDie,
+        conjectures: &[1],
+        action: A::DropDbg,
+        selector: VarSelector::nth(C::ConstValued, 1, 3),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-49975",
+        paper_ref: "clang bug 49975 (InstructionCombining peephole)",
+        personality: Lcc,
+        pass: "instcombine",
+        levels: &[O3],
+        category: Cat::HollowDie,
+        conjectures: &[1],
+        action: A::DropDie,
+        selector: VarSelector::nth(C::Any, 0, 5),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-51780",
+        paper_ref: "clang bug 51780 (instruction selection, global loads)",
+        personality: Lcc,
+        pass: "isel",
+        levels: &[O2],
+        category: Cat::MissingDie,
+        conjectures: &[1],
+        action: A::DropDie,
+        selector: VarSelector::nth(C::Any, 1, 5),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-55123",
+        paper_ref: "clang bug 55123 (instcombine + inlining interaction)",
+        personality: Lcc,
+        pass: "instcombine",
+        levels: &[Og, O2, O3],
+        category: Cat::HollowDie,
+        conjectures: &[1],
+        action: A::DropDbg,
+        selector: VarSelector::nth(C::ConstValued, 2, 4),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-54611",
+        paper_ref: "clang bug 54611 (scheduling leaves incomplete ranges)",
+        personality: Lcc,
+        pass: "machine-scheduler",
+        levels: &[O2],
+        category: Cat::IncompleteDie,
+        conjectures: &[2],
+        action: A::DelayDbg(4),
+        selector: VarSelector::nth(C::Any, 0, 4),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-54757",
+        paper_ref: "clang bug 54757 (loop removal drops expression parts)",
+        personality: Lcc,
+        pass: "loop-unroll",
+        levels: &[Og, O2, O3],
+        category: Cat::HollowDie,
+        conjectures: &[2],
+        action: A::UndefDbg,
+        selector: VarSelector::nth(C::InductionVar, 1, 2),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-54763",
+        paper_ref: "clang bug 54763 (phi-node placement limitation)",
+        personality: Lcc,
+        pass: "instcombine",
+        levels: &[O2, O3],
+        category: Cat::IncompleteDie,
+        conjectures: &[2],
+        action: A::UndefDbg,
+        selector: VarSelector::nth(C::ConstValued, 3, 4),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-50286",
+        paper_ref: "clang bug 50286 (instruction scheduling at -Og)",
+        personality: Lcc,
+        pass: "machine-scheduler",
+        levels: &[Og],
+        category: Cat::IncompleteDie,
+        conjectures: &[3],
+        action: A::DelayDbg(5),
+        selector: VarSelector::nth(C::Any, 1, 4),
+        introduced: 0,
+        fixed: None,
+    },
+    Defect {
+        id: "lcc-54796",
+        paper_ref: "clang bug 54796 (SROA drops then partially restores)",
+        personality: Lcc,
+        pass: "sroa",
+        levels: &[Os],
+        category: Cat::IncompleteDie,
+        conjectures: &[3],
+        action: A::DelayDbg(6),
+        selector: VarSelector::all(C::SlotVar),
+        introduced: 0,
+        fixed: None,
+    },
+    // Historical defects fixed before trunk.
+    Defect {
+        id: "lcc-legacy-lsr",
+        paper_ref: "",
+        personality: Lcc,
+        pass: "lsr",
+        levels: ALL_LCC_LEVELS,
+        category: Cat::HollowDie,
+        conjectures: &[2],
+        action: A::DropDbg,
+        selector: VarSelector::nth(C::Any, 0, 2),
+        introduced: 0,
+        fixed: Some(2),
+    },
+    Defect {
+        id: "lcc-legacy-sroa",
+        paper_ref: "",
+        personality: Lcc,
+        pass: "sroa",
+        levels: ALL_LCC_LEVELS,
+        category: Cat::HollowDie,
+        conjectures: &[2, 3],
+        action: A::UndefDbg,
+        selector: VarSelector::nth(C::Any, 0, 3),
+        introduced: 0,
+        fixed: Some(3),
+    },
+    Defect {
+        id: "lcc-legacy-scheduler",
+        paper_ref: "",
+        personality: Lcc,
+        pass: "machine-scheduler",
+        levels: ALL_LCC_LEVELS,
+        category: Cat::IncompleteDie,
+        conjectures: &[3],
+        action: A::DelayDbg(8),
+        selector: VarSelector::nth(C::Any, 1, 3),
+        introduced: 0,
+        fixed: Some(1),
+    },
+];
+
+/// The levels at which a personality's code-generation-stage defects
+/// manifest: all of its optimizing levels.
+const fn all_levels(personality: Personality) -> &'static [OptLevel] {
+    match personality {
+        Personality::Ccg => ALL_CCG_LEVELS,
+        Personality::Lcc => ALL_LCC_LEVELS,
+    }
 }
 
 /// The stack-backend defect catalogue: defects that live in the stack VM's
@@ -739,26 +744,36 @@ fn lcc_catalogue() -> Vec<Defect> {
 /// descriptions that backend alone can emit. Kept separate from
 /// [`catalogue`] because these defects have no IR-level effect — the stack
 /// code generator consults them via [`spill_loss_victims`].
-pub fn stack_catalogue(personality: Personality) -> Vec<Defect> {
-    let (id, paper_ref) = match personality {
-        Personality::Ccg => (
-            "ccg-stack-spill",
-            "spill-slot location loss in the stack backend's reload tracking",
-        ),
-        Personality::Lcc => (
-            "lcc-stack-spill",
-            "stack-relative DBG_VALUE dropped when the register file overflows",
-        ),
-    };
-    vec![Defect {
+pub fn stack_catalogue(personality: Personality) -> &'static [Defect] {
+    match personality {
+        Personality::Ccg => CCG_STACK_CATALOGUE,
+        Personality::Lcc => LCC_STACK_CATALOGUE,
+    }
+}
+
+static CCG_STACK_CATALOGUE: &[Defect] = &[stack_spill_defect(
+    Ccg,
+    "ccg-stack-spill",
+    "spill-slot location loss in the stack backend's reload tracking",
+)];
+
+static LCC_STACK_CATALOGUE: &[Defect] = &[stack_spill_defect(
+    Lcc,
+    "lcc-stack-spill",
+    "stack-relative DBG_VALUE dropped when the register file overflows",
+)];
+
+const fn stack_spill_defect(
+    personality: Personality,
+    id: &'static str,
+    paper_ref: &'static str,
+) -> Defect {
+    Defect {
         id,
         paper_ref,
         personality,
         pass: "isel",
-        levels: match personality {
-            Personality::Ccg => ALL_CCG_LEVELS,
-            Personality::Lcc => ALL_LCC_LEVELS,
-        },
+        levels: all_levels(personality),
         category: Cat::IncompleteDie,
         conjectures: &[1, 2, 3],
         // Every spilled binding is affected: frequency control comes from
@@ -768,7 +783,7 @@ pub fn stack_catalogue(personality: Personality) -> Vec<Defect> {
         selector: VarSelector::all(C::Any),
         introduced: 0,
         fixed: None,
-    }]
+    }
 }
 
 /// The frame-layout defect catalogue: defects that live in the frame-ABI
@@ -781,26 +796,45 @@ pub fn stack_catalogue(personality: Personality) -> Vec<Defect> {
 /// the availability holes they open (fbreg reads past the frame, dropped
 /// callee-saved locations) occur at sites no other backend's defect can
 /// reach.
-pub fn frame_catalogue(personality: Personality) -> Vec<Defect> {
-    let levels = match personality {
-        Personality::Ccg => ALL_CCG_LEVELS,
-        Personality::Lcc => ALL_LCC_LEVELS,
-    };
-    let (stale_id, stale_ref, clobber_id, clobber_ref) = match personality {
-        Personality::Ccg => (
-            "ccg-frame-fbreg-stale",
-            "fbreg offsets computed before the prologue's CFA advance",
-            "ccg-frame-callee-clobber",
-            "callee-saved register's save-slot rule missing from the frame map",
-        ),
-        Personality::Lcc => (
-            "lcc-frame-fbreg-stale",
-            "fbreg offsets resolved against the function-entry frame rule",
-            "lcc-frame-callee-clobber",
-            "callee-saved location dropped when the save-slot rule is absent",
-        ),
-    };
-    vec![
+pub fn frame_catalogue(personality: Personality) -> &'static [Defect] {
+    match personality {
+        Personality::Ccg => &CCG_FRAME_CATALOGUE,
+        Personality::Lcc => &LCC_FRAME_CATALOGUE,
+    }
+}
+
+static CCG_FRAME_CATALOGUE: [Defect; 2] = frame_defects(
+    Ccg,
+    (
+        "ccg-frame-fbreg-stale",
+        "fbreg offsets computed before the prologue's CFA advance",
+    ),
+    (
+        "ccg-frame-callee-clobber",
+        "callee-saved register's save-slot rule missing from the frame map",
+    ),
+);
+
+static LCC_FRAME_CATALOGUE: [Defect; 2] = frame_defects(
+    Lcc,
+    (
+        "lcc-frame-fbreg-stale",
+        "fbreg offsets resolved against the function-entry frame rule",
+    ),
+    (
+        "lcc-frame-callee-clobber",
+        "callee-saved location dropped when the save-slot rule is absent",
+    ),
+);
+
+/// A personality's two frame defects, each named by `(id, paper_ref)`.
+const fn frame_defects(
+    personality: Personality,
+    (stale_id, stale_ref): (&'static str, &'static str),
+    (clobber_id, clobber_ref): (&'static str, &'static str),
+) -> [Defect; 2] {
+    let levels = all_levels(personality);
+    [
         Defect {
             id: stale_id,
             paper_ref: stale_ref,
@@ -848,28 +882,26 @@ pub struct FrameDefectPlan {
 
 /// Build the [`FrameDefectPlan`] of one function under `config`.
 pub fn frame_defect_plan(config: &CompilerConfig, func: &IrFunction) -> FrameDefectPlan {
-    let mut plan = FrameDefectPlan::default();
     if config.backend != holes_machine::BackendKind::Frame {
-        return plan;
+        return FrameDefectPlan::default();
     }
+    let mut stale = vec![false; func.vars.len()];
+    let mut clobber = vec![false; func.vars.len()];
     for defect in frame_catalogue(config.personality) {
         if !defect.active_in(config) {
             continue;
         }
         let victims = match defect.action {
-            DefectAction::StaleFrameBase => &mut plan.stale_fbreg,
-            DefectAction::ClobberCalleeSaved => &mut plan.callee_clobber,
+            DefectAction::StaleFrameBase => &mut stale,
+            DefectAction::ClobberCalleeSaved => &mut clobber,
             _ => continue,
         };
-        for var in (0..func.vars.len() as u32).map(DebugVarId) {
-            if selects(func, defect.selector, var) && !victims.contains(&var) {
-                victims.push(var);
-            }
-        }
+        add_selection(victims, func, defect.selector);
     }
-    plan.stale_fbreg.sort_unstable();
-    plan.callee_clobber.sort_unstable();
-    plan
+    FrameDefectPlan {
+        stale_fbreg: selected_ids(&stale),
+        callee_clobber: selected_ids(&clobber),
+    }
 }
 
 /// The variables of `func` whose spilled bindings lose their location under
@@ -877,29 +909,23 @@ pub fn frame_defect_plan(config: &CompilerConfig, func: &IrFunction) -> FrameDef
 /// with defects disabled, or when no stack defect matches the version and
 /// level).
 pub fn spill_loss_victims(config: &CompilerConfig, func: &IrFunction) -> Vec<DebugVarId> {
-    let mut victims: Vec<DebugVarId> = Vec::new();
     if config.backend != holes_machine::BackendKind::Stack {
-        return victims;
+        return Vec::new();
     }
+    let mut victims = vec![false; func.vars.len()];
     for defect in stack_catalogue(config.personality) {
-        if defect.action != DefectAction::DropSpillLoc || !defect.active_in(config) {
-            continue;
-        }
-        for var in (0..func.vars.len() as u32).map(DebugVarId) {
-            if selects(func, defect.selector, var) && !victims.contains(&var) {
-                victims.push(var);
-            }
+        if defect.action == DefectAction::DropSpillLoc && defect.active_in(config) {
+            add_selection(&mut victims, func, defect.selector);
         }
     }
-    victims.sort_unstable();
-    victims
+    selected_ids(&victims)
 }
 
 /// Defects of `config` that are active, in catalogue order (the pass each
 /// lives in is its [`Defect::pass`]).
-pub fn active_defects(config: &CompilerConfig) -> Vec<Defect> {
+pub fn active_defects(config: &CompilerConfig) -> Vec<&'static Defect> {
     catalogue(config.personality)
-        .into_iter()
+        .iter()
         .filter(|d| d.active_in(config))
         .collect()
 }
@@ -907,33 +933,32 @@ pub fn active_defects(config: &CompilerConfig) -> Vec<Defect> {
 /// Apply a defect to a function's debug bindings (the pipeline runner calls
 /// this right after the corresponding pass has executed).
 pub fn apply_defect(func: &mut IrFunction, defect: &Defect) {
-    let selected: Vec<DebugVarId> = (0..func.vars.len() as u32)
-        .map(DebugVarId)
-        .filter(|v| selects(func, defect.selector, *v))
-        .collect();
-    if selected.is_empty() {
+    let mut selected = vec![false; func.vars.len()];
+    add_selection(&mut selected, func, defect.selector);
+    if !selected.contains(&true) {
         return;
     }
+    let is_selected = |op: &Op| matches!(op, Op::DbgValue { var, .. } if selected[var.0 as usize]);
     match defect.action {
         DefectAction::DropDie => {
-            for &v in &selected {
-                func.vars[v.0 as usize].suppress_die = true;
+            for (var, &hit) in func.vars.iter_mut().zip(&selected) {
+                var.suppress_die |= hit;
             }
-            drop_bindings(func, &selected);
+            drop_bindings(func, is_selected);
         }
-        DefectAction::DropDbg => drop_bindings(func, &selected),
+        DefectAction::DropDbg => drop_bindings(func, is_selected),
         DefectAction::UndefDbg => {
             for inst in &mut func.insts {
                 if let Op::DbgValue { var, loc } = &mut inst.op {
-                    if selected.contains(var) {
+                    if selected[var.0 as usize] {
                         *loc = DbgLoc::Undef;
                     }
                 }
             }
         }
-        DefectAction::DelayDbg(distance) => delay_bindings(func, &selected, distance),
-        DefectAction::TruncateBeforeSink => truncate_before_sink(func, &selected),
-        DefectAction::MisScope => mis_scope(func, &selected),
+        DefectAction::DelayDbg(distance) => delay_bindings(func, is_selected, distance),
+        DefectAction::TruncateBeforeSink => truncate_before_sink(func, &selected_ids(&selected)),
+        DefectAction::MisScope => mis_scope(func, &selected_ids(&selected)),
         // Applied by the stack backend's code generator (see
         // `spill_loss_victims`); there is nothing to corrupt at the IR level.
         DefectAction::DropSpillLoc => {}
@@ -943,85 +968,114 @@ pub fn apply_defect(func: &mut IrFunction, defect: &Defect) {
     }
 }
 
-fn selects(func: &IrFunction, selector: VarSelector, var: DebugVarId) -> bool {
-    if var.0 % selector.modulus != selector.offset % selector.modulus {
-        return false;
-    }
-    let info = &func.vars[var.0 as usize];
+/// Mark in `selected` (one flag per variable of `func`) every variable
+/// `selector` picks. The class is decided for all variables at once, in at
+/// most one pass over the instructions.
+fn add_selection(selected: &mut [bool], func: &IrFunction, selector: VarSelector) {
+    let mut class = vec![false; func.vars.len()];
     match selector.class {
-        VarClass::Any => true,
-        VarClass::ConstValued => func.insts.iter().any(|i| {
-            matches!(
-                i.op,
-                Op::DbgValue { var: v, loc: DbgLoc::Value(Value::Const(_)) } if v == var
-            )
-        }),
-        VarClass::InductionVar => func.loops.iter().any(|l| l.iv_var == Some(var)),
-        VarClass::SlotVar => func
-            .insts
-            .iter()
-            .any(|i| matches!(i.op, Op::DbgValue { var: v, loc: DbgLoc::Slot(_) } if v == var)),
+        VarClass::Any => class.fill(true),
+        VarClass::ConstValued | VarClass::SlotVar => {
+            for inst in &func.insts {
+                if let Op::DbgValue { var, loc } = inst.op {
+                    let member = match loc {
+                        DbgLoc::Value(Value::Const(_)) => selector.class == VarClass::ConstValued,
+                        DbgLoc::Slot(_) => selector.class == VarClass::SlotVar,
+                        _ => false,
+                    };
+                    class[var.0 as usize] |= member;
+                }
+            }
+        }
+        VarClass::InductionVar => {
+            for var in func.loops.iter().filter_map(|l| l.iv_var) {
+                class[var.0 as usize] = true;
+            }
+        }
         VarClass::BlockScoped => {
-            matches!(
-                func.scopes.get(info.scope.0 as usize),
-                Some(ScopeKind::Block { .. })
-            )
-        }
-    }
-}
-
-fn drop_bindings(func: &mut IrFunction, selected: &[DebugVarId]) {
-    for inst in &mut func.insts {
-        if let Op::DbgValue { var, .. } = inst.op {
-            if selected.contains(&var) {
-                inst.op = Op::Nop;
-            }
-        }
-    }
-    func.remove_nops();
-}
-
-fn delay_bindings(func: &mut IrFunction, selected: &[DebugVarId], distance: usize) {
-    let mut index = 0;
-    while index < func.insts.len() {
-        let is_selected = matches!(
-            func.insts[index].op,
-            Op::DbgValue { var, .. } if selected.contains(&var)
-        );
-        if is_selected {
-            let target = (index + distance).min(func.insts.len() - 1);
-            let inst = func.insts.remove(index);
-            func.insts.insert(target, inst);
-            index = target + 1;
-        } else {
-            index += 1;
-        }
-    }
-}
-
-fn truncate_before_sink(func: &mut IrFunction, selected: &[DebugVarId]) {
-    let mut index = 0;
-    while index < func.insts.len() {
-        if matches!(func.insts[index].op, Op::CallSink { .. }) {
-            let line = func.insts[index].line;
-            let scope = func.insts[index].scope;
-            for &var in selected {
-                func.insts.insert(
-                    index,
-                    Inst::in_scope(
-                        Op::DbgValue {
-                            var,
-                            loc: DbgLoc::Undef,
-                        },
-                        line,
-                        scope,
-                    ),
+            for (member, info) in class.iter_mut().zip(&func.vars) {
+                *member = matches!(
+                    func.scopes.get(info.scope.0 as usize),
+                    Some(ScopeKind::Block { .. })
                 );
-                index += 1;
             }
         }
-        index += 1;
     }
+    let offset = selector.offset % selector.modulus;
+    for (index, member) in class.into_iter().enumerate() {
+        selected[index] |= member && index as u32 % selector.modulus == offset;
+    }
+}
+
+/// The ids of the flagged variables, in id order.
+fn selected_ids(selected: &[bool]) -> Vec<DebugVarId> {
+    (0..selected.len() as u32)
+        .filter(|&var| selected[var as usize])
+        .map(DebugVarId)
+        .collect()
+}
+
+/// Remove the bindings `is_selected` picks (and any `Nop`s).
+fn drop_bindings(func: &mut IrFunction, is_selected: impl Fn(&Op) -> bool) {
+    func.insts
+        .retain(|inst| !matches!(inst.op, Op::Nop) && !is_selected(&inst.op));
+}
+
+/// Move each binding `is_selected` picks `distance` instructions later (or
+/// to the end), in one rebuild of the instruction vector. A selected
+/// binding among the instructions a delayed binding moves past is not
+/// delayed itself.
+fn delay_bindings(func: &mut IrFunction, is_selected: impl Fn(&Op) -> bool, distance: usize) {
+    let insts = std::mem::take(&mut func.insts);
+    let count = insts.len();
+    let mut out = Vec::with_capacity(count);
+    // The binding being delayed, and how many instructions must pass it.
+    let mut held: Option<(Inst, usize)> = None;
+    for (index, inst) in insts.into_iter().enumerate() {
+        if let Some((binding, wait)) = held.take() {
+            out.push(inst);
+            if wait == 1 {
+                out.push(binding);
+            } else {
+                held = Some((binding, wait - 1));
+            }
+            continue;
+        }
+        let wait = distance.min(count - 1 - index);
+        if wait > 0 && is_selected(&inst.op) {
+            held = Some((inst, wait));
+        } else {
+            out.push(inst);
+        }
+    }
+    func.insts = out;
+}
+
+/// Insert an undefined binding of every `selected` variable right before
+/// each sink call, in one rebuild of the instruction vector.
+fn truncate_before_sink(func: &mut IrFunction, selected: &[DebugVarId]) {
+    let insts = std::mem::take(&mut func.insts);
+    let sinks = insts
+        .iter()
+        .filter(|inst| matches!(inst.op, Op::CallSink { .. }))
+        .count();
+    let mut out = Vec::with_capacity(insts.len() + sinks * selected.len());
+    for inst in insts {
+        if matches!(inst.op, Op::CallSink { .. }) {
+            out.extend(selected.iter().map(|&var| {
+                Inst::in_scope(
+                    Op::DbgValue {
+                        var,
+                        loc: DbgLoc::Undef,
+                    },
+                    inst.line,
+                    inst.scope,
+                )
+            }));
+        }
+        out.push(inst);
+    }
+    func.insts = out;
 }
 
 fn mis_scope(func: &mut IrFunction, selected: &[DebugVarId]) {
@@ -1038,6 +1092,134 @@ fn mis_scope(func: &mut IrFunction, selected: &[DebugVarId]) {
     }
 }
 
+/// Defect application as it was before its one-pass selection and vector
+/// rebuilds: a per-variable scan of the instructions to select, and
+/// `Vec::remove`/`insert` per moved or inserted binding. Kept as the
+/// differential oracle of [`apply_defect`].
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{mis_scope, DefectAction, VarClass, VarSelector};
+    use crate::defects::Defect;
+    use crate::ir::{DbgLoc, DebugVarId, Inst, IrFunction, Op, ScopeKind, Value};
+
+    /// [`super::apply_defect`], by the original per-variable algorithms.
+    pub fn apply_defect(func: &mut IrFunction, defect: &Defect) {
+        let selected: Vec<DebugVarId> = (0..func.vars.len() as u32)
+            .map(DebugVarId)
+            .filter(|v| selects(func, defect.selector, *v))
+            .collect();
+        if selected.is_empty() {
+            return;
+        }
+        match defect.action {
+            DefectAction::DropDie => {
+                for &v in &selected {
+                    func.vars[v.0 as usize].suppress_die = true;
+                }
+                drop_bindings(func, &selected);
+            }
+            DefectAction::DropDbg => drop_bindings(func, &selected),
+            DefectAction::UndefDbg => {
+                for inst in &mut func.insts {
+                    if let Op::DbgValue { var, loc } = &mut inst.op {
+                        if selected.contains(var) {
+                            *loc = DbgLoc::Undef;
+                        }
+                    }
+                }
+            }
+            DefectAction::DelayDbg(distance) => delay_bindings(func, &selected, distance),
+            DefectAction::TruncateBeforeSink => truncate_before_sink(func, &selected),
+            DefectAction::MisScope => mis_scope(func, &selected),
+            DefectAction::DropSpillLoc
+            | DefectAction::StaleFrameBase
+            | DefectAction::ClobberCalleeSaved => {}
+        }
+    }
+
+    /// Whether `selector` picks `var`.
+    pub fn selects(func: &IrFunction, selector: VarSelector, var: DebugVarId) -> bool {
+        if var.0 % selector.modulus != selector.offset % selector.modulus {
+            return false;
+        }
+        let info = &func.vars[var.0 as usize];
+        match selector.class {
+            VarClass::Any => true,
+            VarClass::ConstValued => func.insts.iter().any(|i| {
+                matches!(
+                    i.op,
+                    Op::DbgValue { var: v, loc: DbgLoc::Value(Value::Const(_)) } if v == var
+                )
+            }),
+            VarClass::InductionVar => func.loops.iter().any(|l| l.iv_var == Some(var)),
+            VarClass::SlotVar => func
+                .insts
+                .iter()
+                .any(|i| matches!(i.op, Op::DbgValue { var: v, loc: DbgLoc::Slot(_) } if v == var)),
+            VarClass::BlockScoped => {
+                matches!(
+                    func.scopes.get(info.scope.0 as usize),
+                    Some(ScopeKind::Block { .. })
+                )
+            }
+        }
+    }
+
+    pub fn drop_bindings(func: &mut IrFunction, selected: &[DebugVarId]) {
+        for inst in &mut func.insts {
+            if let Op::DbgValue { var, .. } = inst.op {
+                if selected.contains(&var) {
+                    inst.op = Op::Nop;
+                }
+            }
+        }
+        func.remove_nops();
+    }
+
+    pub fn delay_bindings(func: &mut IrFunction, selected: &[DebugVarId], distance: usize) {
+        let mut index = 0;
+        while index < func.insts.len() {
+            let is_selected = matches!(
+                func.insts[index].op,
+                Op::DbgValue { var, .. } if selected.contains(&var)
+            );
+            if is_selected {
+                let target = (index + distance).min(func.insts.len() - 1);
+                let inst = func.insts.remove(index);
+                func.insts.insert(target, inst);
+                index = target + 1;
+            } else {
+                index += 1;
+            }
+        }
+    }
+
+    pub fn truncate_before_sink(func: &mut IrFunction, selected: &[DebugVarId]) {
+        let mut index = 0;
+        while index < func.insts.len() {
+            if matches!(func.insts[index].op, Op::CallSink { .. }) {
+                let line = func.insts[index].line;
+                let scope = func.insts[index].scope;
+                for &var in selected {
+                    func.insts.insert(
+                        index,
+                        Inst::in_scope(
+                            Op::DbgValue {
+                                var,
+                                loc: DbgLoc::Undef,
+                            },
+                            line,
+                            scope,
+                        ),
+                    );
+                    index += 1;
+                }
+            }
+            index += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1045,7 +1227,7 @@ mod tests {
     use crate::ir::{DebugVar, ScopeId};
     use holes_minic::ast::FunctionId;
 
-    fn active_in_pass(config: &CompilerConfig, pass: &str) -> Vec<Defect> {
+    fn active_in_pass(config: &CompilerConfig, pass: &str) -> Vec<&'static Defect> {
         active_defects(config)
             .into_iter()
             .filter(|d| d.pass == pass)
@@ -1094,7 +1276,7 @@ mod tests {
         for p in [Personality::Ccg, Personality::Lcc] {
             let defects = catalogue(p);
             assert!(defects.len() >= 15, "{p} catalogue too small");
-            for d in &defects {
+            for d in defects {
                 assert_eq!(d.personality, p);
                 assert!(!d.levels.is_empty(), "{} has no levels", d.id);
                 assert!(!d.conjectures.is_empty(), "{} has no conjectures", d.id);
@@ -1296,6 +1478,63 @@ mod tests {
             })
             .unwrap();
         assert_eq!(pos_v0, 3);
+    }
+
+    #[test]
+    fn defect_kernels_match_their_oracles_on_every_selector() {
+        // Every action under every variable class and stride, applied to
+        // generated programs after each ccg -O2 pass, leaves the same
+        // function as the per-variable oracle.
+        use crate::passes::{run_pipeline_with_checkpoints, PassContext};
+        use holes_progen::ProgramGenerator;
+        let classes = [
+            C::Any,
+            C::ConstValued,
+            C::InductionVar,
+            C::SlotVar,
+            C::BlockScoped,
+        ];
+        let actions = [
+            A::DropDie,
+            A::DropDbg,
+            A::UndefDbg,
+            A::DelayDbg(1),
+            A::DelayDbg(4),
+            A::DelayDbg(9),
+            A::TruncateBeforeSink,
+            A::MisScope,
+        ];
+        for seed in 0..6u64 {
+            let program = ProgramGenerator::from_seed(seed).generate().program;
+            let cx = PassContext::lower(&program);
+            let mut ir = cx.inline_sources.clone();
+            let config = CompilerConfig::new(Personality::Ccg, OptLevel::O2).without_defects();
+            let recorded = run_pipeline_with_checkpoints(&mut ir, &program, &config);
+            for checkpoint in recorded.checkpoints.iter().step_by(3) {
+                for func in &checkpoint.functions {
+                    for class in classes {
+                        for (offset, modulus) in [(0, 1), (0, 2), (1, 3)] {
+                            for action in actions {
+                                let defect = Defect {
+                                    action,
+                                    selector: VarSelector::nth(class, offset, modulus),
+                                    ..CCG_CATALOGUE[0].clone()
+                                };
+                                let mut fast = func.clone();
+                                let mut slow = func.clone();
+                                apply_defect(&mut fast, &defect);
+                                oracle::apply_defect(&mut slow, &defect);
+                                assert_eq!(
+                                    fast, slow,
+                                    "seed {seed} {}: {action:?} on {class:?} {offset}/{modulus}",
+                                    func.name
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! level), and generates code for the `holes-machine` VM together with
 //! DWARF-modelled debug information (`holes-debuginfo`).
 //!
+//! The paper's campaigns compile every program at every optimization level,
+//! and every level's pipeline starts from the same lowered IR. A caller that
+//! compiles one program many times lowers it once with
+//! [`PassContext::lower`] and starts each configuration from a copy of that
+//! lowering with [`compile_lowered`] and [`PassSnapshots::record_lowered`];
+//! `holes_pipeline::Subject` does so, so a subject is lowered once and all
+//! its levels start from that one lowering. [`compile`] is the one-shot
+//! form, and all three give identical results.
+//!
 //! Two properties matter for the paper's methodology and are enforced by this
 //! crate's tests:
 //!
@@ -60,7 +69,7 @@ pub use backend::{backend_for, Backend};
 pub use config::{BackendKind, CompilerConfig, Fingerprint, OptLevel, Personality};
 pub use defects::{catalogue, stack_catalogue, Defect, DefectAction};
 pub use executable::Executable;
-pub use passes::PipelineReport;
+pub use passes::{PassContext, PipelineReport};
 
 use std::sync::Arc;
 
@@ -74,8 +83,17 @@ const SOURCE_NAME: &str = "testcase.c";
 /// configuration's [`BackendKind`] selects which [`Backend`] lowers the
 /// optimized IR to machine code and location descriptions.
 pub fn compile(program: &Program, config: &CompilerConfig) -> Executable {
-    let mut ir = lower::lower_program(program);
-    let report = passes::run_pipeline(&mut ir, program, config);
+    compile_lowered(program, &PassContext::lower(program), config)
+}
+
+/// [`compile`] from a lowering made once for the program: `cx` must be
+/// [`PassContext::lower`] of `program`. The optimization pipeline starts
+/// from a copy of the lowered program `cx` holds, so the levels of one
+/// program share one lowering; the executable is identical to
+/// `compile(program, config)`.
+pub fn compile_lowered(program: &Program, cx: &PassContext, config: &CompilerConfig) -> Executable {
+    let mut ir = cx.inline_sources.clone();
+    let report = passes::run_pipeline_in(&mut ir, cx, config);
     codegen_ir(program, &ir, config, report)
 }
 
@@ -160,8 +178,15 @@ impl PassSnapshots {
     /// derivations, e.g. a triage bisection whose full-pipeline executable
     /// is already cached.
     pub fn record(program: &Program, config: &CompilerConfig) -> PassSnapshots {
-        let mut ir = lower::lower_program(program);
-        let recorded = passes::run_pipeline_with_checkpoints(&mut ir, program, config);
+        PassSnapshots::record_lowered(&PassContext::lower(program), config)
+    }
+
+    /// [`PassSnapshots::record`] from a lowering made once for the program
+    /// (`cx` is [`PassContext::lower`] of it): the pipeline starts from a
+    /// copy of the lowered program, and the checkpoints are identical.
+    pub fn record_lowered(cx: &PassContext, config: &CompilerConfig) -> PassSnapshots {
+        let mut ir = cx.inline_sources.clone();
+        let recorded = passes::run_pipeline_with_checkpoints_in(&mut ir, cx, config);
         PassSnapshots::from_checkpoints(config, recorded)
     }
 
@@ -231,8 +256,9 @@ pub fn compile_with_snapshots(
     program: &Program,
     config: &CompilerConfig,
 ) -> (Executable, PassSnapshots) {
-    let mut ir = lower::lower_program(program);
-    let recorded = passes::run_pipeline_with_checkpoints(&mut ir, program, config);
+    let cx = PassContext::lower(program);
+    let mut ir = cx.inline_sources.clone();
+    let recorded = passes::run_pipeline_with_checkpoints_in(&mut ir, &cx, config);
     let report = recorded.report.clone();
     let snapshots = PassSnapshots::from_checkpoints(config, recorded);
     let executable = codegen_ir(program, &ir, config, report);
@@ -416,6 +442,48 @@ mod tests {
                             (&derived.machine, &derived.debug),
                             "{personality} {level} {backend} budget {budget}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_shared_lowering_compiles_and_records_like_a_fresh_one() {
+        // Every level, backend and personality compiled or recorded from
+        // one lowering of the program equals the from-scratch entry point:
+        // the executable with its report, and the snapshots' checkpoints,
+        // canonical budgets and derived budgets.
+        for seed in [4u64, 13] {
+            let program = ProgramGenerator::from_seed(seed).generate().program;
+            let cx = PassContext::lower(&program);
+            for personality in [Personality::Ccg, Personality::Lcc] {
+                for &level in [OptLevel::O0].iter().chain(personality.levels()) {
+                    for backend in BackendKind::ALL {
+                        let config = CompilerConfig::new(personality, level).with_backend(backend);
+                        let at = format!("seed {seed} {personality} {level} {backend}");
+                        assert_eq!(
+                            compile_lowered(&program, &cx, &config),
+                            compile(&program, &config),
+                            "{at}"
+                        );
+                        let shared = PassSnapshots::record_lowered(&cx, &config);
+                        let fresh = PassSnapshots::record(&program, &config);
+                        assert_eq!(shared.pass_count(), fresh.pass_count(), "{at}");
+                        for budget in 0..=fresh.pass_count() {
+                            assert_eq!(shared.checkpoint(budget), fresh.checkpoint(budget), "{at}");
+                            assert_eq!(
+                                shared.canonical_budget(budget),
+                                fresh.canonical_budget(budget),
+                                "{at} budget {budget}"
+                            );
+                            let budgeted = config.clone().with_pass_budget(budget);
+                            assert_eq!(
+                                shared.codegen_budget(&program, &budgeted),
+                                fresh.codegen_budget(&program, &budgeted),
+                                "{at} budget {budget}"
+                            );
+                        }
                     }
                 }
             }

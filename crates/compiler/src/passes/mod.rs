@@ -38,8 +38,21 @@ pub struct PassContext {
 }
 
 impl PassContext {
+    /// Lower `source` and build its context, keeping the lowered program as
+    /// [`PassContext::inline_sources`] — the one lowering every
+    /// configuration of the program starts from (see
+    /// [`crate::compile_lowered`] and [`crate::PassSnapshots::record_lowered`]).
+    pub fn lower(source: &Program) -> PassContext {
+        let lowered = crate::lower::lower_program(source);
+        PassContext::from_lowered(source, lowered)
+    }
+
     /// Build the context from the source program and its lowered IR.
     pub fn new(source: &Program, lowered: &IrProgram) -> PassContext {
+        PassContext::from_lowered(source, lowered.clone())
+    }
+
+    fn from_lowered(source: &Program, lowered: IrProgram) -> PassContext {
         let mut written: HashSet<GlobalId> = HashSet::new();
         for func in &lowered.functions {
             for inst in &func.insts {
@@ -60,7 +73,7 @@ impl PassContext {
             .collect();
         PassContext {
             never_written_globals: never_written,
-            inline_sources: lowered.clone(),
+            inline_sources: lowered,
             global_volatile: source.globals.iter().map(|g| g.is_volatile).collect(),
             global_inits: source.globals.iter().map(|g| g.init[0]).collect(),
         }
@@ -114,7 +127,17 @@ pub fn run_pipeline(
     source: &Program,
     config: &CompilerConfig,
 ) -> PipelineReport {
-    run_pipeline_observed(ir, source, config, |_, _| ())
+    run_pipeline_in(ir, &PassContext::new(source, ir), config)
+}
+
+/// [`run_pipeline`] over a context built once for the program: `ir` must be
+/// a fresh copy of `cx`'s lowered program ([`PassContext::inline_sources`]).
+pub(crate) fn run_pipeline_in(
+    ir: &mut IrProgram,
+    cx: &PassContext,
+    config: &CompilerConfig,
+) -> PipelineReport {
+    run_pipeline_observed(ir, cx, config, |_, _| ())
 }
 
 /// The recorded execution of one pipeline run: the report, plus the whole
@@ -151,10 +174,20 @@ pub fn run_pipeline_with_checkpoints(
     source: &Program,
     config: &CompilerConfig,
 ) -> PipelineCheckpoints {
+    run_pipeline_with_checkpoints_in(ir, &PassContext::new(source, ir), config)
+}
+
+/// [`run_pipeline_with_checkpoints`] over a context built once for the
+/// program: `ir` must be a fresh copy of `cx`'s lowered program.
+pub(crate) fn run_pipeline_with_checkpoints_in(
+    ir: &mut IrProgram,
+    cx: &PassContext,
+    config: &CompilerConfig,
+) -> PipelineCheckpoints {
     let mut checkpoints = vec![Arc::new(ir.clone())];
     let mut canonical = vec![0usize];
     let mut defect_counts = vec![0usize];
-    let report = run_pipeline_observed(ir, source, config, |ir, defects_so_far| {
+    let report = run_pipeline_observed(ir, cx, config, |ir, defects_so_far| {
         let previous = checkpoints.last().expect("the lowered program");
         if **previous == *ir {
             canonical.push(canonical[canonical.len() - 1]);
@@ -179,11 +212,10 @@ pub fn run_pipeline_with_checkpoints(
 /// no-op that compiles away).
 fn run_pipeline_observed(
     ir: &mut IrProgram,
-    source: &Program,
+    cx: &PassContext,
     config: &CompilerConfig,
     mut observe: impl FnMut(&IrProgram, usize),
 ) -> PipelineReport {
-    let cx = PassContext::new(source, ir);
     let mut report = PipelineReport::default();
     let mut schedule = config.effective_schedule();
     if let Some(budget) = config.pass_budget {
@@ -194,7 +226,7 @@ fn run_pipeline_observed(
     let active = active_defects(config);
     for pass in schedule {
         for func in &mut ir.functions {
-            run_pass(pass, func, &cx);
+            run_pass(pass, func, cx);
         }
         report.passes_run.push(pass.to_owned());
         apply_stage_defects(ir, &active, pass, &mut report);
@@ -209,7 +241,7 @@ fn run_pipeline_observed(
 /// `"isel"`) to every function, recording them in `report`.
 pub(crate) fn apply_stage_defects(
     ir: &mut IrProgram,
-    active: &[Defect],
+    active: &[&Defect],
     stage: &str,
     report: &mut PipelineReport,
 ) {
@@ -224,10 +256,117 @@ pub(crate) fn apply_stage_defects(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{OptLevel, Personality};
+    use crate::config::{BackendKind, OptLevel, Personality};
+    use crate::defects::{self, frame_defect_plan, spill_loss_victims};
+    use crate::ir::DebugVarId;
     use crate::lower::lower_program;
     use holes_minic::ast::{Expr, LValue, Stmt, Ty};
     use holes_minic::build::ProgramBuilder;
+    use holes_progen::ProgramGenerator;
+    use proptest::prelude::*;
+
+    /// [`run_pass`] with the scalar kernels' oracles in place of the linear
+    /// kernels; every other pass is the production one.
+    fn run_oracle_pass(name: &str, func: &mut IrFunction, cx: &PassContext) {
+        match name {
+            "instcombine" | "tree-ccp" | "ipsccp" | "tree-vrp" => {
+                scalar::oracle::constant_fold(func)
+            }
+            "evrp" => {
+                structure::fold_quiescent_globals(func, cx);
+                scalar::oracle::constant_fold(func);
+            }
+            "gvn" | "tree-fre" | "cprop-registers" => scalar::oracle::copy_propagate(func),
+            other => run_pass(other, func, cx),
+        }
+    }
+
+    /// The oracle's variables of `func` that `config`'s active `isel`
+    /// defects of `action` select (the set the code generators consult).
+    fn oracle_victims(
+        config: &CompilerConfig,
+        catalogue: &[Defect],
+        func: &IrFunction,
+        action: crate::defects::DefectAction,
+    ) -> Vec<DebugVarId> {
+        (0..func.vars.len() as u32)
+            .map(DebugVarId)
+            .filter(|&var| {
+                catalogue.iter().any(|d| {
+                    d.action == action
+                        && d.active_in(config)
+                        && defects::oracle::selects(func, d.selector, var)
+                })
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The linear kernels (dense-table constant folding and copy
+        /// propagation, one-pass defect selection and vector rebuilds)
+        /// leave the same IR as their oracles after every pass and after
+        /// every stage's defects, at every level of both personalities;
+        /// the code generators' defect victims agree too.
+        #[test]
+        fn linear_kernels_match_their_oracles_after_every_pass(seed in 0u64..1_000_000) {
+            let program = ProgramGenerator::from_seed(seed).generate().program;
+            let cx = PassContext::lower(&program);
+            for personality in [Personality::Ccg, Personality::Lcc] {
+                for &level in [OptLevel::O0].iter().chain(personality.levels()) {
+                    let config = CompilerConfig::new(personality, level);
+                    let active = active_defects(&config);
+                    let mut fast = cx.inline_sources.clone();
+                    let mut slow = fast.clone();
+                    let mut report = PipelineReport::default();
+                    let stages = config.effective_schedule().into_iter().map(Some);
+                    for stage in stages.chain([None]) {
+                        if let Some(pass) = stage {
+                            for func in &mut fast.functions {
+                                run_pass(pass, func, &cx);
+                            }
+                            for func in &mut slow.functions {
+                                run_oracle_pass(pass, func, &cx);
+                            }
+                            prop_assert_eq!(&fast, &slow, "seed {} {} {}: pass {}", seed, personality, level, pass);
+                        }
+                        let stage = stage.unwrap_or("isel");
+                        apply_stage_defects(&mut fast, &active, stage, &mut report);
+                        for defect in active.iter().filter(|d| d.pass == stage) {
+                            for func in &mut slow.functions {
+                                defects::oracle::apply_defect(func, defect);
+                            }
+                        }
+                        prop_assert_eq!(&fast, &slow, "seed {} {} {}: defects of {}", seed, personality, level, stage);
+                    }
+                    // The loop above is the pipeline's: same IR, same report.
+                    let mut piped = cx.inline_sources.clone();
+                    let piped_report = run_pipeline_in(&mut piped, &cx, &config);
+                    prop_assert_eq!(&piped, &fast);
+                    prop_assert_eq!(&piped_report.defects_applied, &report.defects_applied);
+                    for func in &fast.functions {
+                        let stack = config.clone().with_backend(BackendKind::Stack);
+                        prop_assert_eq!(
+                            spill_loss_victims(&stack, func),
+                            oracle_victims(&stack, defects::stack_catalogue(personality), func, defects::DefectAction::DropSpillLoc)
+                        );
+                        let frame = config.clone().with_backend(BackendKind::Frame);
+                        let plan = frame_defect_plan(&frame, func);
+                        let frame_catalogue = defects::frame_catalogue(personality);
+                        prop_assert_eq!(
+                            plan.stale_fbreg,
+                            oracle_victims(&frame, frame_catalogue, func, defects::DefectAction::StaleFrameBase)
+                        );
+                        prop_assert_eq!(
+                            plan.callee_clobber,
+                            oracle_victims(&frame, frame_catalogue, func, defects::DefectAction::ClobberCalleeSaved)
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn sample() -> Program {
         let mut b = ProgramBuilder::new();

@@ -8,53 +8,80 @@
 //! binding's temp is deleted the binding is salvaged (rewritten to a constant
 //! if one is known) or explicitly marked undefined.
 
-use std::collections::HashMap;
-
 use holes_minic::ast::BinOp;
 
 use crate::ir::{DbgLoc, IrFunction, Op, Temp, Value};
 
+/// A per-temp table scoped to one basic block, indexed densely by temp
+/// (every temp is below `next_temp`). [`BlockTable::clear`] forgets every
+/// entry at once by moving to a new block stamp: an entry counts only while
+/// its stamp is the current block's.
+struct BlockTable<V> {
+    block: u32,
+    entries: Vec<(u32, V)>,
+}
+
+impl<V: Copy> BlockTable<V> {
+    fn new(func: &IrFunction, filler: V) -> BlockTable<V> {
+        BlockTable {
+            block: 1,
+            entries: vec![(0, filler); func.next_temp as usize],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.block += 1;
+    }
+
+    fn get(&self, temp: Temp) -> Option<V> {
+        let (block, value) = self.entries[temp.0 as usize];
+        (block == self.block).then_some(value)
+    }
+
+    fn insert(&mut self, temp: Temp, value: V) {
+        self.entries[temp.0 as usize] = (self.block, value);
+    }
+
+    fn remove(&mut self, temp: Temp) {
+        self.entries[temp.0 as usize].0 = 0;
+    }
+}
+
 /// Per-block constant folding and propagation.
 pub fn constant_fold(func: &mut IrFunction) {
-    let mut known: HashMap<Temp, i64> = HashMap::new();
-    for index in 0..func.insts.len() {
+    let mut known = BlockTable::new(func, 0i64);
+    for inst in &mut func.insts {
         // Block boundaries invalidate purely local facts.
-        if matches!(func.insts[index].op, Op::Label(_)) {
+        if matches!(inst.op, Op::Label(_)) {
             known.clear();
             continue;
         }
         // Substitute known constants into operands.
-        func.insts[index].op.visit_uses_mut(|v| {
+        inst.op.visit_uses_mut(|v| {
             if let Value::Temp(t) = v {
-                if let Some(c) = known.get(t) {
-                    *v = Value::Const(*c);
+                if let Some(c) = known.get(*t) {
+                    *v = Value::Const(c);
                 }
             }
         });
         // Fold the instruction itself.
-        let folded = fold_op(&func.insts[index].op);
-        if let Some(new_op) = folded {
-            func.insts[index].op = new_op;
+        if let Some(new_op) = fold_op(&inst.op) {
+            inst.op = new_op;
         }
-        // Update the known-constant map.
-        let op = &func.insts[index].op;
-        if let Some(dst) = op.def() {
-            match constant_result(op) {
-                Some(c) => {
-                    known.insert(dst, c);
-                }
-                None => {
-                    known.remove(&dst);
-                }
+        // Update the known-constant table.
+        if let Some(dst) = inst.op.def() {
+            match constant_result(&inst.op) {
+                Some(c) => known.insert(dst, c),
+                None => known.remove(dst),
             }
         }
         // Maintain debug bindings: a binding to a temp that is now known
         // constant becomes a constant binding (this is what e.g. gcc's CCP
         // does when it inserts debug statements for propagated constants).
-        if let Op::DbgValue { loc, .. } = &mut func.insts[index].op {
-            if let DbgLoc::Value(Value::Temp(t)) = loc {
+        if let Op::DbgValue { loc, .. } = &mut inst.op {
+            if let DbgLoc::Value(Value::Temp(t)) = *loc {
                 if let Some(c) = known.get(t) {
-                    *loc = DbgLoc::Value(Value::Const(*c));
+                    *loc = DbgLoc::Value(Value::Const(c));
                 }
             }
         }
@@ -165,38 +192,50 @@ fn fold_op(op: &Op) -> Option<Op> {
 /// by the copy's source, and debug bindings are rewritten the same way so
 /// that later dead-code elimination does not orphan them.
 pub fn copy_propagate(func: &mut IrFunction) {
-    let mut copies: HashMap<Temp, Value> = HashMap::new();
-    for index in 0..func.insts.len() {
-        if matches!(func.insts[index].op, Op::Label(_)) {
+    // `copies[t]` is `t`'s copy source, with the number of times that
+    // source had been defined when the copy was recorded; `defs[s]` counts
+    // the definitions of `s` so far. Redefining a source bumps its count,
+    // which forgets every copy of it at once.
+    let mut copies = BlockTable::new(func, (Value::Const(0), 0u32));
+    let mut defs = vec![0u32; func.next_temp as usize];
+    let source_of = |copies: &BlockTable<(Value, u32)>, defs: &[u32], t: Temp| {
+        copies.get(t).and_then(|(source, defined)| match source {
+            Value::Temp(s) if defs[s.0 as usize] != defined => None,
+            _ => Some(source),
+        })
+    };
+    for inst in &mut func.insts {
+        if matches!(inst.op, Op::Label(_)) {
             copies.clear();
             continue;
         }
         // No copy's source is itself a copied temp (sources are substituted
         // before they are recorded), so one lookup per operand suffices.
-        func.insts[index].op.visit_uses_mut(|v| {
+        inst.op.visit_uses_mut(|v| {
             if let Value::Temp(t) = v {
-                if let Some(source) = copies.get(t) {
-                    *v = *source;
+                if let Some(source) = source_of(&copies, &defs, *t) {
+                    *v = source;
                 }
             }
         });
-        // Rewrite debug bindings through the copy map as well (the correct,
-        // availability-preserving behaviour).
-        if let Op::DbgValue { loc, .. } = &mut func.insts[index].op {
-            if let DbgLoc::Value(Value::Temp(t)) = loc {
-                if let Some(v) = copies.get(t) {
-                    *loc = DbgLoc::Value(*v);
+        // Rewrite debug bindings through the copy table as well (the
+        // correct, availability-preserving behaviour).
+        if let Op::DbgValue { loc, .. } = &mut inst.op {
+            if let DbgLoc::Value(Value::Temp(t)) = *loc {
+                if let Some(source) = source_of(&copies, &defs, t) {
+                    *loc = DbgLoc::Value(source);
                 }
             }
         }
-        let op = &func.insts[index].op;
-        if let Some(dst) = op.def() {
-            // The destination is redefined: forget copies involving it.
-            copies.remove(&dst);
-            copies.retain(|_, v| *v != Value::Temp(dst));
-            if let Op::Copy { dst, src } = op {
-                if *src != Value::Temp(*dst) {
-                    copies.insert(*dst, *src);
+        if let Some(dst) = inst.op.def() {
+            // The destination is redefined: forget its own copy and every
+            // copy of it.
+            copies.remove(dst);
+            defs[dst.0 as usize] += 1;
+            if let Op::Copy { dst, src } = inst.op {
+                if src != Value::Temp(dst) {
+                    let defined = src.as_temp().map_or(0, |s| defs[s.0 as usize]);
+                    copies.insert(dst, (src, defined));
                 }
             }
         }
@@ -319,11 +358,197 @@ fn earliest_reachable(func: &IrFunction) -> Vec<usize> {
         .collect()
 }
 
+/// The per-block kernels as they were before their dense tables: hash maps
+/// keyed by temp, and a full scan of the copy map on every definition.
+/// Kept as differential oracles for the linear kernels above.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use std::collections::HashMap;
+
+    use super::{constant_result, fold_op};
+    use crate::ir::{DbgLoc, IrFunction, Op, Temp, Value};
+
+    /// Per-block constant folding and propagation.
+    pub fn constant_fold(func: &mut IrFunction) {
+        let mut known: HashMap<Temp, i64> = HashMap::new();
+        for index in 0..func.insts.len() {
+            // Block boundaries invalidate purely local facts.
+            if matches!(func.insts[index].op, Op::Label(_)) {
+                known.clear();
+                continue;
+            }
+            // Substitute known constants into operands.
+            func.insts[index].op.visit_uses_mut(|v| {
+                if let Value::Temp(t) = v {
+                    if let Some(c) = known.get(t) {
+                        *v = Value::Const(*c);
+                    }
+                }
+            });
+            // Fold the instruction itself.
+            let folded = fold_op(&func.insts[index].op);
+            if let Some(new_op) = folded {
+                func.insts[index].op = new_op;
+            }
+            // Update the known-constant map.
+            let op = &func.insts[index].op;
+            if let Some(dst) = op.def() {
+                match constant_result(op) {
+                    Some(c) => {
+                        known.insert(dst, c);
+                    }
+                    None => {
+                        known.remove(&dst);
+                    }
+                }
+            }
+            // Maintain debug bindings: a binding to a temp that is now known
+            // constant becomes a constant binding (this is what e.g. gcc's CCP
+            // does when it inserts debug statements for propagated constants).
+            if let Op::DbgValue { loc, .. } = &mut func.insts[index].op {
+                if let DbgLoc::Value(Value::Temp(t)) = loc {
+                    if let Some(c) = known.get(t) {
+                        *loc = DbgLoc::Value(Value::Const(*c));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Per-block copy propagation: uses of a temp defined by a copy are replaced
+    /// by the copy's source, and debug bindings are rewritten the same way so
+    /// that later dead-code elimination does not orphan them.
+    pub fn copy_propagate(func: &mut IrFunction) {
+        let mut copies: HashMap<Temp, Value> = HashMap::new();
+        for index in 0..func.insts.len() {
+            if matches!(func.insts[index].op, Op::Label(_)) {
+                copies.clear();
+                continue;
+            }
+            // No copy's source is itself a copied temp (sources are substituted
+            // before they are recorded), so one lookup per operand suffices.
+            func.insts[index].op.visit_uses_mut(|v| {
+                if let Value::Temp(t) = v {
+                    if let Some(source) = copies.get(t) {
+                        *v = *source;
+                    }
+                }
+            });
+            // Rewrite debug bindings through the copy map as well (the correct,
+            // availability-preserving behaviour).
+            if let Op::DbgValue { loc, .. } = &mut func.insts[index].op {
+                if let DbgLoc::Value(Value::Temp(t)) = loc {
+                    if let Some(v) = copies.get(t) {
+                        *loc = DbgLoc::Value(*v);
+                    }
+                }
+            }
+            let op = &func.insts[index].op;
+            if let Some(dst) = op.def() {
+                // The destination is redefined: forget copies involving it.
+                copies.remove(&dst);
+                copies.retain(|_, v| *v != Value::Temp(dst));
+                if let Op::Copy { dst, src } = op {
+                    if *src != Value::Temp(*dst) {
+                        copies.insert(*dst, *src);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{DebugVar, Inst, ScopeId, ScopeKind, SlotId};
+    use crate::ir::{BlockLabel, DebugVar, Inst, ScopeId, ScopeKind, SlotId};
     use holes_minic::ast::{FunctionId, GlobalId, UnOp};
+    use proptest::prelude::*;
+
+    /// A xorshift stream for building random instruction sequences.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn value(&mut self) -> Value {
+            if self.below(4) == 0 {
+                Value::Const(self.below(3) as i64)
+            } else {
+                Value::Temp(Temp(self.below(5) as u32))
+            }
+        }
+    }
+
+    /// A function whose blocks copy, compute, redefine and bind five temps
+    /// in random order — including redefinitions of a copy's source inside
+    /// its block, which generated programs rarely contain.
+    fn random_function(seed: u64) -> IrFunction {
+        let mut draw = Draw(seed | 1);
+        let mut f = empty_function();
+        let var = f.add_var(DebugVar {
+            name: "x".into(),
+            scope: ScopeId(0),
+            is_param: false,
+            decl_line: 1,
+            suppress_die: false,
+        });
+        for line in 0..48 {
+            let dst = Temp(draw.below(5) as u32);
+            let op = match draw.below(7) {
+                0 | 1 => Op::Copy {
+                    dst,
+                    src: draw.value(),
+                },
+                2 => Op::Bin {
+                    dst,
+                    op: [BinOp::Add, BinOp::Mul, BinOp::Sub][draw.below(3) as usize],
+                    lhs: draw.value(),
+                    rhs: draw.value(),
+                },
+                3 => Op::Label(BlockLabel(99)),
+                4 | 5 => Op::DbgValue {
+                    var,
+                    loc: DbgLoc::Value(draw.value()),
+                },
+                _ => Op::StoreGlobal {
+                    global: GlobalId(0),
+                    index: None,
+                    value: draw.value(),
+                    volatile: false,
+                },
+            };
+            f.insts.push(Inst::new(op, line));
+        }
+        f
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense-table kernels rewrite random blocks exactly like their
+        /// hash-map oracles, alone and chained.
+        #[test]
+        fn scalar_kernels_match_their_oracles_on_random_blocks(seed in any::<u64>()) {
+            let original = random_function(seed);
+            let (mut fast, mut slow) = (original.clone(), original.clone());
+            copy_propagate(&mut fast);
+            oracle::copy_propagate(&mut slow);
+            prop_assert_eq!(&fast, &slow, "copy propagation, seed {}", seed);
+            let (mut fast, mut slow) = (original.clone(), original);
+            constant_fold(&mut fast);
+            oracle::constant_fold(&mut slow);
+            prop_assert_eq!(&fast, &slow, "constant folding, seed {}", seed);
+            copy_propagate(&mut fast);
+            oracle::copy_propagate(&mut slow);
+            prop_assert_eq!(&fast, &slow, "folding then propagation, seed {}", seed);
+        }
+    }
 
     fn empty_function() -> IrFunction {
         IrFunction {

@@ -40,7 +40,10 @@
 //! campaign's artifacts for free. On top of the cache sits a *targeted*
 //! oracle, [`Subject::violation_occurs`]: instead of sweeping every
 //! conjecture site with `check_all`, it re-checks only the one queried
-//! `(conjecture, line, variable)` site against the memoized trace.
+//! `(conjecture, line, variable)` site against the memoized trace. Misses
+//! share work too: a subject lowers its program once, on its first
+//! compile, and every level's compile and every recorded pipeline starts
+//! from a copy of that lowering ([`holes_compiler::compile_lowered`]).
 //!
 //! **Stop plans and pass snapshots.** Two precomputations keep the oracle's
 //! *misses* cheap, too. Tracing runs through a cached
@@ -126,9 +129,9 @@ pub use store::{
     install_process_store, ArtifactStore, GcStats, RemoteFetch, RemoteSource, SubjectKey,
 };
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use holes_compiler::{compile, CompilerConfig, Executable, PassSnapshots};
+use holes_compiler::{compile_lowered, CompilerConfig, Executable, PassContext, PassSnapshots};
 use holes_core::{SiteQuery, Violation};
 use holes_debugger::{trace_with_plan_fuel, DebugTrace, DebuggerKind, StopPlan};
 use holes_minic::analysis::ProgramAnalysis;
@@ -151,6 +154,9 @@ pub struct Subject {
     pub seed: u64,
     /// Memoized executables, traces, and violation sets; shared by clones.
     cache: ArtifactCache,
+    /// The program's lowered IR and pass context, built on the first
+    /// compile and shared by clones (see `Subject::lowering`).
+    lowering: Arc<OnceLock<PassContext>>,
     /// Step budget override for the virtual machines (see
     /// [`Subject::with_fuel_limit`]); `None` keeps the backend defaults.
     fuel_limit: Option<u64>,
@@ -171,6 +177,7 @@ impl Subject {
             analysis: generated.analysis,
             seed: generated.seed,
             cache: ArtifactCache::default(),
+            lowering: Arc::default(),
             fuel_limit: None,
         };
         subject.attach_env_store();
@@ -187,6 +194,7 @@ impl Subject {
             analysis,
             seed: 0,
             cache: ArtifactCache::default(),
+            lowering: Arc::default(),
             fuel_limit: None,
         };
         subject.attach_env_store();
@@ -228,9 +236,22 @@ impl Subject {
         self.cache.store()
     }
 
+    /// The program lowered to IR, with the pass context every optimization
+    /// pipeline reads ([`PassContext::inline_sources`] is the lowered
+    /// program). It is built on first use, once per subject: every level
+    /// and every recorded pipeline of the subject, in this subject and its
+    /// clones, starts from a copy of this one lowering.
+    pub(crate) fn lowering(&self) -> &PassContext {
+        self.lowering
+            .get_or_init(|| PassContext::lower(&self.program))
+    }
+
     /// Compile under a configuration (memoized; the returned artifact is
-    /// shared with the cache). A budgeted configuration is derived from its
-    /// base pipeline's recorded checkpoints by code generation alone — see
+    /// shared with the cache). A miss runs the pipeline from the subject's
+    /// one lowering, made on its first compile and shared by its clones
+    /// (through [`holes_compiler::compile_lowered`]), so no level lowers
+    /// the program again. A budgeted configuration is derived from its base
+    /// pipeline's recorded checkpoints by code generation alone — see
     /// [`holes_compiler::PassSnapshots`] and [`CacheStats::codegen_only`]
     /// — and is never written to the persistent store.
     pub fn compile_shared(&self, config: &CompilerConfig) -> Arc<Executable> {
@@ -238,19 +259,21 @@ impl Subject {
         self.cache.executable(
             config,
             || self.snapshots(config).codegen_budget(&self.program, config),
-            || compile(&self.program, config),
+            || compile_lowered(&self.program, self.lowering(), config),
         )
     }
 
     /// The recorded checkpoints of `config`'s budget-free base pipeline,
-    /// recording them on first use. Every budgeted executable — served by
-    /// [`Subject::compile_shared`] or derived for a trace — comes out of
-    /// them through [`PassSnapshots::codegen_budget`].
+    /// recording them from the subject's one lowering on first use. Every
+    /// budgeted executable — served by [`Subject::compile_shared`] or
+    /// derived for a trace — comes out of them through
+    /// [`PassSnapshots::codegen_budget`].
     fn snapshots(&self, config: &CompilerConfig) -> Arc<PassSnapshots> {
         let mut base = config.clone();
         base.pass_budget = None;
-        self.cache
-            .snapshots(&base, || PassSnapshots::record(&self.program, &base))
+        self.cache.snapshots(&base, || {
+            PassSnapshots::record_lowered(self.lowering(), &base)
+        })
     }
 
     /// Compile under a configuration.
@@ -368,7 +391,8 @@ impl Subject {
     }
 
     /// Drop the subject's memoized artifacts (used by benchmarks that must
-    /// measure cold-cache behaviour).
+    /// measure cold-cache behaviour). The program's lowering is kept: it
+    /// depends on the program alone.
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
@@ -384,6 +408,7 @@ impl Subject {
             analysis: self.analysis.clone(),
             seed: self.seed,
             cache: ArtifactCache::default(),
+            lowering: Arc::default(),
             fuel_limit: self.fuel_limit,
         }
     }
@@ -468,6 +493,42 @@ mod tests {
     }
 
     #[test]
+    fn a_subject_and_its_clones_compile_every_level_from_one_lowering() {
+        let subject = &subject_pool(908, 1)[0];
+        let clone = subject.clone();
+        for personality in [Personality::Ccg, Personality::Lcc] {
+            for &level in [OptLevel::O0].iter().chain(personality.levels()) {
+                for backend in BackendKind::ALL {
+                    let config = CompilerConfig::new(personality, level).with_backend(backend);
+                    assert_eq!(
+                        *clone.compile_shared(&config),
+                        holes_compiler::compile(&subject.program, &config),
+                        "{}",
+                        config.describe()
+                    );
+                    let budgeted = config.with_pass_budget(2);
+                    assert_eq!(
+                        *subject.compile_shared(&budgeted),
+                        holes_compiler::compile(&subject.program, &budgeted),
+                        "{}",
+                        budgeted.describe()
+                    );
+                }
+            }
+        }
+        assert!(
+            std::ptr::eq(subject.lowering(), clone.lowering()),
+            "a clone lowered the program again"
+        );
+        let fresh = subject.with_fresh_cache();
+        assert!(!std::ptr::eq(subject.lowering(), fresh.lowering()));
+        assert_eq!(
+            subject.lowering().inline_sources,
+            fresh.lowering().inline_sources
+        );
+    }
+
+    #[test]
     fn distinct_configurations_do_not_alias_in_the_cache() {
         let subjects = subject_pool(904, 1);
         let subject = &subjects[0];
@@ -543,7 +604,7 @@ mod tests {
                 let derived = subject.compile_shared(&budgeted);
                 assert_eq!(
                     *derived,
-                    compile(&subject.program, &budgeted),
+                    holes_compiler::compile(&subject.program, &budgeted),
                     "budget {budget}"
                 );
             }

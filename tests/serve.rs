@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use holes_compiler::Personality;
+use holes_compiler::{BackendKind, Personality};
 use holes_pipeline::fault::FaultPolicy;
 use holes_pipeline::serve::lease::GRACE_BEATS;
 use holes_pipeline::serve::{
@@ -351,71 +351,74 @@ proptest! {
     }
 }
 
-/// End-to-end over real sockets: a coordinator on an ephemeral port, three
-/// concurrent `run_worker` fleets racing for leases, and a merged stream
-/// byte-identical to the single-process run.
+/// End-to-end over real sockets, for every backend: a coordinator on an
+/// ephemeral port, three concurrent `run_worker` fleets racing for leases,
+/// and a merged stream byte-identical to the single-process run.
 #[test]
 fn tcp_fleet_reproduces_the_single_process_stream() {
-    let campaign = spec(2820, 9);
-    let reference = reference_stream(&campaign);
-    let journal = Scratch::file("tcp");
-    let config = ServeConfig {
-        lease_shards: 4,
-        lease: LeaseConfig {
-            heartbeat: Duration::from_millis(100),
-            max_attempts: 5,
-        },
-        journal: journal.path.clone(),
-        cache: None,
-        cache_chaos: None,
-        quiet: true,
-    };
+    for backend in BackendKind::ALL {
+        let campaign = spec(2820, 9).with_backend(backend);
+        let reference = reference_stream(&campaign);
+        let journal = Scratch::file(&format!("tcp-{backend}"));
+        let config = ServeConfig {
+            lease_shards: 4,
+            lease: LeaseConfig {
+                heartbeat: Duration::from_millis(100),
+                max_attempts: 5,
+            },
+            journal: journal.path.clone(),
+            cache: None,
+            cache_chaos: None,
+            quiet: true,
+        };
 
-    let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
-    let addr = coordinator.local_addr().expect("local addr").to_string();
-    let drain = std::sync::atomic::AtomicBool::new(false);
-    let report = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..3)
-            .map(|i| {
-                let addr = addr.clone();
-                scope.spawn(move || {
-                    let work_dir = Scratch::dir(&format!("tcp-w{i}"));
-                    let outcome = run_worker(&WorkerConfig {
-                        connect: addr,
-                        work_dir: work_dir.path.clone(),
-                        policy: FaultPolicy::default(),
-                        worker_id: format!("w{i}"),
-                        patience: Duration::from_secs(10),
-                        quiet: true,
+        let coordinator = Coordinator::bind("127.0.0.1:0").expect("bind");
+        let addr = coordinator.local_addr().expect("local addr").to_string();
+        let drain = std::sync::atomic::AtomicBool::new(false);
+        let report = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..3)
+                .map(|i| {
+                    let addr = addr.clone();
+                    scope.spawn(move || {
+                        let work_dir = Scratch::dir(&format!("tcp-{backend}-w{i}"));
+                        let outcome = run_worker(&WorkerConfig {
+                            connect: addr,
+                            work_dir: work_dir.path.clone(),
+                            policy: FaultPolicy::default(),
+                            worker_id: format!("w{i}"),
+                            patience: Duration::from_secs(10),
+                            quiet: true,
+                        })
+                        .expect("worker runs");
+                        outcome.accepted
                     })
-                    .expect("worker runs");
-                    outcome.accepted
                 })
-            })
-            .collect();
-        let report = coordinator
-            .run(&campaign, &config, &drain)
-            .expect("coordinator runs");
-        let accepted: usize = workers
-            .into_iter()
-            .map(|w| w.join().expect("worker joins"))
-            .sum();
-        assert_eq!(
-            accepted, 4,
-            "each shard accepted exactly once across the fleet"
-        );
-        report
-    });
+                .collect();
+            let report = coordinator
+                .run(&campaign, &config, &drain)
+                .expect("coordinator runs");
+            let accepted: usize = workers
+                .into_iter()
+                .map(|w| w.join().expect("worker joins"))
+                .sum();
+            assert_eq!(
+                accepted, 4,
+                "{backend}: each shard accepted exactly once across the fleet"
+            );
+            report
+        });
 
-    assert!(report.complete());
-    assert!(report.quarantined.is_empty());
-    assert!(!report.drained);
-    let mut merged = Vec::new();
-    report.write_merged(&mut merged).expect("merge writes");
-    assert_eq!(
-        String::from_utf8(merged).expect("UTF-8"),
-        String::from_utf8(reference).expect("UTF-8"),
-    );
+        assert!(report.complete());
+        assert!(report.quarantined.is_empty());
+        assert!(!report.drained);
+        let mut merged = Vec::new();
+        report.write_merged(&mut merged).expect("merge writes");
+        assert_eq!(
+            String::from_utf8(merged).expect("UTF-8"),
+            String::from_utf8(reference).expect("UTF-8"),
+            "{backend}: the fleet's merged stream differs from the single-process run"
+        );
+    }
 }
 
 /// Peers that connect and never send a byte must not stall lease traffic:
