@@ -1,7 +1,8 @@
 //! Golden-file tests for the CI-facing emitters: baseline documents,
 //! baseline diffs (text/JSON/SARIF/JUnit), SARIF logs, JUnit XML, corpus
-//! entries, the triage table and a reduce transcript are compared
-//! byte-for-byte against checked-in fixtures under `tests/golden/`.
+//! entries, the triage table, a reduce transcript and the VMs' run outcomes
+//! are compared byte-for-byte against checked-in fixtures under
+//! `tests/golden/`.
 //!
 //! When an emitter changes on purpose, re-bless the fixtures with
 //! `HOLES_BLESS=1 cargo test --test golden` and review the diff like any
@@ -9,8 +10,9 @@
 
 use std::path::Path;
 
-use holes::compiler::{BackendKind, CompilerConfig, OptLevel, Personality};
+use holes::compiler::{compile, BackendKind, CompilerConfig, OptLevel, Personality};
 use holes::core::{Conjecture, Observed};
+use holes::machine::{BreakpointSet, Vm};
 use holes::pipeline::baseline::Baseline;
 use holes::pipeline::corpus::{Corpus, CorpusEntry};
 use holes::pipeline::reduce::reduce;
@@ -19,7 +21,7 @@ use holes::pipeline::report::sarif::{sarif_log, SarifResult};
 use holes::pipeline::shard::{run_shard, CampaignSpec};
 use holes::pipeline::triage::{triage, triage_campaign};
 use holes::pipeline::{FaultPolicy, Subject};
-use holes::progen::SeedRange;
+use holes::progen::{ProgramGenerator, SeedRange};
 
 /// Compare `actual` against the fixture `tests/golden/<name>`, or rewrite
 /// the fixture when `HOLES_BLESS=1` is set.
@@ -211,4 +213,56 @@ fn reduce_transcript_bytes_are_stable() {
         reduced.subject.source.text,
     );
     check("cli-reduce-2501-lcc.txt", &transcript);
+}
+
+/// FNV-1a over a rendering, so a fixture line can pin a whole value.
+fn digest(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Where a fuel-limited run stops: the stop reason, the frame base and
+/// register 0 of the frame it stops in.
+fn fuel_stop(vm: &mut dyn Vm) -> String {
+    let stop = vm.run(&BreakpointSet::new());
+    format!("{stop:?} fb {:?} r0 {}", vm.frame_base(), vm.read_reg(0))
+}
+
+/// What both VMs do on generated code: for seeds 2500..2506, every level of
+/// both personalities and every backend, one line with the full run's step
+/// count, return value and a digest of its sink calls and final globals, and
+/// where the run stops when its fuel runs out one step early and half way.
+/// This pins step counts and fuel-fault points, which no campaign output
+/// shows.
+#[test]
+fn machine_outcomes_are_stable() {
+    let mut lines = String::new();
+    for seed in 2500..2506 {
+        let program = ProgramGenerator::from_seed(seed).generate().program;
+        for personality in [Personality::Ccg, Personality::Lcc] {
+            let levels = std::iter::once(&OptLevel::O0).chain(personality.levels());
+            for &level in levels {
+                for backend in BackendKind::ALL {
+                    let config = CompilerConfig::new(personality, level).with_backend(backend);
+                    let code = compile(&program, &config).machine;
+                    let outcome = code.run_to_completion().expect("generated code runs");
+                    let steps = outcome.steps;
+                    let effects = format!("{:?} {:?}", outcome.sink_calls, outcome.final_globals);
+                    lines += &format!(
+                        "{seed} {personality} {level} {backend}: steps {steps} ret {} \
+                         sinks {} effects {:016x}\n  fuel {}: {}\n  fuel {}: {}\n",
+                        outcome.return_value,
+                        outcome.sink_calls.len(),
+                        digest(&effects),
+                        steps - 1,
+                        fuel_stop(&mut *code.spawn_with_fuel(steps - 1)),
+                        steps / 2,
+                        fuel_stop(&mut *code.spawn_with_fuel(steps / 2)),
+                    );
+                }
+            }
+        }
+    }
+    check("machine-outcomes.txt", &lines);
 }
