@@ -90,26 +90,10 @@ impl AttrValue {
         }
     }
 
-    /// The signed payload, if this value is a signed integer.
-    pub fn as_signed(&self) -> Option<i64> {
-        match self {
-            AttrValue::Signed(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The string payload, if this value is text.
     pub fn as_text(&self) -> Option<&str> {
         match self {
             AttrValue::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The DIE reference payload, if this value is a reference.
-    pub fn as_ref_die(&self) -> Option<DieId> {
-        match self {
-            AttrValue::Ref(d) => Some(*d),
             _ => None,
         }
     }

@@ -8,7 +8,8 @@
 //! [`MachineCode`] holds a compiled program for either one and spawns the
 //! matching stepper ([`crate::Vm`]) for the debugger.
 
-use crate::exec::{Machine, MachineError, RunOutcome};
+use crate::engine::{MachineError, RunOutcome};
+use crate::exec::Machine;
 use crate::isa::MachineProgram;
 use crate::stack::{StackMachine, StackProgram};
 use crate::Vm;

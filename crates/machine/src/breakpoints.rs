@@ -158,7 +158,8 @@ mod tests {
         // each one the first time it is hit. The machine must report the
         // hits in execution order — not in address order — and never stop
         // at a consumed address again.
-        use crate::exec::{Machine, StopReason};
+        use crate::engine::StopReason;
+        use crate::exec::Machine;
         use crate::isa::{MFunction, MInst, MachineProgram, Operand, TEXT_BASE};
         let prog = MachineProgram {
             functions: vec![MFunction {

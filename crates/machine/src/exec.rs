@@ -1,368 +1,66 @@
-//! The virtual machine: execution, stepping, breakpoints and state
-//! inspection.
+//! The register VM: the register ISA's half of the machine.
+//!
+//! A [`Machine`] is the execution core ([`Engine`]) running a
+//! [`MachineProgram`]. This module supplies only what is specific to the
+//! register ISA: the [`MInst`] match, how [`Operand`]s and [`MAddr`]s
+//! resolve, and the calling convention — a callee gets a fresh bank of
+//! [`NUM_REGS`] registers with its arguments in the first ones, and `Ret`
+//! writes the return value into a caller register.
 
-use holes_minic::interp::{ExecOutcome, STACK_BASE};
+use crate::engine::{stack_address, width_to_ty, Engine, FunctionView, Isa, MachineError};
+use crate::isa::{CallTarget, GlobalSlot, MAddr, MInst, MachineProgram, Operand, Reg, NUM_REGS};
 
-use crate::breakpoints::BreakpointSet;
-use crate::isa::{CallTarget, MAddr, MInst, MachineProgram, Operand, Reg, NUM_REGS};
+/// The register virtual machine.
+pub type Machine<'p> = Engine<'p, MachineProgram>;
 
-/// Default step budget; mirrors the reference interpreter's purpose of making
-/// non-termination observable.
-pub const DEFAULT_FUEL: u64 = 20_000_000;
-
-/// Why the machine stopped running.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StopReason {
-    /// A breakpoint address was reached (before executing the instruction).
-    Breakpoint {
-        /// The address that was hit.
-        address: u64,
-    },
-    /// The program finished; `main` returned the given value.
-    Finished {
-        /// Return value of the entry function.
-        return_value: i64,
-    },
-    /// Execution failed.
-    Error(MachineError),
-}
-
-/// Errors raised by the VM.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MachineError {
-    /// The step budget was exhausted.
-    OutOfFuel,
-    /// A memory access hit an address outside every segment.
-    BadAddress(i64),
-    /// A branch target was outside the current function.
-    BadBranchTarget(u32),
-    /// A global element index was out of range.
-    GlobalIndexOutOfRange {
-        /// Global index.
-        global: u32,
-        /// Offending element index.
-        element: i64,
-    },
-    /// A frame slot index was out of range.
-    BadFrameSlot(u32),
-    /// Execution continued past the end of a function without a return.
-    FellOffEnd {
-        /// The function that ended without `Ret`.
-        function: String,
-    },
-    /// A stack-VM instruction popped from an empty operand stack (never
-    /// produced by the compiler's stack backend, whose emission is
-    /// balanced per statement; guards hand-written programs).
-    EvalStackUnderflow,
-}
-
-impl std::fmt::Display for MachineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MachineError::OutOfFuel => write!(f, "machine exceeded its step budget"),
-            MachineError::BadAddress(a) => write!(f, "access to unmapped address {a:#x}"),
-            MachineError::BadBranchTarget(t) => write!(f, "branch to invalid target {t}"),
-            MachineError::GlobalIndexOutOfRange { global, element } => {
-                write!(
-                    f,
-                    "global {global} indexed out of range at element {element}"
-                )
-            }
-            MachineError::BadFrameSlot(s) => write!(f, "frame slot {s} out of range"),
-            MachineError::FellOffEnd { function } => {
-                write!(f, "function {function} ended without returning")
-            }
-            MachineError::EvalStackUnderflow => {
-                write!(f, "operand stack underflow")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MachineError {}
-
-/// Outcome of running a program to completion, convertible to the reference
-/// interpreter's [`ExecOutcome`] for differential testing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunOutcome {
-    /// Arguments of each sink call, in call order.
-    pub sink_calls: Vec<Vec<i64>>,
-    /// Final value of every global, flattened, indexed by global id.
-    pub final_globals: Vec<Vec<i64>>,
-    /// Return value of the entry function.
-    pub return_value: i64,
-    /// Number of instructions executed.
-    pub steps: u64,
-}
-
-impl RunOutcome {
-    /// Compare against the reference interpreter's outcome (steps are not
-    /// compared: the instruction count legitimately differs from the
-    /// statement count).
-    pub fn matches(&self, reference: &ExecOutcome) -> bool {
-        self.sink_calls == reference.sink_calls
-            && self.final_globals == reference.final_globals
-            && self.return_value == reference.return_value
-    }
-}
-
-/// One call frame.
-#[derive(Debug, Clone)]
-pub struct Frame {
-    /// Index of the executing function.
-    pub function: u32,
-    /// Local instruction index (the next instruction to execute).
-    pub pc: u32,
+/// The register ISA's part of a call frame.
+#[derive(Debug)]
+pub struct RegFrame {
     /// Register file.
-    pub regs: [i64; NUM_REGS],
-    /// Base index of this frame's slots within the machine's stack memory.
-    pub slot_base: usize,
-    /// Number of slots owned by this frame.
-    pub slot_count: u32,
+    regs: [i64; NUM_REGS],
     /// Caller register that receives the return value.
     ret_reg: Option<Reg>,
 }
 
-/// The virtual machine.
-#[derive(Debug)]
-pub struct Machine<'p> {
-    program: &'p MachineProgram,
-    global_mem: Vec<i64>,
-    global_offsets: Vec<usize>,
-    stack_mem: Vec<i64>,
-    frames: Vec<Frame>,
-    sink_calls: Vec<Vec<i64>>,
-    steps: u64,
-    fuel: u64,
-    finished: Option<i64>,
-    error: Option<MachineError>,
+impl Isa for MachineProgram {
+    type Inst = MInst;
+    type FrameState = RegFrame;
+
+    fn globals(&self) -> &[GlobalSlot] {
+        &self.globals
+    }
+
+    fn function(&self, index: u32) -> FunctionView<'_, MInst> {
+        let f = &self.functions[index as usize];
+        FunctionView {
+            name: &f.name,
+            code: &f.code,
+            frame_slots: f.frame_slots,
+            base_address: f.base_address,
+        }
+    }
+
+    fn enter(machine: &mut Machine<'_>) {
+        machine.call(machine.program.entry, &[], None);
+    }
+
+    fn execute<'p>(machine: &mut Machine<'p>, inst: &'p MInst) -> Result<(), MachineError> {
+        machine.execute(inst)
+    }
+
+    fn read_reg(frame: &RegFrame, reg: u8) -> i64 {
+        frame.regs[reg as usize]
+    }
 }
 
 impl<'p> Machine<'p> {
-    /// Create a machine ready to execute `program` from its entry function.
-    pub fn new(program: &'p MachineProgram) -> Machine<'p> {
-        Machine::with_fuel(program, DEFAULT_FUEL)
-    }
-
-    /// Create a machine with an explicit step budget.
-    pub fn with_fuel(program: &'p MachineProgram, fuel: u64) -> Machine<'p> {
-        let mut global_mem = Vec::new();
-        let mut global_offsets = Vec::with_capacity(program.globals.len());
-        for g in &program.globals {
-            global_offsets.push(global_mem.len());
-            global_mem.extend_from_slice(&g.init);
-        }
-        let mut machine = Machine {
-            program,
-            global_mem,
-            global_offsets,
-            stack_mem: Vec::new(),
-            frames: Vec::new(),
-            sink_calls: Vec::new(),
-            steps: 0,
-            fuel,
-            finished: None,
-            error: None,
-        };
-        machine.push_frame(program.entry, &[], None);
-        machine
-    }
-
-    fn push_frame(&mut self, function: u32, args: &[i64], ret_reg: Option<Reg>) {
-        let func = &self.program.functions[function as usize];
-        let slot_base = self.stack_mem.len();
-        self.stack_mem
-            .extend(std::iter::repeat_n(0, func.frame_slots as usize));
+    fn call(&mut self, function: u32, args: &[i64], ret_reg: Option<Reg>) {
         let mut regs = [0i64; NUM_REGS];
-        for (i, a) in args.iter().enumerate().take(NUM_REGS) {
-            regs[i] = *a;
-        }
-        self.frames.push(Frame {
-            function,
-            pc: 0,
-            regs,
-            slot_base,
-            slot_count: func.frame_slots,
-            ret_reg,
-        });
+        regs[..args.len()].copy_from_slice(args);
+        self.push_frame(function, RegFrame { regs, ret_reg });
     }
 
-    /// The current frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the program already finished (no frame exists).
-    pub fn current_frame(&self) -> &Frame {
-        self.frames.last().expect("machine has no active frame")
-    }
-
-    /// Depth of the call stack.
-    pub fn frame_depth(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// The code address about to be executed, if the machine is still
-    /// running.
-    pub fn pc_address(&self) -> Option<u64> {
-        let frame = self.frames.last()?;
-        let func = &self.program.functions[frame.function as usize];
-        Some(func.address_of(frame.pc as usize))
-    }
-
-    /// Whether the program finished.
-    pub fn is_finished(&self) -> bool {
-        self.finished.is_some() || self.error.is_some()
-    }
-
-    /// Read a register of the current frame.
-    pub fn read_reg(&self, reg: Reg) -> i64 {
-        self.current_frame().regs[reg as usize]
-    }
-
-    /// Read a frame slot of the current frame.
-    pub fn read_frame_slot(&self, slot: u32) -> Option<i64> {
-        let frame = self.frames.last()?;
-        if slot >= frame.slot_count {
-            return None;
-        }
-        self.stack_mem.get(frame.slot_base + slot as usize).copied()
-    }
-
-    /// Read one element of a global.
-    pub fn read_global(&self, global: u32, element: usize) -> Option<i64> {
-        let offset = *self.global_offsets.get(global as usize)?;
-        let size = self.program.globals[global as usize].elements;
-        if element >= size {
-            return None;
-        }
-        self.global_mem.get(offset + element).copied()
-    }
-
-    /// Read an absolute memory address (global segment or stack segment).
-    pub fn read_address(&self, address: i64) -> Option<i64> {
-        if address >= STACK_BASE {
-            let slot = ((address - STACK_BASE) / 8) as usize;
-            self.stack_mem.get(slot).copied()
-        } else if address >= holes_minic::interp::GLOBAL_BASE {
-            let elem = ((address - holes_minic::interp::GLOBAL_BASE) / 8) as usize;
-            self.global_mem.get(elem).copied()
-        } else {
-            None
-        }
-    }
-
-    /// Arguments recorded by sink calls so far.
-    pub fn sink_calls(&self) -> &[Vec<i64>] {
-        &self.sink_calls
-    }
-
-    /// Run until a breakpoint, completion or error.
-    ///
-    /// When the set is empty (or becomes irrelevant because every one-shot
-    /// breakpoint was already consumed) the per-instruction probe is skipped
-    /// entirely — the fast path the debugger falls onto once all steppable
-    /// lines have been hit.
-    pub fn run(&mut self, breakpoints: &BreakpointSet) -> StopReason {
-        if breakpoints.is_empty() {
-            return self.run_unchecked();
-        }
-        loop {
-            if let Some(err) = &self.error {
-                return StopReason::Error(err.clone());
-            }
-            if let Some(ret) = self.finished {
-                return StopReason::Finished { return_value: ret };
-            }
-            if let Some(pc) = self.pc_address() {
-                if breakpoints.contains(pc) {
-                    return StopReason::Breakpoint { address: pc };
-                }
-            }
-            if let Err(err) = self.step() {
-                self.error = Some(err.clone());
-                return StopReason::Error(err);
-            }
-        }
-    }
-
-    /// Run to completion or error without probing for breakpoints.
-    fn run_unchecked(&mut self) -> StopReason {
-        loop {
-            if let Some(err) = &self.error {
-                return StopReason::Error(err.clone());
-            }
-            if let Some(ret) = self.finished {
-                return StopReason::Finished { return_value: ret };
-            }
-            if let Err(err) = self.step() {
-                self.error = Some(err.clone());
-                return StopReason::Error(err);
-            }
-        }
-    }
-
-    /// Run to completion ignoring breakpoints and produce the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Returns the machine error if execution fails.
-    pub fn run_to_completion(mut self) -> Result<RunOutcome, MachineError> {
-        match self.run_unchecked() {
-            StopReason::Finished { return_value } => {
-                let final_globals = self.final_globals();
-                Ok(RunOutcome {
-                    sink_calls: self.sink_calls,
-                    final_globals,
-                    return_value,
-                    steps: self.steps,
-                })
-            }
-            StopReason::Error(err) => Err(err),
-            StopReason::Breakpoint { .. } => unreachable!("no breakpoints were set"),
-        }
-    }
-
-    /// Snapshot of all globals, per global id.
-    pub fn final_globals(&self) -> Vec<Vec<i64>> {
-        self.program
-            .globals
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                let offset = self.global_offsets[i];
-                self.global_mem[offset..offset + g.elements].to_vec()
-            })
-            .collect()
-    }
-
-    /// Execute a single instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MachineError`] if the instruction faults.
-    pub fn step(&mut self) -> Result<(), MachineError> {
-        self.steps += 1;
-        if self.steps > self.fuel {
-            return Err(MachineError::OutOfFuel);
-        }
-        let Some(frame) = self.frames.last() else {
-            return Ok(());
-        };
-        let func_index = frame.function as usize;
-        let pc = frame.pc as usize;
-        // `program` outlives `self`'s borrows, so the instruction is read by
-        // reference here instead of being cloned every step — a `Call`'s
-        // operand vector alone made the old clone an allocation per call.
-        let program = self.program;
-        let func = &program.functions[func_index];
-        let Some(inst) = func.code.get(pc) else {
-            return Err(MachineError::FellOffEnd {
-                function: func.name.clone(),
-            });
-        };
-        let code_len = func.code.len();
-        // Default: advance to next instruction; control flow overrides.
-        self.frames.last_mut().expect("frame exists").pc = (pc + 1) as u32;
+    fn execute(&mut self, inst: &'p MInst) -> Result<(), MachineError> {
         match inst {
             MInst::Nop => {}
             MInst::LoadImm { dst, value } => self.write_reg(*dst, *value),
@@ -381,7 +79,7 @@ impl<'p> Machine<'p> {
             }
             MInst::Trunc { dst, bits, signed } => {
                 let ty = width_to_ty(*bits, *signed);
-                let v = self.read_reg_raw(*dst);
+                let v = self.reg(*dst);
                 self.write_reg(*dst, ty.wrap(v));
             }
             MInst::Load { dst, addr } => {
@@ -396,15 +94,15 @@ impl<'p> Machine<'p> {
                 let a = self.effective_address(*addr)?;
                 self.write_reg(*dst, a);
             }
-            MInst::Jump { target } => self.branch(*target, code_len)?,
+            MInst::Jump { target } => self.branch(*target)?,
             MInst::BranchZero { cond, target } => {
-                if self.read_reg_raw(*cond) == 0 {
-                    self.branch(*target, code_len)?;
+                if self.reg(*cond) == 0 {
+                    self.branch(*target)?;
                 }
             }
             MInst::BranchNonZero { cond, target } => {
-                if self.read_reg_raw(*cond) != 0 {
-                    self.branch(*target, code_len)?;
+                if self.reg(*cond) != 0 {
+                    self.branch(*target)?;
                 }
             }
             MInst::Call { target, args, ret } => match target {
@@ -419,44 +117,32 @@ impl<'p> Machine<'p> {
                 }
                 CallTarget::Function(f) => {
                     // The callee receives at most NUM_REGS register
-                    // arguments, so a fixed buffer replaces the old per-call
-                    // Vec; operand reads are pure, so not evaluating excess
-                    // arguments (which `push_frame` always dropped) is
-                    // unobservable.
+                    // arguments, so a fixed buffer replaces a per-call Vec;
+                    // operand reads are pure, so not evaluating excess
+                    // arguments is unobservable.
                     let count = args.len().min(NUM_REGS);
                     let mut values = [0i64; NUM_REGS];
                     for (slot, arg) in values.iter_mut().zip(args.iter()) {
                         *slot = self.operand(*arg);
                     }
-                    self.push_frame(*f, &values[..count], *ret);
+                    self.call(*f, &values[..count], *ret);
                 }
             },
             MInst::Ret { value } => {
                 let v = value.map_or(0, |op| self.operand(op));
-                let frame = self.frames.pop().expect("ret with no frame");
-                if let Some(caller) = self.frames.last_mut() {
-                    if let Some(r) = frame.ret_reg {
+                if let Some((callee, caller)) = self.pop_frame(v) {
+                    if let Some(r) = callee.ret_reg {
                         caller.regs[r as usize] = v;
                     }
-                } else {
-                    self.finished = Some(v);
                 }
             }
         }
         Ok(())
     }
 
-    fn branch(&mut self, target: u32, code_len: usize) -> Result<(), MachineError> {
-        if (target as usize) > code_len {
-            return Err(MachineError::BadBranchTarget(target));
-        }
-        self.frames.last_mut().expect("branch with no frame").pc = target;
-        Ok(())
-    }
-
     fn operand(&self, op: Operand) -> i64 {
         match op {
-            Operand::Reg(r) => self.read_reg_raw(r),
+            Operand::Reg(r) => self.reg(r),
             Operand::Imm(v) => v,
             Operand::Slot(slot) => {
                 let frame = self.frames.last().expect("no frame");
@@ -468,12 +154,18 @@ impl<'p> Machine<'p> {
         }
     }
 
-    fn read_reg_raw(&self, reg: Reg) -> i64 {
-        self.frames.last().expect("no frame").regs[reg as usize]
+    fn reg(&self, reg: Reg) -> i64 {
+        self.frame().regs[reg as usize]
     }
 
     fn write_reg(&mut self, reg: Reg, value: i64) {
-        self.frames.last_mut().expect("no frame").regs[reg as usize] = value;
+        self.frame_mut().regs[reg as usize] = value;
+    }
+
+    /// The element a `Global` operand names: the index register plus the
+    /// constant displacement.
+    fn element(&self, index: Option<Reg>, disp: u32) -> i64 {
+        index.map_or(0, |r| self.reg(r)) + i64::from(disp)
     }
 
     fn effective_address(&self, addr: MAddr) -> Result<i64, MachineError> {
@@ -482,19 +174,9 @@ impl<'p> Machine<'p> {
                 global,
                 index,
                 disp,
-            } => {
-                let base = self.program.global_base_address(global);
-                let idx = index.map(|r| self.read_reg_raw(r)).unwrap_or(0);
-                Ok(base + (idx + disp as i64) * 8)
-            }
-            MAddr::Frame { slot } => {
-                let frame = self.frames.last().expect("no frame");
-                if slot >= frame.slot_count {
-                    return Err(MachineError::BadFrameSlot(slot));
-                }
-                Ok(STACK_BASE + (frame.slot_base + slot as usize) as i64 * 8)
-            }
-            MAddr::Indirect { reg } => Ok(self.read_reg_raw(reg)),
+            } => Ok(self.program.global_base_address(global) + self.element(index, disp) * 8),
+            MAddr::Frame { slot } => Ok(stack_address(self.slot_index(slot)?)),
+            MAddr::Indirect { reg } => Ok(self.reg(reg)),
         }
     }
 
@@ -504,34 +186,9 @@ impl<'p> Machine<'p> {
                 global,
                 index,
                 disp,
-            } => {
-                let idx = index.map(|r| self.read_reg_raw(r)).unwrap_or(0) + disp as i64;
-                let size = self
-                    .program
-                    .globals
-                    .get(global as usize)
-                    .map(|g| g.elements)
-                    .unwrap_or(0);
-                if idx < 0 || idx as usize >= size {
-                    return Err(MachineError::GlobalIndexOutOfRange {
-                        global,
-                        element: idx,
-                    });
-                }
-                Ok(self.global_mem[self.global_offsets[global as usize] + idx as usize])
-            }
-            MAddr::Frame { slot } => {
-                let frame = self.frames.last().expect("no frame");
-                if slot >= frame.slot_count {
-                    return Err(MachineError::BadFrameSlot(slot));
-                }
-                Ok(self.stack_mem[frame.slot_base + slot as usize])
-            }
-            MAddr::Indirect { reg } => {
-                let address = self.read_reg_raw(reg);
-                self.read_address(address)
-                    .ok_or(MachineError::BadAddress(address))
-            }
+            } => self.load_global(global, self.element(index, disp)),
+            MAddr::Frame { slot } => Ok(self.stack_mem[self.slot_index(slot)?]),
+            MAddr::Indirect { reg } => self.load_address(self.reg(reg)),
         }
     }
 
@@ -541,107 +198,24 @@ impl<'p> Machine<'p> {
                 global,
                 index,
                 disp,
-            } => {
-                let idx = index.map(|r| self.read_reg_raw(r)).unwrap_or(0) + disp as i64;
-                let slot = &self.program.globals[global as usize];
-                if idx < 0 || idx as usize >= slot.elements {
-                    return Err(MachineError::GlobalIndexOutOfRange {
-                        global,
-                        element: idx,
-                    });
-                }
-                let ty = width_to_ty(slot.bits, slot.signed);
-                self.global_mem[self.global_offsets[global as usize] + idx as usize] =
-                    ty.wrap(value);
-                Ok(())
-            }
+            } => self.store_global(global, self.element(index, disp), value),
             MAddr::Frame { slot } => {
-                let frame = self.frames.last().expect("no frame");
-                if slot >= frame.slot_count {
-                    return Err(MachineError::BadFrameSlot(slot));
-                }
-                let index = frame.slot_base + slot as usize;
+                let index = self.slot_index(slot)?;
                 self.stack_mem[index] = value;
                 Ok(())
             }
-            MAddr::Indirect { reg } => {
-                let address = self.read_reg_raw(reg);
-                self.store_address(address, value)
-            }
+            MAddr::Indirect { reg } => self.store_address(self.reg(reg), value),
         }
-    }
-
-    fn store_address(&mut self, address: i64, value: i64) -> Result<(), MachineError> {
-        if address >= STACK_BASE {
-            let slot = ((address - STACK_BASE) / 8) as usize;
-            if let Some(cell) = self.stack_mem.get_mut(slot) {
-                *cell = value;
-                return Ok(());
-            }
-            return Err(MachineError::BadAddress(address));
-        }
-        if address >= holes_minic::interp::GLOBAL_BASE {
-            let elem = ((address - holes_minic::interp::GLOBAL_BASE) / 8) as usize;
-            // Find which global owns the element so the store wraps correctly.
-            for (i, g) in self.program.globals.iter().enumerate() {
-                let offset = self.global_offsets[i];
-                if elem >= offset && elem < offset + g.elements {
-                    let ty = width_to_ty(g.bits, g.signed);
-                    self.global_mem[elem] = ty.wrap(value);
-                    return Ok(());
-                }
-            }
-        }
-        Err(MachineError::BadAddress(address))
-    }
-}
-
-impl crate::vm::Vm for Machine<'_> {
-    fn run(&mut self, breakpoints: &BreakpointSet) -> StopReason {
-        Machine::run(self, breakpoints)
-    }
-
-    fn read_reg(&self, reg: Reg) -> i64 {
-        Machine::read_reg(self, reg)
-    }
-
-    fn read_frame_slot(&self, slot: u32) -> Option<i64> {
-        Machine::read_frame_slot(self, slot)
-    }
-
-    fn read_address(&self, address: i64) -> Option<i64> {
-        Machine::read_address(self, address)
-    }
-
-    /// The active frame's base address: the stack address of its slot 0.
-    /// Frame-base-relative location descriptions (`DW_OP_fbreg`-style, as the
-    /// frame-ABI backend emits for spilled and callee-saved variables)
-    /// resolve against this; default register-backend code never emits such
-    /// descriptions, so for it the value is simply unused.
-    fn frame_base(&self) -> Option<i64> {
-        let frame = self.frames.last()?;
-        Some(STACK_BASE + (frame.slot_base as i64) * 8)
-    }
-}
-
-pub(crate) fn width_to_ty(bits: u32, signed: bool) -> holes_minic::ast::Ty {
-    use holes_minic::ast::Ty;
-    match (bits, signed) {
-        (8, true) => Ty::I8,
-        (16, true) => Ty::I16,
-        (32, true) => Ty::I32,
-        (8, false) => Ty::U8,
-        (16, false) => Ty::U16,
-        (32, false) => Ty::U32,
-        (64, false) => Ty::U64,
-        _ => Ty::I64,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{GlobalSlot, MFunction, MachineProgram, TEXT_BASE};
+    use crate::breakpoints::BreakpointSet;
+    use crate::engine::StopReason;
+    use crate::isa::{MFunction, TEXT_BASE};
+    use crate::vm::Vm;
     use holes_minic::ast::BinOp;
 
     fn one_function_program(code: Vec<MInst>, globals: Vec<GlobalSlot>) -> MachineProgram {
@@ -946,5 +520,30 @@ mod tests {
         );
         let err = Machine::new(&prog).run_to_completion().unwrap_err();
         assert!(matches!(err, MachineError::GlobalIndexOutOfRange { .. }));
+    }
+
+    /// Codegen never emits a store to a global id the program lacks; such a
+    /// store faults like the matching load instead of panicking.
+    #[test]
+    fn store_to_a_missing_global_is_reported() {
+        let prog = one_function_program(
+            vec![MInst::Store {
+                addr: MAddr::Global {
+                    global: 1,
+                    index: None,
+                    disp: 0,
+                },
+                src: Operand::Imm(7),
+            }],
+            vec![int_global("g", 0)],
+        );
+        let err = Machine::new(&prog).run_to_completion().unwrap_err();
+        assert_eq!(
+            err,
+            MachineError::GlobalIndexOutOfRange {
+                global: 1,
+                element: 0
+            }
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! The reproduction's simulated execution targets: a register VM and a
-//! stack VM behind one stepper interface.
+//! stack VM on one execution core, behind one stepper interface.
 //!
 //! The paper compiles its test programs for x86_64 and runs them under a
 //! debugger. Our optimizing compiler targets one of two simulated machine
@@ -12,6 +12,13 @@
 //!   register file plus spill slots, whose codegen must describe most
 //!   variables through stack-relative and composite location descriptions
 //!   the register ISA cannot express.
+//!
+//! Both are one ISA-agnostic core, [`Engine`] ([`engine`]), instantiated
+//! for a program type: [`Machine`] runs a [`MachineProgram`] and
+//! [`StackMachine`] a [`StackProgram`]. The core owns memory, the frame
+//! stack, fuel, sink recording, the run loop and the [`Vm`] inspection
+//! methods; each ISA module supplies only its instruction step, operand and
+//! address resolution, and frame push and return conventions.
 //!
 //! The register machine has
 //!
@@ -31,6 +38,7 @@
 
 pub mod backend;
 pub mod breakpoints;
+pub mod engine;
 pub mod exec;
 pub mod isa;
 pub mod stack;
@@ -38,7 +46,8 @@ pub mod vm;
 
 pub use backend::{BackendKind, MachineCode};
 pub use breakpoints::BreakpointSet;
-pub use exec::{Machine, MachineError, RunOutcome, StopReason};
+pub use engine::{Engine, MachineError, RunOutcome, StopReason};
+pub use exec::Machine;
 pub use isa::{
     CallTarget, GlobalSlot, MAddr, MFunction, MInst, MachineProgram, Operand, Reg, FUNCTION_STRIDE,
     NUM_REGS, TEXT_BASE,

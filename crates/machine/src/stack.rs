@@ -13,17 +13,16 @@
 //! backend exists to open (spill-induced "variable went missing" holes,
 //! per the paper's §2 taxonomy).
 //!
-//! The memory model is shared with the register VM and the MiniC reference
-//! interpreter: the same global segment layout and the same
-//! `STACK_BASE`-relative frame-slot addresses, so pointer values observable
-//! through the opaque sink agree across all three.
+//! A [`StackMachine`] is the execution core ([`Engine`]) running a
+//! [`StackProgram`], so memory, fuel and the run loop are the register VM's
+//! own. This module supplies only what is specific to the stack ISA: the
+//! [`SInst`] match, the operand stack, and the calling convention — a call
+//! allocates the callee's frame slots, points [`FP_REG`] at slot 0 and
+//! deposits the arguments in registers and parameter slots, and `Ret`
+//! pushes the return value onto the caller's operand stack.
 
-use holes_minic::interp::{ExecOutcome, STACK_BASE};
-
-use crate::breakpoints::BreakpointSet;
-use crate::exec::{width_to_ty, MachineError, RunOutcome, StopReason, DEFAULT_FUEL};
+use crate::engine::{stack_address, width_to_ty, Engine, FunctionView, Isa, MachineError};
 use crate::isa::{global_base_address, CallTarget, GlobalSlot, FUNCTION_STRIDE, TEXT_BASE};
-use crate::vm::Vm;
 use holes_minic::ast::{BinOp, UnOp};
 
 /// Number of registers in a stack-VM frame (including the frame pointer).
@@ -186,73 +185,67 @@ impl StackProgram {
     }
 }
 
-/// One stack-VM call frame.
-#[derive(Debug, Clone)]
-struct SFrame {
-    function: u32,
-    pc: u32,
+/// The stack virtual machine.
+pub type StackMachine<'p> = Engine<'p, StackProgram>;
+
+/// The stack ISA's part of a call frame.
+#[derive(Debug)]
+pub struct StackFrame {
     regs: [i64; STACK_NUM_REGS],
     /// The per-frame operand (evaluation) stack. Statement boundaries leave
     /// it empty, so breakpoints never observe a value in flight.
     eval: Vec<i64>,
-    slot_base: usize,
-    slot_count: u32,
     /// Whether the caller's `Call` consumes the return value.
     ret_push: bool,
 }
 
-/// The stack virtual machine.
-#[derive(Debug)]
-pub struct StackMachine<'p> {
-    program: &'p StackProgram,
-    global_mem: Vec<i64>,
-    global_offsets: Vec<usize>,
-    stack_mem: Vec<i64>,
-    frames: Vec<SFrame>,
-    sink_calls: Vec<Vec<i64>>,
-    steps: u64,
-    fuel: u64,
-    finished: Option<i64>,
-    error: Option<MachineError>,
+impl Isa for StackProgram {
+    type Inst = SInst;
+    type FrameState = StackFrame;
+
+    fn globals(&self) -> &[GlobalSlot] {
+        &self.globals
+    }
+
+    fn function(&self, index: u32) -> FunctionView<'_, SInst> {
+        let f = &self.functions[index as usize];
+        FunctionView {
+            name: &f.name,
+            code: &f.code,
+            frame_slots: f.frame_slots,
+            base_address: f.base_address,
+        }
+    }
+
+    fn enter(machine: &mut StackMachine<'_>) {
+        machine.call(machine.program.entry, &[], false);
+    }
+
+    fn execute<'p>(machine: &mut StackMachine<'p>, inst: &'p SInst) -> Result<(), MachineError> {
+        machine.execute(*inst)
+    }
+
+    fn read_reg(frame: &StackFrame, reg: u8) -> i64 {
+        frame.regs[reg as usize]
+    }
 }
 
-impl<'p> StackMachine<'p> {
-    /// Create a machine ready to execute `program` from its entry function.
-    pub fn new(program: &'p StackProgram) -> StackMachine<'p> {
-        StackMachine::with_fuel(program, DEFAULT_FUEL)
-    }
-
-    /// Create a machine with an explicit step budget.
-    pub fn with_fuel(program: &'p StackProgram, fuel: u64) -> StackMachine<'p> {
-        let mut global_mem = Vec::new();
-        let mut global_offsets = Vec::with_capacity(program.globals.len());
-        for g in &program.globals {
-            global_offsets.push(global_mem.len());
-            global_mem.extend_from_slice(&g.init);
-        }
-        let mut machine = StackMachine {
-            program,
-            global_mem,
-            global_offsets,
-            stack_mem: Vec::new(),
-            frames: Vec::new(),
-            sink_calls: Vec::new(),
-            steps: 0,
-            fuel,
-            finished: None,
-            error: None,
-        };
-        machine.push_frame(program.entry, &[], false);
-        machine
-    }
-
-    fn push_frame(&mut self, function: u32, args: &[i64], ret_push: bool) {
+impl StackMachine<'_> {
+    /// Push a frame for `function`: the frame pointer holds the address of
+    /// its slot 0, and argument `i` lands in slot `param_base + i` and, for
+    /// `i < FP_REG`, in register `i`.
+    fn call(&mut self, function: u32, args: &[i64], ret_push: bool) {
+        let slot_base = self.push_frame(
+            function,
+            StackFrame {
+                regs: [0; STACK_NUM_REGS],
+                eval: Vec::new(),
+                ret_push,
+            },
+        );
         let func = &self.program.functions[function as usize];
-        let slot_base = self.stack_mem.len();
-        self.stack_mem
-            .extend(std::iter::repeat_n(0, func.frame_slots as usize));
-        let mut regs = [0i64; STACK_NUM_REGS];
-        regs[FP_REG as usize] = STACK_BASE + slot_base as i64 * 8;
+        let regs = &mut self.frames.last_mut().expect("frame pushed").isa.regs;
+        regs[FP_REG as usize] = stack_address(slot_base);
         for (i, &arg) in args.iter().enumerate() {
             if i < FP_REG as usize {
                 regs[i] = arg;
@@ -262,111 +255,6 @@ impl<'p> StackMachine<'p> {
                 self.stack_mem[slot_base + slot] = arg;
             }
         }
-        self.frames.push(SFrame {
-            function,
-            pc: 0,
-            regs,
-            eval: Vec::new(),
-            slot_base,
-            slot_count: func.frame_slots,
-            ret_push,
-        });
-    }
-
-    /// The code address about to be executed, if the machine is still
-    /// running.
-    pub fn pc_address(&self) -> Option<u64> {
-        let frame = self.frames.last()?;
-        let func = &self.program.functions[frame.function as usize];
-        Some(func.address_of(frame.pc as usize))
-    }
-
-    /// Whether the program finished.
-    pub fn is_finished(&self) -> bool {
-        self.finished.is_some() || self.error.is_some()
-    }
-
-    /// Depth of the call stack.
-    pub fn frame_depth(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Depth of the current frame's operand stack (statement boundaries
-    /// leave it at zero).
-    pub fn eval_depth(&self) -> usize {
-        self.frames.last().map_or(0, |f| f.eval.len())
-    }
-
-    /// Arguments recorded by sink calls so far.
-    pub fn sink_calls(&self) -> &[Vec<i64>] {
-        &self.sink_calls
-    }
-
-    /// Run to completion ignoring breakpoints and produce the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Returns the machine error if execution fails.
-    pub fn run_to_completion(mut self) -> Result<RunOutcome, MachineError> {
-        match self.run_unchecked() {
-            StopReason::Finished { return_value } => {
-                let final_globals = self.final_globals();
-                Ok(RunOutcome {
-                    sink_calls: self.sink_calls,
-                    final_globals,
-                    return_value,
-                    steps: self.steps,
-                })
-            }
-            StopReason::Error(err) => Err(err),
-            StopReason::Breakpoint { .. } => unreachable!("no breakpoints were set"),
-        }
-    }
-
-    /// Run to completion and compare against the reference interpreter's
-    /// outcome (convenience for differential tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns the machine error if execution fails.
-    pub fn matches_reference(self, reference: &ExecOutcome) -> Result<bool, MachineError> {
-        Ok(self.run_to_completion()?.matches(reference))
-    }
-
-    /// Snapshot of all globals, per global id.
-    pub fn final_globals(&self) -> Vec<Vec<i64>> {
-        self.program
-            .globals
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                let offset = self.global_offsets[i];
-                self.global_mem[offset..offset + g.elements].to_vec()
-            })
-            .collect()
-    }
-
-    fn run_unchecked(&mut self) -> StopReason {
-        loop {
-            if let Some(err) = &self.error {
-                return StopReason::Error(err.clone());
-            }
-            if let Some(ret) = self.finished {
-                return StopReason::Finished { return_value: ret };
-            }
-            if let Err(err) = self.step() {
-                self.error = Some(err.clone());
-                return StopReason::Error(err);
-            }
-        }
-    }
-
-    fn frame(&self) -> &SFrame {
-        self.frames.last().expect("stack machine has no frame")
-    }
-
-    fn frame_mut(&mut self) -> &mut SFrame {
-        self.frames.last_mut().expect("stack machine has no frame")
     }
 
     fn pop(&mut self) -> Result<i64, MachineError> {
@@ -380,96 +268,7 @@ impl<'p> StackMachine<'p> {
         self.frame_mut().eval.push(value);
     }
 
-    fn slot_index(&self, slot: u32) -> Result<usize, MachineError> {
-        let frame = self.frame();
-        if slot >= frame.slot_count {
-            return Err(MachineError::BadFrameSlot(slot));
-        }
-        Ok(frame.slot_base + slot as usize)
-    }
-
-    fn read_memory(&self, address: i64) -> Option<i64> {
-        if address >= STACK_BASE {
-            let slot = ((address - STACK_BASE) / 8) as usize;
-            self.stack_mem.get(slot).copied()
-        } else if address >= holes_minic::interp::GLOBAL_BASE {
-            let elem = ((address - holes_minic::interp::GLOBAL_BASE) / 8) as usize;
-            self.global_mem.get(elem).copied()
-        } else {
-            None
-        }
-    }
-
-    fn store_memory(&mut self, address: i64, value: i64) -> Result<(), MachineError> {
-        if address >= STACK_BASE {
-            let slot = ((address - STACK_BASE) / 8) as usize;
-            if let Some(cell) = self.stack_mem.get_mut(slot) {
-                *cell = value;
-                return Ok(());
-            }
-            return Err(MachineError::BadAddress(address));
-        }
-        if address >= holes_minic::interp::GLOBAL_BASE {
-            let elem = ((address - holes_minic::interp::GLOBAL_BASE) / 8) as usize;
-            for (i, g) in self.program.globals.iter().enumerate() {
-                let offset = self.global_offsets[i];
-                if elem >= offset && elem < offset + g.elements {
-                    let ty = width_to_ty(g.bits, g.signed);
-                    self.global_mem[elem] = ty.wrap(value);
-                    return Ok(());
-                }
-            }
-        }
-        Err(MachineError::BadAddress(address))
-    }
-
-    fn global_element(&mut self, global: u32, indexed: bool) -> Result<(usize, u32), MachineError> {
-        let idx = if indexed { self.pop()? } else { 0 };
-        let size = self
-            .program
-            .globals
-            .get(global as usize)
-            .map(|g| g.elements)
-            .unwrap_or(0);
-        if idx < 0 || idx as usize >= size {
-            return Err(MachineError::GlobalIndexOutOfRange {
-                global,
-                element: idx,
-            });
-        }
-        Ok((self.global_offsets[global as usize] + idx as usize, global))
-    }
-
-    fn branch(&mut self, target: u32, code_len: usize) -> Result<(), MachineError> {
-        if (target as usize) > code_len {
-            return Err(MachineError::BadBranchTarget(target));
-        }
-        self.frame_mut().pc = target;
-        Ok(())
-    }
-
-    /// Execute a single instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MachineError`] if the instruction faults.
-    pub fn step(&mut self) -> Result<(), MachineError> {
-        self.steps += 1;
-        if self.steps > self.fuel {
-            return Err(MachineError::OutOfFuel);
-        }
-        let Some(frame) = self.frames.last() else {
-            return Ok(());
-        };
-        let func = &self.program.functions[frame.function as usize];
-        let pc = frame.pc as usize;
-        let Some(&inst) = func.code.get(pc) else {
-            return Err(MachineError::FellOffEnd {
-                function: func.name.clone(),
-            });
-        };
-        let code_len = func.code.len();
-        self.frame_mut().pc = (pc + 1) as u32;
+    fn execute(&mut self, inst: SInst) -> Result<(), MachineError> {
         match inst {
             SInst::Nop => {}
             SInst::PushImm(v) => self.push(v),
@@ -508,28 +307,24 @@ impl<'p> StackMachine<'p> {
                 self.push(width_to_ty(bits, signed).wrap(v));
             }
             SInst::LoadGlobal { global, indexed } => {
-                let (element, _) = self.global_element(global, indexed)?;
-                let v = self.global_mem[element];
+                let element = if indexed { self.pop()? } else { 0 };
+                let v = self.load_global(global, element)?;
                 self.push(v);
             }
             SInst::StoreGlobal { global, indexed } => {
                 let value = self.pop()?;
-                let (element, global) = self.global_element(global, indexed)?;
-                let slot = &self.program.globals[global as usize];
-                let ty = width_to_ty(slot.bits, slot.signed);
-                self.global_mem[element] = ty.wrap(value);
+                let element = if indexed { self.pop()? } else { 0 };
+                self.store_global(global, element, value)?;
             }
             SInst::LoadInd => {
                 let address = self.pop()?;
-                let v = self
-                    .read_memory(address)
-                    .ok_or(MachineError::BadAddress(address))?;
+                let v = self.load_address(address)?;
                 self.push(v);
             }
             SInst::StoreInd => {
                 let value = self.pop()?;
                 let address = self.pop()?;
-                self.store_memory(address, value)?;
+                self.store_address(address, value)?;
             }
             SInst::PushGlobalAddr { global } => {
                 let address = self.program.global_base_address(global);
@@ -537,17 +332,17 @@ impl<'p> StackMachine<'p> {
             }
             SInst::PushSlotAddr(slot) => {
                 let index = self.slot_index(slot)?;
-                self.push(STACK_BASE + index as i64 * 8);
+                self.push(stack_address(index));
             }
-            SInst::Jump { target } => self.branch(target, code_len)?,
+            SInst::Jump { target } => self.branch(target)?,
             SInst::BranchZero { target } => {
                 if self.pop()? == 0 {
-                    self.branch(target, code_len)?;
+                    self.branch(target)?;
                 }
             }
             SInst::BranchNonZero { target } => {
                 if self.pop()? != 0 {
-                    self.branch(target, code_len)?;
+                    self.branch(target)?;
                 }
             }
             SInst::Call {
@@ -566,18 +361,15 @@ impl<'p> StackMachine<'p> {
                             self.push(0);
                         }
                     }
-                    CallTarget::Function(f) => self.push_frame(f, &args, has_ret),
+                    CallTarget::Function(f) => self.call(f, &args, has_ret),
                 }
             }
             SInst::Ret { has_value } => {
                 let value = if has_value { self.pop()? } else { 0 };
-                let frame = self.frames.pop().expect("ret with no frame");
-                if let Some(caller) = self.frames.last_mut() {
-                    if frame.ret_push {
+                if let Some((callee, caller)) = self.pop_frame(value) {
+                    if callee.ret_push {
                         caller.eval.push(value);
                     }
-                } else {
-                    self.finished = Some(value);
                 }
             }
         }
@@ -585,55 +377,12 @@ impl<'p> StackMachine<'p> {
     }
 }
 
-impl Vm for StackMachine<'_> {
-    fn run(&mut self, breakpoints: &BreakpointSet) -> StopReason {
-        if breakpoints.is_empty() {
-            return self.run_unchecked();
-        }
-        loop {
-            if let Some(err) = &self.error {
-                return StopReason::Error(err.clone());
-            }
-            if let Some(ret) = self.finished {
-                return StopReason::Finished { return_value: ret };
-            }
-            if let Some(pc) = self.pc_address() {
-                if breakpoints.contains(pc) {
-                    return StopReason::Breakpoint { address: pc };
-                }
-            }
-            if let Err(err) = self.step() {
-                self.error = Some(err.clone());
-                return StopReason::Error(err);
-            }
-        }
-    }
-
-    fn read_reg(&self, reg: u8) -> i64 {
-        self.frame().regs[reg as usize]
-    }
-
-    fn read_frame_slot(&self, slot: u32) -> Option<i64> {
-        let frame = self.frames.last()?;
-        if slot >= frame.slot_count {
-            return None;
-        }
-        self.stack_mem.get(frame.slot_base + slot as usize).copied()
-    }
-
-    fn read_address(&self, address: i64) -> Option<i64> {
-        self.read_memory(address)
-    }
-
-    fn frame_base(&self) -> Option<i64> {
-        let frame = self.frames.last()?;
-        Some(STACK_BASE + frame.slot_base as i64 * 8)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breakpoints::BreakpointSet;
+    use crate::engine::StopReason;
+    use crate::vm::Vm;
 
     fn one_function_program(code: Vec<SInst>, globals: Vec<GlobalSlot>) -> StackProgram {
         StackProgram {

@@ -2,13 +2,14 @@
 //!
 //! The source-level debugger (`holes-debugger`) drives execution purely
 //! through this trait: run until a breakpoint, then inspect the stopped
-//! frame to resolve variable locations. Each backend implements it for its
-//! machine ([`crate::Machine`] for the register VM, [`crate::StackMachine`]
-//! for the stack VM), and [`crate::MachineCode::spawn`] hands the debugger
-//! the right one.
+//! frame to resolve variable locations. The execution core implements it
+//! once, for [`crate::Engine`] over any ISA, so [`crate::Machine`] (the
+//! register VM) and [`crate::StackMachine`] (the stack VM) share one
+//! implementation; [`crate::MachineCode::spawn`] hands the debugger the
+//! right one.
 
 use crate::breakpoints::BreakpointSet;
-use crate::exec::StopReason;
+use crate::engine::StopReason;
 
 /// A running virtual machine the debugger can step and inspect.
 ///

@@ -60,11 +60,6 @@ impl Ty {
         matches!(self, Ty::I8 | Ty::I16 | Ty::I32 | Ty::I64)
     }
 
-    /// Whether the type is a pointer.
-    pub fn is_pointer(self) -> bool {
-        matches!(self, Ty::Ptr(_))
-    }
-
     /// Truncate (and sign- or zero-extend) a raw 64-bit value to this type.
     ///
     /// This is the single place where MiniC defines integer conversion, and
@@ -148,24 +143,6 @@ pub enum VarRef {
     Local(LocalId),
 }
 
-impl VarRef {
-    /// Returns the local id if this is a local reference.
-    pub fn as_local(self) -> Option<LocalId> {
-        match self {
-            VarRef::Local(l) => Some(l),
-            VarRef::Global(_) => None,
-        }
-    }
-
-    /// Returns the global id if this is a global reference.
-    pub fn as_global(self) -> Option<GlobalId> {
-        match self {
-            VarRef::Global(g) => Some(g),
-            VarRef::Local(_) => None,
-        }
-    }
-}
-
 /// Binary operators. Division, remainder and shifts are deliberately absent
 /// so that no expression can trap or have undefined behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -212,14 +189,6 @@ impl BinOp {
         BinOp::Gt,
         BinOp::Ge,
     ];
-
-    /// Whether the operator yields a boolean (0/1) result.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
 
     /// Evaluate the operator on two raw 64-bit values.
     pub fn eval(self, lhs: i64, rhs: i64) -> i64 {
@@ -434,11 +403,6 @@ impl Expr {
         }
     }
 
-    /// Whether this expression is a plain literal.
-    pub fn is_literal(&self) -> bool {
-        matches!(self.kind, ExprKind::Lit(_))
-    }
-
     /// Whether this expression contains a call (the only source of side
     /// effects inside expressions).
     pub fn contains_call(&self) -> bool {
@@ -489,16 +453,6 @@ impl LValue {
     /// Assignment target referring to a local scalar.
     pub fn local(local: LocalId) -> LValue {
         LValue::Var(VarRef::Local(local))
-    }
-
-    /// The variable written to (for [`LValue::Deref`] this is the pointer
-    /// variable that is *read*; the written storage is indirect).
-    pub fn base_var(&self) -> VarRef {
-        match self {
-            LValue::Var(v) => *v,
-            LValue::Index { base, .. } => *base,
-            LValue::Deref(v) => *v,
-        }
     }
 
     /// Variables read while evaluating the target (indices and the pointer of

@@ -134,18 +134,6 @@ impl ProgramBuilder {
         self.program.functions[func.0].body.push(stmt);
     }
 
-    /// Append several statements to a function body.
-    pub fn push_all(&mut self, func: FunctionId, stmts: impl IntoIterator<Item = Stmt>) {
-        self.program.functions[func.0].body.extend(stmts);
-    }
-
-    /// Mark a local as address-taken (done automatically by
-    /// [`ProgramBuilder::finish`] for any local whose address is taken in the
-    /// body, but exposed for tests).
-    pub fn mark_address_taken(&mut self, func: FunctionId, local: LocalId) {
-        self.program.functions[func.0].locals[local.0].address_taken = true;
-    }
-
     /// Read-only access to the program built so far.
     pub fn program(&self) -> &Program {
         &self.program

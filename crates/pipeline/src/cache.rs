@@ -170,6 +170,13 @@ fn memoize<K: std::hash::Hash + Eq, V>(
     Arc::clone(value)
 }
 
+/// Whether a configuration's executable and traces are written through to
+/// the store: only campaign configurations are, not triage's bisection
+/// budgets or flag-search probes, whose answers the store keeps instead.
+fn persists(config: &CompilerConfig) -> bool {
+    config.pass_budget.is_none() && config.disabled_passes.is_empty()
+}
+
 impl ArtifactCache {
     /// Bind this cache (and every clone sharing its storage) to a persistent
     /// store as its write-through second level. At most one binding takes
@@ -195,7 +202,9 @@ impl ArtifactCache {
     /// when one is attached. A budgeted one is derived from its base's
     /// pass snapshots (`derive`, counted by [`CacheStats::codegen_only`])
     /// and never touches the store: a derivation costs less than an
-    /// envelope round trip.
+    /// envelope round trip. A flag-search probe (a configuration with
+    /// `disabled_passes`) loads from the store but is not written to it:
+    /// the store keeps the search's answer instead (see [`crate::triage`]).
     pub fn executable(
         &self,
         config: &CompilerConfig,
@@ -216,7 +225,7 @@ impl ArtifactCache {
             || binding.and_then(|b| b.store.load_executable(b.subject, config)),
             || None,
             |built| {
-                if let Some(b) = binding {
+                if let Some(b) = binding.filter(|_| persists(config)) {
                     b.store.save_executable(b.subject, built);
                 }
             },
@@ -229,10 +238,11 @@ impl ArtifactCache {
     /// serve a trace another cell holds — `Subject` passes its pass-prefix
     /// path for budgeted configurations ([`ArtifactCache::prefix_trace`])
     /// — and `run` traces otherwise. An unbudgeted configuration's trace is
-    /// written through to the store under its own key. A budgeted one is
-    /// not: only bisection probes read it, and the store keeps the
-    /// bisection's answer instead (see [`crate::triage`]). Budgeted traces
-    /// that an earlier build wrote still load.
+    /// written through to the store under its own key, unless it is a
+    /// flag-search probe. A budgeted one or a probe is not: only triage
+    /// reads it, and the store keeps triage's answer instead (see
+    /// [`crate::triage`]). Such traces that an earlier build wrote still
+    /// load.
     pub fn trace(
         &self,
         config: &CompilerConfig,
@@ -249,7 +259,7 @@ impl ArtifactCache {
             || binding.and_then(|b| b.store.load_trace(b.subject, config, kind)),
             derive,
             |built| {
-                if let Some(b) = binding.filter(|_| config.pass_budget.is_none()) {
+                if let Some(b) = binding.filter(|_| persists(config)) {
                     b.store.save_trace(b.subject, config, kind, built);
                 }
             },

@@ -29,6 +29,7 @@ use super::ServeError;
 use crate::fault::FaultPolicy;
 use crate::shard::{spec_header_pairs, CampaignSpec};
 use crate::stats::CacheStats;
+use crate::store::fnv1a;
 use crate::stream::{read_jsonl_shard, resume_shard_streaming, CAMPAIGN_JSONL_FORMAT};
 
 /// Worker configuration.
@@ -230,11 +231,7 @@ fn run_lease(
 /// campaigns without a resume ever being refused over a foreign header.
 fn shard_file(work_dir: &Path, spec: &CampaignSpec) -> PathBuf {
     let header = Json::Obj(spec_header_pairs(spec, CAMPAIGN_JSONL_FORMAT)).to_compact();
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in header.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = fnv1a(header.as_bytes());
     work_dir.join(format!(
         "shard-{:04}-of-{:04}-{hash:016x}.jsonl",
         spec.shard, spec.shards
@@ -328,5 +325,24 @@ fn try_rpc(config: &WorkerConfig, request: &Request) -> Result<Reply, ServeError
 fn log(config: &WorkerConfig, message: &str) {
     if !config.quiet {
         eprintln!("work: {message}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use holes_compiler::Personality;
+    use holes_progen::SeedRange;
+
+    /// A work directory resumes the stream it finds under a shard's name,
+    /// so the name must not drift between builds.
+    #[test]
+    fn shard_file_names_are_stable() {
+        let spec = CampaignSpec::new(Personality::Ccg, 4, SeedRange::new(0, 40));
+        let path = shard_file(Path::new("work"), &spec);
+        assert_eq!(
+            path,
+            Path::new("work/shard-0000-of-0001-f8bb03ca6f1142e4.jsonl")
+        );
     }
 }

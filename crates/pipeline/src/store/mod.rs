@@ -236,7 +236,7 @@ fn fnv1a_with(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// The FNV-1a digest of `bytes` from the standard offset basis.
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_with(FNV_OFFSET, bytes)
 }
 

@@ -33,7 +33,9 @@ use holes_pipeline::store::{
     install_process_store, ArtifactStore, RemoteFetch, RemoteSource, SubjectKey,
 };
 use holes_pipeline::stream::run_shard_streaming;
-use holes_pipeline::triage::{bisect, triage_campaign, TriageMethod, TriageOutcome, TriageRun};
+use holes_pipeline::triage::{
+    bisect, triage, triage_campaign, TriageMethod, TriageOutcome, TriageRun,
+};
 use holes_pipeline::{CacheStats, Subject};
 use holes_progen::SeedRange;
 
@@ -485,24 +487,30 @@ proptest! {
 }
 
 /// A cold triage persists answers, not throwaway probes. It writes every
-/// violation set, every unbudgeted executable and trace, and one triage
-/// answer per triaged violation, but no executable or trace with a pass
-/// budget: those are derived from pass snapshots in memory and dropped once
-/// the bisection that needed them has its answer. Every file it writes has
-/// the bytes that saving the from-scratch artifact writes, and every answer
-/// those that saving a storeless bisection's culprits writes. A warm rerun
-/// computes nothing and prints the storeless table.
+/// violation set, every campaign executable and trace, and one triage
+/// answer per triaged violation, but no executable or trace of a probe: an
+/// lcc bisection's pass budgets are derived from pass snapshots in memory,
+/// and a ccg flag search's `-fno-<pass>` compiles are dropped once the
+/// search has its answer. Every file it writes has the bytes that saving
+/// the from-scratch artifact writes, and every answer those that saving a
+/// storeless search's culprits writes. A warm rerun computes nothing and
+/// prints the storeless table.
 #[test]
 fn a_cold_triage_persists_no_budgeted_executable() {
     let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let personality = Personality::Lcc;
-    let lcc = CampaignSpec::new(personality, personality.trunk(), SeedRange::new(2500, 2506));
-    let dir = Scratch::dir("cold-triage");
-    let (reference, warm_stats) = storeless_cold_and_warm(&lcc, &FaultPolicy::default(), &dir);
+    for personality in [Personality::Lcc, Personality::Ccg] {
+        cold_triage_persists_no_probe(personality);
+    }
+}
+
+fn cold_triage_persists_no_probe(personality: Personality) {
+    let spec = CampaignSpec::new(personality, personality.trunk(), SeedRange::new(2500, 2506));
+    let dir = Scratch::dir(&format!("cold-triage-{personality}"));
+    let (reference, warm_stats) = storeless_cold_and_warm(&spec, &FaultPolicy::default(), &dir);
     assert_eq!(
         (warm_stats.compiles, warm_stats.traces, warm_stats.checks),
         (0, 0, 0),
-        "the warm triage recomputed: {warm_stats:?}"
+        "the warm {personality} triage recomputed: {warm_stats:?}"
     );
 
     // Every configuration the triage can probe, by fingerprint.
@@ -513,12 +521,20 @@ fn a_cold_triage_persists_no_budgeted_executable() {
             let budgeted = config.clone().with_pass_budget(budget);
             configs.insert(budgeted.fingerprint(), budgeted);
         }
+        for flag in config.triage_flags() {
+            let probe = config.clone().with_disabled_pass(flag);
+            configs.insert(probe.fingerprint(), probe);
+        }
         configs.insert(config.fingerprint(), config);
     }
-    let subjects: Vec<Subject> = lcc.seeds.iter().map(Subject::from_seed).collect();
-    let replica_dir = Scratch::dir("cold-triage-replica");
+    let subjects: Vec<Subject> = spec.seeds.iter().map(Subject::from_seed).collect();
+    let replica_dir = Scratch::dir(&format!("cold-triage-{personality}-replica"));
     let replica = ArtifactStore::open(&replica_dir.path).expect("replica opens");
     let kind = DebuggerKind::native_for(personality);
+    let debugger = match kind {
+        DebuggerKind::GdbLike => "gdb",
+        DebuggerKind::LldbLike => "lldb",
+    };
     let (mut executables, mut answers) = (0usize, 0usize);
     for subject_dir in std::fs::read_dir(&dir.path).expect("store").flatten() {
         let key: SubjectKey = subject_dir.file_name().to_str().unwrap().parse().unwrap();
@@ -530,40 +546,33 @@ fn a_cold_triage_persists_no_budgeted_executable() {
             let name = file.file_name().to_str().unwrap().to_owned();
             let (fingerprint, rest) = name.split_once('.').unwrap();
             let config = &configs[&fingerprint.parse::<Fingerprint>().unwrap()];
-            if let Some(site) = rest
-                .strip_prefix("triage-lldb-")
-                .and_then(|site| site.strip_suffix(".json"))
-            {
+            let kind_name = rest.strip_suffix(".json").expect("a JSON envelope");
+            if let Some(site) = kind_name.strip_prefix(&format!("triage-{debugger}-")) {
                 let violation = violation_at(site);
-                let outcome = bisect(subject, config, &violation);
+                let outcome = triage(subject, config, &violation);
                 replica.save_triage_answer(key, config, &violation, &outcome);
                 answers += 1;
             } else {
                 let exe = holes_compiler::compile(&subject.program, config);
                 let trace = holes_debugger::trace(&exe, kind);
-                match rest {
-                    "exe.json" => {
-                        assert_eq!(
-                            config.pass_budget, None,
-                            "{name} persists a budgeted executable"
-                        );
-                        executables += 1;
-                        replica.save_executable(key, &exe);
-                    }
-                    "trace-lldb.json" => {
-                        assert_eq!(config.pass_budget, None, "{name} persists a budgeted trace");
-                        replica.save_trace(key, config, kind, &trace);
-                    }
-                    "viol-lldb.json" => {
-                        let violations = holes_core::check_all(
-                            &subject.program,
-                            &subject.analysis,
-                            &subject.source,
-                            &trace,
-                        );
-                        replica.save_violations(key, config, kind, &violations);
-                    }
-                    other => panic!("unexpected artifact kind {other}"),
+                let probe = config.pass_budget.is_some() || !config.disabled_passes.is_empty();
+                if kind_name == "exe" {
+                    assert!(!probe, "{name} persists a probe's executable");
+                    executables += 1;
+                    replica.save_executable(key, &exe);
+                } else if kind_name == format!("trace-{debugger}") {
+                    assert!(!probe, "{name} persists a probe's trace");
+                    replica.save_trace(key, config, kind, &trace);
+                } else if kind_name == format!("viol-{debugger}") {
+                    let violations = holes_core::check_all(
+                        &subject.program,
+                        &subject.analysis,
+                        &subject.source,
+                        &trace,
+                    );
+                    replica.save_violations(key, config, kind, &violations);
+                } else {
+                    panic!("unexpected artifact kind {kind_name}");
                 }
             }
             let rewritten = replica_dir.path.join(subject_dir.file_name()).join(&name);
@@ -573,16 +582,19 @@ fn a_cold_triage_persists_no_budgeted_executable() {
             );
         }
     }
-    // Each lcc bisection of an observed violation blames exactly one pass,
-    // so the table counts one attribution per stored answer.
-    let attributions: usize = reference
-        .table
-        .counts
-        .values()
-        .flat_map(|passes| passes.values())
-        .sum();
-    assert!(executables > 0, "the triage compiled nothing");
-    assert_eq!(answers, attributions, "one answer per triaged violation");
+    assert!(executables > 0, "the {personality} triage compiled nothing");
+    assert!(answers > 0, "the {personality} triage stored no answer");
+    if personality == Personality::Lcc {
+        // Each lcc bisection of an observed violation blames exactly one
+        // pass, so the table counts one attribution per stored answer.
+        let attributions: usize = reference
+            .table
+            .counts
+            .values()
+            .flat_map(|passes| passes.values())
+            .sum();
+        assert_eq!(answers, attributions, "one answer per triaged violation");
+    }
 }
 
 /// The violation at an answer kind's site, `<conjecture>-F<function>-L<line>-
