@@ -33,8 +33,6 @@
 //!   `DW_CFA`-style frame-layout defects of
 //!   [`crate::defects::frame_catalogue`].
 
-use std::collections::HashMap;
-
 use holes_debuginfo::{Attr, AttrValue, DebugInfo, DieId, DieTag, LineRow, LocListEntry, Location};
 use holes_machine::{
     CallTarget, GlobalSlot, MAddr, MFunction, MInst, MachineProgram, Operand, Reg, NUM_REGS,
@@ -88,6 +86,29 @@ impl DebugArtifacts {
     fn pc_range(&self) -> (u64, u64) {
         (self.base_address, self.base_address + self.code_len as u64)
     }
+}
+
+/// Append a binding of `var` at machine address `at` to a function's
+/// binding timeline (shared by every backend's emitter). Bindings landing
+/// on the same address coalesce: only the last one can ever take effect,
+/// and keeping the earlier one would create an empty location range. The
+/// timeline is recorded in address order and holds at most one binding per
+/// variable and address, so the duplicate, if any, is the one binding of
+/// `var` among the tail at `at`.
+pub(crate) fn push_binding(
+    bindings: &mut Vec<(usize, DebugVarId, Location)>,
+    at: usize,
+    var: DebugVarId,
+    location: Location,
+) {
+    let tail = bindings
+        .iter()
+        .rposition(|(index, _, _)| *index != at)
+        .map_or(0, |last| last + 1);
+    if let Some(dup) = bindings[tail..].iter().position(|(_, v, _)| *v == var) {
+        bindings.remove(tail + dup);
+    }
+    bindings.push((at, var, location));
 }
 
 /// Lay out the source globals as VM data-segment slots (shared by every
@@ -173,7 +194,7 @@ fn codegen_with_abi(
             .map(|c| frame_defect_plan(c, func))
             .unwrap_or_default();
         let (machine, artifact, fired) =
-            Emitter::new(&vcode, &allocation, &layout, abi, &plan).emit();
+            Emitter::new(&vcode, func.next_temp, &allocation, &layout, abi, &plan).emit();
         applied.stale |= fired.stale;
         applied.clobber |= fired.clobber;
         functions.push(machine);
@@ -418,16 +439,18 @@ fn raddr_global(global: holes_minic::ast::GlobalId, index: Option<Value>) -> RAd
 /// multi-instruction expansions cannot perturb live ranges.
 fn lower_function(func: &IrFunction, index: usize) -> VCode<RInst> {
     // First-occurrence IR position of every label (branch targets for
-    // back-edge detection).
-    let mut label_ir_pos: HashMap<u32, usize> = HashMap::new();
+    // back-edge detection), indexed by label number: labels share the
+    // temp numbering, so every label is below `next_temp`.
+    let mut label_ir_pos: Vec<Option<usize>> = vec![None; func.next_temp as usize];
     for (i, inst) in func.insts.iter().enumerate() {
         if let Op::Label(l) = inst.op {
-            label_ir_pos.entry(l.0).or_insert(i);
+            label_ir_pos[l.0 as usize].get_or_insert(i);
         }
     }
 
     let mut insts: Vec<VInst<RInst>> = Vec::with_capacity(func.insts.len());
     let mut positions: Vec<PosInfo> = Vec::with_capacity(func.insts.len());
+    let mut use_pool: Vec<VReg> = Vec::with_capacity(func.insts.len());
     for inst in &func.insts {
         let line = inst.line;
         let scope = inst.scope;
@@ -435,11 +458,13 @@ fn lower_function(func: &IrFunction, index: usize) -> VCode<RInst> {
         if let Some(d) = inst.op.def() {
             pos.def = Some(vreg(d));
         }
+        let uses_start = use_pool.len() as u32;
         inst.op.visit_uses(|u| {
             if let Value::Temp(t) = u {
-                pos.uses.push(vreg(t));
+                use_pool.push(vreg(t));
             }
         });
+        pos.uses = uses_start..use_pool.len() as u32;
         if let Op::DbgValue {
             loc: DbgLoc::Value(Value::Temp(t)),
             ..
@@ -450,7 +475,7 @@ fn lower_function(func: &IrFunction, index: usize) -> VCode<RInst> {
         pos.branch_target = match inst.op {
             Op::Jump(l)
             | Op::BranchZero { target: l, .. }
-            | Op::BranchNonZero { target: l, .. } => label_ir_pos.get(&l.0).copied(),
+            | Op::BranchNonZero { target: l, .. } => label_ir_pos[l.0 as usize],
             _ => None,
         };
 
@@ -666,6 +691,7 @@ fn lower_function(func: &IrFunction, index: usize) -> VCode<RInst> {
         decl_line: func.decl_line,
         insts,
         positions,
+        use_pool,
         params: func.param_temps.iter().map(|t| vreg(*t)).collect(),
         local_slots: func.slots,
         base_address: MachineProgram::default_base_address(index),
@@ -688,7 +714,9 @@ struct Emitter<'a> {
     inst_scopes: Vec<ScopeId>,
     line_rows: Vec<LineRow>,
     bindings: Vec<(usize, DebugVarId, Location)>,
-    label_positions: HashMap<u32, u32>,
+    /// Code position of every label, indexed by label number (labels are
+    /// below the function's `next_temp`).
+    label_positions: Vec<Option<u32>>,
     fixups: Vec<(usize, u32)>,
     /// Cursor into [`Allocation::edits`]; edits are consumed strictly in
     /// order as emission reaches their instruction and operand.
@@ -696,13 +724,18 @@ struct Emitter<'a> {
 }
 
 impl<'a> Emitter<'a> {
+    /// An emitter for `vcode`, whose labels are all below `labels`.
     fn new(
         vcode: &'a VCode<RInst>,
+        labels: u32,
         allocation: &'a Allocation,
         layout: &'a FrameLayout,
         abi: FrameAbi,
         plan: &'a FrameDefectPlan,
     ) -> Emitter<'a> {
+        // Spill and reload edits, epilogues and materialized immediates
+        // add a few instructions; labels and bindings emit none.
+        let capacity = vcode.insts.len() + allocation.edits.len() + layout.saved.len() * 2;
         Emitter {
             vcode,
             allocation,
@@ -710,11 +743,11 @@ impl<'a> Emitter<'a> {
             abi,
             plan,
             applied: FrameDefectsApplied::default(),
-            code: Vec::new(),
-            inst_scopes: Vec::new(),
-            line_rows: Vec::new(),
+            code: Vec::with_capacity(capacity),
+            inst_scopes: Vec::with_capacity(capacity),
+            line_rows: Vec::with_capacity(capacity),
             bindings: Vec::new(),
-            label_positions: HashMap::new(),
+            label_positions: vec![None; labels as usize],
             fixups: Vec::new(),
             next_edit: 0,
         }
@@ -747,16 +780,11 @@ impl<'a> Emitter<'a> {
             let is_stmt = vinst.is_stmt;
             match &vinst.inst {
                 RInst::Label(label) => {
-                    self.label_positions.insert(*label, self.code.len() as u32);
+                    self.label_positions[*label as usize] = Some(self.code.len() as u32);
                 }
                 RInst::Bind { var, loc } => {
                     let location = self.bind_location(*var, *loc);
-                    // Coalesce bindings landing on the same machine address:
-                    // only the last one can ever take effect, and keeping
-                    // the earlier one would create an empty location range.
-                    self.bindings
-                        .retain(|(index, v, _)| !(*index == self.code.len() && v == var));
-                    self.bindings.push((self.code.len(), *var, location));
+                    push_binding(&mut self.bindings, self.code.len(), *var, location);
                 }
                 RInst::Mov { dst, src } => {
                     let reg = self.dest_reg(*dst);
@@ -1202,11 +1230,7 @@ impl<'a> Emitter<'a> {
 
     fn apply_fixups(&mut self) {
         for (inst_index, label) in std::mem::take(&mut self.fixups) {
-            let target = self
-                .label_positions
-                .get(&label)
-                .copied()
-                .unwrap_or(self.code.len() as u32);
+            let target = self.label_positions[label as usize].unwrap_or(self.code.len() as u32);
             match &mut self.code[inst_index] {
                 MInst::Jump { target: t }
                 | MInst::BranchZero { target: t, .. }
@@ -1231,6 +1255,15 @@ pub(crate) fn emit_debug_info(
     source_name: &str,
 ) -> DebugInfo {
     let mut info = DebugInfo::new(source_name);
+    info.reserve_dies(
+        source.globals.len()
+            + ir.functions
+                .iter()
+                .map(|func| func.scopes.len() + func.vars.len())
+                .sum::<usize>(),
+    );
+    info.line_table
+        .reserve(artifacts.iter().map(|a| a.line_rows.len()).sum());
     // Global variable DIEs.
     for (gi, global) in source.globals.iter().enumerate() {
         let die = info.add_die(info.root(), DieTag::Variable);
@@ -1276,9 +1309,11 @@ pub(crate) fn emit_debug_info(
         let base = artifact.base_address;
         let end = base + artifact.code_len as u64;
         // Scope DIEs.
-        let mut scope_dies: Vec<DieId> = vec![subprogram];
+        let ranges = scope_ranges(artifact, func.scopes.len());
+        let mut scope_dies: Vec<DieId> = Vec::with_capacity(func.scopes.len());
+        scope_dies.push(subprogram);
         for (si, scope) in func.scopes.iter().enumerate().skip(1) {
-            let range = scope_range(artifact, ScopeId(si as u32), base);
+            let range = ranges[si];
             let (parent, tag, origin) = match scope {
                 ScopeKind::Function => (info.root(), DieTag::LexicalBlock, None),
                 ScopeKind::Block { parent } => (
@@ -1322,11 +1357,11 @@ pub(crate) fn emit_debug_info(
             scope_dies.push(die);
         }
         // Variable DIEs with their location lists.
+        let timeline = BindingsByVar::new(&artifact.bindings, func.vars.len());
         for (vi, var) in func.vars.iter().enumerate() {
             if var.suppress_die {
                 continue;
             }
-            let var_id = DebugVarId(vi as u32);
             let parent = scope_dies
                 .get(var.scope.0 as usize)
                 .copied()
@@ -1343,12 +1378,7 @@ pub(crate) fn emit_debug_info(
                 Attr::DeclLine,
                 AttrValue::Unsigned(var.decl_line as u64),
             );
-            let events: Vec<(usize, Location)> = artifact
-                .bindings
-                .iter()
-                .filter(|(_, v, _)| *v == var_id)
-                .map(|(i, _, loc)| (*i, *loc))
-                .collect();
+            let events = timeline.of(vi);
             if events.is_empty() {
                 // No binding at all: the DIE stays without location (hollow).
                 continue;
@@ -1398,17 +1428,50 @@ pub(crate) fn emit_debug_info(
     info
 }
 
-fn scope_range(artifact: &DebugArtifacts, scope: ScopeId, base: u64) -> Option<(u64, u64)> {
-    let mut lo = None;
-    let mut hi = None;
-    for (i, s) in artifact.inst_scopes.iter().enumerate() {
-        if *s == scope {
-            let addr = base + i as u64;
-            lo = Some(lo.map_or(addr, |l: u64| l.min(addr)));
-            hi = Some(hi.map_or(addr + 1, |h: u64| h.max(addr + 1)));
-        }
+/// The `[low, high)` address range of each of a function's `scopes`
+/// scopes: from its first instruction to one past its last (`None` for a
+/// scope without instructions).
+fn scope_ranges(artifact: &DebugArtifacts, scopes: usize) -> Vec<Option<(u64, u64)>> {
+    let mut ranges = vec![None; scopes];
+    for (i, scope) in artifact.inst_scopes.iter().enumerate() {
+        let address = artifact.base_address + i as u64;
+        ranges[scope.0 as usize].get_or_insert((address, address)).1 = address + 1;
     }
-    Some((lo?, hi?))
+    ranges
+}
+
+/// A function's binding timeline grouped by variable, each variable's
+/// bindings kept in timeline order (a stable counting sort).
+struct BindingsByVar {
+    /// `events[starts[v]..starts[v + 1]]` are variable `v`'s bindings.
+    starts: Vec<usize>,
+    /// `(instruction index, location)` of every binding.
+    events: Vec<(usize, Location)>,
+}
+
+impl BindingsByVar {
+    fn new(bindings: &[(usize, DebugVarId, Location)], vars: usize) -> BindingsByVar {
+        let mut starts = vec![0; vars + 1];
+        for (_, var, _) in bindings {
+            starts[var.0 as usize + 1] += 1;
+        }
+        for v in 0..vars {
+            starts[v + 1] += starts[v];
+        }
+        let mut next = starts.clone();
+        let mut events = vec![(0, Location::Empty); bindings.len()];
+        for &(index, var, location) in bindings {
+            let slot = &mut next[var.0 as usize];
+            events[*slot] = (index, location);
+            *slot += 1;
+        }
+        BindingsByVar { starts, events }
+    }
+
+    /// Variable `var`'s bindings.
+    fn of(&self, var: usize) -> &[(usize, Location)] {
+        &self.events[self.starts[var]..self.starts[var + 1]]
+    }
 }
 
 #[cfg(test)]
@@ -1417,6 +1480,8 @@ mod legacy {
     //! differential reference: the pipeline must reproduce its machine code
     //! and debug information byte-for-byte.
     #![allow(clippy::all)]
+
+    use std::collections::HashMap;
 
     use super::*;
 
@@ -2372,5 +2437,87 @@ mod tests {
             }
         }
         assert!(fired, "no frame defect fired over the seed range");
+    }
+
+    #[test]
+    fn bindings_at_one_address_keep_the_last_of_each_variable_in_order() {
+        use crate::ir::{DebugVar, Inst};
+        let mut func = IrFunction {
+            name: "main".into(),
+            source: holes_minic::ast::FunctionId(0),
+            vars: Vec::new(),
+            scopes: vec![ScopeKind::Function],
+            slots: 0,
+            next_temp: 0,
+            insts: Vec::new(),
+            loops: Vec::new(),
+            param_temps: Vec::new(),
+            decl_line: 1,
+            pure_const: None,
+        };
+        let var = |name: &str| DebugVar {
+            name: name.into(),
+            scope: ScopeId(0),
+            is_param: false,
+            decl_line: 1,
+            suppress_die: false,
+        };
+        let a = func.add_var(var("a"));
+        let b = func.add_var(var("b"));
+        let t = func.new_temp();
+        let bind = |var, c| {
+            Inst::new(
+                Op::DbgValue {
+                    var,
+                    loc: DbgLoc::Value(Value::Const(c)),
+                },
+                2,
+            )
+        };
+        func.insts = vec![
+            // Address 0: `a` is bound twice around a binding of `b`.
+            bind(a, 1),
+            bind(b, 2),
+            bind(a, 3),
+            Inst::new(
+                Op::Copy {
+                    dst: t,
+                    src: Value::Const(7),
+                },
+                2,
+            ),
+            // Address 1: now `b` is bound twice around a binding of `a`.
+            bind(b, 4),
+            bind(a, 5),
+            bind(b, 6),
+            Inst::new(
+                Op::Ret {
+                    value: Some(Value::Temp(t)),
+                },
+                3,
+            ),
+        ];
+        let vcode = lower_function(&func, 0);
+        let allocation = allocate(&vcode, ALLOCATABLE as u8);
+        let layout = FrameLayout::new(FrameAbi::Banked, func.slots, &allocation);
+        let plan = FrameDefectPlan::default();
+        let (_, artifacts, _) = Emitter::new(
+            &vcode,
+            func.next_temp,
+            &allocation,
+            &layout,
+            FrameAbi::Banked,
+            &plan,
+        )
+        .emit();
+        assert_eq!(
+            artifacts.bindings,
+            vec![
+                (0, b, Location::ConstValue(2)),
+                (0, a, Location::ConstValue(3)),
+                (1, a, Location::ConstValue(5)),
+                (1, b, Location::ConstValue(6)),
+            ]
+        );
     }
 }

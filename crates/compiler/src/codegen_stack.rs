@@ -31,7 +31,7 @@ use holes_machine::stack::{SFunction, SInst, StackProgram, FP_REG};
 use holes_machine::CallTarget;
 use holes_minic::ast::Program;
 
-use crate::codegen::{emit_debug_info, lower_globals, DebugArtifacts};
+use crate::codegen::{emit_debug_info, lower_globals, push_binding, DebugArtifacts};
 use crate::config::CompilerConfig;
 use crate::defects::spill_loss_victims;
 use crate::ir::{DbgLoc, DebugVarId, IrFunction, IrProgram, Op, ScopeId, SlotId, Temp, Value};
@@ -283,12 +283,7 @@ impl<'f> StackEmitter<'f> {
                 }
                 Op::DbgValue { var, loc } => {
                     let location = self.lower_dbg_loc(*var, *loc);
-                    // Coalesce bindings landing on the same machine address
-                    // (same policy as the register backend: only the last
-                    // can take effect).
-                    self.bindings
-                        .retain(|(index, v, _)| !(*index == self.code.len() && v == var));
-                    self.bindings.push((self.code.len(), *var, location));
+                    push_binding(&mut self.bindings, self.code.len(), *var, location);
                 }
                 Op::Nop => {}
                 Op::Copy { dst, src } => {

@@ -236,14 +236,19 @@ impl PassSnapshots {
             config.describe()
         );
         let cut = budget.min(self.pass_count());
-        let mut ir = (*self.checkpoints[cut]).clone();
         let mut report = PipelineReport {
             passes_run: self.passes_run[..cut].to_vec(),
             defects_applied: self.pass_defects[..self.defect_counts[cut]].to_vec(),
         };
         // The code-generation stage and its defects run for every budget,
         // exactly as `passes::run_pipeline` applies them after truncation.
+        // Without an active stage defect the stage leaves the IR as it is,
+        // so code is generated from the shared checkpoint itself.
         let active = defects::active_defects(config);
+        if !active.iter().any(|defect| defect.pass == "isel") {
+            return codegen_ir(program, &self.checkpoints[cut], config, report);
+        }
+        let mut ir = (*self.checkpoints[cut]).clone();
         passes::apply_stage_defects(&mut ir, &active, "isel", &mut report);
         codegen_ir(program, &ir, config, report)
     }

@@ -70,7 +70,10 @@ impl Allocation {
 pub fn allocate<I: VInstruction>(vcode: &VCode<I>, allocatable: u8) -> Allocation {
     let mut allocation = Allocation::default();
     assign_homes(vcode, allocatable, &mut allocation);
-    plan_edits(vcode, &mut allocation);
+    // Only spilled vregs need edits.
+    if allocation.spill_count > 0 {
+        plan_edits(vcode, &mut allocation);
+    }
     allocation
 }
 
@@ -81,7 +84,8 @@ fn live_ranges<I>(vcode: &VCode<I>) -> Vec<Option<(usize, usize)>> {
     let vregs = vcode
         .positions
         .iter()
-        .flat_map(|pos| pos.def.iter().chain(&pos.uses).chain(&pos.dbg_use))
+        .flat_map(|pos| pos.def.iter().chain(&pos.dbg_use))
+        .chain(&vcode.use_pool)
         .chain(&vcode.params)
         .map(|v| v.0 as usize + 1)
         .max()
@@ -100,7 +104,7 @@ fn live_ranges<I>(vcode: &VCode<I>) -> Vec<Option<(usize, usize)>> {
         if let Some(d) = pos.def {
             touch(d, i, i);
         }
-        for &u in &pos.uses {
+        for &u in vcode.uses(pos) {
             touch(u, i, i);
         }
         if let Some(t) = pos.dbg_use {
@@ -239,10 +243,19 @@ mod tests {
         }
     }
 
-    fn at(def: Option<u32>, uses: &[u32], branch_target: Option<usize>) -> PosInfo {
+    /// The position `(def, uses, branch_target)`, with its uses appended
+    /// to `pool`.
+    fn at(
+        pool: &mut Vec<VReg>,
+        def: Option<u32>,
+        uses: &[u32],
+        branch_target: Option<usize>,
+    ) -> PosInfo {
+        let start = pool.len() as u32;
+        pool.extend(uses.iter().copied().map(VReg));
         PosInfo {
             def: def.map(VReg),
-            uses: uses.iter().copied().map(VReg).collect(),
+            uses: start..pool.len() as u32,
             dbg_use: None,
             branch_target,
         }
@@ -258,20 +271,23 @@ mod tests {
         // 5:   v2 = ...; use v2
         // 6:   branch outer
         // 7: ret
+        let mut pool = Vec::new();
+        let positions = vec![
+            at(&mut pool, Some(1), &[], None),
+            at(&mut pool, None, &[], None),
+            at(&mut pool, None, &[], None),
+            at(&mut pool, Some(3), &[1], None),
+            at(&mut pool, None, &[], Some(2)),
+            at(&mut pool, Some(2), &[2], None),
+            at(&mut pool, None, &[], Some(1)),
+            at(&mut pool, None, &[], None),
+        ];
         let vcode: VCode<NoOperands> = VCode {
             name: "f".into(),
             decl_line: 1,
             insts: Vec::new(),
-            positions: vec![
-                at(Some(1), &[], None),
-                at(None, &[], None),
-                at(None, &[], None),
-                at(Some(3), &[1], None),
-                at(None, &[], Some(2)),
-                at(Some(2), &[2], None),
-                at(None, &[], Some(1)),
-                at(None, &[], None),
-            ],
+            positions,
+            use_pool: pool,
             params: Vec::new(),
             local_slots: 0,
             base_address: 0,

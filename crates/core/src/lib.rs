@@ -26,6 +26,9 @@
 
 pub mod json;
 pub mod metrics;
+mod plan;
+
+pub use plan::CheckPlan;
 
 use std::sync::Arc;
 
@@ -230,6 +233,8 @@ impl<'a> SiteQuery<'a> {
 ///
 /// Equivalent to running [`check_all`] and filtering for the site, but visits
 /// only the sites the query selects and stops at the first hit.
+/// [`CheckPlan::query`] gives the same answer from sites resolved once per
+/// program; this function is its differential reference.
 pub fn query_violation(
     program: &Program,
     analysis: &ProgramAnalysis,
@@ -525,6 +530,9 @@ pub fn check_conjecture3(
 }
 
 /// Check all three conjectures and return the combined violation list.
+///
+/// [`CheckPlan::check`] returns the same list from sites resolved once per
+/// program; this function is its differential reference.
 pub fn check_all(
     program: &Program,
     analysis: &ProgramAnalysis,

@@ -118,6 +118,21 @@ pub struct LineStop {
     pub variables: Vec<VarView>,
 }
 
+impl LineStop {
+    /// Status of a named variable in this stop's frame listing (see
+    /// [`VarStatus`]).
+    pub fn var_status(&self, name: &str) -> VarStatus {
+        self.variables
+            .iter()
+            .find(|v| &*v.name == name)
+            .map(|v| match v.availability {
+                Availability::Available(value) => VarStatus::Available(value),
+                Availability::OptimizedOut => VarStatus::OptimizedOut,
+            })
+            .unwrap_or(VarStatus::NotVisible)
+    }
+}
+
 /// Status of a named variable at a line, as the conjecture checkers consume
 /// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,17 +181,7 @@ impl DebugTrace {
     /// Status of a variable at a line (see [`VarStatus`]); `None` when the
     /// line was never reached.
     pub fn var_at(&self, line: u32, name: &str) -> Option<VarStatus> {
-        let stop = self.stop_at(line)?;
-        Some(
-            stop.variables
-                .iter()
-                .find(|v| &*v.name == name)
-                .map(|v| match v.availability {
-                    Availability::Available(value) => VarStatus::Available(value),
-                    Availability::OptimizedOut => VarStatus::OptimizedOut,
-                })
-                .unwrap_or(VarStatus::NotVisible),
-        )
+        Some(self.stop_at(line)?.var_status(name))
     }
 
     /// Number of distinct lines reached.

@@ -217,6 +217,11 @@ impl DebugInfo {
         })
     }
 
+    /// Reserve room for at least `additional` more DIEs.
+    pub fn reserve_dies(&mut self, additional: usize) {
+        self.dies.reserve(additional);
+    }
+
     /// Add a child DIE under `parent` and return its id.
     ///
     /// # Panics

@@ -26,10 +26,24 @@ impl LineTable {
     }
 
     /// Append a row. Rows may be pushed in any order; they are kept sorted by
-    /// address internally.
+    /// address internally, a row after every row of its address.
     pub fn push(&mut self, row: LineRow) {
+        if self
+            .rows
+            .last()
+            .is_none_or(|last| last.address <= row.address)
+        {
+            // Code generation emits rows in address order.
+            self.rows.push(row);
+            return;
+        }
         let pos = self.rows.partition_point(|r| r.address <= row.address);
         self.rows.insert(pos, row);
+    }
+
+    /// Reserve room for at least `additional` more rows.
+    pub fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
     }
 
     /// All rows, sorted by address.
@@ -164,8 +178,19 @@ mod tests {
             line: 3,
             is_stmt: true,
         });
-        let addrs: Vec<u64> = t.rows().iter().map(|r| r.address).collect();
-        assert_eq!(addrs, vec![0x10, 0x20, 0x30]);
+        // Equal addresses keep push order, out of order and in order.
+        for (address, line) in [(0x20, 4), (0x30, 5)] {
+            t.push(LineRow {
+                address,
+                line,
+                is_stmt: false,
+            });
+        }
+        let rows: Vec<(u64, u32)> = t.rows().iter().map(|r| (r.address, r.line)).collect();
+        assert_eq!(
+            rows,
+            vec![(0x10, 1), (0x20, 2), (0x20, 4), (0x30, 3), (0x30, 5)]
+        );
     }
 
     #[test]

@@ -44,6 +44,8 @@
 //! share work too: a subject lowers its program once, on its first
 //! compile, and every level's compile and every recorded pipeline starts
 //! from a copy of that lowering ([`holes_compiler::compile_lowered`]).
+//! Likewise it resolves its conjecture sites once, on its first check, into
+//! a [`holes_core::CheckPlan`] that every sweep and targeted query reads.
 //!
 //! **Stop plans and pass snapshots.** Two precomputations keep the oracle's
 //! *misses* cheap, too. Tracing runs through a cached
@@ -132,7 +134,7 @@ pub use store::{
 use std::sync::{Arc, OnceLock};
 
 use holes_compiler::{compile_lowered, CompilerConfig, Executable, PassContext, PassSnapshots};
-use holes_core::{SiteQuery, Violation};
+use holes_core::{CheckPlan, SiteQuery, Violation};
 use holes_debugger::{trace_with_plan_fuel, DebugTrace, DebuggerKind, StopPlan};
 use holes_minic::analysis::ProgramAnalysis;
 use holes_minic::ast::Program;
@@ -157,6 +159,9 @@ pub struct Subject {
     /// The program's lowered IR and pass context, built on the first
     /// compile and shared by clones (see `Subject::lowering`).
     lowering: Arc<OnceLock<PassContext>>,
+    /// The program's conjecture sites, resolved on the first check and
+    /// shared by clones (see `Subject::check_plan`).
+    check_plan: Arc<OnceLock<CheckPlan>>,
     /// Step budget override for the virtual machines (see
     /// [`Subject::with_fuel_limit`]); `None` keeps the backend defaults.
     fuel_limit: Option<u64>,
@@ -178,6 +183,7 @@ impl Subject {
             seed: generated.seed,
             cache: ArtifactCache::default(),
             lowering: Arc::default(),
+            check_plan: Arc::default(),
             fuel_limit: None,
         };
         subject.attach_env_store();
@@ -195,6 +201,7 @@ impl Subject {
             seed: 0,
             cache: ArtifactCache::default(),
             lowering: Arc::default(),
+            check_plan: Arc::default(),
             fuel_limit: None,
         };
         subject.attach_env_store();
@@ -244,6 +251,14 @@ impl Subject {
     pub(crate) fn lowering(&self) -> &PassContext {
         self.lowering
             .get_or_init(|| PassContext::lower(&self.program))
+    }
+
+    /// The program's conjecture sites resolved for checking traces
+    /// ([`CheckPlan`]). It is built on first use, once per subject, and
+    /// every check and query of the subject and its clones reads it.
+    fn check_plan(&self) -> &CheckPlan {
+        self.check_plan
+            .get_or_init(|| CheckPlan::new(&self.program, &self.analysis, &self.source))
     }
 
     /// Compile under a configuration (memoized; the returned artifact is
@@ -348,7 +363,7 @@ impl Subject {
     }
 
     /// Check all conjectures under a configuration with a specific debugger
-    /// (memoized).
+    /// (memoized), through the subject's [`CheckPlan`].
     pub fn violations_shared(
         &self,
         config: &CompilerConfig,
@@ -357,7 +372,7 @@ impl Subject {
         self.cache.violations(config, kind, || {
             let trace = self.trace_shared(config, kind);
             fault::set_stage(fault::FaultStage::Check);
-            holes_core::check_all(&self.program, &self.analysis, &self.source, &trace)
+            self.check_plan().check(&trace)
         })
     }
 
@@ -381,7 +396,7 @@ impl Subject {
     pub fn query(&self, config: &CompilerConfig, query: &SiteQuery<'_>) -> bool {
         let kind = DebuggerKind::native_for(config.personality);
         let trace = self.trace_shared(config, kind);
-        holes_core::query_violation(&self.program, &self.analysis, &self.source, &trace, query)
+        self.check_plan().query(&trace, query)
     }
 
     /// A snapshot of the subject's cache activity (compiles, traces, checks
@@ -409,6 +424,7 @@ impl Subject {
             seed: self.seed,
             cache: ArtifactCache::default(),
             lowering: Arc::default(),
+            check_plan: Arc::default(),
             fuel_limit: self.fuel_limit,
         }
     }
@@ -596,21 +612,36 @@ mod tests {
         // The cache-level counterpart of the compiler's snapshot tests:
         // a budgeted compile through `Subject` (codegen-only) must equal
         // the plain `compile()` of the same configuration, structurally.
+        // lcc -O2 carries a code-generation-stage defect on `reg`, so its
+        // derivations copy the checkpoint to apply it; lcc -Og and ccg -O1
+        // carry none there and generate code from the shared checkpoint.
         let subjects = subject_pool(906, 2);
-        let config = CompilerConfig::new(Personality::Lcc, OptLevel::O2);
+        let configs = [
+            CompilerConfig::new(Personality::Lcc, OptLevel::O2),
+            CompilerConfig::new(Personality::Lcc, OptLevel::Og),
+            CompilerConfig::new(Personality::Ccg, OptLevel::O1),
+        ];
         for subject in &subjects {
-            for budget in [0, 3, config.pass_schedule().len()] {
-                let budgeted = config.clone().with_pass_budget(budget);
-                let derived = subject.compile_shared(&budgeted);
-                assert_eq!(
-                    *derived,
-                    holes_compiler::compile(&subject.program, &budgeted),
-                    "budget {budget}"
-                );
+            let mut derivations = 0;
+            for config in &configs {
+                for backend in BackendKind::ALL {
+                    let config = config.clone().with_backend(backend);
+                    for budget in 0..=config.pass_schedule().len() {
+                        let budgeted = config.clone().with_pass_budget(budget);
+                        let derived = subject.compile_shared(&budgeted);
+                        assert_eq!(
+                            *derived,
+                            holes_compiler::compile(&subject.program, &budgeted),
+                            "{}",
+                            budgeted.describe()
+                        );
+                        derivations += 1;
+                    }
+                }
             }
             let stats = subject.cache_stats();
             assert_eq!(stats.compiles, 0, "a budgeted compile ran the pipeline");
-            assert_eq!(stats.codegen_only, 3);
+            assert_eq!(stats.codegen_only, derivations);
         }
     }
 

@@ -221,30 +221,79 @@ proptest! {
     /// uncached compile + trace + check_all composition.
     #[test]
     fn cached_and_uncached_oracles_agree(seed in 0u64..400, level_index in 0usize..5, version in 0usize..6) {
+        use holes_compiler::BackendKind;
         let generated = ProgramGenerator::from_seed(seed).generate();
         let subject = holes_pipeline::Subject::from_generated(generated);
         for personality in [Personality::Ccg, Personality::Lcc] {
             let levels = personality.levels();
             let level = levels[level_index % levels.len()];
-            let config = CompilerConfig::new(personality, level).with_version(version);
-            let uncached = {
-                let exe = compile(&subject.program, &config);
-                let t = trace(&exe, DebuggerKind::native_for(personality));
-                holes_core::check_all(&subject.program, &subject.analysis, &subject.source, &t)
-            };
-            let cold = subject.violations(&config);
-            let warm = subject.violations(&config);
-            let clone = subject.clone().violations(&config);
-            prop_assert_eq!(&cold, &uncached);
-            prop_assert_eq!(&warm, &uncached);
-            prop_assert_eq!(&clone, &uncached);
-            prop_assert_eq!(subject.cache_stats().compiles, subject.cache_stats().checks);
-            // The targeted oracle agrees with the full sweep, violation by
-            // violation.
-            for violation in &uncached {
-                prop_assert!(subject.violation_occurs(&config, violation));
+            for backend in BackendKind::ALL {
+                let config = CompilerConfig::new(personality, level)
+                    .with_version(version)
+                    .with_backend(backend);
+                let uncached = {
+                    let exe = compile(&subject.program, &config);
+                    let t = trace(&exe, DebuggerKind::native_for(personality));
+                    holes_core::check_all(&subject.program, &subject.analysis, &subject.source, &t)
+                };
+                let cold = subject.violations(&config);
+                let warm = subject.violations(&config);
+                let clone = subject.clone().violations(&config);
+                prop_assert_eq!(&cold, &uncached, "{}", config.describe());
+                prop_assert_eq!(&warm, &uncached);
+                prop_assert_eq!(&clone, &uncached);
+                prop_assert_eq!(subject.cache_stats().compiles, subject.cache_stats().checks);
+                // The targeted oracle agrees with the full sweep, violation
+                // by violation.
+                for violation in &uncached {
+                    prop_assert!(subject.violation_occurs(&config, violation));
+                }
             }
         }
+    }
+
+    /// The per-program check plan answers exactly as the reference
+    /// checkers: `CheckPlan::check` equals `check_all`, and
+    /// `CheckPlan::query` equals `query_violation` on exact-site and
+    /// anywhere queries. Every personality, level and backend is checked,
+    /// on the real trace and on a mutated copy of it, whose dropped stops
+    /// and flipped variables reach Conjecture 3's instance resets and
+    /// not-visible observations far more often than real traces do.
+    #[test]
+    fn check_plans_agree_with_the_reference_checkers(seed in 0u64..5_000, mutation in any::<u64>()) {
+        use holes_compiler::BackendKind;
+        use holes_core::{check_all, query_violation, CheckPlan};
+        let generated = ProgramGenerator::from_seed(seed).generate();
+        let (program, analysis, source) = (&generated.program, &generated.analysis, &generated.source);
+        let plan = CheckPlan::new(program, analysis, source);
+        let mut rng = SplitMix(mutation);
+        let mut checked = 0usize;
+        for personality in [Personality::Ccg, Personality::Lcc] {
+            let kind = DebuggerKind::native_for(personality);
+            for &level in [OptLevel::O0].iter().chain(personality.levels()) {
+                for backend in BackendKind::ALL {
+                    let config = CompilerConfig::new(personality, level).with_backend(backend);
+                    let real = trace(&compile(program, &config), kind);
+                    let mutated = mutate_trace(&real, &mut rng);
+                    for t in [&real, &mutated] {
+                        let expected = check_all(program, analysis, source, t);
+                        prop_assert_eq!(&plan.check(t), &expected, "seed {} {}", seed, config.describe());
+                        for query in plan_queries(program, &expected) {
+                            prop_assert_eq!(
+                                plan.query(t, &query),
+                                query_violation(program, analysis, source, t, &query),
+                                "seed {} {} {:?}",
+                                seed,
+                                config.describe(),
+                                query
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        prop_assert!(checked > 0);
     }
 
     /// Binary-search bisection returns the same culprit as the linear
@@ -1035,4 +1084,108 @@ fn random_text(state: &mut u64) -> String {
     (0..len)
         .map(|_| PIECES[(splitmix(state) % 16) as usize])
         .collect()
+}
+
+/// A small deterministic generator (SplitMix64) for trace mutations.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// True with probability 1/`n`.
+    fn one_in(&mut self, n: u64) -> bool {
+        self.next().is_multiple_of(n)
+    }
+}
+
+/// A copy of `real` with about one stop in six dropped and, at the kept
+/// stops, about one variable in four of the trace's names set to
+/// available, `<optimized out>` or absent.
+fn mutate_trace(
+    real: &holes_debugger::DebugTrace,
+    rng: &mut SplitMix,
+) -> holes_debugger::DebugTrace {
+    use holes_debugger::{Availability, VarView};
+    use std::collections::BTreeSet;
+    let names: BTreeSet<std::sync::Arc<str>> = real
+        .stops
+        .iter()
+        .flat_map(|stop| stop.variables.iter().map(|v| v.name.clone()))
+        .collect();
+    let mut mutated = holes_debugger::DebugTrace {
+        steppable_lines: real.steppable_lines.clone(),
+        ..Default::default()
+    };
+    for stop in &real.stops {
+        if rng.one_in(6) {
+            continue;
+        }
+        let mut stop = stop.clone();
+        for name in &names {
+            if !rng.one_in(4) {
+                continue;
+            }
+            stop.variables.retain(|v| v.name != *name);
+            let availability = match rng.next() % 3 {
+                0 => Availability::Available(rng.next() as i64),
+                1 => Availability::OptimizedOut,
+                _ => continue,
+            };
+            stop.variables.push(VarView {
+                name: name.clone(),
+                availability,
+            });
+        }
+        mutated.reached.insert(stop.line, mutated.stops.len());
+        mutated.stops.push(stop);
+    }
+    mutated
+}
+
+/// Oracle queries over a trace's violations: each violation's exact site,
+/// the same variable anywhere, in its function only and at its line only,
+/// and anywhere-queries for every local name of the program under every
+/// conjecture (most of them clean).
+fn plan_queries<'a>(
+    program: &'a holes_minic::ast::Program,
+    violations: &'a [holes_core::Violation],
+) -> Vec<holes_core::SiteQuery<'a>> {
+    use holes_core::{Conjecture, SiteQuery};
+    let mut queries = Vec::new();
+    for v in violations {
+        let exact = SiteQuery::for_violation(v);
+        queries.push(exact);
+        queries.push(SiteQuery {
+            line: None,
+            function: None,
+            ..exact
+        });
+        queries.push(SiteQuery {
+            line: None,
+            ..exact
+        });
+        queries.push(SiteQuery {
+            function: None,
+            ..exact
+        });
+    }
+    for function in &program.functions {
+        for local in &function.locals {
+            for conjecture in Conjecture::ALL {
+                queries.push(SiteQuery {
+                    conjecture,
+                    line: None,
+                    variable: &local.name,
+                    function: None,
+                });
+            }
+        }
+    }
+    queries
 }
