@@ -965,3 +965,51 @@ fn a_committed_old_store_stays_fully_warm() {
     let after = store.stats();
     assert_eq!(after.rejected, before.rejected, "{after:?}");
 }
+
+/// A store of per-site triage answers stays warm. The fixture under
+/// `tests/golden/store-answers-v1/` holds the violation sets and the
+/// per-site answers an earlier build's cold `holes triage --personality lcc
+/// --seeds 2500..2506 --cache-dir D` wrote (its executables and traces left
+/// out). Over a copy of it, the triage prints the storeless table and
+/// compiles, traces, checks and derives nothing.
+#[test]
+fn a_store_of_per_site_answers_stays_warm() {
+    let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/store-answers-v1");
+    let copy = Scratch::dir("store-answers-v1");
+    for subject_dir in std::fs::read_dir(&fixture)
+        .expect("fixture store")
+        .flatten()
+    {
+        let into = copy.path.join(subject_dir.file_name());
+        std::fs::create_dir_all(&into).unwrap();
+        for file in std::fs::read_dir(subject_dir.path()).unwrap().flatten() {
+            std::fs::copy(file.path(), into.join(file.file_name())).unwrap();
+        }
+    }
+    let lcc = CampaignSpec::new(
+        Personality::Lcc,
+        Personality::Lcc.trunk(),
+        SeedRange::new(2500, 2506),
+    );
+    install_process_store(None);
+    let reference = triage_campaign(&lcc, 10, &FaultPolicy::default());
+    install_process_store(Some(Arc::new(
+        ArtifactStore::open(&copy.path).expect("fixture copy opens"),
+    )));
+    let warm = triage_campaign(&lcc, 10, &FaultPolicy::default());
+    install_process_store(None);
+    assert_eq!(printed(&warm), printed(&reference), "warm triage changed");
+    let stats = warm.stats;
+    assert_eq!(
+        (
+            stats.compiles,
+            stats.traces,
+            stats.checks,
+            stats.codegen_only
+        ),
+        (0, 0, 0, 0),
+        "the per-site answers went cold: {stats:?}"
+    );
+}

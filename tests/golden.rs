@@ -266,3 +266,51 @@ fn machine_outcomes_are_stable() {
     }
     check("machine-outcomes.txt", &lines);
 }
+
+/// The digests of one rendering: the text, both line maps with the line
+/// count, and the program with every statement's assigned line.
+fn rendering(program: &mut holes::minic::ast::Program) -> [u64; 3] {
+    let source = program.assign_lines();
+    assert_eq!(
+        program.render(),
+        source.text,
+        "render() and assign_lines() agree"
+    );
+    [
+        digest(&source.text),
+        digest(&format!(
+            "{:?} {:?} {}",
+            source.line_function, source.function_lines, source.line_count
+        )),
+        digest(&format!("{:?}", program.functions)),
+    ]
+}
+
+/// What the source renderer produces, pinned without keeping a copy of it:
+/// for seeds 0..500, one line with the digests of the rendered text, of
+/// both line maps and of every statement's line, then the same folded over
+/// every candidate the reducer builds by removing one top-level statement
+/// of `main`. A subject's store key hashes the rendered text, so one byte
+/// of drift would turn every existing store cold.
+#[test]
+fn source_digests_are_stable() {
+    let mut lines = String::new();
+    for seed in 0..500 {
+        let mut program = ProgramGenerator::from_seed(seed).generate().program;
+        let [text, maps, stmts] = rendering(&mut program);
+        let main = program.main();
+        let mut candidates = String::new();
+        for index in 0..program.function(main).body.len() {
+            let mut candidate = program.clone();
+            candidate.functions[main.0].body.remove(index);
+            candidates += &format!("{:?}", rendering(&mut candidate));
+        }
+        lines += &format!(
+            "{seed} text {text:016x} maps {maps:016x} lines {stmts:016x} \
+             candidates {} {:016x}\n",
+            program.function(main).body.len(),
+            digest(&candidates),
+        );
+    }
+    check("source-digests.txt", &lines);
+}
