@@ -6,8 +6,12 @@
 //! does, assigns a 1-based line to every statement, and returns a
 //! [`SourceMap`] with the rendered text plus lookup tables used by the
 //! compiler (line table emission) and the conjecture checkers.
+//!
+//! The renderer reads the program in place and writes every line straight
+//! into the output text: no per-expression strings, no joins.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 use crate::ast::{
     Callee, Expr, ExprKind, Function, FunctionId, LValue, Program, Stmt, StmtKind, VarRef,
@@ -41,11 +45,17 @@ impl SourceMap {
     }
 }
 
+/// One rendering in progress: the text so far and the lines it assigned.
 struct Renderer<'p> {
     program: &'p Program,
     out: String,
+    /// The last line ended.
     line: u32,
-    map: SourceMap,
+    /// Every assigned line in walk order: per function, its declaration
+    /// line, then one line per statement.
+    assigned: Vec<u32>,
+    /// Each statement line with its function, ascending.
+    stmt_lines: Vec<(u32, FunctionId)>,
     current_function: FunctionId,
 }
 
@@ -54,35 +64,11 @@ impl Program {
     /// source. Rendering is deterministic: the same program always produces
     /// the same text and line numbers.
     pub fn assign_lines(&mut self) -> SourceMap {
-        // Render from an immutable clone to collect the line assignments,
-        // then write them back. (The walk order is identical.)
-        let snapshot = self.clone();
-        let mut renderer = Renderer {
-            program: &snapshot,
-            out: String::new(),
-            line: 0,
-            map: SourceMap::default(),
-            current_function: FunctionId(0),
-        };
-        let mut assignments: Vec<(FunctionId, Vec<u32>)> = Vec::new();
-        renderer.render_globals();
-        for (id, func) in snapshot.functions_with_ids() {
-            renderer.current_function = id;
-            let lines = renderer.render_function(func);
-            assignments.push((id, lines));
-        }
-        let mut map = renderer.map;
-        map.text = renderer.out;
-        map.line_count = renderer.line;
-        for lines in map.function_lines.values_mut() {
-            lines.sort_unstable();
-        }
-        // Write the assigned lines back into self.
-        for (id, lines) in assignments {
-            let mut iter = lines.into_iter();
-            let func = &mut self.functions[id.0];
-            func.decl_line = iter.next().unwrap_or(0);
-            assign_stmts(&mut func.body, &mut iter);
+        let (map, assigned) = Renderer::render(self);
+        let mut lines = assigned.into_iter();
+        for func in &mut self.functions {
+            func.decl_line = lines.next().unwrap_or(0);
+            assign_stmts(&mut func.body, &mut lines);
         }
         map
     }
@@ -90,8 +76,7 @@ impl Program {
     /// Render the program to text without mutating line numbers. Mostly
     /// useful for displaying reduced test cases in reports.
     pub fn render(&self) -> String {
-        let mut clone = self.clone();
-        clone.assign_lines().text
+        Renderer::render(self).0.text
     }
 }
 
@@ -128,108 +113,153 @@ fn assign_stmts(stmts: &mut [Stmt], lines: &mut impl Iterator<Item = u32>) {
 }
 
 impl<'p> Renderer<'p> {
-    fn emit(&mut self, text: &str) -> u32 {
-        self.line += 1;
-        self.out.push_str(text);
+    /// Render `program`: its source map, and the lines to assign in walk
+    /// order (see [`Renderer::assigned`]).
+    fn render(program: &'p Program) -> (SourceMap, Vec<u32>) {
+        let mut renderer = Renderer {
+            program,
+            out: String::with_capacity(4096),
+            line: 0,
+            assigned: Vec::with_capacity(256),
+            stmt_lines: Vec::with_capacity(256),
+            current_function: FunctionId(0),
+        };
+        renderer.render_globals();
+        for (id, func) in program.functions_with_ids() {
+            renderer.current_function = id;
+            renderer.render_function(func);
+        }
+        let mut function_lines: BTreeMap<FunctionId, Vec<u32>> = BTreeMap::new();
+        for &(line, function) in &renderer.stmt_lines {
+            function_lines.entry(function).or_default().push(line);
+        }
+        let map = SourceMap {
+            line_function: renderer.stmt_lines.into_iter().collect(),
+            function_lines,
+            text: renderer.out,
+            line_count: renderer.line,
+        };
+        (map, renderer.assigned)
+    }
+
+    /// End the line being written; returns its number.
+    fn end_line(&mut self) -> u32 {
         self.out.push('\n');
+        self.line += 1;
         self.line
+    }
+
+    /// End a statement's own line, recording it for the statement and its
+    /// function.
+    fn end_stmt_line(&mut self) {
+        let line = self.end_line();
+        self.assigned.push(line);
+        self.stmt_lines.push((line, self.current_function));
+    }
+
+    fn pad(&mut self, depth: usize) {
+        for _ in 0..depth {
+            self.out.push_str("  ");
+        }
+    }
+
+    /// Write a number; writing into a `String` cannot fail.
+    fn number(&mut self, value: impl std::fmt::Display) {
+        let _ = write!(self.out, "{value}");
     }
 
     fn render_globals(&mut self) {
         for global in &self.program.globals {
-            let vol = if global.is_volatile { "volatile " } else { "" };
+            if global.is_volatile {
+                self.out.push_str("volatile ");
+            }
+            self.out.push_str(global.ty.c_name());
+            self.out.push(' ');
+            self.out.push_str(&global.name);
             if global.dims.is_empty() {
-                let line = format!(
-                    "{}{} {} = {};",
-                    vol,
-                    global.ty.c_name(),
-                    global.name,
-                    global.init[0]
-                );
-                self.emit(&line);
+                self.out.push_str(" = ");
+                self.number(global.init[0]);
             } else {
-                let dims: String = global.dims.iter().map(|d| format!("[{d}]")).collect();
-                let init: Vec<String> = global.init.iter().map(i64::to_string).collect();
-                let line = format!(
-                    "{}{} {}{} = {{{}}};",
-                    vol,
-                    global.ty.c_name(),
-                    global.name,
-                    dims,
-                    init.join(", ")
-                );
-                self.emit(&line);
+                for dim in &global.dims {
+                    self.out.push('[');
+                    self.number(dim);
+                    self.out.push(']');
+                }
+                self.out.push_str(" = {");
+                for (i, value) in global.init.iter().enumerate() {
+                    if i > 0 {
+                        self.out.push_str(", ");
+                    }
+                    self.number(value);
+                }
+                self.out.push('}');
             }
+            self.out.push(';');
+            self.end_line();
         }
-        self.emit("extern void sink(long, ...);");
+        self.out.push_str("extern void sink(long, ...);");
+        self.end_line();
     }
 
-    fn render_function(&mut self, func: &Function) -> Vec<u32> {
-        let mut lines = Vec::new();
-        let params: Vec<String> = func
-            .params()
-            .map(|p| {
-                let local = func.local(p);
-                format!("{} {}", local.ty.c_name(), local.name)
-            })
-            .collect();
-        let header = format!(
-            "{} {}({}) {{",
-            func.ret_ty.c_name(),
-            func.name,
-            if params.is_empty() {
-                "void".to_owned()
-            } else {
-                params.join(", ")
+    fn render_function(&mut self, func: &'p Function) {
+        self.out.push_str(func.ret_ty.c_name());
+        self.out.push(' ');
+        self.out.push_str(&func.name);
+        self.out.push('(');
+        if func.param_count == 0 {
+            self.out.push_str("void");
+        }
+        for (i, param) in func.params().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
             }
-        );
-        let decl_line = self.emit(&header);
-        lines.push(decl_line);
-        self.render_stmts(func, &func.body, 1, &mut lines);
-        self.emit("}");
-        lines
+            let local = func.local(param);
+            self.out.push_str(local.ty.c_name());
+            self.out.push(' ');
+            self.out.push_str(&local.name);
+        }
+        self.out.push_str(") {");
+        let decl_line = self.end_line();
+        self.assigned.push(decl_line);
+        self.render_stmts(func, &func.body, 1);
+        self.out.push('}');
+        self.end_line();
     }
 
-    fn indent(depth: usize) -> String {
-        "  ".repeat(depth)
-    }
-
-    fn render_stmts(
-        &mut self,
-        func: &Function,
-        stmts: &[Stmt],
-        depth: usize,
-        lines: &mut Vec<u32>,
-    ) {
+    fn render_stmts(&mut self, func: &'p Function, stmts: &'p [Stmt], depth: usize) {
         for stmt in stmts {
-            self.render_stmt(func, stmt, depth, lines);
+            self.render_stmt(func, stmt, depth);
         }
     }
 
-    fn render_stmt(&mut self, func: &Function, stmt: &Stmt, depth: usize, lines: &mut Vec<u32>) {
-        let pad = Self::indent(depth);
-        let own_index = lines.len();
+    /// A closing brace on a line of its own.
+    fn close(&mut self, depth: usize) {
+        self.pad(depth);
+        self.out.push('}');
+        self.end_line();
+    }
+
+    fn render_stmt(&mut self, func: &'p Function, stmt: &'p Stmt, depth: usize) {
+        self.pad(depth);
         match &stmt.kind {
             StmtKind::Decl { local, init } => {
                 let var = func.local(*local);
-                let text = match init {
-                    Some(e) => format!(
-                        "{pad}{} {} = {};",
-                        var.ty.c_name(),
-                        var.name,
-                        self.expr(func, e)
-                    ),
-                    None => format!("{pad}{} {};", var.ty.c_name(), var.name),
-                };
-                lines.push(self.emit(&text));
+                self.out.push_str(var.ty.c_name());
+                self.out.push(' ');
+                self.out.push_str(&var.name);
+                if let Some(e) = init {
+                    self.out.push_str(" = ");
+                    self.expr(func, e);
+                }
+                self.out.push(';');
+                self.end_stmt_line();
             }
             StmtKind::Assign { target, value } => {
-                let text = format!(
-                    "{pad}{} = {};",
-                    self.lvalue(func, target),
-                    self.expr(func, value)
-                );
-                lines.push(self.emit(&text));
+                self.lvalue(func, target);
+                self.out.push_str(" = ");
+                self.expr(func, value);
+                self.out.push(';');
+                self.end_stmt_line();
             }
             StmtKind::For {
                 init,
@@ -237,153 +267,182 @@ impl<'p> Renderer<'p> {
                 step,
                 body,
             } => {
-                let init_s = init
-                    .as_ref()
-                    .map(|s| self.inline_assign(func, s))
-                    .unwrap_or_default();
-                let cond_s = cond
-                    .as_ref()
-                    .map(|e| self.expr(func, e))
-                    .unwrap_or_default();
-                let step_s = step
-                    .as_ref()
-                    .map(|s| self.inline_assign(func, s))
-                    .unwrap_or_default();
-                let text = format!("{pad}for ({init_s}; {cond_s}; {step_s}) {{");
-                lines.push(self.emit(&text));
-                self.render_stmts(func, body, depth + 1, lines);
-                self.emit(&format!("{pad}}}"));
+                self.out.push_str("for (");
+                if let Some(s) = init {
+                    self.inline_assign(func, s);
+                }
+                self.out.push_str("; ");
+                if let Some(e) = cond {
+                    self.expr(func, e);
+                }
+                self.out.push_str("; ");
+                if let Some(s) = step {
+                    self.inline_assign(func, s);
+                }
+                self.out.push_str(") {");
+                self.end_stmt_line();
+                self.render_stmts(func, body, depth + 1);
+                self.close(depth);
             }
             StmtKind::If {
                 cond,
                 then_branch,
                 else_branch,
             } => {
-                let text = format!("{pad}if ({}) {{", self.expr(func, cond));
-                lines.push(self.emit(&text));
-                self.render_stmts(func, then_branch, depth + 1, lines);
-                if else_branch.is_empty() {
-                    self.emit(&format!("{pad}}}"));
-                } else {
-                    self.emit(&format!("{pad}}} else {{"));
-                    self.render_stmts(func, else_branch, depth + 1, lines);
-                    self.emit(&format!("{pad}}}"));
+                self.out.push_str("if (");
+                self.expr(func, cond);
+                self.out.push_str(") {");
+                self.end_stmt_line();
+                self.render_stmts(func, then_branch, depth + 1);
+                if !else_branch.is_empty() {
+                    self.pad(depth);
+                    self.out.push_str("} else {");
+                    self.end_line();
+                    self.render_stmts(func, else_branch, depth + 1);
                 }
+                self.close(depth);
             }
             StmtKind::Call { callee, args } => {
-                let args_s: Vec<String> = args.iter().map(|a| self.expr(func, a)).collect();
                 let name = match callee {
-                    Callee::Internal(f) => self.program.function(*f).name.clone(),
-                    Callee::Opaque => "sink".to_owned(),
+                    Callee::Internal(f) => self.program.function(*f).name.as_str(),
+                    Callee::Opaque => "sink",
                 };
-                let text = format!("{pad}{}({});", name, args_s.join(", "));
-                lines.push(self.emit(&text));
+                self.out.push_str(name);
+                self.args(func, args);
+                self.out.push(';');
+                self.end_stmt_line();
             }
             StmtKind::Return(value) => {
-                let text = match value {
-                    Some(e) => format!("{pad}return {};", self.expr(func, e)),
-                    None => format!("{pad}return;"),
-                };
-                lines.push(self.emit(&text));
+                self.out.push_str("return");
+                if let Some(e) = value {
+                    self.out.push(' ');
+                    self.expr(func, e);
+                }
+                self.out.push(';');
+                self.end_stmt_line();
             }
             StmtKind::Goto(label) => {
-                lines.push(self.emit(&format!("{pad}goto L{label};")));
+                self.out.push_str("goto L");
+                self.number(label);
+                self.out.push(';');
+                self.end_stmt_line();
             }
             StmtKind::Label(label) => {
-                lines.push(self.emit(&format!("{pad}L{label}:;")));
+                self.out.push('L');
+                self.number(label);
+                self.out.push_str(":;");
+                self.end_stmt_line();
             }
             StmtKind::Block(body) => {
-                lines.push(self.emit(&format!("{pad}{{")));
-                self.render_stmts(func, body, depth + 1, lines);
-                self.emit(&format!("{pad}}}"));
+                self.out.push('{');
+                self.end_stmt_line();
+                self.render_stmts(func, body, depth + 1);
+                self.close(depth);
             }
             StmtKind::Empty => {
-                lines.push(self.emit(&format!("{pad};")));
+                self.out.push(';');
+                self.end_stmt_line();
             }
         }
-        // Record which function owns the line pushed for *this* statement
-        // (nested statements record their own lines during recursion).
-        if let Some(&line) = lines.get(own_index) {
-            self.record_line(line);
-        }
     }
 
-    fn record_line(&mut self, line: u32) {
-        self.map
-            .line_function
-            .entry(line)
-            .or_insert(self.current_function);
-        self.map
-            .function_lines
-            .entry(self.current_function)
-            .or_default()
-            .push(line);
-    }
-
-    fn inline_assign(&self, func: &Function, stmt: &Stmt) -> String {
+    /// A `for` header's init or step.
+    fn inline_assign(&mut self, func: &'p Function, stmt: &'p Stmt) {
         match &stmt.kind {
             StmtKind::Assign { target, value } => {
-                format!("{} = {}", self.lvalue(func, target), self.expr(func, value))
+                self.lvalue(func, target);
+                self.out.push_str(" = ");
+                self.expr(func, value);
             }
             StmtKind::Decl { local, init } => {
-                let var = func.local(*local);
-                match init {
-                    Some(e) => format!("{} = {}", var.name, self.expr(func, e)),
-                    None => var.name.clone(),
+                self.out.push_str(&func.local(*local).name);
+                if let Some(e) = init {
+                    self.out.push_str(" = ");
+                    self.expr(func, e);
                 }
             }
-            _ => String::new(),
+            _ => {}
         }
     }
 
-    fn var_name(&self, func: &Function, var: VarRef) -> String {
-        match var {
-            VarRef::Global(g) => self.program.global(g).name.clone(),
-            VarRef::Local(l) => func.local(l).name.clone(),
+    fn var_name(&mut self, func: &'p Function, var: VarRef) {
+        let name = match var {
+            VarRef::Global(g) => &self.program.global(g).name,
+            VarRef::Local(l) => &func.local(l).name,
+        };
+        self.out.push_str(name);
+    }
+
+    /// `[i][j]...` after an indexed variable's name.
+    fn indices(&mut self, func: &'p Function, indices: &'p [Expr]) {
+        for index in indices {
+            self.out.push('[');
+            self.expr(func, index);
+            self.out.push(']');
         }
     }
 
-    fn lvalue(&self, func: &Function, lv: &LValue) -> String {
+    /// `(a, b, ...)` of a call.
+    fn args(&mut self, func: &'p Function, args: &'p [Expr]) {
+        self.out.push('(');
+        for (i, arg) in args.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            self.expr(func, arg);
+        }
+        self.out.push(')');
+    }
+
+    fn lvalue(&mut self, func: &'p Function, lv: &'p LValue) {
         match lv {
             LValue::Var(v) => self.var_name(func, *v),
             LValue::Index { base, indices } => {
-                let idx: String = indices
-                    .iter()
-                    .map(|e| format!("[{}]", self.expr(func, e)))
-                    .collect();
-                format!("{}{}", self.var_name(func, *base), idx)
+                self.var_name(func, *base);
+                self.indices(func, indices);
             }
-            LValue::Deref(v) => format!("*{}", self.var_name(func, *v)),
+            LValue::Deref(v) => {
+                self.out.push('*');
+                self.var_name(func, *v);
+            }
         }
     }
 
-    fn expr(&self, func: &Function, expr: &Expr) -> String {
+    fn expr(&mut self, func: &'p Function, expr: &'p Expr) {
         match &expr.kind {
-            ExprKind::Lit(v) => v.to_string(),
+            ExprKind::Lit(v) => self.number(v),
             ExprKind::Var(v) => self.var_name(func, *v),
             ExprKind::Index { base, indices } => {
-                let idx: String = indices
-                    .iter()
-                    .map(|e| format!("[{}]", self.expr(func, e)))
-                    .collect();
-                format!("{}{}", self.var_name(func, *base), idx)
+                self.var_name(func, *base);
+                self.indices(func, indices);
             }
-            ExprKind::Unary(op, inner) => format!("{}({})", op.symbol(), self.expr(func, inner)),
-            ExprKind::Binary(op, lhs, rhs) => format!(
-                "({} {} {})",
-                self.expr(func, lhs),
-                op.symbol(),
-                self.expr(func, rhs)
-            ),
-            ExprKind::AddrOf(v) => format!("&{}", self.var_name(func, *v)),
-            ExprKind::Deref(inner) => format!("*({})", self.expr(func, inner)),
+            ExprKind::Unary(op, inner) => {
+                self.out.push_str(op.symbol());
+                self.out.push('(');
+                self.expr(func, inner);
+                self.out.push(')');
+            }
+            ExprKind::Binary(op, lhs, rhs) => {
+                self.out.push('(');
+                self.expr(func, lhs);
+                self.out.push(' ');
+                self.out.push_str(op.symbol());
+                self.out.push(' ');
+                self.expr(func, rhs);
+                self.out.push(')');
+            }
+            ExprKind::AddrOf(v) => {
+                self.out.push('&');
+                self.var_name(func, *v);
+            }
+            ExprKind::Deref(inner) => {
+                self.out.push_str("*(");
+                self.expr(func, inner);
+                self.out.push(')');
+            }
             ExprKind::Call { callee, args } => {
-                let args_s: Vec<String> = args.iter().map(|a| self.expr(func, a)).collect();
-                format!(
-                    "{}({})",
-                    self.program.function(*callee).name,
-                    args_s.join(", ")
-                )
+                self.out.push_str(&self.program.function(*callee).name);
+                self.args(func, args);
             }
         }
     }

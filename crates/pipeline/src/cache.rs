@@ -53,7 +53,8 @@
 //! left the IR unchanged share one derivation, one stop plan and one
 //! debugger run, and the derived executable and plan are dropped once
 //! traced. Budgeted executables and traces never reach the store: triage
-//! keeps its answer there instead, one envelope per violation site.
+//! keeps its answers there instead, one envelope per configuration
+//! ([`ArtifactCache::triage_answer`]).
 //! [`CacheStats::codegen_only`] (distinct prefixes derived),
 //! [`CacheStats::traces`] (debugger runs; a budget sharing a prefix counts
 //! a hit) and [`CacheStats::plan_hits`] make the savings observable.
@@ -67,6 +68,7 @@ use holes_debugger::{DebugTrace, DebuggerKind, StopPlan};
 
 use crate::stats::{CacheStats, Counter, Counters};
 use crate::store::{ArtifactStore, SubjectKey};
+use crate::triage::{Site, TriageAnswers, TriageMethod};
 
 /// Memoized artifacts for one subject across compiler configurations.
 ///
@@ -119,6 +121,10 @@ struct CacheInner {
     /// configuration, canonical budget, debugger); see
     /// [`ArtifactCache::prefix_trace`].
     prefixes: Shard<(CompilerConfig, usize, DebuggerKind), DebugTrace>,
+    /// Triage answer sets, one per configuration (under its native
+    /// debugger), loaded from the store on first use; see
+    /// [`ArtifactCache::triage_answer`].
+    answers: Shard<CompilerConfig, Mutex<TriageAnswers>>,
     counters: Counters<CacheStats>,
     store: OnceLock<StoreBinding>,
 }
@@ -187,13 +193,7 @@ impl ArtifactCache {
 
     /// The store this cache is bound to, if any.
     pub fn store(&self) -> Option<&Arc<ArtifactStore>> {
-        self.binding().map(|(store, _)| store)
-    }
-
-    /// The store this cache is bound to, with the owning subject's key.
-    pub(crate) fn binding(&self) -> Option<(&Arc<ArtifactStore>, SubjectKey)> {
-        let binding = self.inner.store.get()?;
-        Some((&binding.store, binding.subject))
+        self.inner.store.get().map(|binding| &binding.store)
     }
 
     /// The executable for a configuration, built on a miss. An unbudgeted
@@ -350,6 +350,49 @@ impl ArtifactCache {
         get_or_insert(&self.inner.snapshots, base.clone(), record)
     }
 
+    /// The triage answer for `violation` under `config`, searched with the
+    /// configuration's own method (bisection for lcc, flag search for ccg).
+    /// With no store bound this is `search()`. With one, the answer comes
+    /// from the configuration's answer set, loaded from the store once per
+    /// configuration (one `store:` load or miss, not a
+    /// [`CacheStats::disk_loads`]). When the set lacks the site, the
+    /// per-site answer an earlier build wrote is read, else `search` runs;
+    /// the answer is inserted and the whole set is written through as one
+    /// atomic rewrite while the set's lock is held, so two threads
+    /// triaging one configuration never write a stale set. The search runs
+    /// outside the lock; a search that panics writes nothing.
+    pub(crate) fn triage_answer(
+        &self,
+        config: &CompilerConfig,
+        violation: &Violation,
+        search: impl FnOnce() -> Vec<String>,
+    ) -> Vec<String> {
+        let Some(b) = self.inner.store.get() else {
+            return search();
+        };
+        let set = get_or_insert(&self.inner.answers, config.clone(), || {
+            Mutex::new(
+                b.store
+                    .load_triage_answers(b.subject, config)
+                    .unwrap_or_default(),
+            )
+        });
+        let lock = || set.lock().unwrap_or_else(PoisonError::into_inner);
+        let site = Site::of(violation);
+        if let Some(culprits) = lock().get(&site) {
+            return culprits.clone();
+        }
+        let method = TriageMethod::of(config.personality);
+        let culprits = b
+            .store
+            .load_site_answer(b.subject, config, violation, method)
+            .map_or_else(search, |outcome| outcome.culprits);
+        let mut answers = lock();
+        answers.insert(site, culprits.clone());
+        b.store.save_triage_answers(b.subject, config, &answers);
+        culprits
+    }
+
     /// Record breakpoint stops that were answered from a precomputed stop
     /// plan (see [`CacheStats::plan_hits`]).
     pub fn note_plan_hits(&self, stops: usize) {
@@ -374,6 +417,7 @@ impl ArtifactCache {
         empty(&inner.plans);
         empty(&inner.snapshots);
         empty(&inner.prefixes);
+        empty(&inner.answers);
     }
 }
 
@@ -436,6 +480,51 @@ mod tests {
         assert_eq!(builds.into_inner(), 1);
         let stats = cache.stats();
         assert_eq!((stats.checks, stats.hits), (1, threads - 1), "{stats:?}");
+    }
+
+    #[test]
+    fn concurrent_answers_of_one_configuration_all_reach_the_stored_set() {
+        let dir = std::env::temp_dir().join(format!("holes-cache-answers-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(ArtifactStore::open(&dir).expect("store opens"));
+        let cache = ArtifactCache::default();
+        cache.attach_store(Arc::clone(&store), SubjectKey(7));
+        let (config, _) = key();
+        let violation = |line: u32| Violation {
+            conjecture: holes_core::Conjecture::C1,
+            line,
+            variable: "x".into(),
+            function: holes_minic::ast::FunctionId(0),
+            observed: holes_core::Observed::NotVisible,
+        };
+        let threads = 4;
+        // Every search is in flight before any answer is written.
+        let searching = Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for line in 0..threads as u32 {
+                let (cache, config, searching) = (&cache, &config, &searching);
+                scope.spawn(move || {
+                    cache.triage_answer(config, &violation(line), || {
+                        searching.wait();
+                        vec![format!("pass{line}")]
+                    })
+                });
+            }
+        });
+        let stored = store
+            .load_triage_answers(SubjectKey(7), &config)
+            .expect("the set was written");
+        let _ = std::fs::remove_dir_all(&dir);
+        let expected: TriageAnswers = (0..threads as u32)
+            .map(|line| (Site::of(&violation(line)), vec![format!("pass{line}")]))
+            .collect();
+        assert_eq!(stored, expected);
+        assert_eq!(store.stats().writes, threads);
+        assert_eq!(
+            cache.stats(),
+            CacheStats::default(),
+            "answers count no cache work"
+        );
     }
 
     #[test]

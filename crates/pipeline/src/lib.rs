@@ -68,8 +68,9 @@
 //! `--cache-dir`): artifacts persist *across processes*, so a range that
 //! was campaigned once is free for every later `triage`/`reduce`/`report`
 //! invocation — the warm run performs zero compiles and zero traces. Triage
-//! persists its answers, one culprit list per violation site, rather than
-//! its probes' traces, so a warm triage loads one envelope per violation. For
+//! persists its answers, one culprit list per violation site gathered into
+//! one set per configuration, rather than its probes' traces, so a warm
+//! triage loads one envelope per triaged configuration. For
 //! very large ranges, [`stream`] replaces the in-memory shard document
 //! with a record-streaming JSON Lines format of bounded memory.
 //!
@@ -193,6 +194,12 @@ impl Subject {
     /// Wrap a hand-written program (lines are assigned here).
     pub fn from_program(mut program: Program) -> Subject {
         let source = program.assign_lines();
+        Subject::from_rendered(program, source)
+    }
+
+    /// Wrap a program whose lines are assigned, with the source map that
+    /// assignment returned.
+    pub(crate) fn from_rendered(program: Program, source: SourceMap) -> Subject {
         let analysis = ProgramAnalysis::analyze(&program);
         let subject = Subject {
             program,

@@ -17,6 +17,7 @@ use holes_compiler::CompilerConfig;
 use holes_core::{Conjecture, SiteQuery, Violation};
 use holes_minic::ast::{Program, Stmt, StmtKind};
 use holes_minic::interp::Interpreter;
+use holes_minic::lines::SourceMap;
 use holes_minic::validate::validate;
 
 use crate::Subject;
@@ -45,22 +46,25 @@ impl ReducedCase {
 }
 
 /// The oracle: does `program` still exhibit the violation (and, if a culprit
-/// is given, does disabling the culprit still make it disappear)?
+/// is given, does disabling the culprit still make it disappear)? `source`
+/// is what assigning the program's lines returned. Returns the program back
+/// when it does.
 fn still_violates(
-    program: &Program,
+    program: Program,
+    source: SourceMap,
     config: &CompilerConfig,
     conjecture: Conjecture,
     variable: &str,
     culprit: Option<&str>,
     fuel_limit: Option<u64>,
-) -> bool {
-    if validate(program).is_err() {
-        return false;
+) -> Option<Program> {
+    if validate(&program).is_err() {
+        return None;
     }
-    if Interpreter::new(program).run().is_err() {
-        return false;
+    if Interpreter::new(&program).run().is_err() {
+        return None;
     }
-    let subject = Subject::from_program(program.clone()).with_fuel_limit(fuel_limit);
+    let subject = Subject::from_rendered(program, source).with_fuel_limit(fuel_limit);
     // Reduction moves lines around, so the oracle matches the violation by
     // (conjecture, variable) at *any* line — a targeted query that stops at
     // the first matching site instead of sweeping every conjecture.
@@ -71,17 +75,17 @@ fn still_violates(
         function: None,
     };
     if !subject.query(config, &query) {
-        return false;
+        return None;
     }
     if let Some(pass) = culprit {
         let disabled = config.clone().with_disabled_pass(pass);
         if subject.query(&disabled, &query) {
             // The violation survives without the culprit: a different defect
             // took over, reject the step to keep triage sound.
-            return false;
+            return None;
         }
     }
-    true
+    Some(subject.program)
 }
 
 /// Reduce a violating subject. `culprit` is the pass identified by triage
@@ -120,14 +124,15 @@ pub fn reduce(
             }
             attempts += 1;
             // One candidate per attempt: mutate it, re-assign its lines in
-            // place, and keep it directly on oracle success (line
-            // assignment is a pure function of program structure, so the
-            // next round's re-assignment sees the same program either way).
-            candidate.assign_lines();
-            if still_violates(
-                &candidate, config, conjecture, &variable, culprit, fuel_limit,
+            // place (rendering it once), and keep it directly on oracle
+            // success (line assignment is a pure function of program
+            // structure, so the next round's re-assignment sees the same
+            // program either way).
+            let source = candidate.assign_lines();
+            if let Some(kept) = still_violates(
+                candidate, source, config, conjecture, &variable, culprit, fuel_limit,
             ) {
-                best = candidate;
+                best = kept;
                 progress = true;
             }
         }
@@ -141,20 +146,20 @@ pub fn reduce(
                 continue;
             }
             attempts += 1;
-            candidate.assign_lines();
-            if still_violates(
-                &candidate, config, conjecture, &variable, culprit, fuel_limit,
+            let source = candidate.assign_lines();
+            if let Some(kept) = still_violates(
+                candidate, source, config, conjecture, &variable, culprit, fuel_limit,
             ) {
-                best = candidate;
+                best = kept;
                 progress = true;
             }
         }
     }
     let mut final_program = best;
-    final_program.assign_lines();
+    let source = final_program.assign_lines();
     let reduced_statements = final_program.stmt_count();
     ReducedCase {
-        subject: Subject::from_program(final_program),
+        subject: Subject::from_rendered(final_program, source),
         original_statements,
         reduced_statements,
         attempts,

@@ -1,5 +1,6 @@
 //! JSON codecs for the artifacts the on-disk store spills: whole
-//! [`Executable`]s, [`DebugTrace`]s, violation sets, and triage answers.
+//! [`Executable`]s, [`DebugTrace`]s, violation sets, and triage answer
+//! sets (plus the per-site triage answers earlier builds wrote).
 //!
 //! Encoding is deterministic (a pure function of the value, like everything
 //! built on `holes_core::json`), and decoding is *total* over arbitrary
@@ -24,7 +25,7 @@ use holes_machine::{
 use holes_minic::ast::{BinOp, FunctionId, UnOp};
 
 use super::gate::Payload;
-use crate::triage::{TriageMethod, TriageOutcome};
+use crate::triage::{Site, TriageAnswers, TriageMethod, TriageOutcome};
 
 /// Decode failure: a short, human-readable reason (surfaced only in store
 /// diagnostics; the caller recomputes the artifact either way).
@@ -1244,33 +1245,37 @@ pub(super) fn violations_from_json(json: &Json) -> Result<Vec<Violation>, Decode
 
 // --------------------------------------------------------- triage answers
 
-/// Encode a triage answer: the violation site the search ran for (what
+/// Encode one triage answer: the violation site the search ran for (what
 /// [`holes_core::SiteQuery::for_violation`] matches), the search method,
-/// and the culprits it returned.
-pub(super) fn answer_to_json(violation: &Violation, outcome: &TriageOutcome) -> Json {
-    let culprits = outcome.culprits.iter().map(Json::str).collect();
+/// and the culprits it returned. An answer set holds one per site; earlier
+/// builds wrote each as a payload of its own.
+fn answer_json(site: &Site, method: TriageMethod, culprits: &[String]) -> Json {
     Json::Obj(vec![
         (
             "conjecture".to_owned(),
-            Json::str(violation.conjecture.to_string()),
+            Json::str(site.conjecture.to_string()),
         ),
+        ("function".to_owned(), Json::from_usize(site.function.0)),
+        ("line".to_owned(), Json::from_u64(site.line.into())),
+        ("variable".to_owned(), Json::str(site.variable.as_ref())),
+        ("method".to_owned(), Json::str(method.name())),
         (
-            "function".to_owned(),
-            Json::from_usize(violation.function.0),
+            "culprits".to_owned(),
+            Json::Arr(culprits.iter().map(Json::str).collect()),
         ),
-        ("line".to_owned(), Json::from_u64(violation.line.into())),
-        (
-            "variable".to_owned(),
-            Json::str(violation.variable.as_ref()),
-        ),
-        ("method".to_owned(), Json::str(outcome.method.name())),
-        ("culprits".to_owned(), Json::Arr(culprits)),
     ])
 }
 
-/// Decode a triage answer encoded by [`answer_to_json`] for `violation`'s
-/// site and the search `method`; an answer recorded for any other site or
-/// by the other method is an error.
+/// Encode a per-site triage answer as earlier builds wrote it. Only tests
+/// write these now.
+#[cfg(test)]
+pub(super) fn answer_to_json(violation: &Violation, outcome: &TriageOutcome) -> Json {
+    answer_json(&Site::of(violation), outcome.method, &outcome.culprits)
+}
+
+/// Decode a per-site triage answer encoded by `answer_to_json` for
+/// `violation`'s site and the search `method`; an answer recorded for any
+/// other site or by the other method is an error.
 pub(super) fn answer_from_json(
     json: &Json,
     violation: &Violation,
@@ -1296,6 +1301,77 @@ pub(super) fn answer_from_json(
         })
         .collect::<Result<_, _>>()?;
     Ok(TriageOutcome { culprits, method })
+}
+
+/// Encode a configuration's triage answer set: one entry per site, in site
+/// order, each with the search `method` and its culprits.
+pub(super) fn answers_to_json(answers: &TriageAnswers, method: TriageMethod) -> Json {
+    Json::Arr(
+        answers
+            .iter()
+            .map(|(site, culprits)| answer_json(site, method, culprits))
+            .collect(),
+    )
+}
+
+/// Insert the next entry of an answer set decoded for `method`: it must
+/// have been found by `method` and come strictly after every site before
+/// it, so no site repeats.
+fn push_answer(
+    answers: &mut TriageAnswers,
+    site: Site,
+    entry_method: &str,
+    method: TriageMethod,
+    culprits: Vec<String>,
+) -> Result<(), DecodeError> {
+    if entry_method != method.name() {
+        return err("answers another triage method");
+    }
+    if answers
+        .last_key_value()
+        .is_some_and(|(last, _)| *last >= site)
+    {
+        return err("answer sites repeat or are out of order");
+    }
+    answers.insert(site, culprits);
+    Ok(())
+}
+
+/// Decode an answer set encoded by [`answers_to_json`] for `method`: the
+/// tree oracle [`read_answers`] is tested against.
+#[cfg(test)]
+pub(super) fn answers_from_json(
+    json: &Json,
+    method: TriageMethod,
+) -> Result<TriageAnswers, DecodeError> {
+    let mut answers = TriageAnswers::new();
+    for entry in json.as_arr().ok_or("answer set is not an array")? {
+        let site = Site {
+            conjecture: str_field(entry, "conjecture")?
+                .parse()
+                .map_err(|_| "unknown conjecture".to_owned())?,
+            function: FunctionId(usize_field(entry, "function")?),
+            line: u32_field(entry, "line")?,
+            variable: str_field(entry, "variable")?.into(),
+        };
+        let culprits = arr_field(entry, "culprits")?
+            .iter()
+            .map(|culprit| {
+                culprit
+                    .as_str()
+                    .map(str::to_owned)
+                    .ok_or_else(|| "culprit is not a string".to_owned())
+            })
+            .collect::<Result<_, _>>()?;
+        push_answer(
+            &mut answers,
+            site,
+            str_field(entry, "method")?,
+            method,
+            culprits,
+        )?;
+    }
+    Ok(answers)
 }
 
 // ------------------------------------------------------ streamed decoders
@@ -1480,6 +1556,73 @@ pub(super) fn read_violations(
         });
     }
     Ok(violations)
+}
+
+/// Decode an answer-set payload for `method` as the envelope gate streams
+/// it: the same set, and the same failures, as `answers_from_json` on the
+/// payload's tree.
+pub(super) fn read_answers(
+    payload: &mut Payload<'_, '_>,
+    method: TriageMethod,
+) -> Result<TriageAnswers, DecodeError> {
+    payload.begin_array("answer set")?;
+    let mut answers = TriageAnswers::new();
+    while let Some(event) = payload.element()? {
+        if event != JsonEvent::BeginObject {
+            return err("answer is not an object");
+        }
+        let (mut conjecture, mut function, mut line, mut variable) = (None, None, None, None);
+        let (mut entry_method, mut culprits) = (None, None);
+        while let Some(key) = payload.key()? {
+            match &*key {
+                "conjecture" if conjecture.is_none() => {
+                    conjecture = Some(
+                        payload
+                            .string("conjecture")?
+                            .parse()
+                            .map_err(|_| "unknown conjecture")?,
+                    );
+                }
+                "function" if function.is_none() => function = Some(payload.number("function")?),
+                "line" if line.is_none() => line = Some(payload.number::<u64>("line")?),
+                "variable" if variable.is_none() => {
+                    variable = Some(Arc::from(&*payload.string("variable")?));
+                }
+                "method" if entry_method.is_none() => {
+                    entry_method = Some(payload.string("method")?);
+                }
+                "culprits" if culprits.is_none() => {
+                    payload.begin_array("`culprits`")?;
+                    let mut read = Vec::new();
+                    while let Some(event) = payload.element()? {
+                        let JsonEvent::Str(culprit) = event else {
+                            return err("culprit is not a string");
+                        };
+                        read.push(culprit.into_owned());
+                    }
+                    culprits = Some(read);
+                }
+                _ => payload.skip()?,
+            }
+        }
+        let site = Site {
+            conjecture: conjecture.ok_or("missing `conjecture`")?,
+            function: FunctionId(function.ok_or("missing `function`")?),
+            line: line
+                .ok_or("missing `line`")?
+                .try_into()
+                .map_err(|_| "`line` is out of u32 range")?,
+            variable: variable.ok_or("missing `variable`")?,
+        };
+        push_answer(
+            &mut answers,
+            site,
+            &entry_method.ok_or("missing `method`")?,
+            method,
+            culprits.ok_or("missing `culprits`")?,
+        )?;
+    }
+    Ok(answers)
 }
 
 #[cfg(test)]

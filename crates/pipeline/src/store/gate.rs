@@ -286,10 +286,12 @@ mod tests {
     use holes_debugger::DebuggerKind;
 
     use super::super::codec::{
-        answer_from_json, executable_from_json, read_trace, read_violations, trace_from_json,
-        violations_from_json,
+        answer_from_json, answer_to_json, answers_from_json, executable_from_json, read_answers,
+        read_trace, read_violations, trace_from_json, violations_from_json,
     };
-    use super::super::{build_envelope, validate_envelope, ArtifactStore, SubjectKey};
+    use super::super::{
+        build_envelope, envelope_line, validate_envelope, ArtifactStore, SubjectKey,
+    };
     use super::*;
     use crate::triage::{TriageMethod, TriageOutcome};
     use crate::Subject;
@@ -298,14 +300,19 @@ mod tests {
         CompilerConfig::new(Personality::Ccg, OptLevel::O2)
     }
 
-    /// Real envelopes of every kind one warm ccg subject writes.
+    /// The kind of a ccg configuration's triage answer set.
+    const ANSWERS: &str = "triage-gdb";
+
+    /// Real envelopes of every kind one warm ccg subject writes, plus the
+    /// per-site triage answer earlier builds wrote.
     struct Envelopes {
         /// The subject's key.
         key: SubjectKey,
-        /// The violation whose triage answer is among `texts`.
+        /// The violation whose per-site triage answer is among `texts`.
         violation: Violation,
         /// Each kind with its file text: an executable, a trace, a
-        /// violation set and a triage answer.
+        /// violation set, a per-site triage answer and an answer set of
+        /// several sites.
         texts: Vec<(String, String)>,
     }
 
@@ -319,11 +326,13 @@ mod tests {
             let store = Arc::new(ArtifactStore::open(&root).expect("open store"));
             let subject = Subject::from_seed(7960);
             subject.attach_store(Arc::clone(&store));
-            let violation = subject.violations(&config())[0].clone();
-            let _ = crate::triage::triage(&subject, &config(), &violation);
+            let violations = subject.violations(&config());
+            for violation in violations.iter().take(3) {
+                let _ = crate::triage::triage(&subject, &config(), violation);
+            }
+            let violation = violations[0].clone();
             let key = SubjectKey::derive(subject.seed, &subject.source.text);
-            let answer = ArtifactStore::answer_kind(DebuggerKind::GdbLike, &violation);
-            let texts = ["exe", "trace-gdb", "viol-gdb", &answer]
+            let mut texts: Vec<(String, String)> = ["exe", "trace-gdb", "viol-gdb", ANSWERS]
                 .iter()
                 .map(|kind| {
                     let path = store.path_for(key, config().fingerprint(), kind);
@@ -332,6 +341,16 @@ mod tests {
                     (kind.to_string(), text)
                 })
                 .collect();
+            let answers = store.load_triage_answers(key, &config()).expect("answers");
+            assert!(answers.len() > 1, "the answer set holds several sites");
+            let site = ArtifactStore::site_answer_kind(DebuggerKind::GdbLike, &violation);
+            let outcome = TriageOutcome {
+                culprits: answers[&crate::triage::Site::of(&violation)].clone(),
+                method: TriageMethod::FlagSearch,
+            };
+            let payload = answer_to_json(&violation, &outcome);
+            let envelope = build_envelope(key, config().fingerprint(), &site, payload);
+            texts.insert(3, (site, envelope_line(&envelope)));
             let _ = std::fs::remove_dir_all(&root);
             Envelopes {
                 key,
@@ -412,6 +431,20 @@ mod tests {
                 assert_eq!(
                     streamed,
                     oracle(text, key, kind, violations_from_json),
+                    "{text}"
+                );
+                matches!(streamed, Some(Some(_)))
+            }
+            ANSWERS => {
+                let method = TriageMethod::FlagSearch;
+                let streamed = twice(|| {
+                    verdict(gate(text, key, fingerprint, kind, |p| {
+                        read_answers(p, method)
+                    }))
+                });
+                assert_eq!(
+                    streamed,
+                    oracle(text, key, kind, |json| answers_from_json(json, method)),
                     "{text}"
                 );
                 matches!(streamed, Some(Some(_)))
@@ -609,6 +642,33 @@ mod tests {
                 pairs.insert((other % 6) as usize, ("deep".to_owned(), nested(depth)));
                 Json::Obj(pairs).to_compact().into_bytes()
             }
+            // An answer set's entry repeated, two neighbours swapped, or
+            // an entry found by the other method, under a recomputed
+            // checksum: each must be refused.
+            10..=12 if kind == ANSWERS => {
+                let mut payload = envelope.get("payload").expect("payload").clone();
+                let Json::Arr(entries) = &mut payload else {
+                    panic!("an answer set is an array");
+                };
+                let i = (at % (entries.len() as u64 - 1)) as usize;
+                match mutation {
+                    10 => entries.insert(i, entries[i].clone()),
+                    11 => entries.swap(i, i + 1),
+                    _ => {
+                        let Json::Obj(fields) = &mut entries[i] else {
+                            panic!("an answer is an object");
+                        };
+                        for (name, value) in fields {
+                            if name == "method" {
+                                *value = Json::str(TriageMethod::Bisection.name());
+                            }
+                        }
+                    }
+                }
+                build_envelope(key, config().fingerprint(), kind, payload)
+                    .to_compact()
+                    .into_bytes()
+            }
             // A tampered payload under a recomputed checksum, the most
             // frequent mutation: the decoders themselves must agree.
             _ => {
@@ -679,9 +739,10 @@ mod tests {
                 .store
                 .load_violations(key, &config(), DebuggerKind::GdbLike)
                 .is_some(),
+            ANSWERS => sandbox.store.load_triage_answers(key, &config()).is_some(),
             _ => sandbox
                 .store
-                .load_triage_answer(
+                .load_site_answer(
                     key,
                     &config(),
                     &envelopes().violation,
@@ -719,22 +780,39 @@ mod tests {
         }
     }
 
+    #[test]
+    fn malformed_answer_sets_are_rejected_and_quarantined() {
+        let Envelopes { key, texts, .. } = envelopes();
+        let (kind, text) = texts.iter().find(|(kind, _)| kind == ANSWERS).unwrap();
+        let sandbox = Sandbox::new();
+        for mutation in 10..=12 {
+            for at in 0..4 {
+                let bytes = mutate(text, *key, kind, mutation, at, 0);
+                let text = std::str::from_utf8(&bytes).expect("UTF-8");
+                assert!(!gates_agree(text, *key, kind), "mutation {mutation} loaded");
+                store_agrees(&sandbox, *key, kind, &bytes, false);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// The one-pass gate, attacked: take a real envelope of each kind,
-        /// a triage answer included, apply a structure-aware mutation — a
-        /// bit flip, a truncation,
-        /// reordered or repeated fields, whitespace or `\uXXXX`
-        /// re-spellings, nesting around the depth limit, or a tampered
-        /// payload under a recomputed checksum — and require the same
-        /// decision and the same artifact as the tree oracle, the same
-        /// decision on every run, and a store load that never panics,
-        /// never retries, and never touches a file outside its root.
+        /// a per-site triage answer and an answer set included, apply a
+        /// structure-aware mutation — a bit flip, a truncation, reordered
+        /// or repeated fields, whitespace or `\uXXXX` re-spellings,
+        /// nesting around the depth limit, a tampered payload under a
+        /// recomputed checksum, or, in an answer set, a repeated site,
+        /// unsorted entries or an entry of the other method — and require
+        /// the same decision and the same artifact as the tree oracle, the
+        /// same decision on every run, and a store load that never panics,
+        /// never retries, and never touches a file outside its root. The
+        /// answer-set mutations must be rejected and quarantined.
         #[test]
         fn one_pass_gate_agrees_with_the_tree_oracle_on_mutated_envelopes(
-            kind_index in 0usize..4,
-            mutation in 0usize..10,
+            kind_index in 0usize..5,
+            mutation in 0usize..13,
             at in any::<u64>(),
             other in any::<u64>(),
         ) {
@@ -745,6 +823,9 @@ mod tests {
                 Ok(text) => gates_agree(text, *key, kind),
                 Err(_) => false,
             };
+            if kind == ANSWERS && mutation >= 10 {
+                prop_assert!(!loads, "a malformed answer set loaded");
+            }
             store_agrees(&Sandbox::new(), *key, kind, &bytes, loads);
         }
     }

@@ -9,10 +9,11 @@
 //! three cached artifact kinds — [`Executable`]s, [`DebugTrace`]s, and full
 //! violation sets — to a cache directory and loads them back in any later
 //! process, so a range campaigned once is free forever after. Beside them
-//! it keeps two kinds of *answers*: the culprit list a triage search
-//! returned for one violation site ([`ArtifactStore::load_triage_answer`]),
-//! so a warm triage loads one small envelope per violation instead of
-//! replaying the search's probes, and distilled corpus entries.
+//! it keeps two kinds of *answers*: the culprit lists triage searches
+//! returned for one configuration's violation sites
+//! ([`ArtifactStore::load_triage_answers`]), so a warm triage loads one
+//! small envelope per configuration instead of replaying the searches'
+//! probes, and distilled corpus entries.
 //!
 //! # Keys and layout
 //!
@@ -33,9 +34,12 @@
 //!   configurations' traces are written; pass-budget traces written by
 //!   earlier builds still load;
 //! * `viol-gdb`, `viol-lldb` — a full violation set;
+//! * `triage-gdb`, `triage-lldb` — the configuration's triage answer set:
+//!   one entry per triaged violation site, in site order;
 //! * `triage-<debugger>-<conjecture>-F<function>-L<line>-<variable>` — a
-//!   triage answer for one violation site under the configuration, for
-//!   example `triage-lldb-C1-F3-L25-c10`;
+//!   triage answer for one violation site, for example
+//!   `triage-lldb-C1-F3-L25-c10`. Earlier builds wrote these; they are
+//!   still read, never written;
 //! * `corpus-<conjecture>-L<line>-<variable>` — a distilled corpus entry.
 //!
 //! # Format, integrity, and concurrency
@@ -46,17 +50,21 @@
 //! Loads are **corruption-tolerant by construction**: any parse, envelope,
 //! checksum, or decode failure — including bytes that are not UTF-8, a
 //! decoded executable whose embedded configuration is not *exactly* the
-//! requested one, and a triage answer recorded for another violation site
-//! or search method — is counted in [`StoreStats::rejected`] and reported as a
+//! requested one, a triage answer recorded for another violation site or
+//! search method, and an answer set whose sites repeat or are out of order
+//! — is counted in [`StoreStats::rejected`] and reported as a
 //! miss, so the artifact is recomputed (and the file rewritten) rather than
 //! trusted. A load checks and decodes an envelope in one pass over its text,
-//! without building it as a tree: traces and violation sets decode straight
-//! from the reader's events while the checksum is taken alongside.
+//! without building it as a tree: traces, violation sets and answer sets
+//! decode straight from the reader's events while the checksum is taken
+//! alongside.
 //! Writes go to a unique temporary file in the destination directory and
 //! are published with an atomic rename, so concurrent shard processes
 //! sharing one cache directory can never observe a half-written artifact;
 //! two processes racing on the same key both write identical bytes and
-//! either rename wins.
+//! either rename wins. The one exception is an answer set, which grows: two
+//! processes triaging one configuration may each publish a set without the
+//! other's newest answer, and a later triage that misses it searches again.
 //!
 //! # Enabling the store
 //!
@@ -84,7 +92,7 @@ use holes_core::{Conjecture, Violation};
 use holes_debugger::{DebugTrace, DebuggerKind};
 
 use crate::stats::{Counters, StoreStats};
-use crate::triage::{TriageMethod, TriageOutcome};
+use crate::triage::{TriageAnswers, TriageMethod, TriageOutcome};
 
 /// The identifying `format` value of every artifact file.
 pub const ARTIFACT_FORMAT: &str = "holes.artifact/v1";
@@ -736,11 +744,56 @@ impl ArtifactStore {
         self.load(subject, config.fingerprint(), &tag, codec::read_violations)
     }
 
-    /// The artifact kind of a triage answer: one kind per debugger and
-    /// violation site — the conjecture, function, line and variable that
-    /// [`crate::Subject::violation_occurs`] queries — so the answers for
-    /// every violation of one `(subject, configuration)` sit side by side.
-    fn answer_kind(kind: DebuggerKind, violation: &Violation) -> String {
+    /// The artifact kind of a triage answer set: one per debugger, so a
+    /// configuration's answers for every violation site share one file.
+    fn answers_kind(config: &CompilerConfig) -> String {
+        let kind = DebuggerKind::native_for(config.personality);
+        format!("triage-{}", debugger_tag(kind))
+    }
+
+    /// Load the triage answer set cached for `subject` under `config` (with
+    /// its native debugger): the culprits earlier [`crate::triage::bisect`]
+    /// or flag searches returned, per violation site. An intact envelope
+    /// is still rejected like a corrupted one when an entry is malformed, a
+    /// site repeats, the entries are out of site order, or an entry was
+    /// found by another method than the configuration's (bisection for
+    /// lcc, flag search for ccg).
+    pub fn load_triage_answers(
+        &self,
+        subject: SubjectKey,
+        config: &CompilerConfig,
+    ) -> Option<TriageAnswers> {
+        let method = TriageMethod::of(config.personality);
+        self.load(
+            subject,
+            config.fingerprint(),
+            &ArtifactStore::answers_kind(config),
+            |payload| codec::read_answers(payload, method),
+        )
+    }
+
+    /// Persist the triage answer set for `subject` under `config`,
+    /// replacing the stored one.
+    pub fn save_triage_answers(
+        &self,
+        subject: SubjectKey,
+        config: &CompilerConfig,
+        answers: &TriageAnswers,
+    ) {
+        let method = TriageMethod::of(config.personality);
+        self.save(
+            subject,
+            config.fingerprint(),
+            &ArtifactStore::answers_kind(config),
+            codec::answers_to_json(answers, method),
+        );
+    }
+
+    /// The artifact kind of the per-site triage answer earlier builds
+    /// wrote: one kind per debugger and violation site — the conjecture,
+    /// function, line and variable that [`crate::Subject::violation_occurs`]
+    /// queries — for example `triage-lldb-C1-F3-L25-c10`.
+    fn site_answer_kind(kind: DebuggerKind, violation: &Violation) -> String {
         format!(
             "triage-{}-{}-F{}-L{}-{}",
             debugger_tag(kind),
@@ -751,12 +804,12 @@ impl ArtifactStore {
         )
     }
 
-    /// Load the triage answer cached for `violation` on `subject` under
-    /// `config` (with its native debugger): the culprits an earlier
-    /// [`crate::triage::bisect`] or flag search returned. An intact
+    /// Load the per-site triage answer an earlier build stored for
+    /// `violation` on `subject` under `config`. Nothing writes these any
+    /// more; they are read so that such stores stay warm. An intact
     /// envelope whose payload names another site or another `method` is
     /// rejected like a corrupted one.
-    pub fn load_triage_answer(
+    pub(crate) fn load_site_answer(
         &self,
         subject: SubjectKey,
         config: &CompilerConfig,
@@ -764,29 +817,10 @@ impl ArtifactStore {
         method: TriageMethod,
     ) -> Option<TriageOutcome> {
         let kind = DebuggerKind::native_for(config.personality);
-        let tag = ArtifactStore::answer_kind(kind, violation);
+        let tag = ArtifactStore::site_answer_kind(kind, violation);
         self.load(subject, config.fingerprint(), &tag, |payload| {
             codec::answer_from_json(&payload.tree()?, violation, method)
         })
-    }
-
-    /// Persist the outcome of a triage search for `violation` on `subject`
-    /// under `config`.
-    pub fn save_triage_answer(
-        &self,
-        subject: SubjectKey,
-        config: &CompilerConfig,
-        violation: &Violation,
-        outcome: &TriageOutcome,
-    ) {
-        let kind = DebuggerKind::native_for(config.personality);
-        let tag = ArtifactStore::answer_kind(kind, violation);
-        self.save(
-            subject,
-            config.fingerprint(),
-            &tag,
-            codec::answer_to_json(violation, outcome),
-        );
     }
 
     /// The artifact kind of a corpus entry at a violation site: one kind

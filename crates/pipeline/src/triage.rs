@@ -27,19 +27,22 @@
 //!
 //! With a persistent store attached, the search's **answer** is what
 //! persists, not its probes: [`bisect`] and the flag search each look up
-//! the culprit list stored for the violation's site under the
-//! configuration and return it without probing, or search and write the
-//! culprits through ([`crate::ArtifactStore::load_triage_answer`]). No
-//! budgeted executable or trace is written, so a warm triage loads one
-//! small envelope per violation. Every caller of [`bisect`] and [`triage`]
-//! — the CLI's triage, `holes reduce` and `corpus add` — shares them.
+//! the culprit list stored for the violation's site in the configuration's
+//! answer set ([`TriageAnswers`]) and return it without probing, or search
+//! and write the grown set through
+//! ([`crate::ArtifactStore::load_triage_answers`]). No budgeted executable
+//! or trace is written, and a warm triage loads one small envelope per
+//! configuration. Every caller of [`bisect`] and [`triage`] — the CLI's
+//! triage, `holes reduce` and `corpus add` — shares them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
+use std::sync::Arc;
 
 use holes_compiler::{BackendKind, CompilerConfig, Personality};
 use holes_core::json::Json;
 use holes_core::{Conjecture, Violation};
+use holes_minic::ast::FunctionId;
 
 use crate::campaign::{
     chunks, evaluate, subject_records, unique_records, Subjects, ViolationRecord,
@@ -70,6 +73,15 @@ pub enum TriageMethod {
 }
 
 impl TriageMethod {
+    /// The method [`triage`] uses for a personality: bisection for lcc,
+    /// flag search for ccg.
+    pub(crate) fn of(personality: Personality) -> TriageMethod {
+        match personality {
+            Personality::Lcc => TriageMethod::Bisection,
+            Personality::Ccg => TriageMethod::FlagSearch,
+        }
+    }
+
     /// The method's name in stored triage answers.
     pub(crate) fn name(self) -> &'static str {
         match self {
@@ -78,6 +90,39 @@ impl TriageMethod {
         }
     }
 }
+
+/// A violation site as a triage search answers it: what
+/// [`holes_core::SiteQuery::for_violation`] matches, without the observed
+/// state. Sites order by conjecture, function, line, then variable.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Site {
+    /// The violated conjecture.
+    pub conjecture: Conjecture,
+    /// The function containing the line.
+    pub function: FunctionId,
+    /// The source line.
+    pub line: u32,
+    /// The variable's source name.
+    pub variable: Arc<str>,
+}
+
+impl Site {
+    /// The site of `violation`.
+    pub fn of(violation: &Violation) -> Site {
+        Site {
+            conjecture: violation.conjecture,
+            function: violation.function,
+            line: violation.line,
+            variable: Arc::clone(&violation.variable),
+        }
+    }
+}
+
+/// The triage answers of one (subject, configuration): the culprits the
+/// configuration's search method returned for each violation site, in site
+/// order. The store keeps one such set per configuration (see
+/// [`crate::ArtifactStore::load_triage_answers`]).
+pub type TriageAnswers = BTreeMap<Site, Vec<String>>;
 
 /// Triage one violation found on `subject` under `config`.
 pub fn triage(subject: &Subject, config: &CompilerConfig, violation: &Violation) -> TriageOutcome {
@@ -113,10 +158,12 @@ pub fn bisect(subject: &Subject, config: &CompilerConfig, violation: &Violation)
     })
 }
 
-/// The culprits of `violation` on `subject` under `config`: the answer its
-/// store holds for the violation's site, if the subject has a store and it
-/// holds one, else what `search` returns — written through to the store.
-/// A search that faults writes nothing.
+/// The culprits of `violation` on `subject` under `config`: the answer the
+/// subject's store holds for the violation's site, if the subject has a
+/// store and it holds one, else what `search` returns — written through to
+/// the store (see [`crate::ArtifactCache::triage_answer`]). A search that
+/// faults writes nothing. Only the configuration's own method is stored: a
+/// bisection of a ccg configuration always searches.
 fn remembered(
     subject: &Subject,
     config: &CompilerConfig,
@@ -124,19 +171,12 @@ fn remembered(
     method: TriageMethod,
     search: impl FnOnce() -> Vec<String>,
 ) -> TriageOutcome {
-    let binding = subject.cache.binding();
-    binding
-        .and_then(|(store, key)| store.load_triage_answer(key, config, violation, method))
-        .unwrap_or_else(|| {
-            let outcome = TriageOutcome {
-                culprits: search(),
-                method,
-            };
-            if let Some((store, key)) = binding {
-                store.save_triage_answer(key, config, violation, &outcome);
-            }
-            outcome
-        })
+    let culprits = if method == TriageMethod::of(config.personality) {
+        subject.cache.triage_answer(config, violation, search)
+    } else {
+        search()
+    };
+    TriageOutcome { culprits, method }
 }
 
 /// The binary search behind [`bisect`] on the register backend.

@@ -21,7 +21,6 @@ use holes_compiler::{BackendKind, CompilerConfig, Fingerprint, OptLevel, Persona
 use holes_core::json::Json;
 use holes_core::{Observed, Violation};
 use holes_debugger::DebuggerKind;
-use holes_minic::ast::FunctionId;
 use holes_pipeline::chaos::{CacheMode, Counted};
 use holes_pipeline::corpus::CorpusEntry;
 use holes_pipeline::fault::FaultPolicy;
@@ -33,9 +32,7 @@ use holes_pipeline::store::{
     install_process_store, ArtifactStore, RemoteFetch, RemoteSource, SubjectKey,
 };
 use holes_pipeline::stream::run_shard_streaming;
-use holes_pipeline::triage::{
-    bisect, triage, triage_campaign, TriageMethod, TriageOutcome, TriageRun,
-};
+use holes_pipeline::triage::{bisect, triage, triage_campaign, Site, TriageAnswers, TriageRun};
 use holes_pipeline::{CacheStats, Subject};
 use holes_progen::SeedRange;
 
@@ -370,7 +367,7 @@ fn an_unreachable_cache_server_degrades_to_local_only() {
 struct FlippingSource {
     donor: Arc<ArtifactStore>,
     flip: u64,
-    /// Triage answer envelopes served (flipped).
+    /// Triage answer-set envelopes served (flipped).
     answers: AtomicUsize,
 }
 
@@ -379,7 +376,7 @@ impl RemoteSource for FlippingSource {
         let Some(envelope) = self.donor.fetch_envelope(subject, fingerprint, kind) else {
             return RemoteFetch::Miss;
         };
-        if kind.starts_with("triage-") {
+        if kind == "triage-gdb" {
             self.answers.fetch_add(1, Ordering::Relaxed);
         }
         let mut bytes = envelope.to_compact().into_bytes();
@@ -437,8 +434,8 @@ proptest! {
     /// (transport failure → degradation counter) or rejects it through
     /// the validation gates (quarantine), and in both cases the subject
     /// is recomputed — campaign bytes never change. The triage that
-    /// follows fetches flipped answer envelopes too; refused, they are
-    /// searched again, and the table never changes either.
+    /// follows fetches flipped answer-set envelopes too; refused, their
+    /// sites are searched again, and the table never changes either.
     #[test]
     fn corrupted_cache_envelopes_are_rejected_quarantined_and_recomputed(flip in any::<u64>()) {
         let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -487,14 +484,14 @@ proptest! {
 }
 
 /// A cold triage persists answers, not throwaway probes. It writes every
-/// violation set, every campaign executable and trace, and one triage
-/// answer per triaged violation, but no executable or trace of a probe: an
-/// lcc bisection's pass budgets are derived from pass snapshots in memory,
-/// and a ccg flag search's `-fno-<pass>` compiles are dropped once the
-/// search has its answer. Every file it writes has the bytes that saving
-/// the from-scratch artifact writes, and every answer those that saving a
-/// storeless search's culprits writes. A warm rerun computes nothing and
-/// prints the storeless table.
+/// violation set, every campaign executable and trace, and one answer set
+/// per triaged configuration, but no executable or trace of a probe and no
+/// per-site answer: an lcc bisection's pass budgets are derived from pass
+/// snapshots in memory, and a ccg flag search's `-fno-<pass>` compiles are
+/// dropped once the search has its answer. Every file it writes has the
+/// bytes that saving the from-scratch artifact writes, and every answer set
+/// those that saving storeless searches' culprits for its sites writes. A
+/// warm rerun computes nothing and prints the storeless table.
 #[test]
 fn a_cold_triage_persists_no_budgeted_executable() {
     let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -530,6 +527,7 @@ fn cold_triage_persists_no_probe(personality: Personality) {
     let subjects: Vec<Subject> = spec.seeds.iter().map(Subject::from_seed).collect();
     let replica_dir = Scratch::dir(&format!("cold-triage-{personality}-replica"));
     let replica = ArtifactStore::open(&replica_dir.path).expect("replica opens");
+    let cold = ArtifactStore::open(&dir.path).expect("the cold store opens");
     let kind = DebuggerKind::native_for(personality);
     let debugger = match kind {
         DebuggerKind::GdbLike => "gdb",
@@ -547,11 +545,24 @@ fn cold_triage_persists_no_probe(personality: Personality) {
             let (fingerprint, rest) = name.split_once('.').unwrap();
             let config = &configs[&fingerprint.parse::<Fingerprint>().unwrap()];
             let kind_name = rest.strip_suffix(".json").expect("a JSON envelope");
-            if let Some(site) = kind_name.strip_prefix(&format!("triage-{debugger}-")) {
-                let violation = violation_at(site);
-                let outcome = triage(subject, config, &violation);
-                replica.save_triage_answer(key, config, &violation, &outcome);
-                answers += 1;
+            assert!(
+                !kind_name.starts_with(&format!("triage-{debugger}-")),
+                "{name} is a per-site answer"
+            );
+            if kind_name == format!("triage-{debugger}") {
+                let stored = cold
+                    .load_triage_answers(key, config)
+                    .expect("the answer set loads");
+                assert!(!stored.is_empty(), "{name} holds no answer");
+                let searched: TriageAnswers = stored
+                    .keys()
+                    .map(|site| {
+                        let outcome = triage(subject, config, &violation_at(site));
+                        (site.clone(), outcome.culprits)
+                    })
+                    .collect();
+                replica.save_triage_answers(key, config, &searched);
+                answers += stored.len();
             } else {
                 let exe = holes_compiler::compile(&subject.program, config);
                 let trace = holes_debugger::trace(&exe, kind);
@@ -586,7 +597,7 @@ fn cold_triage_persists_no_probe(personality: Personality) {
     assert!(answers > 0, "the {personality} triage stored no answer");
     if personality == Personality::Lcc {
         // Each lcc bisection of an observed violation blames exactly one
-        // pass, so the table counts one attribution per stored answer.
+        // pass, so the table counts one attribution per stored entry.
         let attributions: usize = reference
             .table
             .counts
@@ -597,28 +608,69 @@ fn cold_triage_persists_no_probe(personality: Personality) {
     }
 }
 
-/// The violation at an answer kind's site, `<conjecture>-F<function>-L<line>-
-/// <variable>`; its observed state is not part of the site.
-fn violation_at(site: &str) -> Violation {
-    let [conjecture, function, line, variable]: [&str; 4] = site
-        .splitn(4, '-')
-        .collect::<Vec<_>>()
-        .try_into()
-        .expect("four site fields");
+/// A violation at `site`; its observed state is not part of the site.
+fn violation_at(site: &Site) -> Violation {
     Violation {
-        conjecture: conjecture.parse().expect("conjecture"),
-        function: FunctionId(function[1..].parse().expect("function")),
-        line: line[1..].parse().expect("line"),
-        variable: variable.into(),
+        conjecture: site.conjecture,
+        line: site.line,
+        variable: Arc::clone(&site.variable),
+        function: site.function,
         observed: Observed::NotVisible,
     }
 }
 
-/// An intact answer envelope filed under another violation site's kind —
-/// right format, kind, subject, fingerprint and checksum, but a payload
-/// that answers a different site — is rejected like a corrupted file: it
-/// is counted, quarantined, and the search runs again and rewrites it. So
-/// is an answer that the other search method stored.
+/// The file text of a `holes.artifact/v1` envelope: its identity fields
+/// and an FNV-1a checksum of the payload's compact rendering.
+fn envelope_text(key: SubjectKey, config: &CompilerConfig, kind: &str, payload: Json) -> String {
+    let checksum = payload
+        .to_compact()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        });
+    let fields = [
+        ("format", Json::str("holes.artifact/v1")),
+        ("kind", Json::str(kind)),
+        ("subject", Json::str(key.to_string())),
+        ("fingerprint", Json::str(config.fingerprint().to_string())),
+        ("checksum", Json::str(format!("{checksum:016x}"))),
+        ("payload", payload),
+    ];
+    let fields = fields
+        .into_iter()
+        .map(|(name, value)| (name.to_owned(), value));
+    format!("{}\n", Json::Obj(fields.collect()).to_compact())
+}
+
+/// One answer of an answer set, or a per-site answer: the site, the
+/// search method and the culprits.
+fn answer_json(violation: &Violation, method: &str, culprits: &[String]) -> Json {
+    let fields = [
+        ("conjecture", Json::str(violation.conjecture.to_string())),
+        ("function", Json::from_usize(violation.function.0)),
+        ("line", Json::from_u64(violation.line.into())),
+        ("variable", Json::str(violation.variable.as_ref())),
+        ("method", Json::str(method)),
+        (
+            "culprits",
+            Json::Arr(culprits.iter().map(Json::str).collect()),
+        ),
+    ];
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(name, value)| (name.to_owned(), value))
+            .collect(),
+    )
+}
+
+/// An intact per-site answer envelope, as earlier builds wrote them, filed
+/// under another violation site's kind — right format, kind, subject,
+/// fingerprint and checksum, but a payload that answers a different site —
+/// is rejected like a corrupted file: it is counted, quarantined, and the
+/// search runs again and writes its answer into the configuration's answer
+/// set. So is an intact answer set that names a site twice, lists its
+/// sites out of order, or holds an answer of the other search method.
 #[test]
 fn an_answer_naming_another_site_is_rejected_quarantined_and_recomputed() {
     let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -631,69 +683,77 @@ fn an_answer_naming_another_site_is_rejected_quarantined_and_recomputed() {
         panic!("seed 2501 has two lcc -O2 violations");
     };
     let expected = bisect(&subject, &config, asked);
+    let other_culprits = bisect(&subject, &config, other).culprits;
 
     let dir = Scratch::dir("foreign-answer");
     let store = Arc::new(ArtifactStore::open(&dir.path).expect("store opens"));
     let key = SubjectKey::derive(subject.seed, &subject.source.text);
-    store.save_triage_answer(key, &config, other, &expected);
-    let kind_of = |violation: &Violation| {
-        format!(
-            "triage-lldb-{}-F{}-L{}-{}",
-            violation.conjecture, violation.function.0, violation.line, violation.variable
-        )
+    let path_of = |kind: &str| {
+        dir.path
+            .join(key.to_string())
+            .join(format!("{}.{kind}.json", config.fingerprint()))
     };
-    let path_of = |violation: &Violation| {
-        dir.path.join(key.to_string()).join(format!(
-            "{}.{}.json",
-            config.fingerprint(),
-            kind_of(violation)
-        ))
+    // A refused envelope at `kind`: the bisection searches again, and the
+    // answer set then holds its answer alone.
+    let refused = |kind: &str, text: &str| {
+        std::fs::create_dir_all(path_of(kind).parent().unwrap()).unwrap();
+        std::fs::write(path_of(kind), text).unwrap();
+        let warm = subject.with_fresh_cache();
+        warm.attach_store(Arc::clone(&store));
+        let before = store.stats();
+        assert_eq!(bisect(&warm, &config, asked), expected, "{text}");
+        let after = store.stats();
+        assert_eq!(after.rejected - before.rejected, 1, "{text}: {after:?}");
+        assert_eq!(after.quarantined - before.quarantined, 1, "{text}");
+        assert!(warm.cache_stats().traces > 0, "the bisection ran again");
+        let quarantined = dir
+            .path
+            .join("quarantine")
+            .join(key.to_string())
+            .join(path_of(kind).file_name().unwrap());
+        assert_eq!(std::fs::read_to_string(quarantined).unwrap(), text);
+        let alone = TriageAnswers::from([(Site::of(asked), expected.culprits.clone())]);
+        assert_eq!(store.load_triage_answers(key, &config), Some(alone));
+        std::fs::remove_file(path_of("triage-lldb")).unwrap();
     };
-    let Json::Obj(mut fields) =
-        Json::parse(&std::fs::read_to_string(path_of(other)).unwrap()).unwrap()
-    else {
-        panic!("an envelope is an object");
-    };
-    for (name, value) in &mut fields {
-        if name == "kind" {
-            *value = Json::str(kind_of(asked));
-        }
+
+    let site_kind = format!(
+        "triage-lldb-{}-F{}-L{}-{}",
+        asked.conjecture, asked.function.0, asked.line, asked.variable
+    );
+    let foreign = answer_json(other, "bisection", &expected.culprits);
+    refused(
+        &site_kind,
+        &envelope_text(key, &config, &site_kind, foreign),
+    );
+
+    let mut entries = [
+        answer_json(asked, "bisection", &expected.culprits),
+        answer_json(other, "bisection", &other_culprits),
+    ];
+    if Site::of(other) < Site::of(asked) {
+        entries.reverse();
     }
-    let foreign = format!("{}\n", Json::Obj(fields).to_compact());
-    std::fs::write(path_of(asked), &foreign).unwrap();
-
-    let warm = subject.with_fresh_cache();
-    warm.attach_store(Arc::clone(&store));
-    let before = store.stats();
-    assert_eq!(bisect(&warm, &config, asked), expected);
-    let after = store.stats();
-    assert_eq!(after.rejected - before.rejected, 1, "{after:?}");
-    assert_eq!(after.quarantined - before.quarantined, 1, "{after:?}");
-    assert!(warm.cache_stats().traces > 0, "the bisection ran again");
-    let quarantined = dir
-        .path
-        .join("quarantine")
-        .join(key.to_string())
-        .join(path_of(asked).file_name().unwrap());
-    assert_eq!(std::fs::read_to_string(quarantined).unwrap(), foreign);
-    let bisection = TriageMethod::Bisection;
-    assert_eq!(
-        store.load_triage_answer(key, &config, asked, bisection),
-        Some(expected.clone())
+    let set = |entries: Vec<Json>| envelope_text(key, &config, "triage-lldb", Json::Arr(entries));
+    let repeated = vec![entries[0].clone(), entries[0].clone(), entries[1].clone()];
+    refused("triage-lldb", &set(repeated));
+    refused(
+        "triage-lldb",
+        &set(vec![entries[1].clone(), entries[0].clone()]),
     );
+    let flags = vec![
+        entries[0].clone(),
+        answer_json(other, "flag-search", &other_culprits),
+    ];
+    refused("triage-lldb", &set(flags));
 
-    // An answer the other search method stored is not this one's either.
-    let flags = TriageOutcome {
-        method: TriageMethod::FlagSearch,
-        ..expected
-    };
-    store.save_triage_answer(key, &config, asked, &flags);
-    let before = store.stats();
-    assert_eq!(
-        store.load_triage_answer(key, &config, asked, bisection),
-        None
-    );
-    assert_eq!(store.stats().rejected - before.rejected, 1);
+    // The same two answers, in order and by bisection, load.
+    std::fs::write(path_of("triage-lldb"), set(entries.to_vec())).unwrap();
+    let both = TriageAnswers::from([
+        (Site::of(asked), expected.culprits.clone()),
+        (Site::of(other), other_culprits),
+    ]);
+    assert_eq!(store.load_triage_answers(key, &config), Some(both));
 }
 
 /// Everything a triage run prints — its table and its faults — without the
