@@ -53,7 +53,8 @@
 //! left the IR unchanged share one derivation, one stop plan and one
 //! debugger run, and the derived executable and plan are dropped once
 //! traced. Budgeted executables and traces never reach the store: triage
-//! keeps its answers there instead, one envelope per configuration
+//! keeps its answers there instead, one envelope per configuration,
+//! written once when the subject's cache is dropped
 //! ([`ArtifactCache::triage_answer`]).
 //! [`CacheStats::codegen_only`] (distinct prefixes derived),
 //! [`CacheStats::traces`] (debugger runs; a budget sharing a prefix counts
@@ -124,9 +125,51 @@ struct CacheInner {
     /// Triage answer sets, one per configuration (under its native
     /// debugger), loaded from the store on first use; see
     /// [`ArtifactCache::triage_answer`].
-    answers: Shard<CompilerConfig, Mutex<TriageAnswers>>,
+    answers: Shard<CompilerConfig, Mutex<AnswerSet>>,
     counters: Counters<CacheStats>,
     store: OnceLock<StoreBinding>,
+}
+
+/// One configuration's triage answers, and whether it gained answers the
+/// store's copy lacks.
+#[derive(Default)]
+struct AnswerSet {
+    answers: TriageAnswers,
+    unpublished: bool,
+}
+
+impl CacheInner {
+    /// Write each of `sets` that gained answers to the store: one atomic
+    /// rewrite per configuration, under the set's lock.
+    fn publish(&self, sets: HashMap<CompilerConfig, Cell<Mutex<AnswerSet>>>) {
+        let Some(b) = self.store.get() else {
+            return;
+        };
+        for (config, cell) in sets {
+            let Some(set) = cell.get() else {
+                continue;
+            };
+            let mut set = set.lock().unwrap_or_else(PoisonError::into_inner);
+            if set.unpublished {
+                b.store
+                    .save_triage_answers(b.subject, &config, &set.answers);
+                set.unpublished = false;
+            }
+        }
+    }
+}
+
+/// A subject's cache is dropped when its triage is done: its new answers
+/// reach the store then, once per configuration.
+impl Drop for CacheInner {
+    fn drop(&mut self) {
+        let sets = std::mem::take(
+            self.answers
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        self.publish(sets);
+    }
 }
 
 /// Look up `key`; on an in-memory miss try the persistent store (`load`),
@@ -356,11 +399,12 @@ impl ArtifactCache {
     /// from the configuration's answer set, loaded from the store once per
     /// configuration (one `store:` load or miss, not a
     /// [`CacheStats::disk_loads`]). When the set lacks the site, the
-    /// per-site answer an earlier build wrote is read, else `search` runs;
-    /// the answer is inserted and the whole set is written through as one
-    /// atomic rewrite while the set's lock is held, so two threads
-    /// triaging one configuration never write a stale set. The search runs
-    /// outside the lock; a search that panics writes nothing.
+    /// per-site answer an earlier build wrote is read, else `search` runs,
+    /// outside the set's lock; the answer is inserted into the set, and a
+    /// search that panics inserts nothing. A set that gained answers is
+    /// written to the store once, as one atomic rewrite, when the cache is
+    /// dropped or cleared — not once per answer, which would rewrite a set
+    /// of `n` sites `n` times.
     pub(crate) fn triage_answer(
         &self,
         config: &CompilerConfig,
@@ -371,15 +415,17 @@ impl ArtifactCache {
             return search();
         };
         let set = get_or_insert(&self.inner.answers, config.clone(), || {
-            Mutex::new(
-                b.store
+            Mutex::new(AnswerSet {
+                answers: b
+                    .store
                     .load_triage_answers(b.subject, config)
                     .unwrap_or_default(),
-            )
+                unpublished: false,
+            })
         });
         let lock = || set.lock().unwrap_or_else(PoisonError::into_inner);
         let site = Site::of(violation);
-        if let Some(culprits) = lock().get(&site) {
+        if let Some(culprits) = lock().answers.get(&site) {
             return culprits.clone();
         }
         let method = TriageMethod::of(config.personality);
@@ -387,9 +433,9 @@ impl ArtifactCache {
             .store
             .load_site_answer(b.subject, config, violation, method)
             .map_or_else(search, |outcome| outcome.culprits);
-        let mut answers = lock();
-        answers.insert(site, culprits.clone());
-        b.store.save_triage_answers(b.subject, config, &answers);
+        let mut set = lock();
+        set.answers.insert(site, culprits.clone());
+        set.unpublished = true;
         culprits
     }
 
@@ -405,7 +451,8 @@ impl ArtifactCache {
     }
 
     /// Drop every memoized artifact (counters are kept; they describe work
-    /// performed, not storage).
+    /// performed, not storage), first writing new triage answers to the
+    /// store.
     pub fn clear(&self) {
         fn empty<K, V>(map: &Shard<K, V>) {
             map.lock().unwrap_or_else(PoisonError::into_inner).clear();
@@ -417,7 +464,9 @@ impl ArtifactCache {
         empty(&inner.plans);
         empty(&inner.snapshots);
         empty(&inner.prefixes);
-        empty(&inner.answers);
+        let sets =
+            std::mem::take(&mut *inner.answers.lock().unwrap_or_else(PoisonError::into_inner));
+        inner.publish(sets);
     }
 }
 
@@ -511,6 +560,13 @@ mod tests {
                 });
             }
         });
+        assert_eq!(store.stats().writes, 0, "answers wait for the cache's drop");
+        assert_eq!(
+            cache.stats(),
+            CacheStats::default(),
+            "answers count no cache work"
+        );
+        drop(cache);
         let stored = store
             .load_triage_answers(SubjectKey(7), &config)
             .expect("the set was written");
@@ -519,12 +575,34 @@ mod tests {
             .map(|line| (Site::of(&violation(line)), vec![format!("pass{line}")]))
             .collect();
         assert_eq!(stored, expected);
-        assert_eq!(store.stats().writes, threads);
-        assert_eq!(
-            cache.stats(),
-            CacheStats::default(),
-            "answers count no cache work"
-        );
+        assert_eq!(store.stats().writes, 1, "one write for the configuration");
+    }
+
+    #[test]
+    fn clearing_the_cache_writes_its_new_answers_once() {
+        let dir = std::env::temp_dir().join(format!("holes-cache-clear-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(ArtifactStore::open(&dir).expect("store opens"));
+        let cache = ArtifactCache::default();
+        cache.attach_store(Arc::clone(&store), SubjectKey(8));
+        let (config, _) = key();
+        let violation = Violation {
+            conjecture: holes_core::Conjecture::C2,
+            line: 3,
+            variable: "y".into(),
+            function: holes_minic::ast::FunctionId(0),
+            observed: holes_core::Observed::NotVisible,
+        };
+        let answer = || vec!["dce".to_owned()];
+        assert_eq!(cache.triage_answer(&config, &violation, answer), answer());
+        cache.clear();
+        assert_eq!(store.stats().writes, 1, "clearing writes the new answer");
+        // The cleared cache reloads the set and answers without a search.
+        let reloaded = cache.triage_answer(&config, &violation, || unreachable!());
+        assert_eq!(reloaded, answer());
+        drop(cache);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(store.stats().writes, 1, "an unchanged set is not rewritten");
     }
 
     #[test]

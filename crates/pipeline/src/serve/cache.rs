@@ -741,6 +741,8 @@ mod tests {
             let violation = subject.violations(&config)[0].clone();
             let _ = crate::triage::triage(&subject, &config, &violation);
             let key = SubjectKey::derive(subject.seed, &subject.source.text);
+            // Dropping the subject writes its answer set.
+            drop(subject);
             let mut files = Vec::new();
             let mut answer = None;
             for entry in std::fs::read_dir(root.join(key.to_string())).expect("subject dir") {

@@ -332,6 +332,8 @@ mod tests {
             }
             let violation = violations[0].clone();
             let key = SubjectKey::derive(subject.seed, &subject.source.text);
+            // Dropping the subject writes its answer set.
+            drop(subject);
             let mut texts: Vec<(String, String)> = ["exe", "trace-gdb", "viol-gdb", ANSWERS]
                 .iter()
                 .map(|kind| {

@@ -126,9 +126,9 @@ pub type TriageAnswers = BTreeMap<Site, Vec<String>>;
 
 /// Triage one violation found on `subject` under `config`.
 pub fn triage(subject: &Subject, config: &CompilerConfig, violation: &Violation) -> TriageOutcome {
-    match config.personality {
-        Personality::Lcc => bisect(subject, config, violation),
-        Personality::Ccg => flag_search(subject, config, violation),
+    match TriageMethod::of(config.personality) {
+        TriageMethod::Bisection => bisect(subject, config, violation),
+        TriageMethod::FlagSearch => flag_search(subject, config, violation),
     }
 }
 
@@ -160,9 +160,10 @@ pub fn bisect(subject: &Subject, config: &CompilerConfig, violation: &Violation)
 
 /// The culprits of `violation` on `subject` under `config`: the answer the
 /// subject's store holds for the violation's site, if the subject has a
-/// store and it holds one, else what `search` returns — written through to
-/// the store (see [`crate::ArtifactCache::triage_answer`]). A search that
-/// faults writes nothing. Only the configuration's own method is stored: a
+/// store and it holds one, else what `search` returns — kept in the
+/// subject's answer set, which reaches the store when the subject's cache
+/// is dropped (see [`crate::ArtifactCache::triage_answer`]). A search that
+/// faults keeps nothing. Only the configuration's own method is stored: a
 /// bisection of a ccg configuration always searches.
 fn remembered(
     subject: &Subject,

@@ -669,8 +669,9 @@ fn answer_json(violation: &Violation, method: &str, culprits: &[String]) -> Json
 /// fingerprint and checksum, but a payload that answers a different site —
 /// is rejected like a corrupted file: it is counted, quarantined, and the
 /// search runs again and writes its answer into the configuration's answer
-/// set. So is an intact answer set that names a site twice, lists its
-/// sites out of order, or holds an answer of the other search method.
+/// set. So is a per-site answer of the other search method, and an intact
+/// answer set that names a site twice, lists its sites out of order, or
+/// holds an answer of the other search method.
 #[test]
 fn an_answer_naming_another_site_is_rejected_quarantined_and_recomputed() {
     let _lock = FLEET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -706,6 +707,8 @@ fn an_answer_naming_another_site_is_rejected_quarantined_and_recomputed() {
         assert_eq!(after.rejected - before.rejected, 1, "{text}: {after:?}");
         assert_eq!(after.quarantined - before.quarantined, 1, "{text}");
         assert!(warm.cache_stats().traces > 0, "the bisection ran again");
+        // Dropping the subject writes its answer set.
+        drop(warm);
         let quarantined = dir
             .path
             .join("quarantine")
@@ -726,6 +729,10 @@ fn an_answer_naming_another_site_is_rejected_quarantined_and_recomputed() {
         &site_kind,
         &envelope_text(key, &config, &site_kind, foreign),
     );
+    // A per-site answer the other search method stored is not this one's
+    // either: earlier builds filed both methods' answers under one kind.
+    let flags = answer_json(asked, "flag-search", &expected.culprits);
+    refused(&site_kind, &envelope_text(key, &config, &site_kind, flags));
 
     let mut entries = [
         answer_json(asked, "bisection", &expected.culprits),
